@@ -10,8 +10,14 @@ integers and every child point is within 2^{-k-1} per axis) via
 
 where target_min is the exact rational infimum of the target over the child.
 Children that fail are subdivided; at side 2^-max_scale they are marked bad.
-Corner evaluations are memoized on the canonical dyadic key and may be
-computed by a thread pool; results are independent of thread count.
+
+Each child is decided on the smallest grid that settles it.  The corner is
+first enclosed on the smallest power of two N >= 64 * degree (at least 64),
+then N is multiplied by 4 until the enclosure's hi certifies the child, its
+lo fails the test, or N reaches the cap.  A failing lo refutes the child on
+every grid: lo <= true value <= hi on each grid and the test is monotone in
+the value, so the cap grid's hi could not certify it either.  Corner
+enclosures are memoized on (canonical dyadic corner, N).
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -88,6 +93,7 @@ class SquareRecord:
     corner: tuple[Fraction, Fraction] | None = None
     corner_hi: float | None = None
     target_min: Fraction | None = None
+    N: int | None = None   # grid of the enclosure that decided the square
 
     def to_dict(self) -> dict:
         d = {'k': self.square.k, 'r': self.square.r, 's': self.square.s,
@@ -96,13 +102,14 @@ class SquareRecord:
             d['corner'] = [float(self.corner[0]), float(self.corner[1])]
             d['corner_hi'] = self.corner_hi
             d['target_min'] = float(self.target_min)
+            d['N'] = self.N
         return d
 
 
 @dataclass
 class CertTree:
     roots: list[DyadicSquare]
-    N: int
+    N: int   # grid cap; each record carries the grid that decided it
     max_scale: int
     kind: str
     records: list[SquareRecord] = field(default_factory=list)
@@ -134,7 +141,7 @@ class CertTree:
     def canonical(self) -> None:
         self.records.sort(key=lambda r: (r.square.k, r.square.r, r.square.s))
 
-    def to_json(self, **meta) -> str:
+    def to_dict(self, **meta) -> dict:
         self.canonical()
         payload = dict(meta)
         payload.update({
@@ -150,7 +157,10 @@ class CertTree:
             },
             'records': [r.to_dict() for r in self.records],
         })
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return payload
+
+    def to_json(self, **meta) -> str:
+        return json.dumps(self.to_dict(**meta), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         """Square outcomes, one row per square: k, r, s, status."""
@@ -163,36 +173,6 @@ class CertTree:
         return buf.getvalue()
 
 
-class _CornerCache:
-    """Memoized corner evaluations keyed by the canonical dyadic pair."""
-
-    def __init__(self, fn):
-        self._fn = fn
-        self._vals: dict[tuple[DyadicPoint, DyadicPoint], float] = {}
-
-    @staticmethod
-    def key(cx: int, cy: int, k: int) -> tuple[DyadicPoint, DyadicPoint]:
-        return (DyadicPoint(cx, k), DyadicPoint(cy, k))
-
-    def get(self, key) -> float:
-        return self._vals[key]
-
-    def ensure(self, keys, threads: int) -> None:
-        missing = sorted(set(k for k in keys if k not in self._vals),
-                         key=lambda p: (p[0].u, p[0].k, p[1].u, p[1].k))
-        if not missing:
-            return
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                vals = list(pool.map(self._fn, missing))
-        else:
-            vals = [self._fn(k) for k in missing]
-        self._vals.update(zip(missing, vals))
-
-    def __len__(self) -> int:
-        return len(self._vals)
-
-
 def _certified(corner_hi: float, k: int, t_min: Fraction) -> bool:
     """Exact test of sqrt(corner_hi) + 3 * 2^{-k/2} <= sqrt(t_min)."""
     g = Fraction(corner_hi)
@@ -202,34 +182,48 @@ def _certified(corner_hi: float, k: int, t_min: Fraction) -> bool:
     return 36 * g * Fraction(1, 1 << k) <= rest * rest
 
 
-def _run(roots: list[DyadicSquare], corner_fn, target_min_fn, N: int,
-         max_scale: int, kind: str, threads: int = 1) -> CertTree:
-    """Level-synchronous subdivision; deterministic for any thread count."""
+def _start_grid(degree: int, cap: int) -> int:
+    """Smallest power of two N >= 64 * degree, at least 64, at most cap."""
+    return min(cap, 1 << (max(64 * degree, 64) - 1).bit_length())
+
+
+def _run(roots: list[DyadicSquare], enclose, degree, target_min_fn, N: int,
+         max_scale: int, kind: str) -> CertTree:
+    """Level-synchronous subdivision.  ``enclose(x, y, N)`` encloses the
+    objective at the dyadic corner (x, y) on the N-grid, ``degree(x, y)`` is
+    its trigonometric degree there, and N is the grid cap."""
     tree = CertTree(roots=list(roots), N=N, max_scale=max_scale, kind=kind)
-    cache = _CornerCache(corner_fn)
+    encs = {}   # (corner, grid) -> Enclosure
     frontier = sorted(roots, key=lambda sq: (sq.k, sq.r, sq.s))
     while frontier:
-        tasks = []
+        next_frontier = []
         for sq in frontier:
             tree.records.append(SquareRecord(sq, STATUS_SUBDIVIDED))
             for child, (cx, cy) in sq.children():
-                tasks.append((sq.k, child, cache.key(cx, cy, sq.k)))
-        cache.ensure((key for _, _, key in tasks), threads)
-        next_frontier = []
-        for k, child, key in tasks:
-            hi = cache.get(key)
-            t_min = target_min_fn(child)
-            corner = (key[0].fraction, key[1].fraction)
-            if _certified(hi, k, t_min):
-                tree.records.append(SquareRecord(child, STATUS_CERTIFIED,
-                                                 corner, hi, t_min))
-            elif child.k >= max_scale:
-                tree.records.append(SquareRecord(child, STATUS_BAD,
-                                                 corner, hi, t_min))
-            else:
-                next_frontier.append(child)
+                x, y = DyadicPoint(cx, sq.k), DyadicPoint(cy, sq.k)
+                t_min = target_min_fn(child)
+                grid = _start_grid(degree(x, y), N)
+                while True:
+                    key = (x, y, grid)
+                    enc = encs.get(key)
+                    if enc is None:
+                        enc = encs[key] = enclose(x, y, grid)
+                    if _certified(enc.hi, sq.k, t_min):
+                        status = STATUS_CERTIFIED
+                        break
+                    if grid >= N or not _certified(enc.lo, sq.k, t_min):
+                        status = (STATUS_BAD if child.k >= max_scale
+                                  else STATUS_SUBDIVIDED)
+                        break
+                    grid = min(4 * grid, N)
+                if status == STATUS_SUBDIVIDED:
+                    next_frontier.append(child)
+                else:
+                    tree.records.append(SquareRecord(
+                        child, status, (x.fraction, y.fraction), enc.hi,
+                        t_min, grid))
         frontier = next_frontier
-    tree.corner_evals = len(cache)
+    tree.corner_evals = len({(x, y) for x, y, _ in encs})
     tree.canonical()
     return tree
 
@@ -239,28 +233,31 @@ def _g_target_min(child: DyadicSquare) -> Fraction:
     return min(10 * (child.x0 + child.y0), Fraction(40))
 
 
-def _g_corner_fn(N: int):
-    def fn(key: tuple[DyadicPoint, DyadicPoint]) -> float:
-        return g_dyadic(key[0], key[1], N).hi
-    return fn
+def _g_degree(x: DyadicPoint, y: DyadicPoint) -> int:
+    """r + s at the common scale: the degree of the g objective."""
+    k = max(x.k, y.k)
+    return x.scaled_numerator(k) + y.scaled_numerator(k)
+
+
+def _run_g(roots: list[DyadicSquare], N: int, max_scale: int) -> CertTree:
+    spectra = {}   # prefix spectra shared by every corner of the run
+    return _run(roots, lambda x, y, grid: g_dyadic(x, y, grid, spectra),
+                _g_degree, _g_target_min, N, max_scale, kind='g-bound')
 
 
 def certify_square_g(sq: DyadicSquare, N: int,
-                     max_scale: int = DEFAULT_MAX_SCALE,
-                     threads: int = 1) -> CertTree:
-    """Certify g(x, y) <= min(10(x+y), 40) on one dyadic square in [0, 4]^2."""
+                     max_scale: int = DEFAULT_MAX_SCALE) -> CertTree:
+    """Certify g(x, y) <= min(10(x+y), 40) on one dyadic square in [0, 4]^2;
+    N is the grid cap."""
     if not sq.contained_in(0, 0, 4, 4):
         raise ValueError(f"square {sq} not contained in [0, 4]^2")
-    return _run([sq], _g_corner_fn(N), _g_target_min, N, max_scale,
-                kind='g-bound', threads=threads)
+    return _run_g([sq], N, max_scale)
 
 
-def certify_g_full(N: int, max_scale: int = DEFAULT_MAX_SCALE,
-                   threads: int = 1) -> CertTree:
+def certify_g_full(N: int, max_scale: int = DEFAULT_MAX_SCALE) -> CertTree:
     """Certify the g bound over the whole of [0, 4]^2 (16 unit roots)."""
-    roots = [DyadicSquare(r, s, 0) for r in range(4) for s in range(4)]
-    return _run(roots, _g_corner_fn(N), _g_target_min, N, max_scale,
-                kind='g-bound', threads=threads)
+    return _run_g([DyadicSquare(r, s, 0) for r in range(4) for s in range(4)],
+                  N, max_scale)
 
 
 def square_interior_meets_B(sq: DyadicSquare) -> bool:
@@ -298,22 +295,23 @@ def _f2_target_min(child: DyadicSquare) -> Fraction:
     return 10 * (child.y0 - child.x1)
 
 
-def _f2_corner_fn(N: int):
-    def fn(key: tuple[DyadicPoint, DyadicPoint]) -> float:
-        return f2_dyadic(key[0], key[1], N).hi
-    return fn
+def _f2_degree(x: DyadicPoint, y: DyadicPoint) -> int:
+    """Length minus one of the segment [2^k x, 2^k y) at the common scale."""
+    k = max(x.k, y.k)
+    return y.scaled_numerator(k) - x.scaled_numerator(k) - 1
 
 
-def certify_f2(N: int, max_scale: int = DEFAULT_MAX_SCALE,
-               threads: int = 1) -> tuple[CertTree, bool]:
-    """Certify f(x, y) <= 10(y - x) on ([0,2] x [2,4]) minus [1,2] x [2,3].
+def certify_f2(N: int, max_scale: int = DEFAULT_MAX_SCALE
+               ) -> tuple[CertTree, bool]:
+    """Certify f(x, y) <= 10(y - x) on ([0,2] x [2,4]) minus [1,2] x [2,3];
+    N is the grid cap.
 
     The analytic region is excluded at the root level (region boundaries are
     integers), so the run is sound iff no bad squares remain at all.
     """
     roots = [DyadicSquare(r, s, 0) for r, s in F2_ROOTS]
-    tree = _run(roots, _f2_corner_fn(N), _f2_target_min, N, max_scale,
-                kind='f2-bound', threads=threads)
+    tree = _run(roots, f2_dyadic, _f2_degree, _f2_target_min, N, max_scale,
+                kind='f2-bound')
     return tree, not tree.bad
 
 

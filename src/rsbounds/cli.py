@@ -115,15 +115,13 @@ def _cmd_certify_g(cfg: RunConfig, args) -> int:
     from .certify2d import (DyadicSquare, certify_g_full, certify_square_g,
                             check_exclusion_region)
 
-    threads = cfg.effective_threads()
     if args.square:
         r, s, k = args.square
-        tree = certify_square_g(DyadicSquare(r, s, k), cfg.N, cfg.max_scale,
-                                threads)
+        tree = certify_square_g(DyadicSquare(r, s, k), cfg.N, cfg.max_scale)
     else:
-        tree = certify_g_full(cfg.N, cfg.max_scale, threads)
+        tree = certify_g_full(cfg.N, cfg.max_scale)
     ok, violations = check_exclusion_region(tree)
-    result = json.loads(tree.to_json())
+    result = tree.to_dict()
     result['exclusion_ok'] = ok
     result['violations'] = [v.to_dict() for v in violations]
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -136,8 +134,8 @@ def _cmd_certify_g(cfg: RunConfig, args) -> int:
 def _cmd_certify_f2(cfg: RunConfig, args) -> int:
     from .certify2d import certify_f2
 
-    tree, ok = certify_f2(cfg.N, cfg.max_scale, cfg.effective_threads())
-    result = json.loads(tree.to_json())
+    tree, ok = certify_f2(cfg.N, cfg.max_scale)
+    result = tree.to_dict()
     result['ok'] = ok
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, 'certify_f2_squares.csv'), 'w') as fh:
@@ -216,7 +214,7 @@ def _cmd_figures(cfg: RunConfig, args) -> int:
         enc = f_dyadic(x, min(cfg.N, 1 << 20))
         rows.append([float(x), enc.lo, enc.hi])
     _write_csv(cfg, 'figure_f_curve.csv', ['x', 'f_lo', 'f_hi'], rows)
-    tree = certify_g_full(cfg.N, cfg.max_scale, cfg.effective_threads())
+    tree = certify_g_full(cfg.N, cfg.max_scale)
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, 'figure_g_squares.csv'), 'w') as fh:
         fh.write(_config_comment(cfg) + '\n')
@@ -232,14 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog='rsbounds',
         description='Certified bounds for Rudin-Shapiro partial sums')
     ap.add_argument('--grid-log2', type=int, default=None,
-                    help='log2 of the evaluation grid (default 20)')
+                    help='log2 of the evaluation grid (default 20); the '
+                    'grid cap for certify-g and certify-f2')
     ap.add_argument('--max-scale', type=int, default=None,
                     help='deepest dyadic subdivision scale (default 6)')
     ap.add_argument('--out-dir', default=None,
                     help=f'output directory (env {"RSBOUNDS_OUT_DIR"})')
-    ap.add_argument('--seed', type=int, default=None)
     ap.add_argument('--threads', type=int, default=None,
-                    help='0 = auto (env RSBOUNDS_THREADS)')
+                    help='accepted for compatibility; has no effect')
     sub = ap.add_subparsers(dest='cmd', required=True)
 
     p = sub.add_parser('coeffs', help='print signs a_m .. a_{n-1}')
@@ -309,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {}
-    for name in ('grid_log2', 'max_scale', 'out_dir', 'seed', 'threads'):
+    for name in ('grid_log2', 'max_scale', 'out_dir'):
         val = getattr(args, name, None)
         if val is not None:
             overrides[name] = val

@@ -6,7 +6,6 @@ import os
 from dataclasses import dataclass, field
 
 ENV_OUT_DIR = 'RSBOUNDS_OUT_DIR'
-ENV_THREADS = 'RSBOUNDS_THREADS'
 
 
 @dataclass
@@ -15,32 +14,20 @@ class RunConfig:
     max_scale: int = 6
     out_dir: str = field(
         default_factory=lambda: os.environ.get(ENV_OUT_DIR, 'out'))
-    seed: int = 0
-    threads: int = field(
-        default_factory=lambda: int(os.environ.get(ENV_THREADS, '0')))
 
     def __post_init__(self):
         if not 4 <= self.grid_log2 <= 26:
             raise ValueError("grid_log2 must lie in [4, 26]")
         if self.max_scale < 1:
             raise ValueError("max_scale must be >= 1")
-        if self.threads < 0:
-            raise ValueError("threads must be >= 0")
 
     @property
     def N(self) -> int:
         return 1 << self.grid_log2
-
-    def effective_threads(self) -> int:
-        if self.threads == 0:
-            return min(os.cpu_count() or 1, 8)
-        return self.threads
 
     def to_dict(self) -> dict:
         return {
             'grid_log2': self.grid_log2,
             'max_scale': self.max_scale,
             'out_dir': self.out_dir,
-            'seed': self.seed,
-            'threads': self.threads,
         }

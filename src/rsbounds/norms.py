@@ -22,8 +22,6 @@ sides; no directed rounding is attempted.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,38 +130,25 @@ def f2_dyadic(x: DyadicPoint, y: DyadicPoint, N: int) -> Enclosure:
     return L_norm_sq(Segment(m, n), N).scale(0.5 ** k)
 
 
-# Corner evaluation during square certification hits the same prefix
-# spectra repeatedly; a bounded LRU keyed by (n, N) removes the duplicate
-# transforms.  Entries are read-only.
-_PREFIX_CACHE: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
-_PREFIX_CACHE_LOCK = threading.Lock()
-_PREFIX_CACHE_MAX_BYTES = 256 << 20
-
-
-def _prefix_half_spectrum(n: int, N: int) -> np.ndarray:
+def _prefix_half_spectrum(n: int, N: int, spectra: dict) -> np.ndarray:
+    """Half spectrum of the length-n prefix on the N-grid, memoized in the
+    caller's dict ``spectra`` under (n, N).  Entries are read-only."""
     key = (n, N)
-    with _PREFIX_CACHE_LOCK:
-        if key in _PREFIX_CACHE:
-            _PREFIX_CACHE.move_to_end(key)
-            return _PREFIX_CACHE[key]
-    val = half_spectrum(Segment(0, n), N)
-    if val.nbytes <= _PREFIX_CACHE_MAX_BYTES // 4:
-        with _PREFIX_CACHE_LOCK:
-            _PREFIX_CACHE[key] = val
-            total = sum(v.nbytes for v in _PREFIX_CACHE.values())
-            while total > _PREFIX_CACHE_MAX_BYTES and len(_PREFIX_CACHE) > 1:
-                _, old = _PREFIX_CACHE.popitem(last=False)
-                total -= old.nbytes
+    val = spectra.get(key)
+    if val is None:
+        val = spectra[key] = half_spectrum(Segment(0, n), N)
     return val
 
 
-def g_int(r: int, s: int, N: int) -> Enclosure:
+def g_int(r: int, s: int, N: int, spectra: dict | None = None) -> Enclosure:
     """Enclosure of g(r, s) through the alpha-free objective
 
         |P_{<r}(z)|^2 + |P_{<r}(-z)|^2 + |P_{<s}(z)|^2 + |P_{<s}(-z)|^2
             + 2 |P_{<s}(z) P_{<r}(-z) - P_{<s}(-z) P_{<r}(z)|
 
-    maximized over the N-grid with antipodal index pairing.
+    maximized over the N-grid with antipodal index pairing.  Prefix spectra
+    are looked up in ``spectra`` (a fresh dict if None); a caller that
+    encloses many corners passes one dict to share them.
     """
     if r < 0 or s < 0:
         raise ValueError("g_int needs non-negative integer arguments")
@@ -174,22 +159,20 @@ def g_int(r: int, s: int, N: int) -> Enclosure:
         # squared L-norm of the other prefix.
         return L_norm_sq(Segment(0, max(r, s)), N)
     _require_resolution(max(r, s), N)
-    Rr = _prefix_half_spectrum(r, N) if r else None
-    Rs = _prefix_half_spectrum(s, N) if s else None
+    if spectra is None:
+        spectra = {}
+    Rr = _prefix_half_spectrum(r, N, spectra)
+    Rs = _prefix_half_spectrum(s, N, spectra)
     # half_spectrum[j] = conj(P(z_j)); antipode P(-z_j) = conj(spec[N/2-j]).
-    G = np.zeros(N // 2 + 1)
-    if Rr is not None:
-        Fr = np.abs(Rr) ** 2
-        G += Fr + Fr[::-1]
-    if Rs is not None:
-        Fs = np.abs(Rs) ** 2
-        G += Fs + Fs[::-1]
-    if Rr is not None and Rs is not None:
-        # P_s(z_j) = conj(Rs[j]) and P_r(-z_j) = Rr[N/2 - j], so the cross
-        # term P_s(z) P_r(-z) - P_s(-z) P_r(z) mixes conjugated and
-        # reversed spectra; its modulus is j <-> N/2 - j symmetric.
-        H = np.conj(Rs) * Rr[::-1] - Rs[::-1] * np.conj(Rr)
-        G += 2.0 * np.abs(H)
+    Fr = np.abs(Rr) ** 2
+    Fs = np.abs(Rs) ** 2
+    G = Fr + Fr[::-1]
+    G += Fs + Fs[::-1]
+    # P_s(z_j) = conj(Rs[j]) and P_r(-z_j) = Rr[N/2 - j], so the cross
+    # term P_s(z) P_r(-z) - P_s(-z) P_r(z) mixes conjugated and
+    # reversed spectra; its modulus is j <-> N/2 - j symmetric.
+    H = np.conj(Rs) * Rr[::-1] - Rs[::-1] * np.conj(Rr)
+    G += 2.0 * np.abs(H)
     M = float(np.max(G))
     er, es = eps_fp(r, N), eps_fp(s, N)
     slack = 2.0 * (abs_sq_slack(r, N) + abs_sq_slack(s, N))
@@ -197,8 +180,10 @@ def g_int(r: int, s: int, N: int) -> Enclosure:
     return _enclose_grid_sup(M, r + s, N, slack)
 
 
-def g_dyadic(x: DyadicPoint, y: DyadicPoint, N: int) -> Enclosure:
+def g_dyadic(x: DyadicPoint, y: DyadicPoint, N: int,
+             spectra: dict | None = None) -> Enclosure:
     """Enclosure of g(x, y) = 2^{-k} g(2^k x, 2^k y) at the common minimal
-    scale k."""
+    scale k; ``spectra`` is passed on to g_int."""
     k = max(x.k, y.k)
-    return g_int(x.scaled_numerator(k), y.scaled_numerator(k), N).scale(0.5 ** k)
+    return g_int(x.scaled_numerator(k), y.scaled_numerator(k), N,
+                 spectra).scale(0.5 ** k)

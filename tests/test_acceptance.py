@@ -92,7 +92,7 @@ def test_c02_interval_coverage():
 
 def test_c03_g_bound_certification():
     t0 = time.time()
-    tree = certify_g_full(1 << 20, max_scale=6, threads=8)
+    tree = certify_g_full(1 << 20, max_scale=6)
     ok_excl, violations = check_exclusion_region(tree)
     subs = sorted([r.square.k, r.square.r, r.square.s]
                   for r in tree.subdivided)
@@ -107,7 +107,7 @@ def test_c03_g_bound_certification():
 
 
 def test_c04_f2_bound_certification():
-    tree, ok = certify_f2(1 << 20, max_scale=6, threads=8)
+    tree, ok = certify_f2(1 << 20, max_scale=6)
     report('criterion 4 (f2-bound certification)', ok and not tree.bad,
            f'bad squares = {len(tree.bad)} of {len(tree.records)} records')
 

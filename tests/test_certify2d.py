@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from rsbounds.certify2d import (CertTree, DyadicSquare, SquareRecord,
-                                STATUS_BAD, certify_f2, certify_square_g,
+                                STATUS_BAD, _certified, _g_target_min,
+                                certify_f2, certify_square_g,
                                 check_exclusion_region,
                                 reflection_reduction_check,
                                 square_interior_meets_B)
 from rsbounds.dyadic import DyadicPoint
-from rsbounds.norms import g_dyadic, f2_dyadic
+from rsbounds.norms import g_dyadic, g_int, f2_dyadic
 
 
 def test_square_geometry():
@@ -73,17 +74,64 @@ def test_f2_corner_values():
     assert f2_dyadic(DyadicPoint(2, 0), DyadicPoint(2, 0), N).hi == 0.0
 
 
-def test_determinism_across_threads_and_runs():
+def test_determinism_across_runs():
     a = certify_square_g(DyadicSquare(1, 2, 0), 1 << 13, max_scale=4)
-    b = certify_square_g(DyadicSquare(1, 2, 0), 1 << 13, max_scale=4,
-                         threads=4)
+    b = certify_square_g(DyadicSquare(1, 2, 0), 1 << 13, max_scale=4)
     assert a.to_csv() == b.to_csv()
-    assert json.loads(a.to_json()) == json.loads(b.to_json())
+    assert a.to_json() == b.to_json()
+    assert json.loads(a.to_json()) == a.to_dict()
+
+
+def _decided_children(tree: CertTree):
+    """(record, corner, t_min) for every non-root square, with the parent
+    corner that decided it, at the parent's scale."""
+    for rec in tree.records:
+        sq = rec.square
+        if sq.k == 0:
+            continue
+        x = DyadicPoint((sq.r + 1) >> 1, sq.k - 1)
+        y = DyadicPoint((sq.s + 1) >> 1, sq.k - 1)
+        yield rec, (x, y), _g_target_min(sq)
+
+
+def test_escalation_loses_no_square_the_cap_certifies():
+    cap = 1 << 13
+    tree = certify_square_g(DyadicSquare(1, 2, 0), cap, max_scale=4)
+    assert tree.N == cap and tree.bad and tree.subdivided
+    seen = 0
+    for rec, (x, y), t_min in _decided_children(tree):
+        if rec.status == 'certified':
+            continue
+        seen += 1
+        assert not _certified(g_dyadic(x, y, cap).hi, rec.square.k - 1, t_min)
+    assert seen == len(tree.bad) + len(tree.subdivided) - 1
+
+
+def test_certified_records_recertify_at_their_grid():
+    cap = 1 << 13
+    tree = certify_square_g(DyadicSquare(1, 2, 0), cap, max_scale=4)
+    decided = [rec for rec in tree.records if rec.status != 'subdivided']
+    assert decided and all(rec.N is not None for rec in decided)
+    for rec in decided:
+        assert rec.N & (rec.N - 1) == 0 and 64 <= rec.N <= cap
+        assert rec.to_dict()['N'] == rec.N
+    for rec, (x, y), t_min in _decided_children(tree):
+        if rec.status == 'certified':
+            hi = g_dyadic(x, y, rec.N).hi
+            assert hi == rec.corner_hi
+            assert _certified(hi, rec.square.k - 1, t_min)
+
+
+def test_g_int_shared_spectra_match_fresh():
+    spectra = {}
+    for r, s in [(5, 9), (9, 5), (9, 9), (12, 5), (0, 7)]:
+        for N in (1 << 10, 1 << 12):
+            assert g_int(r, s, N, spectra) == g_int(r, s, N, {}) \
+                == g_int(r, s, N)
+    assert (9, 1 << 12) in spectra
 
 
 def test_certified_squares_survive_grid_doubling():
-    from rsbounds.certify2d import _certified
-
     tree = certify_square_g(DyadicSquare(1, 2, 0), 1 << 13, max_scale=4)
     sample = tree.certified[::7][:12]
     for rec in sample:
