@@ -134,13 +134,12 @@ def envelope_at(d: Fraction) -> Fraction:
     return val
 
 
-def max_radius(center: DyadicPoint, target: float, N: int,
-               margin_factor: float = MARGIN_FACTOR) -> CertRecord1D:
+def max_radius(center: DyadicPoint, target: float, N: int) -> CertRecord1D:
     """Largest certified radius around a dyadic center for f <= target."""
     enc = f_dyadic(center, N)
     k = center.k
     q = Fraction(enc.hi)
-    t_eff = Fraction(target) - Fraction(margin_factor * enc.width)
+    t_eff = Fraction(target) - Fraction(MARGIN_FACTOR * enc.width)
 
     def ok(beta: Fraction) -> bool:
         return _sqrt_sum_le(q, beta, t_eff)
@@ -181,12 +180,11 @@ def max_radius(center: DyadicPoint, target: float, N: int,
 
 
 def certify_cover(interval: tuple[Fraction, Fraction], target: float,
-                  centers: list[DyadicPoint], N: int,
-                  margin_factor: float = MARGIN_FACTOR) -> CoverageReport:
+                  centers: list[DyadicPoint], N: int) -> CoverageReport:
     """Certify f <= target on [a, b] by the union of certified intervals
     around the given centers; the coverage sweep is exact rational."""
     a, b = Fraction(interval[0]), Fraction(interval[1])
-    records = [max_radius(c, target, N, margin_factor) for c in centers]
+    records = [max_radius(c, target, N) for c in centers]
     spans = sorted((r.interval for r in records if r.status == 'certified'),
                    key=lambda iv: iv[0])
     reach = a
@@ -261,8 +259,7 @@ def _auto_grid(n: int) -> int:
 _REFINE_CAP = 1 << 22
 
 
-def check_smallk_L(kind: str, N: int | None = None
-                   ) -> tuple[list[SmallRangeRecord], bool]:
+def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
     """Direct norm checks below the scales where the generic estimates take
     over.
 
@@ -291,13 +288,13 @@ def check_smallk_L(kind: str, N: int | None = None
 
     records = []
     for k, n in pairs:
-        grid = N if N is not None else _auto_grid(n)
+        grid = _auto_grid(n)
         bound = bound_of(k, n)
         bound_sq = bound * bound
         while True:
             L_enc = L_norm_sq(Segment(0, n), grid)
             decided = L_enc.hi < bound_sq or L_enc.lo >= bound_sq
-            if decided or N is not None or grid >= _REFINE_CAP:
+            if decided or grid >= _REFINE_CAP:
                 break
             grid *= 2
         sup_enc = sup_norm_sq(Segment(0, n), grid)
@@ -323,8 +320,7 @@ class BruteForceReport:
         return not self.failures
 
 
-def brute_onedim(n_max: int, N: int,
-                 ratio_tol: float = 1e-6) -> BruteForceReport:
+def brute_onedim(n_max: int, N: int) -> BruteForceReport:
     """Sweep the sqrt(6n-2) - 1 sup-norm bound for every 1 <= n <= n_max.
 
     Each n is checked against the grid evaluation (grid maximum plus the
@@ -332,9 +328,9 @@ def brute_onedim(n_max: int, N: int,
     would be detected.  The bound is attained with equality at
     n = (2 4^k + 1)/3 and the grid contains the maximizer z = 1, so the
     reported worst ratio (sqrt(grid max) + 1)^2 / (6n - 2) reaches exactly 1
-    there and stays strictly below 1 elsewhere; ratio_tol covers only the
-    floating-point slack.  Certified off-grid control comes from the
-    interval coverage of the scaled bound, not from this sweep.
+    there and stays strictly below 1 elsewhere; the failure tolerance 1e-6
+    covers only the floating-point slack.  Certified off-grid control comes
+    from the interval coverage of the scaled bound, not from this sweep.
     """
     from .evaluate import abs_sq_slack, half_spectrum
 
@@ -348,7 +344,7 @@ def brute_onedim(n_max: int, N: int,
         ratio = (math.sqrt(M) + 1.0) ** 2 / (6 * n - 2)
         if ratio > worst:
             worst, worst_n = ratio, n
-        if ratio > 1.0 + ratio_tol:
+        if ratio > 1.0 + 1e-6:
             failures.append(n)
     return BruteForceReport(n_max=n_max, N=N, worst_ratio=worst,
                             worst_n=worst_n, failures=failures)

@@ -315,23 +315,23 @@ def certify_f2(N: int, max_scale: int = DEFAULT_MAX_SCALE
     return tree, not tree.bad
 
 
-def reflection_reduction_check(k: int, samples: int, N: int,
-                               seed: int = 0) -> bool:
-    """Sampled check of the mirror identity used to halve the 2-D parameter
-    space: the L enclosures of [m, n) and [2^{k+2}-n, 2^{k+2}-m) overlap for
-    2^{k+1} <= m <= n <= 2^{k+2}."""
+def reflection_reduction_check(k: int) -> bool:
+    """Exact check of the coefficient identity behind the mirror reduction
+    that halves the 2-D parameter space:
+
+        a_{2^{k+2}-1-i} = (-1)^{k+i} a_i    for 2^{k+1} <= i < 2^{k+2}.
+
+    Summed over [m, n) it gives, with T = 2^{k+2},
+    P_{[T-n, T-m)}(z) = (-1)^k z^{T-1} P_{[m, n)}(-1/z), so the two segments
+    have equal L-norms for 2^{k+1} <= m <= n <= T.  Every index is checked
+    in integer arithmetic.
+    """
     import numpy as np
 
-    from .norms import L_norm_sq
-    from .sequence import Segment
+    from .sequence import Segment, coeff_range
 
-    rng = np.random.default_rng(seed)
-    top = 1 << (k + 2)
-    for _ in range(samples):
-        m = int(rng.integers(1 << (k + 1), top + 1))
-        n = int(rng.integers(m, top + 1))
-        a = L_norm_sq(Segment(m, n), N)
-        b = L_norm_sq(Segment(top - n, top - m), N)
-        if not a.overlaps(b):
-            return False
-    return True
+    half = 1 << (k + 1)
+    upper = coeff_range(Segment(half, 2 * half)).astype(np.int64)
+    mirrored = coeff_range(Segment(0, half))[::-1].astype(np.int64)
+    signs = (-1) ** k * (1 - 2 * (np.arange(half, 2 * half) % 2))
+    return bool(np.array_equal(mirrored, signs * upper))

@@ -22,7 +22,7 @@ from .config import RunConfig
 from .dyadic import DyadicPoint
 from .norms import Enclosure, f2_dyadic, f_dyadic, g_dyadic
 from .sequence import Segment, coeff_range
-from .evaluate import eval_grid, eval_point
+from .evaluate import eval_point, half_spectrum
 
 SCHEMA_VERSION = 1
 
@@ -63,12 +63,13 @@ def _cmd_coeffs(cfg: RunConfig, args) -> int:
 def _cmd_eval(cfg: RunConfig, args) -> int:
     seg = Segment(args.m, args.n)
     if args.grid:
-        vals = eval_grid(seg, cfg.N).values
-        j = np.argmax(np.abs(vals))
+        # Moduli at z_j for j = 0 .. N/2; z_{N-j} has the same modulus.
+        moduli = np.abs(half_spectrum(seg, cfg.N))
+        j = int(np.argmax(moduli))
         result = {
             'grid_log2': cfg.grid_log2,
-            'max_abs': float(np.abs(vals[j])),
-            'argmax_index': int(j),
+            'max_abs': float(moduli[j]),
+            'argmax_index': j,
         }
         return _emit(cfg, 'eval', result, True)
     re, im = (float(t) for t in args.z.split(','))

@@ -1,21 +1,26 @@
-"""Evaluation of Rudin-Shapiro partial sums: single points, batched grids of
-N-th roots of unity, and the paired P_t/Q_t recursion.
+"""Evaluation of Rudin-Shapiro partial sums: single points, moduli on the
+grid of N-th roots of unity through a real FFT (half_spectrum), and the
+paired P_t/Q_t recursion.
+
+One core evaluates a segment at a single point; eval_point feeds it phases
+z^e by split exponentiation, eval_point_root by exact index reduction mod N.
 
 Floating-point error model: a length-L segment evaluated through an FFT of
 size N carries an absolute per-value error of at most
 
     eps_fp(L, N) = C_FFT * L * log2(N) * u,        u = 2^-53.
 
-C_FFT = 8 was fixed after validating against high-precision reference
-evaluation (see tests); the actual FFT error is far smaller.  All enclosures
-widen by slack derived from this bound.
+C_FFT = 8 is validated against 50-digit reference evaluation of
+half_spectrum, up to the production sizes N = 2^24 and L = 4096 (see
+tests); the observed FFT error is far smaller.  All enclosures widen by
+slack derived from this bound.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 
 import numpy as np
 
@@ -54,46 +59,15 @@ def _check_unit(z: complex) -> None:
         raise DomainError(f"|z| = {abs(z)!r} is not 1 within {_UNIT_TOL}")
 
 
-def _check_grid_size(N: int, max_grid: int) -> None:
-    if N < 4 or N & (N - 1):
-        raise ValueError(f"grid size {N} is not a power of two >= 4")
-    if N > max_grid:
-        raise CapacityError(f"grid size {N} exceeds limit {max_grid}")
-
-
 def eval_point(seg: Segment, z: complex) -> complex:
     """P over [m, n) at a single unimodular point.
 
-    Short segments are summed directly (Horner for small lengths, chunked
-    vectorized powers otherwise).  Beyond _DIRECT_EVAL_LIMIT the block
-    decomposition plus the P/Q recursion is used; phases z^offset are then
-    computed by split exponentiation, so extremely large offsets retain
-    roughly single-precision phase accuracy.  For exact phases at huge
-    offsets use eval_point_root.
+    Phases z^offset come from split exponentiation, so extremely large
+    offsets retain only roughly single-precision phase accuracy.  For exact
+    phases at huge offsets use eval_point_root.
     """
     _check_unit(z)
-    L = seg.length
-    if L == 0:
-        return 0 + 0j
-    if L <= (1 << 14):
-        acc = 0 + 0j
-        for a in coeff_range(seg)[::-1]:
-            acc = acc * z + a
-        return acc * _pow_big(z, seg.m)
-    if L <= _DIRECT_EVAL_LIMIT:
-        total = 0 + 0j
-        chunk = 1 << 20
-        for start in range(seg.m, seg.n, chunk):
-            stop = min(start + chunk, seg.n)
-            a = coeff_range(Segment(start, stop)).astype(np.float64)
-            p = z ** np.arange(start - seg.m, stop - seg.m, dtype=np.float64)
-            total += complex(np.dot(a, p))
-        return total * _pow_big(z, seg.m)
-    total = 0 + 0j
-    for b in block_decompose(seg).blocks:
-        p, q = eval_PQ(b.t, z)
-        total += b.sign * _pow_big(z, b.offset) * (p if b.kind == 'P' else q)
-    return total
+    return _eval(seg, z, lambda e: _pow_big(z, e))
 
 
 def _pow_big(z: complex, e: int) -> complex:
@@ -114,18 +88,26 @@ def eval_point_root(seg: Segment, j: int, N: int) -> complex:
     integer arithmetic mod N; suitable for offsets of any size."""
     if N <= 0:
         raise ValueError("N must be positive")
+    return _eval(seg, cmath.exp(2j * cmath.pi * (j % N) / N),
+                 lambda e: cmath.exp(2j * cmath.pi * ((e * j) % N) / N))
+
+
+def _eval(seg: Segment, z: complex,
+          twist: Callable[[int], complex]) -> complex:
+    """P over [m, n) at z, where twist(e) returns z^e for offsets e.
+
+    Short segments are summed directly (Horner up to 2^14 terms, then
+    vectorized powers in chunks of 2^20 terms, each with its own twist).
+    Beyond _DIRECT_EVAL_LIMIT terms the block decomposition plus the P/Q
+    recursion is used.
+    """
     L = seg.length
     if L == 0:
         return 0 + 0j
-    root = cmath.exp(2j * cmath.pi * (j % N) / N)
-
-    def twist(offset: int) -> complex:
-        return cmath.exp(2j * cmath.pi * ((offset * j) % N) / N)
-
     if L <= (1 << 14):
         acc = 0 + 0j
         for a in coeff_range(seg)[::-1]:
-            acc = acc * root + a
+            acc = acc * z + a
         return acc * twist(seg.m)
     if L <= _DIRECT_EVAL_LIMIT:
         total = 0 + 0j
@@ -133,50 +115,17 @@ def eval_point_root(seg: Segment, j: int, N: int) -> complex:
         for start in range(seg.m, seg.n, chunk):
             stop = min(start + chunk, seg.n)
             a = coeff_range(Segment(start, stop)).astype(np.float64)
-            p = root ** np.arange(stop - start, dtype=np.float64)
+            p = z ** np.arange(stop - start, dtype=np.float64)
             total += complex(np.dot(a, p)) * twist(start)
         return total
     total = 0 + 0j
     for b in block_decompose(seg).blocks:
-        p, q = eval_PQ(b.t, root)
+        p, q = eval_PQ(b.t, z)
         total += b.sign * twist(b.offset) * (p if b.kind == 'P' else q)
     return total
 
 
-@dataclass(frozen=True)
-class GridValues:
-    """Values P_seg(z_j) at all N-th roots of unity z_j = exp(2*pi*i*j/N)."""
-
-    seg: Segment
-    N: int
-    values: np.ndarray
-
-
-def eval_grid(seg: Segment, N: int,
-              max_grid: int = DEFAULT_MAX_RANGE) -> GridValues:
-    """Batch evaluation on the full N-grid via an FFT of the zero-padded
-    coefficient vector.
-
-    Exponents are taken relative to the segment start: the transform has
-    length N regardless of the offset m, and the z^m twist is applied per
-    grid point through exact index arithmetic (m*j mod N).
-    """
-    _check_grid_size(N, max_grid)
-    if seg.length > N:
-        raise ValueError(f"segment length {seg.length} exceeds grid size {N}")
-    padded = np.zeros(N, dtype=np.float64)
-    if seg.length:
-        padded[:seg.length] = coeff_range(seg)
-    base = np.fft.ifft(padded) * N          # sum_i c_i exp(+2 pi i i j / N)
-    if seg.m % N:
-        j = np.arange(N, dtype=np.uint64)
-        phase = (np.uint64(seg.m % N) * j) % np.uint64(N)
-        base = base * np.exp(2j * np.pi / N * phase.astype(np.float64))
-    return GridValues(seg=seg, N=N, values=base)
-
-
-def half_spectrum(seg: Segment, N: int,
-                  max_grid: int = DEFAULT_MAX_RANGE) -> np.ndarray:
+def half_spectrum(seg: Segment, N: int) -> np.ndarray:
     """conj(P_seg(z_j)) * conj(twist) for j = 0 .. N/2, via a real FFT.
 
     Only moduli are meaningful to callers (the twist z_j^m is dropped):
@@ -184,7 +133,10 @@ def half_spectrum(seg: Segment, N: int,
     |P_seg(z_{N-j})| = |P_seg(z_j)|, so the half spectrum determines all
     moduli on the grid.  The antipode satisfies |P_seg(-z_j)| = |out[N/2-j]|.
     """
-    _check_grid_size(N, max_grid)
+    if N < 4 or N & (N - 1):
+        raise ValueError(f"grid size {N} is not a power of two >= 4")
+    if N > DEFAULT_MAX_RANGE:
+        raise CapacityError(f"grid size {N} exceeds limit {DEFAULT_MAX_RANGE}")
     if seg.length > N:
         raise ValueError(f"segment length {seg.length} exceeds grid size {N}")
     padded = np.zeros(N, dtype=np.float64)

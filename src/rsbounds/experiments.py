@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,28 +82,24 @@ def tail_point(k: int, z: complex) -> complex:
     ws = [z]
     for _ in range(k):
         ws.append(ws[-1] ** 4)
-    a = b = ws[k] ** 2          # V_0 at +-w is w^2 either way
-    for j in range(1, k + 1):
-        y = ws[k - j]
-        m, n = critical_pair(j)
-        pm, pn = y ** m, y ** n
-        # m and n are odd for every level, so (-y)^m = -y^m, (-y)^n = -y^n.
-        a, b = ((1 + y) * a + (y * y - y ** 3) * b + pm + pn,
-                (1 - y) * a + (y * y + y ** 3) * b - pm - pn)
-    return a
+    return _tail(k, lambda i, e: ws[i] ** e)
 
 
 def tail_point_root(k: int, j: int, N: int) -> complex:
     """V_k at z = exp(2*pi*i*j/N) with exact integer phase reduction."""
-    def unit(q: int) -> complex:
-        return cmath.exp(2j * cmath.pi * (q % N) / N)
+    return _tail(k, lambda i, e: cmath.exp(
+        2j * cmath.pi * ((j * 4 ** i * e) % N) / N))
 
-    a = b = unit(2 * j * 4 ** k)
+
+def _tail(k: int, power: Callable[[int, int], complex]) -> complex:
+    """V_k(z) by the one-step recursion, where power(i, e) returns
+    (z^{4^i})^e."""
+    a = b = power(k, 2)         # V_0 at +-w is w^2 either way
     for lvl in range(1, k + 1):
-        q = j * 4 ** (k - lvl)               # y = exp(2 pi i q / N)
-        y = unit(q)
+        y = power(k - lvl, 1)
         m, n = critical_pair(lvl)
-        pm, pn = unit(q * m), unit(q * n)
+        pm, pn = power(k - lvl, m), power(k - lvl, n)
+        # m and n are odd for every level, so (-y)^m = -y^m, (-y)^n = -y^n.
         a, b = ((1 + y) * a + (y * y - y ** 3) * b + pm + pn,
                 (1 - y) * a + (y * y + y ** 3) * b - pm - pn)
     return a
@@ -119,8 +116,8 @@ class MontgomeryReport:
     limit: float = 5.0 + 7.0 / math.sqrt(2.0)
 
 
-def montgomery_counterexample(k: int, N: int | None = None,
-                              max_len: int = 1 << 24) -> MontgomeryReport:
+def montgomery_counterexample(k: int, N: int | None = None
+                              ) -> MontgomeryReport:
     """Ratio of the squared tail at exp(3*pi*i/4) to its length, plus the
     grid sup-norm ratio when the segment fits the requested grid."""
     if not 0 <= k <= 40:
@@ -131,10 +128,10 @@ def montgomery_counterexample(k: int, N: int | None = None,
     grid_hi = grid_lo = None
     if N is not None:
         length = 4 ** k
-        if length > max_len or N < 4 * length:
+        if length > 1 << 24 or N < 4 * length:
             raise ValueError(
                 f"grid sup for k={k} needs N >= {4 * length} and "
-                f"length <= {max_len}")
+                f"length <= {1 << 24}")
         enc = sup_norm_sq(ExtremalPair(k).segment, N)
         grid_hi = enc.hi / 4 ** k
         grid_lo = enc.lo / 4 ** k
@@ -185,8 +182,7 @@ class DenseLimitRow:
     target: Enclosure     # L-norm enclosure of the base range
 
 
-def dense_limit_empirical(m: int, n: int, k_max: int,
-                          N: int | None = None) -> list[DenseLimitRow]:
+def dense_limit_empirical(m: int, n: int, k_max: int) -> list[DenseLimitRow]:
     """Ratios r_k = sup-norm of the 2^k-fold index-doubled range over
     2^{k/2}, against the L-norm target of the base range.
 
@@ -196,13 +192,15 @@ def dense_limit_empirical(m: int, n: int, k_max: int,
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
     # 16x oversampling keeps the off-grid correction below 2 percent.
-    base_N = N if N is not None else 1 << max(6, (16 * (n - m) - 1).bit_length())
-    target = L_norm_sq(Segment(m, n), base_N).sqrt()
+    def grid(length: int) -> int:
+        return 1 << max(6, (16 * length - 1).bit_length())
+
+    target = L_norm_sq(Segment(m, n), grid(n - m)).sqrt()
     rows = []
     for k in range(k_max + 1):
         mm, nn = m << k, n << k
-        grid = N if N is not None else 1 << max(6, (16 * (nn - mm) - 1).bit_length())
-        enc = sup_norm_sq(Segment(mm, nn), grid).sqrt().scale(2.0 ** (-k / 2.0))
+        enc = sup_norm_sq(Segment(mm, nn), grid(nn - mm)).sqrt().scale(
+            2.0 ** (-k / 2.0))
         rows.append(DenseLimitRow(k=k, ratio=enc, target=target))
     return rows
 

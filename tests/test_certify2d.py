@@ -175,8 +175,8 @@ def test_exclusion_region_examples():
 
 
 def test_reflection_reduction():
-    assert reflection_reduction_check(1, 12, 1 << 10, seed=5)
-    assert reflection_reduction_check(3, 12, 1 << 12, seed=6)
+    for k in range(16):
+        assert reflection_reduction_check(k)
 
 
 def test_reflection_full_blocks():

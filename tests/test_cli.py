@@ -3,6 +3,8 @@ import json
 import pytest
 
 from rsbounds.cli import main
+from rsbounds.evaluate import eval_point_root
+from rsbounds.sequence import Segment
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +48,12 @@ def test_eval_point_and_grid(capsys):
     code, out = run_cli(capsys, '--grid-log2', '8', 'eval', '0', '3', '--grid')
     assert code == 0
     assert json.loads(out)['result']['max_abs'] == pytest.approx(3.0)
+    code, out = run_cli(capsys, '--grid-log2', '8', 'eval', '5', '77', '--grid')
+    res = json.loads(out)['result']
+    j = res['argmax_index']
+    assert code == 0 and 0 <= j <= 128
+    assert res['max_abs'] == pytest.approx(
+        abs(eval_point_root(Segment(5, 77), j, 256)))
 
 
 def test_certify_f_builtin(capsys, tmp_path):
@@ -89,10 +97,12 @@ def test_extremal(capsys):
     assert (doc['value_at_one'], doc['value_at_minus_one']) == (94, -30)
 
 
-def test_montgomery(capsys):
-    code, out = run_cli(capsys, '--grid-log2', '14', 'montgomery', '--k', '8')
+def test_montgomery(capsys, tmp_path):
+    code, out = run_cli(capsys, '--grid-log2', '14', '--out-dir',
+                        str(tmp_path), 'montgomery', '--k', '8')
     doc = json.loads(out)['result']
     assert code == 0 and doc['exceeds_nine'] is True
+    assert (tmp_path / 'montgomery_8.csv').exists()
 
 
 def test_dense(capsys, tmp_path):

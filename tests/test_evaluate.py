@@ -4,13 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from rsbounds.evaluate import (DomainError, eps_fp, eval_grid, eval_point,
+from rsbounds.evaluate import (DomainError, eps_fp, eval_point,
                                eval_point_root, eval_PQ, half_spectrum)
-from rsbounds.sequence import Segment, coeff_range
+from rsbounds.sequence import CapacityError, Segment, coeff_range
 
 
 def grid_point(j, N):
     return cmath.exp(2j * cmath.pi * j / N)
+
+
+def untwisted(seg, j, N):
+    """conj(P_seg(z_j)) * z_j^m, the value half_spectrum returns at j."""
+    return (eval_point_root(seg, j, N).conjugate()
+            * grid_point((seg.m * j) % N, N))
 
 
 def test_eval_point_examples():
@@ -34,30 +40,35 @@ def test_eval_point_magnitude_bound():
 
 
 def test_eval_grid_examples():
-    vals = eval_grid(Segment(0, 1), 8).values
-    np.testing.assert_allclose(vals, np.ones(8), atol=1e-12)
-    vals = eval_grid(Segment(0, 2), 4).values
-    np.testing.assert_allclose(vals, [2, 1 + 1j, 0, 1 - 1j], atol=1e-12)
-    vals = eval_grid(Segment(0, 4), 8).values
-    assert vals[0] == pytest.approx(2)
+    spec = half_spectrum(Segment(0, 1), 8)
+    np.testing.assert_allclose(spec, np.ones(5), atol=1e-12)
+    spec = half_spectrum(Segment(0, 2), 4)       # conj(1 + z_j)
+    np.testing.assert_allclose(spec, [2, 1 - 1j, 0], atol=1e-12)
+    spec = half_spectrum(Segment(0, 4), 8)
+    assert spec[0] == pytest.approx(2)
 
 
 def test_eval_grid_preconditions():
     with pytest.raises(ValueError):
-        eval_grid(Segment(0, 4), 6)          # not a power of two
+        half_spectrum(Segment(0, 4), 6)          # not a power of two
     with pytest.raises(ValueError):
-        eval_grid(Segment(0, 16), 8)         # segment longer than grid
+        half_spectrum(Segment(0, 16), 8)         # segment longer than grid
+    with pytest.raises(CapacityError):
+        half_spectrum(Segment(0, 4), 1 << 27)    # beyond the grid limit
 
 
 def test_eval_grid_matches_eval_point():
     rng = np.random.default_rng(17)
     for m, n, N in [(0, 37, 256), (11, 64, 128), (1000, 1500, 2048)]:
         seg = Segment(m, n)
-        vals = eval_grid(seg, N).values
+        spec = half_spectrum(seg, N)
         tol = eps_fp(seg.length, N)
-        for j in map(int, rng.integers(0, N, 64)):
-            direct = eval_point_root(seg, j, N)
-            assert abs(vals[j] - direct) <= tol + 1e-12 * abs(direct)
+        for j in map(int, rng.integers(0, N // 2 + 1, 64)):
+            direct = untwisted(seg, j, N)
+            assert abs(spec[j] - direct) <= tol + 1e-12 * abs(direct)
+            # the mirror point z_{N-j} has the same modulus
+            mirror = abs(eval_point_root(seg, N - j, N))
+            assert abs(abs(spec[j]) - mirror) <= tol + 1e-12 * mirror
 
 
 def test_eval_grid_offset_twist_is_exact_indexing():
@@ -65,21 +76,21 @@ def test_eval_grid_offset_twist_is_exact_indexing():
     m = (1 << 40) + 3
     seg = Segment(m, m + 5)
     N = 64
-    vals = eval_grid(seg, N).values
-    for j in (1, 13, 40):
-        direct = eval_point_root(seg, j, N)
-        assert abs(vals[j] - direct) < 1e-9
+    spec = half_spectrum(seg, N)
+    for j in (1, 13, 32):
+        assert abs(spec[j] - untwisted(seg, j, N)) < 1e-9
+    assert abs(abs(spec[64 - 40]) - abs(eval_point_root(seg, 40, N))) < 1e-9
 
 
 def test_half_spectrum_consistent_with_grid():
     seg = Segment(5, 77)
     N = 256
-    vals = eval_grid(seg, N).values
     spec = half_spectrum(seg, N)
     for j in range(N // 2 + 1):
-        assert abs(abs(spec[j]) - abs(vals[j])) < 1e-10
+        assert abs(abs(spec[j]) - abs(eval_point_root(seg, j, N))) < 1e-10
         # antipode: |P(-z_j)| = |spec[N/2 - j]|
-        assert abs(abs(spec[N // 2 - j]) - abs(vals[(j + N // 2) % N])) < 1e-10
+        antipode = eval_point_root(seg, j + N // 2, N)
+        assert abs(abs(spec[N // 2 - j]) - abs(antipode)) < 1e-10
 
 
 def test_eval_pq_examples():
@@ -148,27 +159,33 @@ def test_block_route_matches_direct():
 
 
 def test_fft_error_model_against_mpmath():
-    """The eps_fp bound must dominate true FFT evaluation error by a wide
-    margin; verified against 50-digit reference evaluation."""
+    """The eps_fp bound must dominate the true error of half_spectrum by a
+    wide margin, on desk sizes and on the production sizes of the
+    certificates (N = 2^16 .. 2^24, L up to 4096, each case's argmax
+    included); verified against 50-digit reference evaluation."""
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
     rng = np.random.default_rng(41)
+    cases = [(int(rng.integers(16, 220)), 1 << int(rng.integers(8, 12)), 6)
+             for _ in range(12)]
+    for log2N in range(16, 25, 2):
+        cases += [(4096, 1 << log2N, 1),
+                  (int(rng.integers(16, 4096)), 1 << log2N, 1)]
     worst = 0.0
-    for _ in range(12):
-        n = int(rng.integers(16, 220))
-        N = 1 << int(rng.integers(8, 12))
-        m = int(rng.integers(0, 1000))
-        seg = Segment(m, m + n)
-        vals = eval_grid(seg, N).values
-        coeffs = [int(c) for c in coeff_range(seg)]
-        for j in map(int, rng.integers(0, N, 6)):
-            w = mp.e ** (2j * mp.pi * j / N)
-            acc = mp.mpc(0)
-            for c in reversed(coeffs):
-                acc = acc * w + c
-            acc *= mp.e ** (2j * mp.pi * ((seg.m * j) % N) / N)
-            err = abs(complex(acc) - vals[j])
-            bound = eps_fp(n, N)
-            assert err <= bound, (n, N, j, err, bound)
-            worst = max(worst, err / bound)
+    with mp.workdps(50):
+        for n, N, draws in cases:
+            m = int(rng.integers(0, 1000))
+            seg = Segment(m, m + n)
+            spec = half_spectrum(seg, N)
+            coeffs = [int(c) for c in coeff_range(seg)]
+            js = [int(np.argmax(np.abs(spec)))]
+            js += map(int, rng.integers(0, N // 2 + 1, draws))
+            for j in js:
+                w = mp.expj(-2 * mp.pi * j / N)     # spec[j] is untwisted
+                acc = mp.mpc(0)
+                for c in reversed(coeffs):
+                    acc = acc * w + c
+                err = abs(complex(acc) - spec[j])
+                bound = eps_fp(n, N)
+                assert err <= bound, (n, N, j, err, bound)
+                worst = max(worst, err / bound)
     assert worst < 0.25      # generous cushion in the declared constant
