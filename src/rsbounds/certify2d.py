@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dyadic import DyadicPoint
-from .norms import f2_dyadic, g_dyadic
+from .norms import f2_dyadic, g_dyadic, oversampled_grid
 
 STATUS_CERTIFIED = 'certified'
 STATUS_BAD = 'bad'
@@ -182,11 +182,6 @@ def _certified(corner_hi: float, k: int, t_min: Fraction) -> bool:
     return 36 * g * Fraction(1, 1 << k) <= rest * rest
 
 
-def _start_grid(degree: int, cap: int) -> int:
-    """Smallest power of two N >= 64 * degree, at least 64, at most cap."""
-    return min(cap, 1 << (max(64 * degree, 64) - 1).bit_length())
-
-
 def _run(roots: list[DyadicSquare], enclose, degree, target_min_fn, N: int,
          max_scale: int, kind: str) -> CertTree:
     """Level-synchronous subdivision.  ``enclose(x, y, N)`` encloses the
@@ -202,7 +197,7 @@ def _run(roots: list[DyadicSquare], enclose, degree, target_min_fn, N: int,
             for child, (cx, cy) in sq.children():
                 x, y = DyadicPoint(cx, sq.k), DyadicPoint(cy, sq.k)
                 t_min = target_min_fn(child)
-                grid = _start_grid(degree(x, y), N)
+                grid = oversampled_grid(degree(x, y), N)
                 while True:
                     key = (x, y, grid)
                     enc = encs.get(key)

@@ -26,6 +26,10 @@ from .evaluate import eval_point, half_spectrum
 
 SCHEMA_VERSION = 1
 
+DYADIC_HELP = ("dyadic point: a fraction a/b with b a power of two, a "
+               "decimal integer ('10' is ten), or binary with a point "
+               "('10.' is two, '1.011' is 11/8)")
+
 
 def _payload(cfg: RunConfig, command: str, result: dict) -> dict:
     return {
@@ -255,18 +259,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help='batch evaluate on the configured grid')
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser('f', help='enclosure of f at a binary dyadic point')
-    p.add_argument('x', help="binary dyadic string, e.g. '1.011'")
+    p = sub.add_parser('f', help='enclosure of f at a dyadic point')
+    p.add_argument('x', help=DYADIC_HELP)
     p.set_defaults(fn=_cmd_f)
 
     p = sub.add_parser('f2', help='enclosure of f(x, y)')
-    p.add_argument('x')
-    p.add_argument('y')
+    p.add_argument('x', help=DYADIC_HELP)
+    p.add_argument('y', help=DYADIC_HELP)
     p.set_defaults(fn=_cmd_f2)
 
     p = sub.add_parser('g', help='enclosure of g(x, y)')
-    p.add_argument('x')
-    p.add_argument('y')
+    p.add_argument('x', help=DYADIC_HELP)
+    p.add_argument('y', help=DYADIC_HELP)
     p.set_defaults(fn=_cmd_g)
 
     p = sub.add_parser('certify-f', help='interval coverage certification')
@@ -275,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--target', type=float, required=True)
     p.add_argument('--interval', nargs=2, required=True,
                    metavar=('A', 'B'),
-                   help='endpoints, binary dyadic or exact fractions')
+                   help='endpoints; ' + DYADIC_HELP)
     p.set_defaults(fn=_cmd_certify_f)
 
     p = sub.add_parser('certify-g', help='dyadic-square bound on g')

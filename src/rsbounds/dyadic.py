@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,10 +49,26 @@ class DyadicPoint:
 
     @classmethod
     def parse(cls, text: str) -> "DyadicPoint":
-        """Accept either a binary dyadic string or an exact fraction 'a/b'."""
-        if '/' in text:
-            return cls.from_fraction(Fraction(text))
-        return cls.from_binary(text)
+        """Parse a command-line dyadic point.
+
+        'a/b' is a fraction whose reduced denominator is a power of two,
+        bare decimal digits are an integer ('10' is ten), and a binary
+        string needs its point ('10.' is two, '1.011' is 11/8).  Anything
+        else raises ValueError.
+        """
+        s = text.strip()
+        if re.fullmatch(r'[0-9]+/[0-9]+', s):
+            num, den = (int(part) for part in s.split('/'))
+            if den == 0:
+                raise ValueError(f"zero denominator in {text!r}")
+            return cls.from_fraction(Fraction(num, den))
+        if re.fullmatch(r'[0-9]+', s):
+            return cls(int(s), 0)
+        if re.fullmatch(r'[01]+\.[01]*', s):
+            return cls.from_binary(s)
+        raise ValueError(
+            f"invalid dyadic point {text!r}: expected a/b, a decimal "
+            f"integer, or a binary string with a point such as 1.011")
 
     @property
     def fraction(self) -> Fraction:

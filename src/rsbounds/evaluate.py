@@ -48,6 +48,23 @@ def eps_fp(length: int, N: int) -> float:
     return C_FFT * length * math.log2(N) * UNIT_ROUNDOFF
 
 
+def eps_direct(length: int) -> float:
+    """Per-value absolute error bound of eval_roots for a segment of the
+    given length, on any power-of-two grid.
+
+    Each phase exp(2 pi i k / N) is taken at |k| <= N/2 with k exact, so its
+    argument errs by at most pi (2u + u^2) (the rounding of 2 pi / N and of
+    the product), and cos and sin by at most one ulp each: the computed
+    phase is within 8u of the true one.  The coefficients are +-1, so the
+    products are exact, and summing L terms of modulus <= 1 + 8u errs by at
+    most gamma_{L-1} L (1 + 8u) (Higham's bound on each component, combined
+    by Minkowski's inequality), which is below sqrt(2) (L - 1) L u.
+    """
+    if length <= 0:
+        return 0.0
+    return length * (math.sqrt(2.0) * (length - 1) + 8.0) * UNIT_ROUNDOFF
+
+
 def abs_sq_slack(length: int, N: int) -> float:
     """Error bound for |P(z_j)|^2 given the per-value bound eps_fp."""
     e = eps_fp(length, N)
@@ -62,9 +79,11 @@ def _check_unit(z: complex) -> None:
 def eval_point(seg: Segment, z: complex) -> complex:
     """P over [m, n) at a single unimodular point.
 
-    Phases z^offset come from split exponentiation, so extremely large
-    offsets retain only roughly single-precision phase accuracy.  For exact
-    phases at huge offsets use eval_point_root.
+    A floating-point z is off the point it stands for by about u in phase,
+    and z^e multiplies that error by e; split exponentiation adds rounding
+    of the same order.  So the relative error grows to about 10 n u, where
+    n is the end of the segment: about 2e-3 at n = 2^44.  For a root of
+    unity, eval_point_root reduces phases exactly and has no such loss.
     """
     _check_unit(z)
     return _eval(seg, z, lambda e: _pow_big(z, e))
@@ -90,6 +109,26 @@ def eval_point_root(seg: Segment, j: int, N: int) -> complex:
         raise ValueError("N must be positive")
     return _eval(seg, cmath.exp(2j * cmath.pi * (j % N) / N),
                  lambda e: cmath.exp(2j * cmath.pi * ((e * j) % N) / N))
+
+
+def eval_roots(seg: Segment, js: np.ndarray, N: int) -> np.ndarray:
+    """sum_t a_{m+t} z_j^t at z_j = exp(2 pi i j / N) for every j in js.
+
+    This is P_seg(z_j) without the twist z_j^m, so only moduli are
+    meaningful, as for half_spectrum.  Phase indices j t mod N are reduced
+    in exact integer arithmetic and the sum is an elementwise product with
+    the +-1 coefficients, so each value errs by at most eps_direct(L)
+    whatever the offset.  Work and memory are len(js) * L.
+    """
+    if N < 4 or N & (N - 1):
+        raise ValueError(f"grid size {N} is not a power of two >= 4")
+    js = np.asarray(js, dtype=np.int64) % N
+    k = np.multiply.outer(js, np.arange(seg.length, dtype=np.int64)) % N
+    k[2 * k > N] -= N
+    theta = k * (2.0 * math.pi / N)
+    a = coeff_range(seg).astype(np.float64)
+    re = (np.cos(theta) * a).sum(axis=1)
+    return re + 1j * (np.sin(theta) * a).sum(axis=1)
 
 
 def _eval(seg: Segment, z: complex,

@@ -15,8 +15,18 @@ non-negative trigonometric polynomials A(t) + 2 Re(e^{i phi} H(e^{it})) of
 degree <= r + s over phases phi; each family member is dominated pointwise
 by the objective, so the grid maximum of the objective bounds every member.
 
+Coarse to fine.  sup_norm_sq and L_norm_sq need M, the maximum over the
+N-grid, but not the other N - 1 values.  F is taken on a grid of about 64 L
+points by one FFT, and only the arcs that can hold the N-grid maximum are
+refined, four times finer per level, by direct evaluation at exact phases
+(_coarse_to_fine).  Szego's inequality, F'^2 <= D^2 F (U - F) for any
+U >= sup F, bounds how far F can fall within one grid step of the maximum;
+that is what lets the other arcs be dropped.  The result is the enclosure
+the full N-grid gives.
+
 Floating-point slack from evaluate.eps_fp widens every enclosure on both
-sides; no directed rounding is attempted.
+sides; direct values err by at most evaluate.eps_direct, which is used only
+where it does not exceed eps_fp.  No directed rounding is attempted.
 """
 
 from __future__ import annotations
@@ -27,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicPoint
-from .evaluate import abs_sq_slack, eps_fp, half_spectrum
+from .evaluate import (abs_sq_slack, eps_direct, eps_fp, eval_roots,
+                       half_spectrum)
 from .sequence import Segment
 
 DEFAULT_GRID_LOG2 = 20       # desk-scale default
@@ -87,27 +98,102 @@ def _require_resolution(length: int, N: int) -> None:
         raise ValueError(f"grid size {N} below 4 * segment length {length}")
 
 
-def sup_norm_sq(seg: Segment, N: int) -> Enclosure:
-    """Enclosure of the squared sup-norm of the segment on the unit circle."""
+def oversampled_grid(n: int, cap: int) -> int:
+    """Smallest power of two N >= 64 * n, at least 64, at most cap."""
+    return min(cap, 1 << (max(64 * n, 64) - 1).bit_length())
+
+
+def _spectrum_objective(seg: Segment, N: int, paired: bool) -> np.ndarray:
+    """F at z_j, j = 0 .. N/2, from one real FFT."""
+    F = np.abs(half_spectrum(seg, N)) ** 2
+    return F + F[::-1] if paired else F
+
+
+def _direct_objective(seg: Segment, js: np.ndarray, N: int,
+                      paired: bool) -> np.ndarray:
+    """F at z_j for each j in js, by direct evaluation."""
+    F = np.abs(eval_roots(seg, js, N)) ** 2
+    if paired:
+        F += np.abs(eval_roots(seg, js + N // 2, N)) ** 2
+    return F
+
+
+def _coarse_to_fine(seg: Segment, N: int, paired: bool,
+                    slack: float) -> np.ndarray | None:
+    """Values of F on a set of N-grid points that holds the N-grid argmax,
+    or None where the full N-grid is needed.
+
+    F is even, and of period pi if paired, so indices are folded into
+    [0, p/2] with p = N (or N/2).  Level 0 takes F on the whole grid
+    N_0 = oversampled_grid(L, N) from one FFT.  Each step from N_l to
+    N_{l+1} = min(4 N_l, N) keeps the evaluated points j with
+
+        F_j + s >= lo - D h sqrt(lo (U - lo)) - (D h)^2 U / 2,
+
+    where lo = max_l - s, U = (max_l + s) / (1 - delta_l) and h = pi / N_l,
+    and evaluates directly the N_{l+1}-points c j + i, |i| <= c/2, around
+    each kept j (c = N_{l+1} / N_l).  Szego's inequality for F - U/2 gives
+    F'^2 <= D^2 F (U - F), and x - D h sqrt(x (U - x)) increases with x for
+    x >= U/2; so a Taylor step from the N-grid argmax, or from the
+    maximizer, to its nearest level-l point shows that point is kept while
+    lo >= U/2.  By
+    induction the last level holds the N-grid argmax, and each level the
+    point nearest the maximizer, which makes U an upper bound.  Direct
+    values err by at most eps_direct(L), which must not exceed eps_fp(L, N)
+    so that the slack s holds for them.  None is returned when it does,
+    when lo < U/2, or when a level would cost more direct work than the
+    level-0 FFT (rows * L > N_0).
+    """
+    L, D = seg.length, seg.length - 1
+    N0 = oversampled_grid(L, N)
+    if N0 == N or eps_direct(L) > eps_fp(L, N):
+        return None
+    F = _spectrum_objective(seg, N0, paired)
+    js = np.arange(len(F))
+    rows = 2 if paired else 1
+    N_l = N0
+    while N_l < N:
+        top = float(np.max(F))
+        lo = top - slack
+        U = (top + slack) / (1.0 - _grid_gap(D, N_l))
+        if 2.0 * lo < U:
+            return None
+        Dh = D * math.pi / N_l
+        kept = js[F + slack >= lo - Dh * math.sqrt(lo * (U - lo))
+                  - 0.5 * Dh * Dh * U]
+        c = min(4, N // N_l)
+        N_l *= c
+        p = N_l // 2 if paired else N_l
+        js = np.add.outer(c * kept, np.arange(-(c // 2), c // 2 + 1)) % p
+        # A set, not np.unique: numpy's sort code adds 1.6 MB to peak RSS.
+        js = np.array(sorted(set(np.minimum(js, p - js).ravel().tolist())))
+        if rows * len(js) * L > N0:
+            return None
+        F = _direct_objective(seg, js, N_l, paired)
+    return F
+
+
+def _grid_sup(seg: Segment, N: int, paired: bool) -> Enclosure:
+    """Enclosure of the sup of |P|^2, or of |P(z)|^2 + |P(-z)|^2 if paired,
+    from its maximum over the N-grid (see _coarse_to_fine)."""
     if seg.length == 0:
         return Enclosure(0.0, 0.0)
     _require_resolution(seg.length, N)
-    R = half_spectrum(seg, N)
-    F = np.abs(R) ** 2
-    M = float(np.max(F))
-    return _enclose_grid_sup(M, seg.length - 1, N, abs_sq_slack(seg.length, N))
+    slack = (2.0 if paired else 1.0) * abs_sq_slack(seg.length, N)
+    F = _coarse_to_fine(seg, N, paired, slack)
+    if F is None:
+        F = _spectrum_objective(seg, N, paired)
+    return _enclose_grid_sup(float(np.max(F)), seg.length - 1, N, slack)
+
+
+def sup_norm_sq(seg: Segment, N: int) -> Enclosure:
+    """Enclosure of the squared sup-norm of the segment on the unit circle."""
+    return _grid_sup(seg, N, paired=False)
 
 
 def L_norm_sq(seg: Segment, N: int) -> Enclosure:
     """Enclosure of sup over the circle of |P(z)|^2 + |P(-z)|^2."""
-    if seg.length == 0:
-        return Enclosure(0.0, 0.0)
-    _require_resolution(seg.length, N)
-    R = half_spectrum(seg, N)
-    F = np.abs(R) ** 2
-    M = float(np.max(F + F[::-1]))
-    return _enclose_grid_sup(M, seg.length - 1, N,
-                             2.0 * abs_sq_slack(seg.length, N))
+    return _grid_sup(seg, N, paired=True)
 
 
 def f_dyadic(x: DyadicPoint, N: int) -> Enclosure:

@@ -125,8 +125,24 @@ def test_figures_small(capsys, tmp_path):
 
 
 def test_invalid_input_exit_code(capsys):
-    code = main(['f', 'not-binary'])
-    assert code == 2
+    for bad in ('not-binary', '1.2', '2.', '1/0', '1/3', ''):
+        code = main(['f', bad])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2 and 'error' in err, bad
+
+
+def test_certify_f_decimal_endpoint(capsys, tmp_path):
+    """A bare '2' is two, the same endpoint as the binary '10.'."""
+    docs = []
+    for b in ('2', '10.'):
+        code, out = run_cli(capsys, '--grid-log2', '16', '--out-dir',
+                            str(tmp_path), 'certify-f', '--table', 'builtin:2',
+                            '--target', '9', '--interval', '25/16', b)
+        doc = json.loads(out)['result']
+        assert code == 0 and doc['covered'] is True
+        assert doc['interval_exact'] == [[25, 16], [2, 1]]
+        docs.append(doc)
+    assert docs[0] == docs[1]
 
 
 def test_byte_determinism_modulo_timestamp(capsys):

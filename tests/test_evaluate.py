@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from rsbounds.evaluate import (DomainError, eps_fp, eval_point,
-                               eval_point_root, eval_PQ, half_spectrum)
+from rsbounds.evaluate import (UNIT_ROUNDOFF, DomainError, eps_direct, eps_fp,
+                               eval_point, eval_point_root, eval_PQ,
+                               eval_roots, half_spectrum)
 from rsbounds.sequence import CapacityError, Segment, coeff_range
 
 
@@ -91,6 +92,40 @@ def test_half_spectrum_consistent_with_grid():
         # antipode: |P(-z_j)| = |spec[N/2 - j]|
         antipode = eval_point_root(seg, j + N // 2, N)
         assert abs(abs(spec[N // 2 - j]) - abs(antipode)) < 1e-10
+
+
+def test_eval_point_error_grows_with_offset():
+    """eval_point's documented loss: relative error up to about 10 n u for
+    a segment ending at n, from the phase of the floating-point z; checked
+    against exact phases at offsets 2^20 .. 2^44 (the L^2 u term covers
+    the inner sum at small offsets)."""
+    rng = np.random.default_rng(43)
+    N = 1 << 24
+    for log2m in range(20, 45, 2):
+        for L in (int(rng.integers(1, 3000)), int(rng.integers(20000, 40000))):
+            m = int(rng.integers(1 << log2m, 1 << (log2m + 1)))
+            seg = Segment(m, m + L)
+            j = int(rng.integers(0, N))
+            exact = eval_point_root(seg, j, N)
+            err = abs(eval_point(seg, grid_point(j, N)) - exact)
+            bound = 16 * UNIT_ROUNDOFF * (seg.n * abs(exact) + L * L)
+            assert err <= bound, (m, L, j, err, bound)
+
+
+def test_eval_roots_matches_eval_point_root():
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        m = int(rng.integers(0, 1 << 40))
+        seg = Segment(m, m + int(rng.integers(0, 130)))
+        N = 1 << int(rng.integers(2, 25))
+        js = rng.integers(-N, 2 * N, 5)
+        vals = eval_roots(seg, js, N)
+        for j, v in zip(js, vals):
+            root = eval_point_root(seg, int(j), N)
+            want = root * grid_point((-seg.m * int(j)) % N, N)   # untwisted
+            assert abs(v - want) <= 1e-12 * max(seg.length, 1), (m, N, j)
+    with pytest.raises(ValueError):
+        eval_roots(Segment(0, 4), [1], 12)
 
 
 def test_eval_pq_examples():
@@ -189,3 +224,32 @@ def test_fft_error_model_against_mpmath():
                 assert err <= bound, (n, N, j, err, bound)
                 worst = max(worst, err / bound)
     assert worst < 0.25      # generous cushion in the declared constant
+
+
+def test_direct_error_model_against_mpmath():
+    """eps_direct must dominate the true error of eval_roots, the arc
+    evaluator behind the coarse-to-fine sup enclosures, at its production
+    sizes (L <= 128, N = 2^16 .. 2^24, each case's argmax included);
+    verified against 50-digit reference sums."""
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(53)
+    worst = 0.0
+    with mp.workdps(50):
+        for log2N in range(16, 25):
+            N = 1 << log2N
+            for n in (128, int(rng.integers(1, 128))):
+                m = int(rng.integers(0, 1 << 40))
+                seg = Segment(m, m + n)
+                argmax = int(np.argmax(np.abs(half_spectrum(seg, N))))
+                js = [argmax, *map(int, rng.integers(0, N, 3))]
+                coeffs = [int(c) for c in coeff_range(seg)]
+                for j, got in zip(js, eval_roots(seg, js, N)):
+                    w = mp.expj(2 * mp.pi * j / N)
+                    acc = mp.mpc(0)
+                    for c in reversed(coeffs):
+                        acc = acc * w + c
+                    err = abs(complex(acc) - got)
+                    bound = eps_direct(n)
+                    assert err <= bound, (n, N, j, err, bound)
+                    worst = max(worst, err / bound)
+    assert worst < 0.25

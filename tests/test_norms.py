@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from rsbounds import norms
 from rsbounds.dyadic import DyadicPoint
+from rsbounds.evaluate import abs_sq_slack, eps_direct, eps_fp, half_spectrum
 from rsbounds.norms import (Enclosure, L_norm_sq, f2_dyadic, f_dyadic,
                             g_dyadic, g_int, sup_norm_sq)
 from rsbounds.sequence import Segment, coeff_range
@@ -22,6 +24,101 @@ def brute_L_sq(seg: Segment, N: int) -> float:
     padded[:seg.length] = coeff_range(seg)
     f = np.abs(np.fft.fft(padded)) ** 2
     return float(np.max(f + np.roll(f, N // 2)))
+
+
+def full_grid_enclosure(seg: Segment, N: int, paired: bool):
+    """Oracle: the enclosure from the maximum over the whole N-grid, by one
+    FFT, and its slack s."""
+    F = np.abs(half_spectrum(seg, N)) ** 2
+    M = float(np.max(F + F[::-1] if paired else F))
+    s = (2.0 if paired else 1.0) * abs_sq_slack(seg.length, N)
+    delta = 0.5 * (seg.length - 1) ** 2 * (math.pi / N) ** 2
+    return Enclosure(max(M - s, 0.0), (M + s) / (1.0 - delta)), s
+
+
+def direct_limit(N: int) -> int:
+    """Longest segment whose direct values fit the slack of the N-grid."""
+    L = 1
+    while eps_direct(L + 1) <= eps_fp(L + 1, N):
+        L += 1
+    return L
+
+
+@pytest.fixture
+def direct_calls(monkeypatch):
+    """Record (js, N, paired) of every direct evaluation in norms."""
+    calls = []
+    real = norms._direct_objective
+
+    def spy(seg, js, N, paired):
+        calls.append((np.array(js), N, paired))
+        return real(seg, js, N, paired)
+
+    monkeypatch.setattr(norms, '_direct_objective', spy)
+    return calls
+
+
+def test_coarse_to_fine_matches_full_grid(direct_calls):
+    """Seeded property: on 300 segments (offsets up to 2^40, L up to the
+    direct-evaluation limit, N from 128 L to 2^24; one in twenty above
+    2^20 to keep the oracle's FFTs cheap) both enclosures agree with the
+    full-grid oracle within the slack s."""
+    rng = np.random.default_rng(59)
+    refined = 0
+    for i in range(300):
+        N = 1 << int(rng.integers(21, 25) if i % 20 == 0
+                     else rng.integers(10, 21))
+        L = int(rng.integers(1, min(direct_limit(N), N // 128) + 1))
+        m = int(rng.integers(0, 1 << 40))
+        seg, paired = Segment(m, m + L), bool(i % 2)
+        before = len(direct_calls)
+        enc = (L_norm_sq if paired else sup_norm_sq)(seg, N)
+        refined += len(direct_calls) > before
+        want, s = full_grid_enclosure(seg, N, paired)
+        assert abs(enc.lo - want.lo) <= s, (m, L, N, paired)
+        assert abs(enc.hi - want.hi) <= s, (m, L, N, paired)
+    assert refined >= 250      # the coarse-to-fine path, not the fallback
+
+
+def test_constant_objective_takes_full_grid(direct_calls, monkeypatch):
+    """L <= 2 paired (|P(z)|^2 + |P(-z)|^2 = 2L) and L = 1 unpaired are
+    constant: every point ties, so no arc can be dropped and the full grid
+    is taken, as before."""
+    sizes = []
+    real = norms.half_spectrum
+    monkeypatch.setattr(norms, 'half_spectrum',
+                        lambda seg, N: sizes.append(N) or real(seg, N))
+    cases = [(Segment(0, 1), True), (Segment(0, 2), True),
+             (Segment(1 << 40, (1 << 40) + 2), True), (Segment(7, 8), False)]
+    for seg, paired in cases:
+        for N in (1 << 12, 1 << 20):
+            sizes.clear()
+            enc = (L_norm_sq if paired else sup_norm_sq)(seg, N)
+            want, _ = full_grid_enclosure(seg, N, paired)
+            assert enc == want and sizes[-1] == N
+            assert enc.contains(2.0 * seg.length if paired else 1.0)
+    assert not direct_calls
+
+
+def test_sup_norm_refines_folded_arcs(direct_calls):
+    """sup_norm_sq with N far above 64 L on the sharp prefix n = 43, whose
+    maximum |P(1)|^2 = (sqrt(6n - 2) - 1)^2 = 225 sits at the fold point
+    j = 0: the result is the full-grid enclosure, and every direct
+    evaluation is of distinct indices folded into [0, p/2] (p = N for |P|^2,
+    N/2 for the paired objective)."""
+    N = 1 << 22
+    seg = Segment(0, 43)
+    enc = sup_norm_sq(seg, N)
+    want, s = full_grid_enclosure(seg, N, False)
+    assert abs(enc.lo - want.lo) <= s and abs(enc.hi - want.hi) <= s
+    assert enc.contains(225.0) and enc.width < 1e-6
+    assert direct_calls and direct_calls[-1][1] == N
+    L_norm_sq(Segment(0, 91), N)
+    L_norm_sq(Segment(3, 60), N)
+    for js, grid, paired in direct_calls:
+        period = grid // 2 if paired else grid
+        assert js.min() >= 0 and 2 * js.max() <= period
+        assert len(np.unique(js)) == len(js)
 
 
 def test_enclosure_basics():
