@@ -10,6 +10,8 @@ certification or check in the invocation passed.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -48,10 +50,15 @@ def _emit(cfg: RunConfig, command: str, result: dict, ok: bool,
     text = json.dumps(doc, indent=2, sort_keys=True)
     print(text)
     if out_name:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        with open(os.path.join(cfg.out_dir, out_name), 'w') as fh:
-            fh.write(text + '\n')
+        _write_file(cfg, out_name, text + '\n')
     return 0 if ok else 1
+
+
+def _write_file(cfg: RunConfig, name: str, text: str) -> None:
+    """Write text, line ends as given, to the file ``name`` under out_dir."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    with open(os.path.join(cfg.out_dir, name), 'w', newline='') as fh:
+        fh.write(text)
 
 
 def _enc_dict(enc: Enclosure) -> dict:
@@ -129,10 +136,7 @@ def _cmd_certify_g(cfg: RunConfig, args) -> int:
     result = tree.to_dict()
     result['exclusion_ok'] = ok
     result['violations'] = [v.to_dict() for v in violations]
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, 'certify_g_squares.csv'), 'w') as fh:
-        fh.write(_config_comment(cfg) + '\n')
-        fh.write(tree.to_csv())
+    _write_csv(cfg, 'certify_g_squares.csv', tree.to_csv())
     return _emit(cfg, 'certify-g', result, ok, out_name='certify_g.json')
 
 
@@ -142,10 +146,7 @@ def _cmd_certify_f2(cfg: RunConfig, args) -> int:
     tree, ok = certify_f2(cfg.N, cfg.max_scale)
     result = tree.to_dict()
     result['ok'] = ok
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, 'certify_f2_squares.csv'), 'w') as fh:
-        fh.write(_config_comment(cfg) + '\n')
-        fh.write(tree.to_csv())
+    _write_csv(cfg, 'certify_f2_squares.csv', tree.to_csv())
     return _emit(cfg, 'certify-f2', result, ok, out_name='certify_f2.json')
 
 
@@ -169,8 +170,8 @@ def _cmd_montgomery(cfg: RunConfig, args) -> int:
               'limit': rep.limit, 'exceeds_nine': rep.exceeds_nine,
               'grid_sup_ratio_hi': rep.grid_sup_ratio,
               'grid_sup_ratio_lo': rep.grid_sup_ratio_lo, 'grid_N': rep.N}
-    _write_csv(cfg, f'montgomery_{args.k}.csv', ['k', 'ratio', 'target'],
-               [[rep.k, rep.point_ratio, rep.limit]])
+    _write_csv(cfg, f'montgomery_{args.k}.csv', _csv_rows(
+        [['k', 'ratio', 'target'], [rep.k, rep.point_ratio, rep.limit]]))
     return _emit(cfg, 'montgomery', result, True)
 
 
@@ -187,26 +188,22 @@ def _cmd_dense(cfg: RunConfig, args) -> int:
                  for r in rows],
         'hard_ok': hard_ok,
     }
-    _write_csv(cfg, f'dense_{args.m}_{args.n}.csv',
-               ['k', 'ratio_lo', 'ratio_hi', 'target_lo', 'target_hi'],
-               [[r.k, r.ratio.lo, r.ratio.hi, target.lo, target.hi]
-                for r in rows])
+    _write_csv(cfg, f'dense_{args.m}_{args.n}.csv', _csv_rows(
+        [['k', 'ratio_lo', 'ratio_hi', 'target_lo', 'target_hi']]
+        + [[r.k, r.ratio.lo, r.ratio.hi, target.lo, target.hi] for r in rows]))
     return _emit(cfg, 'dense', result, hard_ok)
 
 
-def _config_comment(cfg: RunConfig) -> str:
-    return '# config: ' + json.dumps(cfg.to_dict(), sort_keys=True)
+def _write_csv(cfg: RunConfig, name: str, body: str) -> None:
+    """Write CSV text under out_dir after a '# config:' comment line."""
+    comment = '# config: ' + json.dumps(cfg.to_dict(), sort_keys=True)
+    _write_file(cfg, name, comment + '\n' + body)
 
 
-def _write_csv(cfg: RunConfig, name: str, header: list, rows: list) -> None:
-    import csv
-
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, name), 'w', newline='') as fh:
-        fh.write(_config_comment(cfg) + '\n')
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+def _csv_rows(rows: list) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _cmd_figures(cfg: RunConfig, args) -> int:
@@ -218,12 +215,10 @@ def _cmd_figures(cfg: RunConfig, args) -> int:
         x = DyadicPoint(u, 8)
         enc = f_dyadic(x, min(cfg.N, 1 << 20))
         rows.append([float(x), enc.lo, enc.hi])
-    _write_csv(cfg, 'figure_f_curve.csv', ['x', 'f_lo', 'f_hi'], rows)
+    _write_csv(cfg, 'figure_f_curve.csv',
+               _csv_rows([['x', 'f_lo', 'f_hi']] + rows))
     tree = certify_g_full(cfg.N, cfg.max_scale)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, 'figure_g_squares.csv'), 'w') as fh:
-        fh.write(_config_comment(cfg) + '\n')
-        fh.write(tree.to_csv())
+    _write_csv(cfg, 'figure_g_squares.csv', tree.to_csv())
     result = {'f_curve_points': len(rows),
               'g_squares': len(tree.records),
               'files': ['figure_f_curve.csv', 'figure_g_squares.csv']}

@@ -56,13 +56,16 @@ def eps_direct(length: int) -> float:
     argument errs by at most pi (2u + u^2) (the rounding of 2 pi / N and of
     the product), and cos and sin by at most one ulp each: the computed
     phase is within 8u of the true one.  The coefficients are +-1, so the
-    products are exact, and summing L terms of modulus <= 1 + 8u errs by at
-    most gamma_{L-1} L (1 + 8u) (Higham's bound on each component, combined
-    by Minkowski's inequality), which is below sqrt(2) (L - 1) L u.
+    products are exact.  Pairwise summation passes each of the L terms of
+    modulus <= 1 + 8u through h = ceil(log2 L) additions and errs by at
+    most gamma_h L (1 + 8u) (Higham's bound on each component, combined by
+    Minkowski's inequality), which is below sqrt(2) h L u.  The bound is at
+    most eps_fp(L, N) for every N >= 4 L.
     """
     if length <= 0:
         return 0.0
-    return length * (math.sqrt(2.0) * (length - 1) + 8.0) * UNIT_ROUNDOFF
+    h = (length - 1).bit_length()
+    return length * (math.sqrt(2.0) * h + 8.0) * UNIT_ROUNDOFF
 
 
 def abs_sq_slack(length: int, N: int) -> float:
@@ -116,9 +119,10 @@ def eval_roots(seg: Segment, js: np.ndarray, N: int) -> np.ndarray:
 
     This is P_seg(z_j) without the twist z_j^m, so only moduli are
     meaningful, as for half_spectrum.  Phase indices j t mod N are reduced
-    in exact integer arithmetic and the sum is an elementwise product with
-    the +-1 coefficients, so each value errs by at most eps_direct(L)
-    whatever the offset.  Work and memory are len(js) * L.
+    in exact integer arithmetic, the products with the +-1 coefficients are
+    exact, and each row is summed by pairwise halving (zero-padded to a
+    power of two), so each value errs by at most eps_direct(L) whatever the
+    offset.  Work and memory are len(js) * L.
     """
     if N < 4 or N & (N - 1):
         raise ValueError(f"grid size {N} is not a power of two >= 4")
@@ -127,8 +131,12 @@ def eval_roots(seg: Segment, js: np.ndarray, N: int) -> np.ndarray:
     k[2 * k > N] -= N
     theta = k * (2.0 * math.pi / N)
     a = coeff_range(seg).astype(np.float64)
-    re = (np.cos(theta) * a).sum(axis=1)
-    return re + 1j * (np.sin(theta) * a).sum(axis=1)
+    terms = np.zeros((len(js), 1 << (seg.length - 1).bit_length()), complex)
+    terms[:, :seg.length] = np.cos(theta) * a + 1j * (np.sin(theta) * a)
+    while terms.shape[1] > 1:
+        half = terms.shape[1] // 2
+        terms = terms[:, :half] + terms[:, half:]
+    return terms[:, 0]
 
 
 def _eval(seg: Segment, z: complex,

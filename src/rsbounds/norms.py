@@ -15,18 +15,17 @@ non-negative trigonometric polynomials A(t) + 2 Re(e^{i phi} H(e^{it})) of
 degree <= r + s over phases phi; each family member is dominated pointwise
 by the objective, so the grid maximum of the objective bounds every member.
 
-Coarse to fine.  sup_norm_sq and L_norm_sq need M, the maximum over the
-N-grid, but not the other N - 1 values.  F is taken on a grid of about 64 L
-points by one FFT, and only the arcs that can hold the N-grid maximum are
-refined, four times finer per level, by direct evaluation at exact phases
-(_coarse_to_fine).  Szego's inequality, F'^2 <= D^2 F (U - F) for any
-U >= sup F, bounds how far F can fall within one grid step of the maximum;
-that is what lets the other arcs be dropped.  The result is the enclosure
-the full N-grid gives.
+Coarse to fine.  sup_norm_sq, L_norm_sq and g_int need M, the maximum
+over the N-grid, not the other N - 1 values.  One routine (_grid_sup)
+takes F on a coarse grid by FFT and refines only the arcs that can hold
+the N-grid maximum, by direct evaluation at exact phases.  Szego's
+inequality, F'^2 <= D^2 F (U - F) for any U >= sup F, bounds how far F can
+fall near the maximum; for g it holds through the family member that
+attains g, as above.  The result is the enclosure the full N-grid gives.
 
 Floating-point slack from evaluate.eps_fp widens every enclosure on both
-sides; direct values err by at most evaluate.eps_direct, which is used only
-where it does not exceed eps_fp.  No directed rounding is attempted.
+sides; direct values err by at most evaluate.eps_direct <= eps_fp.  No
+directed rounding is attempted.
 """
 
 from __future__ import annotations
@@ -37,12 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicPoint
-from .evaluate import (abs_sq_slack, eps_direct, eps_fp, eval_roots,
-                       half_spectrum)
+from .evaluate import abs_sq_slack, eps_fp, eval_roots, half_spectrum
 from .sequence import Segment
-
-DEFAULT_GRID_LOG2 = 20       # desk-scale default
-FULL_GRID_LOG2 = 24          # full-fidelity reproduction grid
 
 
 @dataclass(frozen=True)
@@ -103,30 +98,46 @@ def oversampled_grid(n: int, cap: int) -> int:
     return min(cap, 1 << (max(64 * n, 64) - 1).bit_length())
 
 
-def _spectrum_objective(seg: Segment, N: int, paired: bool) -> np.ndarray:
-    """F at z_j, j = 0 .. N/2, from one real FFT."""
-    F = np.abs(half_spectrum(seg, N)) ** 2
-    return F + F[::-1] if paired else F
-
-
-def _direct_objective(seg: Segment, js: np.ndarray, N: int,
-                      paired: bool) -> np.ndarray:
-    """F at z_j for each j in js, by direct evaluation."""
-    F = np.abs(eval_roots(seg, js, N)) ** 2
-    if paired:
-        F += np.abs(eval_roots(seg, js + N // 2, N)) ** 2
+def _spectral_values(segs: list[Segment], N: int, paired: bool, cross,
+                     spectra: dict | None) -> np.ndarray:
+    """F at z_j, j = 0 .. N/2, from one real FFT R per segment (memoized in
+    ``spectra`` if given): v = R[j] and w = R[N/2 - j]."""
+    v = [half_spectrum(seg, N) if spectra is None
+         else _prefix_half_spectrum(seg.n, N, spectra) for seg in segs]
+    # |w|^2 as reversed |v|^2: np.abs of a reversed view may round apart.
+    A = [np.abs(R) ** 2 for R in v]
+    F = A[0] + A[0][::-1] if paired else A[0]
+    for a in A[1:]:
+        F += a + a[::-1] if paired else a
+    if cross:
+        F += cross(v, [R[::-1] for R in v])
     return F
 
 
-def _coarse_to_fine(seg: Segment, N: int, paired: bool,
-                    slack: float) -> np.ndarray | None:
-    """Values of F on a set of N-grid points that holds the N-grid argmax,
-    or None where the full N-grid is needed.
+def _direct_values(segs: list[Segment], js: np.ndarray, N: int, paired: bool,
+                   cross) -> np.ndarray:
+    """F at z_j for each j in js, by direct evaluation."""
+    v = [np.conj(eval_roots(seg, js, N)) for seg in segs]
+    w = [eval_roots(seg, js + N // 2, N) for seg in segs] if paired else []
+    F = sum(np.abs(x) ** 2 for x in v + w)
+    return F + cross(v, w) if cross else F
+
+
+def _grid_sup(segs: list[Segment], N: int, degree: int, paired: bool,
+              slack: float, cross=None, spectra=None) -> Enclosure:
+    """Enclosure of the sup of F, of degree D = ``degree`` and per-value
+    slack s, from its maximum over the N-grid.  F is the sum over the
+    segments of |P(z)|^2 (+ |P(-z)|^2 if paired), plus cross(v, w) of the
+    lists of their untwisted v = conj P(z_j) and w = P(-z_j).  If
+    ``spectra`` is given, the segments are prefixes whose spectra it holds.
 
     F is even, and of period pi if paired, so indices are folded into
     [0, p/2] with p = N (or N/2).  Level 0 takes F on the whole grid
-    N_0 = oversampled_grid(L, N) from one FFT.  Each step from N_l to
-    N_{l+1} = min(4 N_l, N) keeps the evaluated points j with
+    N_0 = oversampled_grid(n, N), n the total length of the segments.  A
+    paired F has only even frequencies, so of degree < 2 (as |P|^2 of
+    degree 0) it is constant and its N-grid maximum is its level-0 one.
+    Otherwise each step from N_l to N_{l+1} = min(4 N_l, N) keeps the
+    evaluated points j with
 
         F_j + s >= lo - D h sqrt(lo (U - lo)) - (D h)^2 U / 2,
 
@@ -136,64 +147,59 @@ def _coarse_to_fine(seg: Segment, N: int, paired: bool,
     F'^2 <= D^2 F (U - F), and x - D h sqrt(x (U - x)) increases with x for
     x >= U/2; so a Taylor step from the N-grid argmax, or from the
     maximizer, to its nearest level-l point shows that point is kept while
-    lo >= U/2.  By
-    induction the last level holds the N-grid argmax, and each level the
-    point nearest the maximizer, which makes U an upper bound.  Direct
-    values err by at most eps_direct(L), which must not exceed eps_fp(L, N)
-    so that the slack s holds for them.  None is returned when it does,
-    when lo < U/2, or when a level would cost more direct work than the
-    level-0 FFT (rows * L > N_0).
+    lo >= U/2.  For g the step is taken on the family member that attains
+    F there: a non-negative trigonometric polynomial of degree <= D, below
+    F <= U everywhere.  By induction the last level holds the N-grid
+    argmax, and each level the point nearest the maximizer, which makes U
+    an upper bound.  Direct values err by at most eps_direct(L) <=
+    eps_fp(L, N) (N >= 4 L), so s holds for them.  The full N-grid is
+    taken instead when lo < U/2, or when a level would cost more direct
+    work than the level-0 FFT (rows * points * n > N_0).
     """
-    L, D = seg.length, seg.length - 1
-    N0 = oversampled_grid(L, N)
-    if N0 == N or eps_direct(L) > eps_fp(L, N):
-        return None
-    F = _spectrum_objective(seg, N0, paired)
-    js = np.arange(len(F))
+    n = sum(seg.length for seg in segs)
+    if n == 0:
+        return Enclosure(0.0, 0.0)
+    _require_resolution(max(seg.length for seg in segs), N)
+    N0 = oversampled_grid(n, N)
+    F = _spectral_values(segs, N0, paired, cross, spectra)
+    js = None                              # level 0: j = 0 .. N_0/2
     rows = 2 if paired else 1
-    N_l = N0
+    N_l = N0 if degree >= rows else N      # degree < rows: constant
     while N_l < N:
         top = float(np.max(F))
         lo = top - slack
-        U = (top + slack) / (1.0 - _grid_gap(D, N_l))
+        U = (top + slack) / (1.0 - _grid_gap(degree, N_l))
         if 2.0 * lo < U:
-            return None
-        Dh = D * math.pi / N_l
-        kept = js[F + slack >= lo - Dh * math.sqrt(lo * (U - lo))
-                  - 0.5 * Dh * Dh * U]
+            break
+        Dh = degree * math.pi / N_l
+        keep = F + slack >= (lo - Dh * math.sqrt(lo * (U - lo))
+                             - 0.5 * Dh * Dh * U)
+        kept = np.flatnonzero(keep) if js is None else js[keep]
         c = min(4, N // N_l)
         N_l *= c
         p = N_l // 2 if paired else N_l
         js = np.add.outer(c * kept, np.arange(-(c // 2), c // 2 + 1)) % p
         # A set, not np.unique: numpy's sort code adds 1.6 MB to peak RSS.
         js = np.array(sorted(set(np.minimum(js, p - js).ravel().tolist())))
-        if rows * len(js) * L > N0:
-            return None
-        F = _direct_objective(seg, js, N_l, paired)
-    return F
-
-
-def _grid_sup(seg: Segment, N: int, paired: bool) -> Enclosure:
-    """Enclosure of the sup of |P|^2, or of |P(z)|^2 + |P(-z)|^2 if paired,
-    from its maximum over the N-grid (see _coarse_to_fine)."""
-    if seg.length == 0:
-        return Enclosure(0.0, 0.0)
-    _require_resolution(seg.length, N)
-    slack = (2.0 if paired else 1.0) * abs_sq_slack(seg.length, N)
-    F = _coarse_to_fine(seg, N, paired, slack)
-    if F is None:
-        F = _spectrum_objective(seg, N, paired)
-    return _enclose_grid_sup(float(np.max(F)), seg.length - 1, N, slack)
+        if rows * len(js) * n > N0:
+            break
+        F = _direct_values(segs, js, N_l, paired, cross)
+    else:   # every level refined
+        return _enclose_grid_sup(float(np.max(F)), degree, N, slack)
+    F = _spectral_values(segs, N, paired, cross, spectra)
+    return _enclose_grid_sup(float(np.max(F)), degree, N, slack)
 
 
 def sup_norm_sq(seg: Segment, N: int) -> Enclosure:
     """Enclosure of the squared sup-norm of the segment on the unit circle."""
-    return _grid_sup(seg, N, paired=False)
+    return _grid_sup([seg], N, seg.length - 1, False,
+                     abs_sq_slack(seg.length, N))
 
 
 def L_norm_sq(seg: Segment, N: int) -> Enclosure:
     """Enclosure of sup over the circle of |P(z)|^2 + |P(-z)|^2."""
-    return _grid_sup(seg, N, paired=True)
+    return _grid_sup([seg], N, seg.length - 1, True,
+                     2.0 * abs_sq_slack(seg.length, N))
 
 
 def f_dyadic(x: DyadicPoint, N: int) -> Enclosure:
@@ -233,8 +239,8 @@ def g_int(r: int, s: int, N: int, spectra: dict | None = None) -> Enclosure:
             + 2 |P_{<s}(z) P_{<r}(-z) - P_{<s}(-z) P_{<r}(z)|
 
     maximized over the N-grid with antipodal index pairing.  Prefix spectra
-    are looked up in ``spectra`` (a fresh dict if None); a caller that
-    encloses many corners passes one dict to share them.
+    are memoized in ``spectra`` if given; a caller that encloses many
+    corners passes one dict to share them.
     """
     if r < 0 or s < 0:
         raise ValueError("g_int needs non-negative integer arguments")
@@ -244,26 +250,17 @@ def g_int(r: int, s: int, N: int, spectra: dict | None = None) -> Enclosure:
         # One factor is the empty sum: the objective collapses to the
         # squared L-norm of the other prefix.
         return L_norm_sq(Segment(0, max(r, s)), N)
-    _require_resolution(max(r, s), N)
-    if spectra is None:
-        spectra = {}
-    Rr = _prefix_half_spectrum(r, N, spectra)
-    Rs = _prefix_half_spectrum(s, N, spectra)
-    # half_spectrum[j] = conj(P(z_j)); antipode P(-z_j) = conj(spec[N/2-j]).
-    Fr = np.abs(Rr) ** 2
-    Fs = np.abs(Rs) ** 2
-    G = Fr + Fr[::-1]
-    G += Fs + Fs[::-1]
-    # P_s(z_j) = conj(Rs[j]) and P_r(-z_j) = Rr[N/2 - j], so the cross
-    # term P_s(z) P_r(-z) - P_s(-z) P_r(z) mixes conjugated and
-    # reversed spectra; its modulus is j <-> N/2 - j symmetric.
-    H = np.conj(Rs) * Rr[::-1] - Rs[::-1] * np.conj(Rr)
-    G += 2.0 * np.abs(H)
-    M = float(np.max(G))
     er, es = eps_fp(r, N), eps_fp(s, N)
     slack = 2.0 * (abs_sq_slack(r, N) + abs_sq_slack(s, N))
     slack += 2.0 * (s * er + r * es + er * es)
-    return _enclose_grid_sup(M, r + s, N, slack)
+    return _grid_sup([Segment(0, r), Segment(0, s)], N, r + s, True, slack,
+                     _g_cross, spectra)
+
+
+def _g_cross(v: list, w: list) -> np.ndarray:
+    """2 |P_s(z) P_r(-z) - P_s(-z) P_r(z)| from the values of prefixes r, s."""
+    (vr, vs), (wr, ws) = v, w
+    return 2.0 * np.abs(np.conj(vs) * wr - ws * np.conj(vr))
 
 
 def g_dyadic(x: DyadicPoint, y: DyadicPoint, N: int,

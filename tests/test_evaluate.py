@@ -229,15 +229,21 @@ def test_fft_error_model_against_mpmath():
 def test_direct_error_model_against_mpmath():
     """eps_direct must dominate the true error of eval_roots, the arc
     evaluator behind the coarse-to-fine sup enclosures, at its production
-    sizes (L <= 128, N = 2^16 .. 2^24, each case's argmax included);
-    verified against 50-digit reference sums."""
+    sizes (L up to 4096, N = 2^16 .. 2^24, each case's argmax included);
+    verified against 50-digit reference sums.  It never exceeds eps_fp on
+    the grids enclosures allow (N >= 4 L), so direct values fit the slack."""
+    for L in [*range(1, 4097), *(2 ** h + d for h in range(12, 27)
+                                 for d in (-1, 0, 1))]:
+        N = 1 << (4 * L - 1).bit_length()
+        assert eps_direct(L) <= eps_fp(L, N), L
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(53)
     worst = 0.0
     with mp.workdps(50):
         for log2N in range(16, 25):
             N = 1 << log2N
-            for n in (128, int(rng.integers(1, 128))):
+            for n in (4096 if log2N % 2 else 128,
+                      int(2.0 ** rng.uniform(0.0, 12.0))):
                 m = int(rng.integers(0, 1 << 40))
                 seg = Segment(m, m + n)
                 argmax = int(np.argmax(np.abs(half_spectrum(seg, N))))
