@@ -32,7 +32,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .dyadic import DyadicPoint
-from .norms import Enclosure, L_norm_sq, f_dyadic, sup_norm_sq
+from .norms import Enclosure, L_norm_sq, decision, f_dyadic, sup_norm_sq
 from .sequence import Segment, segment_sum_pm1
 
 BINDING_LINEAR = 'case-6x'
@@ -252,10 +252,6 @@ class SmallRangeRecord:
         }
 
 
-def _auto_grid(n: int) -> int:
-    return 1 << max(8, (8 * n - 1).bit_length())
-
-
 _REFINE_CAP = 1 << 22
 
 
@@ -267,12 +263,14 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
     bound 2^{(k+3)/2} - 1 on the L-norm.  kind 'upper': k <= 6,
     25/16 2^k <= n <= 2^{k+1}, claimed strict bound sqrt(6n-2) - 1.
 
-    The strict L comparison refines the grid until the enclosure clears or
-    refutes the bound.  The sup-norm fallback is a non-refutation check (a
-    one-sided grid comparison): the bound is attained with equality at the
-    sharpness points, so no finite enclosure can certify it strictly there.
-    Both results are computed and reported for every pair; neither is
-    silently preferred.
+    Each pair makes one decision per norm on the norms engine, with grid
+    cap _REFINE_CAP: it refines until the enclosure settles the test or
+    the cap is reached.  The strict L comparison settles when hi clears or
+    lo refutes the bound.  The sup-norm fallback is a non-refutation check
+    (ok unless lo exceeds the bound): the bound is attained with equality
+    at the sharpness points, so no finite enclosure can certify it
+    strictly there.  Both results are computed and reported for every
+    pair; neither is silently preferred.
     """
     if kind == 'midrange':
         pairs = [(k, n) for k in range(13)
@@ -288,22 +286,16 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
 
     records = []
     for k, n in pairs:
-        grid = _auto_grid(n)
         bound = bound_of(k, n)
         bound_sq = bound * bound
-        while True:
-            L_enc = L_norm_sq(Segment(0, n), grid)
-            decided = L_enc.hi < bound_sq or L_enc.lo >= bound_sq
-            if decided or grid >= _REFINE_CAP:
-                break
-            grid *= 2
-        sup_enc = sup_norm_sq(Segment(0, n), grid)
+        L = L_norm_sq(Segment(0, n), _REFINE_CAP,
+                      decision(lambda v: v < bound_sq))
+        sup = sup_norm_sq(Segment(0, n), _REFINE_CAP,
+                          decision(lambda v: v <= bound_sq * (1.0 + 1e-12)))
         at_one, _ = segment_sum_pm1(Segment(0, n))
-        ok_L = L_enc.hi < bound_sq
-        ok_sup = sup_enc.lo <= bound_sq * (1.0 + 1e-12)
-        records.append(SmallRangeRecord(k=k, n=n, bound=bound, L_enc=L_enc,
-                                        sup_enc=sup_enc, value_at_one=at_one,
-                                        ok_L=ok_L, ok_sup=ok_sup))
+        records.append(SmallRangeRecord(
+            k=k, n=n, bound=bound, L_enc=L, sup_enc=sup, value_at_one=at_one,
+            ok_L=L.verdict is True, ok_sup=sup.verdict is not False))
     return records, all(r.ok for r in records)
 
 

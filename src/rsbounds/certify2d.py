@@ -11,13 +11,14 @@ integers and every child point is within 2^{-k-1} per axis) via
 where target_min is the exact rational infimum of the target over the child.
 Children that fail are subdivided; at side 2^-max_scale they are marked bad.
 
-Each child is decided on the smallest grid that settles it.  The corner is
-first enclosed on the smallest power of two N >= 64 * degree (at least 64),
-then N is multiplied by 4 until the enclosure's hi certifies the child, its
-lo fails the test, or N reaches the cap.  A failing lo refutes the child on
-every grid: lo <= true value <= hi on each grid and the test is monotone in
-the value, so the cap grid's hi could not certify it either.  Corner
-enclosures are memoized on (canonical dyadic corner, N).
+Each child is one decision on its corner's objective, settled by the
+norms engine (norms._grid_sup) with the grid as cap: it returns the
+enclosure of the first grid level whose hi certifies the child or whose lo
+fails the test, or of the cap.  A failing lo refutes the child on every
+grid: lo <= true value <= hi on each level and the test is monotone in the
+value, so the cap grid's hi could not certify it either.  The corner's last
+enclosure is memoized and judged first for its next child, which refines
+only if that leaves the child unsettled below the cap.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dyadic import DyadicPoint
-from .norms import f2_dyadic, g_dyadic, oversampled_grid
+from .norms import decision, f2_dyadic, g_dyadic
 
 STATUS_CERTIFIED = 'certified'
 STATUS_BAD = 'bad'
@@ -182,13 +183,13 @@ def _certified(corner_hi: float, k: int, t_min: Fraction) -> bool:
     return 36 * g * Fraction(1, 1 << k) <= rest * rest
 
 
-def _run(roots: list[DyadicSquare], enclose, degree, target_min_fn, N: int,
+def _run(roots: list[DyadicSquare], enclose, target_min_fn, N: int,
          max_scale: int, kind: str) -> CertTree:
-    """Level-synchronous subdivision.  ``enclose(x, y, N)`` encloses the
-    objective at the dyadic corner (x, y) on the N-grid, ``degree(x, y)`` is
-    its trigonometric degree there, and N is the grid cap."""
+    """Level-synchronous subdivision.  ``enclose(x, y, N, decide)`` encloses
+    the objective at the dyadic corner (x, y), settling ``decide`` with grid
+    cap N (see norms._grid_sup)."""
     tree = CertTree(roots=list(roots), N=N, max_scale=max_scale, kind=kind)
-    encs = {}   # (corner, grid) -> Enclosure
+    settled = {}   # corner -> its last enclosure
     frontier = sorted(roots, key=lambda sq: (sq.k, sq.r, sq.s))
     while frontier:
         next_frontier = []
@@ -197,28 +198,20 @@ def _run(roots: list[DyadicSquare], enclose, degree, target_min_fn, N: int,
             for child, (cx, cy) in sq.children():
                 x, y = DyadicPoint(cx, sq.k), DyadicPoint(cy, sq.k)
                 t_min = target_min_fn(child)
-                grid = oversampled_grid(degree(x, y), N)
-                while True:
-                    key = (x, y, grid)
-                    enc = encs.get(key)
-                    if enc is None:
-                        enc = encs[key] = enclose(x, y, grid)
-                    if _certified(enc.hi, sq.k, t_min):
-                        status = STATUS_CERTIFIED
-                        break
-                    if grid >= N or not _certified(enc.lo, sq.k, t_min):
-                        status = (STATUS_BAD if child.k >= max_scale
-                                  else STATUS_SUBDIVIDED)
-                        break
-                    grid = min(4 * grid, N)
-                if status == STATUS_SUBDIVIDED:
-                    next_frontier.append(child)
-                else:
+                decide = decision(lambda v: _certified(v, sq.k, t_min))
+                enc = settled.get((x, y))
+                verdict = None if enc is None else decide(enc)
+                if verdict is None and (enc is None or enc.N < N):
+                    enc = settled[x, y] = enclose(x, y, N, decide)
+                    verdict = enc.verdict
+                if verdict or child.k >= max_scale:
                     tree.records.append(SquareRecord(
-                        child, status, (x.fraction, y.fraction), enc.hi,
-                        t_min, grid))
+                        child, STATUS_CERTIFIED if verdict else STATUS_BAD,
+                        (x.fraction, y.fraction), enc.hi, t_min, enc.N))
+                else:
+                    next_frontier.append(child)
         frontier = next_frontier
-    tree.corner_evals = len({(x, y) for x, y, _ in encs})
+    tree.corner_evals = len(settled)
     tree.canonical()
     return tree
 
@@ -228,16 +221,11 @@ def _g_target_min(child: DyadicSquare) -> Fraction:
     return min(10 * (child.x0 + child.y0), Fraction(40))
 
 
-def _g_degree(x: DyadicPoint, y: DyadicPoint) -> int:
-    """r + s at the common scale: the degree of the g objective."""
-    k = max(x.k, y.k)
-    return x.scaled_numerator(k) + y.scaled_numerator(k)
-
-
 def _run_g(roots: list[DyadicSquare], N: int, max_scale: int) -> CertTree:
     spectra = {}   # prefix spectra shared by every corner of the run
-    return _run(roots, lambda x, y, grid: g_dyadic(x, y, grid, spectra),
-                _g_degree, _g_target_min, N, max_scale, kind='g-bound')
+    return _run(roots, lambda x, y, cap, decide: g_dyadic(x, y, cap, spectra,
+                                                          decide),
+                _g_target_min, N, max_scale, kind='g-bound')
 
 
 def certify_square_g(sq: DyadicSquare, N: int,
@@ -290,12 +278,6 @@ def _f2_target_min(child: DyadicSquare) -> Fraction:
     return 10 * (child.y0 - child.x1)
 
 
-def _f2_degree(x: DyadicPoint, y: DyadicPoint) -> int:
-    """Length minus one of the segment [2^k x, 2^k y) at the common scale."""
-    k = max(x.k, y.k)
-    return y.scaled_numerator(k) - x.scaled_numerator(k) - 1
-
-
 def certify_f2(N: int, max_scale: int = DEFAULT_MAX_SCALE
                ) -> tuple[CertTree, bool]:
     """Certify f(x, y) <= 10(y - x) on ([0,2] x [2,4]) minus [1,2] x [2,3];
@@ -305,7 +287,7 @@ def certify_f2(N: int, max_scale: int = DEFAULT_MAX_SCALE
     integers), so the run is sound iff no bad squares remain at all.
     """
     roots = [DyadicSquare(r, s, 0) for r, s in F2_ROOTS]
-    tree = _run(roots, f2_dyadic, _f2_degree, _f2_target_min, N, max_scale,
+    tree = _run(roots, f2_dyadic, _f2_target_min, N, max_scale,
                 kind='f2-bound')
     return tree, not tree.bad
 

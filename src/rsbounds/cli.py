@@ -225,8 +225,15 @@ def _cmd_figures(cfg: RunConfig, args) -> int:
     return _emit(cfg, 'figures', result, True)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad usage raises ValueError, which main() reports as a JSON error."""
+
+    def error(self, message: str):
+        raise ValueError(f'{self.prog}: {message}')
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog='rsbounds',
         description='Certified bounds for Rudin-Shapiro partial sums')
     ap.add_argument('--grid-log2', type=int, default=None,
@@ -305,20 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {}
-    for name in ('grid_log2', 'max_scale', 'out_dir'):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
     try:
-        cfg = RunConfig(**overrides)
-        return args.fn(cfg, args)
+        args = build_parser().parse_args(argv)
+        overrides = {name: getattr(args, name) for name in
+                     ('grid_log2', 'max_scale', 'out_dir')
+                     if getattr(args, name) is not None}
+        return args.fn(RunConfig(**overrides), args)
     except (ValueError, OSError) as exc:
         print(json.dumps({'error': str(exc), 'schema_version': SCHEMA_VERSION}),
               file=sys.stderr)
         return 2
-
-
-if __name__ == '__main__':
-    sys.exit(main())

@@ -22,6 +22,8 @@ the N-grid maximum, by direct evaluation at exact phases.  Szego's
 inequality, F'^2 <= D^2 F (U - F) for any U >= sup F, bounds how far F can
 fall near the maximum; for g it holds through the family member that
 attains g, as above.  The result is the enclosure the full N-grid gives.
+A caller that needs only a decision on the sup (is F <= T?) passes it, and
+the routine stops at the first grid level whose enclosure settles it.
 
 Floating-point slack from evaluate.eps_fp widens every enclosure on both
 sides; direct values err by at most evaluate.eps_direct <= eps_fp.  No
@@ -31,7 +33,7 @@ directed rounding is attempted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,10 +44,14 @@ from .sequence import Segment
 
 @dataclass(frozen=True)
 class Enclosure:
-    """Interval [lo, hi] guaranteed to contain the true quantity."""
+    """Interval [lo, hi] guaranteed to contain the true quantity.  From a
+    grid maximum it records the grid N, and the verdict of the decision
+    asked on it: True (holds), False (refuted) or None (unsettled)."""
 
     lo: float
     hi: float
+    N: int | None = field(default=None, compare=False)
+    verdict: bool | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.lo <= self.hi:
@@ -64,38 +70,34 @@ class Enclosure:
     def scale(self, factor: float) -> "Enclosure":
         if factor < 0:
             raise ValueError("scale factor must be non-negative")
-        return Enclosure(self.lo * factor, self.hi * factor)
+        return Enclosure(self.lo * factor, self.hi * factor, self.N,
+                         self.verdict)
 
     def sqrt(self) -> "Enclosure":
         return Enclosure(math.sqrt(max(self.lo, 0.0)), math.sqrt(max(self.hi, 0.0)))
 
 
-def _grid_gap(degree: int, N: int) -> float:
-    """Relative off-grid correction delta = D^2 pi^2 / (2 N^2)."""
-    if degree <= 0:
-        return 0.0
-    delta = 0.5 * degree * degree * (math.pi / N) ** 2
+def _enclose_grid_sup(M: float, degree: int, N: int, slack: float) -> Enclosure:
+    """[M - s, (M + s) / (1 - delta)] from the N-grid maximum M, with the
+    relative off-grid correction delta = D^2 pi^2 / (2 N^2) (0 if D <= 0)."""
+    delta = 0.5 * degree * degree * (math.pi / N) ** 2 if degree > 0 else 0.0
     if delta >= 0.5:
         raise ValueError(
             f"grid size {N} too small for trigonometric degree {degree}")
-    return delta
+    return Enclosure(max(M - slack, 0.0), (M + slack) / (1.0 - delta), N)
 
 
-def _enclose_grid_sup(M: float, degree: int, N: int, slack: float) -> Enclosure:
-    delta = _grid_gap(degree, N)
-    lo = max(M - slack, 0.0)
-    hi = (M + slack) / (1.0 - delta)
-    return Enclosure(lo, hi)
+def oversampled_grid(n: int, cap: int, over: int = 64) -> int:
+    """Smallest power of two N >= over * n, at least 64, at most cap."""
+    return min(cap, 1 << (max(over * n, 64) - 1).bit_length())
 
 
-def _require_resolution(length: int, N: int) -> None:
-    if N < 4 * length:
-        raise ValueError(f"grid size {N} below 4 * segment length {length}")
-
-
-def oversampled_grid(n: int, cap: int) -> int:
-    """Smallest power of two N >= 64 * n, at least 64, at most cap."""
-    return min(cap, 1 << (max(64 * n, 64) - 1).bit_length())
+def decision(holds):
+    """The decision of a test ``holds(value)`` that, once failed, fails for
+    every larger value: True when the enclosure's hi passes, False when its
+    lo fails, None (refine) otherwise."""
+    return lambda enc: (True if holds(enc.hi)
+                        else None if holds(enc.lo) else False)
 
 
 def _spectral_values(segs: list[Segment], N: int, paired: bool, cross,
@@ -124,12 +126,13 @@ def _direct_values(segs: list[Segment], js: np.ndarray, N: int, paired: bool,
 
 
 def _grid_sup(segs: list[Segment], N: int, degree: int, paired: bool,
-              slack: float, cross=None, spectra=None) -> Enclosure:
-    """Enclosure of the sup of F, of degree D = ``degree`` and per-value
-    slack s, from its maximum over the N-grid.  F is the sum over the
-    segments of |P(z)|^2 (+ |P(-z)|^2 if paired), plus cross(v, w) of the
-    lists of their untwisted v = conj P(z_j) and w = P(-z_j).  If
-    ``spectra`` is given, the segments are prefixes whose spectra it holds.
+              slack, cross=None, spectra=None, decide=None):
+    """Enclosure of the sup of F, of degree D = ``degree``, from its
+    maximum over the N-grid, whose values err by at most slack(N).  F is
+    the sum over the segments of |P(z)|^2 (+ |P(-z)|^2 if paired), plus
+    cross(v, w) of the lists of their untwisted v = conj P(z_j) and
+    w = P(-z_j).  If ``spectra`` is given, the segments are prefixes whose
+    spectra it holds.
 
     F is even, and of period pi if paired, so indices are folded into
     [0, p/2] with p = N (or N/2).  Level 0 takes F on the whole grid
@@ -141,85 +144,99 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, paired: bool,
 
         F_j + s >= lo - D h sqrt(lo (U - lo)) - (D h)^2 U / 2,
 
-    where lo = max_l - s, U = (max_l + s) / (1 - delta_l) and h = pi / N_l,
-    and evaluates directly the N_{l+1}-points c j + i, |i| <= c/2, around
-    each kept j (c = N_{l+1} / N_l).  Szego's inequality for F - U/2 gives
+    where [lo, U] = [max_l - s, (max_l + s) / (1 - delta_l)] is the level's
+    enclosure, s = slack(N_l) and h = pi / N_l, and evaluates directly the
+    N_{l+1}-points c j + i, |i| <= c/2, around each kept j
+    (c = N_{l+1} / N_l).  Szego's inequality for F - U/2 gives
     F'^2 <= D^2 F (U - F), and x - D h sqrt(x (U - x)) increases with x for
-    x >= U/2; so a Taylor step from the N-grid argmax, or from the
-    maximizer, to its nearest level-l point shows that point is kept while
-    lo >= U/2.  For g the step is taken on the family member that attains
+    x >= U/2; so a Taylor step from the argmax of any finer grid, or from
+    the maximizer, to its nearest level-l point shows that point is kept
+    while lo >= U/2.  For g the step is taken on the family member that attains
     F there: a non-negative trigonometric polynomial of degree <= D, below
-    F <= U everywhere.  By induction the last level holds the N-grid
-    argmax, and each level the point nearest the maximizer, which makes U
-    an upper bound.  Direct values err by at most eps_direct(L) <=
-    eps_fp(L, N) (N >= 4 L), so s holds for them.  The full N-grid is
-    taken instead when lo < U/2, or when a level would cost more direct
-    work than the level-0 FFT (rows * points * n > N_0).
+    F <= U everywhere.  By induction each level holds its grid's argmax,
+    and the point nearest the maximizer, which makes [lo, U] an enclosure
+    on every level.  Direct values err by at most eps_direct(L) <=
+    eps_fp(L, N_l) (N_l >= 4 L), so s holds for them.  The next level is
+    taken whole, by FFT, when lo < U/2, when it would cost more direct
+    work than the N_0 FFT (rows * points * n > N_0), or when its grid is
+    no larger than N_0.
+
+    Without ``decide`` the result is the N-grid enclosure.  With it, the
+    monotone decision ``decide(enc)`` (True: holds, False: refuted, None:
+    refine) is asked once per level, and the result is the enclosure, with
+    its verdict, of the first level that settles it, or of N.  A decision
+    that shares no spectra pays for its own level 0, so it starts instead
+    at the smallest power of two >= 8 n (at least 64), below N_0; the
+    levels up to N_0 are then whole grids, as on their own caps.
     """
-    n = sum(seg.length for seg in segs)
-    if n == 0:
-        return Enclosure(0.0, 0.0)
-    _require_resolution(max(seg.length for seg in segs), N)
+    n, L = sum(seg.length for seg in segs), max(seg.length for seg in segs)
+    if N < 4 * L:
+        raise ValueError(f"grid size {N} below 4 * segment length {L}")
     N0 = oversampled_grid(n, N)
-    F = _spectral_values(segs, N0, paired, cross, spectra)
-    js = None                              # level 0: j = 0 .. N_0/2
+    N_l = oversampled_grid(n, N, 8) if decide and spectra is None else N0
+    F = _spectral_values(segs, N_l, paired, cross, spectra)
     rows = 2 if paired else 1
-    N_l = N0 if degree >= rows else N      # degree < rows: constant
-    while N_l < N:
-        top = float(np.max(F))
-        lo = top - slack
-        U = (top + slack) / (1.0 - _grid_gap(degree, N_l))
-        if 2.0 * lo < U:
-            break
-        Dh = degree * math.pi / N_l
-        keep = F + slack >= (lo - Dh * math.sqrt(lo * (U - lo))
-                             - 0.5 * Dh * Dh * U)
-        kept = np.flatnonzero(keep) if js is None else js[keep]
-        c = min(4, N // N_l)
+    N_l = N_l if degree >= rows else N     # degree < rows: constant
+    js = None                              # level 0: j = 0 .. N_l/2
+    while True:
+        s = slack(N_l)
+        enc = _enclose_grid_sup(float(np.max(F)), degree, N_l, s)
+        if decide:
+            enc = Enclosure(enc.lo, enc.hi, N_l, decide(enc))
+        if enc.verdict is not None or N_l == N:
+            return enc
+        lo, U = enc.lo, enc.hi
+        Dh, c = degree * math.pi / N_l, min(4, N // N_l)
         N_l *= c
-        p = N_l // 2 if paired else N_l
-        js = np.add.outer(c * kept, np.arange(-(c // 2), c // 2 + 1)) % p
-        # A set, not np.unique: numpy's sort code adds 1.6 MB to peak RSS.
-        js = np.array(sorted(set(np.minimum(js, p - js).ravel().tolist())))
-        if rows * len(js) * n > N0:
-            break
-        F = _direct_values(segs, js, N_l, paired, cross)
-    else:   # every level refined
-        return _enclose_grid_sup(float(np.max(F)), degree, N, slack)
-    F = _spectral_values(segs, N, paired, cross, spectra)
-    return _enclose_grid_sup(float(np.max(F)), degree, N, slack)
+        if 2.0 * lo >= U and N_l > N0:
+            keep = F + s >= (lo - Dh * math.sqrt(lo * (U - lo))
+                             - 0.5 * Dh * Dh * U)
+            kept = np.flatnonzero(keep) if js is None else js[keep]
+            p = N_l // 2 if paired else N_l
+            js = np.add.outer(c * kept, np.arange(-(c // 2), c // 2 + 1)) % p
+            # A set, not np.unique: numpy's sort code adds 1.6 MB to peak RSS.
+            js = np.array(sorted(set(np.minimum(js, p - js).ravel().tolist())))
+            if rows * len(js) * n <= N0:
+                F = _direct_values(segs, js, N_l, paired, cross)
+                continue
+        js, F = None, _spectral_values(segs, N_l, paired, cross, spectra)
 
 
-def sup_norm_sq(seg: Segment, N: int) -> Enclosure:
-    """Enclosure of the squared sup-norm of the segment on the unit circle."""
+def sup_norm_sq(seg: Segment, N: int, decide=None) -> Enclosure:
+    """Enclosure of the squared sup-norm of the segment on the unit circle,
+    settling ``decide`` if given (see _grid_sup)."""
     return _grid_sup([seg], N, seg.length - 1, False,
-                     abs_sq_slack(seg.length, N))
+                     lambda M: abs_sq_slack(seg.length, M), decide=decide)
 
 
-def L_norm_sq(seg: Segment, N: int) -> Enclosure:
-    """Enclosure of sup over the circle of |P(z)|^2 + |P(-z)|^2."""
+def L_norm_sq(seg: Segment, N: int, decide=None) -> Enclosure:
+    """Enclosure of sup over the circle of |P(z)|^2 + |P(-z)|^2, settling
+    ``decide`` if given (see _grid_sup)."""
     return _grid_sup([seg], N, seg.length - 1, True,
-                     2.0 * abs_sq_slack(seg.length, N))
+                     lambda M: 2.0 * abs_sq_slack(seg.length, M),
+                     decide=decide)
+
+
+def _scaled(decide, factor: float):
+    """``decide``, if given, asked on the enclosure scaled by ``factor``."""
+    return decide and (lambda enc: decide(enc.scale(factor)))
 
 
 def f_dyadic(x: DyadicPoint, N: int) -> Enclosure:
     """Enclosure of f(x) = 2^{-k} * (squared L-norm of the prefix 2^k x),
     taken at the canonical (minimal) scale k."""
-    if x.u == 0:
-        return Enclosure(0.0, 0.0)
     return L_norm_sq(Segment(0, x.u), N).scale(0.5 ** x.k)
 
 
-def f2_dyadic(x: DyadicPoint, y: DyadicPoint, N: int) -> Enclosure:
-    """Enclosure of f(x, y), the squared L-norm of the scaled range [x, y)."""
+def f2_dyadic(x: DyadicPoint, y: DyadicPoint, N: int,
+              decide=None) -> Enclosure:
+    """Enclosure of f(x, y), the squared L-norm of the scaled range [x, y),
+    settling ``decide`` on f(x, y) if given."""
     if x.fraction > y.fraction:
         raise ValueError(f"need x <= y, got {x} > {y}")
     k = max(x.k, y.k)
-    m = x.scaled_numerator(k)
-    n = y.scaled_numerator(k)
-    if m == n:
-        return Enclosure(0.0, 0.0)
-    return L_norm_sq(Segment(m, n), N).scale(0.5 ** k)
+    seg = Segment(x.scaled_numerator(k), y.scaled_numerator(k))
+    return L_norm_sq(seg, N, _scaled(decide, 0.5 ** k)).scale(0.5 ** k)
 
 
 def _prefix_half_spectrum(n: int, N: int, spectra: dict) -> np.ndarray:
@@ -232,29 +249,32 @@ def _prefix_half_spectrum(n: int, N: int, spectra: dict) -> np.ndarray:
     return val
 
 
-def g_int(r: int, s: int, N: int, spectra: dict | None = None) -> Enclosure:
+def g_int(r: int, s: int, N: int, spectra: dict | None = None,
+          decide=None) -> Enclosure:
     """Enclosure of g(r, s) through the alpha-free objective
 
         |P_{<r}(z)|^2 + |P_{<r}(-z)|^2 + |P_{<s}(z)|^2 + |P_{<s}(-z)|^2
             + 2 |P_{<s}(z) P_{<r}(-z) - P_{<s}(-z) P_{<r}(z)|
 
-    maximized over the N-grid with antipodal index pairing.  Prefix spectra
-    are memoized in ``spectra`` if given; a caller that encloses many
-    corners passes one dict to share them.
+    maximized over the N-grid with antipodal index pairing, settling
+    ``decide`` if given (see _grid_sup).  Prefix spectra are memoized in
+    ``spectra`` if given; a caller that encloses many corners passes one
+    dict to share them.
     """
     if r < 0 or s < 0:
         raise ValueError("g_int needs non-negative integer arguments")
-    if r == 0 and s == 0:
-        return Enclosure(0.0, 0.0)
     if r == 0 or s == 0:
         # One factor is the empty sum: the objective collapses to the
         # squared L-norm of the other prefix.
-        return L_norm_sq(Segment(0, max(r, s)), N)
-    er, es = eps_fp(r, N), eps_fp(s, N)
-    slack = 2.0 * (abs_sq_slack(r, N) + abs_sq_slack(s, N))
-    slack += 2.0 * (s * er + r * es + er * es)
+        return L_norm_sq(Segment(0, max(r, s)), N, decide)
+
+    def slack(M: int) -> float:
+        er, es = eps_fp(r, M), eps_fp(s, M)
+        return (2.0 * (abs_sq_slack(r, M) + abs_sq_slack(s, M))
+                + 2.0 * (s * er + r * es + er * es))
+
     return _grid_sup([Segment(0, r), Segment(0, s)], N, r + s, True, slack,
-                     _g_cross, spectra)
+                     _g_cross, spectra, decide)
 
 
 def _g_cross(v: list, w: list) -> np.ndarray:
@@ -264,9 +284,10 @@ def _g_cross(v: list, w: list) -> np.ndarray:
 
 
 def g_dyadic(x: DyadicPoint, y: DyadicPoint, N: int,
-             spectra: dict | None = None) -> Enclosure:
+             spectra: dict | None = None, decide=None) -> Enclosure:
     """Enclosure of g(x, y) = 2^{-k} g(2^k x, 2^k y) at the common minimal
-    scale k; ``spectra`` is passed on to g_int."""
+    scale k, settling ``decide`` on g(x, y) if given; ``spectra`` is passed
+    on to g_int."""
     k = max(x.k, y.k)
-    return g_int(x.scaled_numerator(k), y.scaled_numerator(k), N,
-                 spectra).scale(0.5 ** k)
+    return g_int(x.scaled_numerator(k), y.scaled_numerator(k), N, spectra,
+                 _scaled(decide, 0.5 ** k)).scale(0.5 ** k)

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,25 @@ def test_check_smallk_upper_all_strict():
     k1 = [r for r in records if r.k == 1]
     assert [r.n for r in k1] == [4]
     assert math.sqrt(k1[0].L_enc.hi) < math.sqrt(22) - 1
+
+
+def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch):
+    """Each pair makes exactly one L_norm_sq and one sup_norm_sq call, at
+    the grid cap and with a decision: the grid policy lives in norms."""
+    import rsbounds.certify1d as c1
+
+    calls = []
+    for name in ('L_norm_sq', 'sup_norm_sq'):
+        def spy(seg, N, decide=None, real=getattr(c1, name), name=name):
+            calls.append((name, seg, N, decide is not None))
+            return real(seg, N, decide)
+        monkeypatch.setattr(c1, name, spy)
+    for kind in ('midrange', 'upper'):
+        calls.clear()
+        records, _ = check_smallk_L(kind)
+        assert Counter(calls) == Counter(
+            (name, Segment(0, r.n), c1._REFINE_CAP, True) for r in records
+            for name in ('L_norm_sq', 'sup_norm_sq'))
 
 
 def test_check_smallk_midrange_k0_vacuous():

@@ -122,6 +122,18 @@ def test_certified_records_recertify_at_their_grid():
             assert _certified(hi, rec.square.k - 1, t_min)
 
 
+def test_f2_records_reenclose_at_their_grid():
+    """Each decided f2 record's corner_hi is what f2_dyadic gives with the
+    record's N as cap, although its decision started at 8 n: the levels up
+    to 64 n are taken whole, as on their own caps."""
+    tree, ok = certify_f2(1 << 16, max_scale=6)
+    decided = [rec for rec in tree.records if rec.corner is not None]
+    assert ok and len(decided) == 234
+    for rec in decided:
+        x, y = (DyadicPoint.from_fraction(c) for c in rec.corner)
+        assert f2_dyadic(x, y, rec.N).hi == rec.corner_hi, rec
+
+
 def test_g_int_shared_spectra_match_fresh():
     spectra = {}
     for r, s in [(5, 9), (9, 5), (9, 9), (12, 5), (0, 7)]:

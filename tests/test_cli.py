@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rsbounds
 from rsbounds.cli import main
 from rsbounds.evaluate import eval_point_root
 from rsbounds.sequence import Segment
@@ -125,10 +129,34 @@ def test_figures_small(capsys, tmp_path):
 
 
 def test_invalid_input_exit_code(capsys):
-    for bad in ('not-binary', '1.2', '2.', '1/0', '1/3', ''):
-        code = main(['f', bad])
+    bad_points = ('not-binary', '1.2', '2.', '1/0', '1/3', '')
+    cases = [['f', bad] for bad in bad_points] + [
+        ['certify-f', '--interval', '1', '2'],     # no --target
+        ['no-such-command'], ['montgomery', '--k', 'abc']]
+    for argv in cases:
+        code = main(argv)
         err = json.loads(capsys.readouterr().err)
-        assert code == 2 and 'error' in err, bad
+        assert code == 2 and 'error' in err, argv
+        assert err['schema_version'] == 1, argv
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(['--help'])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith('usage: rsbounds')
+
+
+def test_python_m_rsbounds(tmp_path):
+    """The module entry point runs the CLI in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(rsbounds.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get('PYTHONPATH')])))
+    proc = subprocess.run([sys.executable, '-m', 'rsbounds', 'extremal',
+                           '--k', '3'], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)['result']['invariants_ok'] is True
 
 
 def test_certify_f_decimal_endpoint(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from rsbounds import norms
 from rsbounds.dyadic import DyadicPoint
 from rsbounds.evaluate import abs_sq_slack, eps_fp, half_spectrum
-from rsbounds.norms import (Enclosure, L_norm_sq, f2_dyadic, f_dyadic,
-                            g_dyadic, g_int, sup_norm_sq)
+from rsbounds.norms import (Enclosure, L_norm_sq, decision, f2_dyadic,
+                            f_dyadic, g_dyadic, g_int, sup_norm_sq)
 from rsbounds.sequence import Segment, coeff_range
 
 
@@ -76,6 +77,65 @@ def fft_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def level_grids(monkeypatch):
+    """Record the grid of every level's values in norms, FFT or direct."""
+    grids = []
+    spectral, direct = norms._spectral_values, norms._direct_values
+    monkeypatch.setattr(norms, '_spectral_values', lambda segs, N, *rest: (
+        grids.append(N) or spectral(segs, N, *rest)))
+    monkeypatch.setattr(norms, '_direct_values', lambda segs, js, N, *rest: (
+        grids.append(N) or direct(segs, js, N, *rest)))
+    return grids
+
+
+def test_decision_settles_on_the_first_level_that_decides(level_grids):
+    """Seeded property of the decision engine on the sup, L and g
+    objectives (g with and without shared spectra), deciding v < T for
+    thresholds T at the cap oracle's hi times 1 + eps.  The returned
+    enclosure agrees within the slack with the full-grid oracle on its own
+    grid; True means the cap oracle's lo is below T, False that its hi
+    reaches T; None comes back only at the cap; the decision is asked once
+    per level visited, last on the returned grid's enclosure."""
+    rng = np.random.default_rng(67)
+    verdicts, early = Counter(), 0
+    for i in range(48):
+        kind = ('sup', 'L', 'g')[i % 3]
+        N = 1 << int(rng.integers(12, 19))
+        if kind == 'g':
+            r, s = (int(t) for t in rng.integers(1, 200, 2))
+            spectra = {} if i % 2 else None
+            oracle = lambda M: full_grid_g(r, s, M)
+            run = lambda d: g_int(r, s, N, spectra, d)
+        else:
+            m, L = int(rng.integers(0, 1 << 40)), int(rng.integers(3, 300))
+            seg, paired = Segment(m, m + L), kind == 'L'
+            oracle = lambda M: full_grid_enclosure(seg, M, paired)
+            run = lambda d: (L_norm_sq if paired else sup_norm_sq)(seg, N, d)
+        cap, _ = oracle(N)
+        for eps in (-1e-2, -1e-7, 0.0, 1e-7, 1e-2):
+            T = cap.hi * (1.0 + eps)
+            asked = []
+            below = decision(lambda v: v < T)
+            level_grids.clear()
+            got = run(lambda enc: asked.append(enc) or below(enc))
+            want, slack = oracle(got.N)
+            assert abs(got.lo - want.lo) <= slack, (kind, i, eps)
+            assert abs(got.hi - want.hi) <= slack, (kind, i, eps)
+            if got.verdict is True:
+                assert cap.lo < T
+            elif got.verdict is False:
+                assert cap.hi >= T
+            else:
+                assert got.N == N
+            assert len(asked) == len(level_grids) and asked[-1] == got
+            assert level_grids[-1] == got.N
+            verdicts[got.verdict] += 1
+            early += got.N < N
+    assert min(verdicts[v] for v in (True, False, None)) >= 10, verdicts
+    assert early >= 60
+
+
 def test_coarse_to_fine_matches_full_grid(direct_calls):
     """Seeded property: on 300 segments (offsets up to 2^40, L log-uniform
     up to N / 128, N from 2^10 to 2^24; one in twenty above 2^20 to keep
@@ -105,7 +165,7 @@ def test_g_coarse_to_fine_matches_full_grid(direct_calls):
     cases with r or s above 120, on grids 2 to 64 times above
     oversampled_grid(r + s), agree with the full-grid oracle within the
     slack.  The objective is flat near its maxima, so some cases exceed
-    the direct-work cap and take the full grid; most refine."""
+    the direct-work cap and take a grid whole by FFT; most refine."""
     rng = np.random.default_rng(61)
     refined = 0
     for i in range(40):
