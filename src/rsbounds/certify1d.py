@@ -265,12 +265,15 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
 
     Each pair makes one decision per norm on the norms engine, with grid
     cap _REFINE_CAP: it refines until the enclosure settles the test or
-    the cap is reached.  The strict L comparison settles when hi clears or
-    lo refutes the bound.  The sup-norm fallback is a non-refutation check
-    (ok unless lo exceeds the bound): the bound is attained with equality
-    at the sharpness points, so no finite enclosure can certify it
-    strictly there.  Both results are computed and reported for every
-    pair; neither is silently preferred.
+    the cap is reached.  The two decisions share the pair's prefix
+    spectra, so the 8n grid where nearly all of them settle costs one FFT
+    per pair, not two; the records are those of unshared calls.  The
+    strict L comparison settles when hi clears or lo refutes the bound.
+    The sup-norm fallback is a non-refutation check (ok unless lo exceeds
+    the bound): the bound is attained with equality at the sharpness
+    points, so no finite enclosure can certify it strictly there.  Both
+    results are computed and reported for every pair; neither is silently
+    preferred.
     """
     if kind == 'midrange':
         pairs = [(k, n) for k in range(13)
@@ -288,11 +291,14 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
     for k, n in pairs:
         bound = bound_of(k, n)
         bound_sq = bound * bound
-        L = L_norm_sq(Segment(0, n), _REFINE_CAP,
-                      decision(lambda v: v < bound_sq))
-        sup = sup_norm_sq(Segment(0, n), _REFINE_CAP,
-                          decision(lambda v: v <= bound_sq * (1.0 + 1e-12)))
-        at_one, _ = segment_sum_pm1(Segment(0, n))
+        # One dict per pair: a run-wide one would keep every spectrum.
+        seg, spectra = Segment(0, n), {}
+        L = L_norm_sq(seg, _REFINE_CAP, decision(lambda v: v < bound_sq),
+                      spectra)
+        sup = sup_norm_sq(seg, _REFINE_CAP,
+                          decision(lambda v: v <= bound_sq * (1.0 + 1e-12)),
+                          spectra)
+        at_one, _ = segment_sum_pm1(seg)
         records.append(SmallRangeRecord(
             k=k, n=n, bound=bound, L_enc=L, sup_enc=sup, value_at_one=at_one,
             ok_L=L.verdict is True, ok_sup=sup.verdict is not False))

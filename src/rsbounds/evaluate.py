@@ -75,7 +75,7 @@ def abs_sq_slack(length: int, N: int) -> float:
 
 
 def _check_unit(z: complex) -> None:
-    if abs(abs(z) - 1.0) > _UNIT_TOL:
+    if not abs(abs(z) - 1.0) <= _UNIT_TOL:     # NaN fails too
         raise DomainError(f"|z| = {abs(z)!r} is not 1 within {_UNIT_TOL}")
 
 

@@ -131,8 +131,8 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, paired: bool,
     maximum over the N-grid, whose values err by at most slack(N).  F is
     the sum over the segments of |P(z)|^2 (+ |P(-z)|^2 if paired), plus
     cross(v, w) of the lists of their untwisted v = conj P(z_j) and
-    w = P(-z_j).  If ``spectra`` is given, the segments are prefixes whose
-    spectra it holds.
+    w = P(-z_j).  If ``spectra`` is given, the segments must be prefixes
+    (m = 0), and it memoizes their spectra (see _prefix_half_spectrum).
 
     F is even, and of period pi if paired, so indices are folded into
     [0, p/2] with p = N (or N/2).  Level 0 takes F on the whole grid
@@ -165,15 +165,23 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, paired: bool,
     monotone decision ``decide(enc)`` (True: holds, False: refuted, None:
     refine) is asked once per level, and the result is the enclosure, with
     its verdict, of the first level that settles it, or of N.  A decision
-    that shares no spectra pays for its own level 0, so it starts instead
-    at the smallest power of two >= 8 n (at least 64), below N_0; the
-    levels up to N_0 are then whole grids, as on their own caps.
+    starts instead at the smallest power of two >= 8 n (at least 64),
+    below N_0, where most settle; the levels up to N_0 are then whole
+    grids, as on their own caps.  Decisions on one segment start there
+    with or without ``spectra``: the small-k checks pass one dict to a
+    prefix's two decisions, which then share that first FFT.  Only g
+    corners with ``spectra`` start at N_0, where a run's corners share
+    their prefix spectra.
     """
     n, L = sum(seg.length for seg in segs), max(seg.length for seg in segs)
     if N < 4 * L:
         raise ValueError(f"grid size {N} below 4 * segment length {L}")
+    if spectra is not None and any(seg.m for seg in segs):
+        raise ValueError("spectra holds prefix spectra: segments must "
+                         f"start at 0, got {segs}")
     N0 = oversampled_grid(n, N)
-    N_l = oversampled_grid(n, N, 8) if decide and spectra is None else N0
+    shared = spectra is not None and len(segs) > 1
+    N_l = oversampled_grid(n, N, 8) if decide and not shared else N0
     F = _spectral_values(segs, N_l, paired, cross, spectra)
     rows = 2 if paired else 1
     N_l = N_l if degree >= rows else N     # degree < rows: constant
@@ -202,19 +210,24 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, paired: bool,
         js, F = None, _spectral_values(segs, N_l, paired, cross, spectra)
 
 
-def sup_norm_sq(seg: Segment, N: int, decide=None) -> Enclosure:
+def sup_norm_sq(seg: Segment, N: int, decide=None,
+                spectra: dict | None = None) -> Enclosure:
     """Enclosure of the squared sup-norm of the segment on the unit circle,
-    settling ``decide`` if given (see _grid_sup)."""
+    settling ``decide`` if given (see _grid_sup).  A prefix's spectra are
+    memoized in ``spectra`` if given."""
     return _grid_sup([seg], N, seg.length - 1, False,
-                     lambda M: abs_sq_slack(seg.length, M), decide=decide)
+                     lambda M: abs_sq_slack(seg.length, M), None, spectra,
+                     decide)
 
 
-def L_norm_sq(seg: Segment, N: int, decide=None) -> Enclosure:
+def L_norm_sq(seg: Segment, N: int, decide=None,
+              spectra: dict | None = None) -> Enclosure:
     """Enclosure of sup over the circle of |P(z)|^2 + |P(-z)|^2, settling
-    ``decide`` if given (see _grid_sup)."""
+    ``decide`` if given (see _grid_sup).  A prefix's spectra are memoized
+    in ``spectra`` if given."""
     return _grid_sup([seg], N, seg.length - 1, True,
-                     lambda M: 2.0 * abs_sq_slack(seg.length, M),
-                     decide=decide)
+                     lambda M: 2.0 * abs_sq_slack(seg.length, M), None,
+                     spectra, decide)
 
 
 def _scaled(decide, factor: float):

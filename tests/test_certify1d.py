@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -149,9 +150,14 @@ def test_load_centers_from_text(tmp_path):
     assert [float(x) for x in pts] == [1.375, 1.5]
 
 
-def test_check_smallk_midrange_known_boundary_pairs():
-    records, ok = check_smallk_L('midrange')
-    assert ok
+@pytest.fixture(scope='module')
+def smallk_records():
+    return {kind: check_smallk_L(kind)[0] for kind in ('midrange', 'upper')}
+
+
+def test_check_smallk_midrange_known_boundary_pairs(smallk_records):
+    records = smallk_records['midrange']
+    assert all(r.ok for r in records)
     failures = {(r.k, r.n) for r in records if not r.ok_L}
     # exactly the two sharpness points sit on the range boundary and
     # exceed the strict L bound; the sup-norm bound holds with equality
@@ -173,26 +179,60 @@ def test_check_smallk_upper_all_strict():
 
 def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch):
     """Each pair makes exactly one L_norm_sq and one sup_norm_sq call, at
-    the grid cap and with a decision: the grid policy lives in norms."""
+    the grid cap and with a decision: the grid policy lives in norms.  The
+    two calls of a pair, L first, share one fresh spectra dict, so nearly
+    every pair costs one FFT."""
     import rsbounds.certify1d as c1
+    import rsbounds.norms as norms
 
-    calls = []
+    calls, pair_dict = [], []
     for name in ('L_norm_sq', 'sup_norm_sq'):
-        def spy(seg, N, decide=None, real=getattr(c1, name), name=name):
+        def spy(seg, N, decide=None, spectra=None, real=getattr(c1, name),
+                name=name):
+            if name == 'L_norm_sq':
+                # A new pair: an empty dict, not the last pair's.  Only
+                # the last one is held; all of them would hold ~0.8 GB.
+                assert spectra == {} and spectra not in pair_dict
+                pair_dict[:] = [spectra]
+            else:
+                assert spectra is pair_dict[0]
             calls.append((name, seg, N, decide is not None))
-            return real(seg, N, decide)
+            return real(seg, N, decide, spectra)
         monkeypatch.setattr(c1, name, spy)
-    for kind in ('midrange', 'upper'):
+    ffts = []
+    monkeypatch.setattr(norms, 'half_spectrum', lambda seg, N,
+                        real=norms.half_spectrum: ffts.append(N) or
+                        real(seg, N))
+    for kind, expected_ffts in (('midrange', 1549), ('upper', 60)):
         calls.clear()
+        ffts.clear()
         records, _ = check_smallk_L(kind)
         assert Counter(calls) == Counter(
             (name, Segment(0, r.n), c1._REFINE_CAP, True) for r in records
             for name in ('L_norm_sq', 'sup_norm_sq'))
+        assert len(ffts) == expected_ffts
 
 
-def test_check_smallk_midrange_k0_vacuous():
-    records, _ = check_smallk_L('midrange')
-    assert not [r for r in records if r.k == 0]
+def test_check_smallk_records_match_unshared_calls(smallk_records):
+    """Sharing the spectra of a pair leaves its records as unshared calls
+    make them: the same lo, hi, grid N and verdict, for every 'upper' pair
+    and a seeded sample of 'midrange' pairs."""
+    from rsbounds.certify1d import _REFINE_CAP
+    from rsbounds.norms import L_norm_sq, decision, sup_norm_sq
+
+    sample = random.Random(6).sample(smallk_records['midrange'], 200)
+    for r in smallk_records['upper'] + sample:
+        seg, bound_sq = Segment(0, r.n), r.bound * r.bound
+        L = L_norm_sq(seg, _REFINE_CAP, decision(lambda v: v < bound_sq))
+        sup = sup_norm_sq(seg, _REFINE_CAP,
+                          decision(lambda v: v <= bound_sq * (1.0 + 1e-12)))
+        for got, want in ((r.L_enc, L), (r.sup_enc, sup)):
+            assert ((got.lo, got.hi, got.N, got.verdict)
+                    == (want.lo, want.hi, want.N, want.verdict)), (r.k, r.n)
+
+
+def test_check_smallk_midrange_k0_vacuous(smallk_records):
+    assert not [r for r in smallk_records['midrange'] if r.k == 0]
 
 
 def test_brute_onedim_small():

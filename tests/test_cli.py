@@ -132,7 +132,8 @@ def test_invalid_input_exit_code(capsys):
     bad_points = ('not-binary', '1.2', '2.', '1/0', '1/3', '')
     cases = [['f', bad] for bad in bad_points] + [
         ['certify-f', '--interval', '1', '2'],     # no --target
-        ['no-such-command'], ['montgomery', '--k', 'abc']]
+        ['no-such-command'], ['montgomery', '--k', 'abc'],
+        ['eval', '0', '5', '--z', 'nan,0']]
     for argv in cases:
         code = main(argv)
         err = json.loads(capsys.readouterr().err)

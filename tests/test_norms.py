@@ -266,6 +266,19 @@ def test_norm_preconditions():
         sup_norm_sq(Segment(0, 100), 128)      # N below 4x length
 
 
+def test_shared_spectra_need_a_prefix():
+    """``spectra`` memoizes prefix spectra under (n, N): a segment that
+    does not start at 0 is refused, not enclosed as its prefix [0, n)."""
+    for norm in (sup_norm_sq, L_norm_sq):
+        with pytest.raises(ValueError):
+            norm(Segment(5, 50), 4096, spectra={})
+        spectra = {}
+        assert (norm(Segment(0, 50), 4096, spectra=spectra)
+                == norm(Segment(0, 50), 4096))
+        assert set(spectra) == {(50, 4096)}
+    assert sup_norm_sq(Segment(5, 50), 4096).contains(153.7)
+
+
 def test_f_dyadic_table_values():
     N = 1 << 20
     for binary, expect in [('1.1', 5.0), ('1.011', 6.25), ('1.0111', 6.625),
