@@ -207,8 +207,6 @@ def _csv_rows(rows: list) -> str:
 
 
 def _cmd_figures(cfg: RunConfig, args) -> int:
-    from .certify2d import certify_g_full
-
     # f-curve over [1, 2] on a dyadic lattice of step 2^-8.
     rows = []
     for u in range(256, 513):
@@ -217,11 +215,7 @@ def _cmd_figures(cfg: RunConfig, args) -> int:
         rows.append([float(x), enc.lo, enc.hi])
     _write_csv(cfg, 'figure_f_curve.csv',
                _csv_rows([['x', 'f_lo', 'f_hi']] + rows))
-    tree = certify_g_full(cfg.N, cfg.max_scale)
-    _write_csv(cfg, 'figure_g_squares.csv', tree.to_csv())
-    result = {'f_curve_points': len(rows),
-              'g_squares': len(tree.records),
-              'files': ['figure_f_curve.csv', 'figure_g_squares.csv']}
+    result = {'f_curve_points': len(rows), 'files': ['figure_f_curve.csv']}
     return _emit(cfg, 'figures', result, True)
 
 
@@ -306,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--kmax', type=int, default=8)
     p.set_defaults(fn=_cmd_dense)
 
-    p = sub.add_parser('figures', help='emit plot CSVs')
+    p = sub.add_parser('figures', help='emit the f-curve CSV')
     p.set_defaults(fn=_cmd_figures)
     return ap
 

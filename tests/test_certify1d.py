@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rsbounds.certify1d import (BINDING_EIGHT, BINDING_HALFSTEP,
@@ -12,6 +13,7 @@ from rsbounds.certify1d import (BINDING_EIGHT, BINDING_HALFSTEP,
                                 check_smallk_L, coverage_to_json, envelope_at,
                                 load_centers, max_radius)
 from rsbounds.dyadic import DyadicPoint
+from rsbounds.evaluate import abs_sq_slack, half_spectrum
 from rsbounds.norms import f_dyadic
 from rsbounds.sequence import Segment, segment_sum_pm1
 
@@ -235,6 +237,25 @@ def test_check_smallk_midrange_k0_vacuous(smallk_records):
     assert not [r for r in smallk_records['midrange'] if r.k == 0]
 
 
+def _grid_sweep(n_max, N):
+    """The grid-only sweep: each n fails when its N-grid maximum plus the
+    floating-point slack gives a ratio above 1 + 1e-6.  Returns the
+    failures and the worst ratio with its n."""
+    failures, worst, worst_n = [], 0.0, 0
+    for n in range(1, n_max + 1):
+        R = half_spectrum(Segment(0, n), N)
+        M = float(np.max(np.abs(R) ** 2)) + abs_sq_slack(n, N)
+        ratio = (math.sqrt(M) + 1.0) ** 2 / (6 * n - 2)
+        if ratio > worst:
+            worst, worst_n = ratio, n
+        if ratio > 1.0 + 1e-6:
+            failures.append(n)
+    return failures, worst, worst_n
+
+
+SHARP = {(2 * 4 ** k + 1) // 3 for k in range(12)}
+
+
 def test_brute_onedim_small():
     rep = brute_onedim(128, 1 << 12)
     assert rep.ok
@@ -242,6 +263,30 @@ def test_brute_onedim_small():
     # ratio reaches 1 at the sharpness points 1, 3, 11, 43
     assert rep.worst_ratio > 1.0 - 1e-9
     assert rep.worst_n in (1, 3, 11, 43)
+
+
+def test_brute_onedim_matches_grid_sweep():
+    """No n that the grid-only sweep passes fails on the engine, and the
+    worst ratio and its n agree."""
+    n_max, N = 512, 1 << 14
+    failures, worst, worst_n = _grid_sweep(n_max, N)
+    rep = brute_onedim(n_max, N)
+    assert not set(rep.failures) - set(failures)
+    assert rep.worst_n == worst_n
+    assert abs(rep.worst_ratio - worst) <= 1e-12
+
+
+@pytest.mark.parametrize('n_max, log2_N', [(128, 12), (2048, 15)])
+def test_brute_onedim_leaves_only_sharp_n_unsettled(n_max, log2_N):
+    rep = brute_onedim(n_max, 1 << log2_N)
+    assert rep.unsettled and set(rep.unsettled) <= SHARP
+    assert rep.ok
+
+
+@pytest.mark.parametrize('n_max, N', [(64, 128), (64, 255), (64, 384), (1, 2)])
+def test_brute_onedim_needs_a_power_of_two_grid(n_max, N):
+    with pytest.raises(ValueError):
+        brute_onedim(n_max, N)
 
 
 def test_sharpness_witnesses_exact():
