@@ -192,7 +192,11 @@ def certify_cover(interval: tuple[Fraction, Fraction], target: float,
                   centers: list[DyadicPoint], N: int) -> CoverageReport:
     """Certify f <= target on [a, b] by the union of certified intervals
     around the given centers; the coverage sweep is exact rational."""
+    if not math.isfinite(target):
+        raise ValueError(f"target {target!r} is not a finite number")
     a, b = Fraction(interval[0]), Fraction(interval[1])
+    if a > b:
+        raise ValueError(f"empty interval [{a}, {b}]")
     records = [max_radius(c, target, N) for c in centers]
     spans = sorted((r.interval for r in records if r.status == 'certified'),
                    key=lambda iv: iv[0])

@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .certify1d import _sqrt_sum_le
 from .dyadic import DyadicPoint
 from .norms import decision, f2_dyadic, g_dyadic
 
@@ -176,11 +177,7 @@ class CertTree:
 
 def _certified(corner_hi: float, k: int, t_min: Fraction) -> bool:
     """Exact test of sqrt(corner_hi) + 3 * 2^{-k/2} <= sqrt(t_min)."""
-    g = Fraction(corner_hi)
-    rest = t_min - g - Fraction(9, 1 << k)
-    if rest < 0:
-        return False
-    return 36 * g * Fraction(1, 1 << k) <= rest * rest
+    return _sqrt_sum_le(Fraction(corner_hi), Fraction(9, 1 << k), t_min)
 
 
 def _run(roots: list[DyadicSquare], enclose, target_min_fn, N: int,

@@ -2,8 +2,9 @@
 grid of N-th roots of unity through a real FFT (half_spectrum), and the
 paired P_t/Q_t recursion.
 
-One core evaluates a segment at a single point; eval_point feeds it phases
-z^e by split exponentiation, eval_point_root by exact index reduction mod N.
+One core evaluates a segment at a single point, in O(log^2 n), by the
+P/Q recursion over the blocks of block_decompose; eval_point feeds it powers
+z^e from the squaring table z^{2^i}, eval_point_root exact phases mod N.
 
 Floating-point error model: a length-L segment evaluated through an FFT of
 size N carries an absolute per-value error of at most
@@ -18,7 +19,6 @@ slack derived from this bound.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Callable
 
@@ -29,10 +29,6 @@ from .sequence import (DEFAULT_MAX_RANGE, CapacityError, Segment,
 
 UNIT_ROUNDOFF = 2.0 ** -53
 C_FFT = 8.0
-
-# Single-point evaluation switches from direct summation to the block
-# decomposition route above this segment length.
-_DIRECT_EVAL_LIMIT = 1 << 26
 
 _UNIT_TOL = 1e-12
 
@@ -83,35 +79,41 @@ def eval_point(seg: Segment, z: complex) -> complex:
     """P over [m, n) at a single unimodular point.
 
     A floating-point z is off the point it stands for by about u in phase,
-    and z^e multiplies that error by e; split exponentiation adds rounding
+    and z^e multiplies that error by e; the squaring table adds rounding
     of the same order.  So the relative error grows to about 10 n u, where
     n is the end of the segment: about 2e-3 at n = 2^44.  For a root of
     unity, eval_point_root reduces phases exactly and has no such loss.
     """
     _check_unit(z)
-    return _eval(seg, z, lambda e: _pow_big(z, e))
+    squares = [z]                              # squares[i] = z^(2^i)
+    for _ in range(seg.n.bit_length() - 1):
+        squares.append(squares[-1] * squares[-1])
 
-
-def _pow_big(z: complex, e: int) -> complex:
-    """z^e for potentially huge integer e, keeping phase drift modest."""
-    if e == 0:
-        return 1 + 0j
-    if e < (1 << 26):
-        return z ** e
-    hi, lo = divmod(e, 1 << 26)
-    z26 = z
-    for _ in range(26):
-        z26 *= z26
-    return _pow_big(z26, hi) * (z ** lo)
+    def power(e: int) -> complex:
+        out = 1 + 0j        # top bit first: shared high bits, shared rounding
+        for i in reversed(range(e.bit_length())):
+            if e >> i & 1:
+                out *= squares[i]
+        return out
+    return _eval(seg, power)
 
 
 def eval_point_root(seg: Segment, j: int, N: int) -> complex:
-    """P over [m, n) at z = exp(2*pi*i*j/N) with all phases reduced by exact
-    integer arithmetic mod N; suitable for offsets of any size."""
+    """P over [m, n) at z = exp(2*pi*i*j/N), every power z^e taken at the
+    exactly reduced index e j mod N; suitable for offsets of any size."""
     if N <= 0:
         raise ValueError("N must be positive")
-    return _eval(seg, cmath.exp(2j * cmath.pi * (j % N) / N),
-                 lambda e: cmath.exp(2j * cmath.pi * ((e * j) % N) / N))
+    return _eval(seg, lambda e: _root(e * j, N))
+
+
+def _root(k: int, N: int) -> complex:
+    """exp(2 pi i k / N), with k reduced in exact integer arithmetic to
+    |k| <= N/2 as in eval_roots: within 8u for a power-of-two N."""
+    k %= N
+    if 2 * k > N:
+        k -= N
+    theta = k * (2.0 * math.pi / N)
+    return complex(math.cos(theta), math.sin(theta))
 
 
 def eval_roots(seg: Segment, js: np.ndarray, N: int) -> np.ndarray:
@@ -139,36 +141,23 @@ def eval_roots(seg: Segment, js: np.ndarray, N: int) -> np.ndarray:
     return terms[:, 0]
 
 
-def _eval(seg: Segment, z: complex,
-          twist: Callable[[int], complex]) -> complex:
-    """P over [m, n) at z, where twist(e) returns z^e for offsets e.
+def _eval(seg: Segment, power: Callable[[int], complex]) -> complex:
+    """P over [m, n) at z, where power(e) returns z^e.
 
-    Short segments are summed directly (Horner up to 2^14 terms, then
-    vectorized powers in chunks of 2^20 terms, each with its own twist).
-    Beyond _DIRECT_EVAL_LIMIT terms the block decomposition plus the P/Q
-    recursion is used.
+    One pass of the recursion, with z^{2^t} = power(2^t), gives P_t and Q_t
+    up to the largest block of block_decompose(seg); the blocks are then
+    summed as sign * power(offset) * (P_t or Q_t).
     """
-    L = seg.length
-    if L == 0:
-        return 0 + 0j
-    if L <= (1 << 14):
-        acc = 0 + 0j
-        for a in coeff_range(seg)[::-1]:
-            acc = acc * z + a
-        return acc * twist(seg.m)
-    if L <= _DIRECT_EVAL_LIMIT:
-        total = 0 + 0j
-        chunk = 1 << 20
-        for start in range(seg.m, seg.n, chunk):
-            stop = min(start + chunk, seg.n)
-            a = coeff_range(Segment(start, stop)).astype(np.float64)
-            p = z ** np.arange(stop - start, dtype=np.float64)
-            total += complex(np.dot(a, p)) * twist(start)
-        return total
-    total = 0 + 0j
-    for b in block_decompose(seg).blocks:
-        p, q = eval_PQ(b.t, z)
-        total += b.sign * twist(b.offset) * (p if b.kind == 'P' else q)
+    blocks = block_decompose(seg).blocks
+    pq = [(1 + 0j, 1 + 0j)]                     # pq[t] = (P_t(z), Q_t(z))
+    for t in range(max((b.t for b in blocks), default=0)):
+        p, q = pq[-1]
+        wq = power(1 << t) * q
+        pq.append((p + wq, p - wq))
+    total = 0j
+    for b in blocks:
+        p, q = pq[b.t]
+        total += b.sign * power(b.offset) * (p if b.kind == 'P' else q)
     return total
 
 

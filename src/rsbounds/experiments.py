@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import Enclosure, L_norm_sq, sup_norm_sq
-from .sequence import Segment, coeff, coeff_range, segment_sum_pm1
+from .norms import Enclosure, L_norm_sq, oversampled_grid, sup_norm_sq
+from .sequence import (DEFAULT_MAX_RANGE, CapacityError, Segment, coeff,
+                       coeff_range, segment_sum_pm1)
 
 
 def critical_pair(k: int) -> tuple[int, int]:
@@ -191,16 +192,19 @@ def dense_limit_empirical(m: int, n: int, k_max: int) -> list[DenseLimitRow]:
     """
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
+    if k_max < 0:
+        raise ValueError(f"k_max must be non-negative, got {k_max}")
     # 16x oversampling keeps the off-grid correction below 2 percent.
-    def grid(length: int) -> int:
-        return 1 << max(6, (16 * length - 1).bit_length())
-
-    target = L_norm_sq(Segment(m, n), grid(n - m)).sqrt()
+    if n - m > (DEFAULT_MAX_RANGE >> 4) >> k_max:
+        raise CapacityError(f"k_max = {k_max}: the 16x grid of the doubled "
+                            f"range exceeds the limit {DEFAULT_MAX_RANGE}")
+    target = L_norm_sq(Segment(m, n),
+                       oversampled_grid(n - m, DEFAULT_MAX_RANGE, 16)).sqrt()
     rows = []
     for k in range(k_max + 1):
         mm, nn = m << k, n << k
-        enc = sup_norm_sq(Segment(mm, nn), grid(nn - mm)).sqrt().scale(
-            2.0 ** (-k / 2.0))
+        N = oversampled_grid(nn - mm, DEFAULT_MAX_RANGE, 16)
+        enc = sup_norm_sq(Segment(mm, nn), N).sqrt().scale(2.0 ** (-k / 2.0))
         rows.append(DenseLimitRow(k=k, ratio=enc, target=target))
     return rows
 

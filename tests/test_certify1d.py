@@ -136,6 +136,15 @@ def test_certify_cover_failure_reports_gap():
     assert any(r.status == 'failed' for r in rep.records)
 
 
+def test_certify_cover_rejects_bad_target_and_interval():
+    for target in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            certify_cover((Fraction(11, 8), Fraction(25, 16)), target,
+                          builtin_centers(1), N)
+    with pytest.raises(ValueError):
+        certify_cover((Fraction(2), Fraction(1)), 9.0, builtin_centers(2), N)
+
+
 def test_coverage_json_roundtrip():
     rep = certify_cover((Fraction(11, 8), Fraction(25, 16)), 7.92,
                         builtin_centers(1), N)

@@ -36,6 +36,18 @@ _DYADIC = st.one_of(
 _POINT = st.one_of(st.sampled_from(['1,0', '0,1', '-1,0', '0.6,0.8', '0,-1']),
                    st.sampled_from(['1', '2,0', 'nan,0', 'inf,0', 'a,b',
                                     '1,0,0', '0.5,0.5', '']))
+# Endpoints drawn independently, so about half the intervals are reversed.
+_CERTIFY_F = st.builds(
+    lambda t, a, b: ('certify-f', '--target', t, '--interval', a, b),
+    st.sampled_from(['7.92', '9', '-1', 'inf', '-inf', 'nan', '1e400', 'x',
+                     '']),
+    st.one_of(_SMALL, _JUNK), st.one_of(_SMALL, _JUNK))
+# (m, n) mostly valid; --kmax negative, huge or junk as often as not.
+_DENSE = st.builds(
+    lambda m, d, k: ('dense', '--m', str(m), '--n', str(m + d), '--kmax', k),
+    st.integers(-1, 6), st.integers(-1, 6),
+    st.sampled_from(['0', '2', '-1', '-3', '23', str(1 << 70), 'x', '1.5',
+                     '']))
 _COMMAND = st.one_of(
     _RANGE.map(lambda mn: ('coeffs', *mn)),
     st.builds(lambda mn, z: ('eval', *mn, '--z', z), _RANGE, _POINT),
@@ -46,11 +58,17 @@ _COMMAND = st.one_of(
     st.builds(lambda k: ('extremal', '--k', k), st.one_of(
         st.integers(0, 5).map(str), st.integers(-3, 5).map(str),
         st.sampled_from(['21', '100', str(1 << 70)]), _JUNK)),
+    _CERTIFY_F, _DENSE,
     st.tuples(st.sampled_from(['', 'nope', 'F', '--grid'])))
 _GRID = st.one_of(st.integers(12, 14), st.integers(4, 14),
                   st.sampled_from([-1, 0, 3, 27, 64]), _JUNK)
 # Mostly whole; else the last 1-3 words cut, or one junk word added.
 _MANGLE = st.one_of(st.just(0), st.just(0), st.integers(1, 3), _JUNK)
+
+
+@pytest.fixture(scope='module')
+def out_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp('out'))
 
 
 def _strict_json(text: str):
@@ -62,15 +80,29 @@ def _strict_json(text: str):
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(grid=_GRID, command=_COMMAND, mangle=_MANGLE)
-def test_cli_error_paths_property(grid, command, mangle):
-    """cli.main never raises: it exits 0 with its output, or 2 with one
-    JSON error document carrying schema_version on stderr."""
-    argv = ['--grid-log2', str(grid), *command]
-    argv = argv + [mangle] if isinstance(mangle, str) else argv[:-mangle or None]
+def test_cli_error_paths_property(out_dir, grid, command, mangle):
+    """cli.main never raises: it exits 0 or 1 (a verdict that does not
+    hold) with its output, or 2 with one JSON error document carrying
+    schema_version on stderr."""
+    argv = ['--out-dir', out_dir, '--grid-log2', str(grid), *command]
+    _check(argv + [mangle] if isinstance(mangle, str)
+           else argv[:-mangle or None])
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(grid=_GRID, command=st.one_of(_CERTIFY_F, _DENSE))
+def test_certify_f_and_dense_values_property(out_dir, grid, command):
+    """The same on whole certify-f and dense commands, so that every drawn
+    value reaches its command: non-finite and junk targets, reversed
+    intervals, negative and junk --kmax."""
+    _check(['--out-dir', out_dir, '--grid-log2', str(grid), *command])
+
+
+def _check(argv: list[str]) -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 2), argv
+    assert code in (0, 1, 2), argv
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1, argv
@@ -79,5 +111,5 @@ def test_cli_error_paths_property(grid, command, mangle):
         assert out.getvalue() == '', argv
     else:
         assert err.getvalue() == '', argv
-        if command[0] != 'coeffs':
+        if 'coeffs' not in argv:
             assert _strict_json(out.getvalue())['schema_version'] == 1, argv

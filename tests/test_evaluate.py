@@ -177,20 +177,20 @@ def test_reversal_identity():
 
 
 def test_block_route_matches_direct():
-    # force the block decomposition path through a long segment
-    from rsbounds import evaluate as ev
-    seg = Segment(37, 37 + 4100)
-    z = grid_point(123, 1 << 12)
-    direct = eval_point(seg, z)
-    old = ev._DIRECT_EVAL_LIMIT
-    ev._DIRECT_EVAL_LIMIT = 1 << 10
-    try:
-        blocked = eval_point(seg, z)
-        blocked_root = eval_point_root(seg, 123, 1 << 12)
-    finally:
-        ev._DIRECT_EVAL_LIMIT = old
-    assert abs(blocked - direct) < 1e-8
-    assert abs(blocked_root - direct) < 1e-8
+    """The block route against eval_roots, the independent pairwise direct
+    sum, on segments of 2^14 terms and more, at offsets up to 2^40."""
+    rng = np.random.default_rng(59)
+    for m, L in [(37, 1 << 14), (0, (1 << 14) + 4100),
+                 (int(rng.integers(0, 1 << 40)), 40000)]:
+        seg = Segment(m, m + L)
+        N = 1 << int(rng.integers(17, 25))
+        js = rng.integers(0, N, 3)
+        for j, direct in zip(map(int, js), eval_roots(seg, js, N)):
+            want = direct * grid_point((m * j) % N, N)        # twisted
+            got = eval_point_root(seg, j, N)
+            assert abs(got - want) <= 2 * eps_direct(L), (m, L, N, j)
+            err = abs(eval_point(seg, grid_point(j, N)) - want)
+            assert err <= 16 * UNIT_ROUNDOFF * (seg.n * abs(want) + L * L)
 
 
 def test_fft_error_model_against_mpmath():
@@ -228,8 +228,9 @@ def test_fft_error_model_against_mpmath():
 
 def test_direct_error_model_against_mpmath():
     """eps_direct must dominate the true error of eval_roots, the arc
-    evaluator behind the coarse-to-fine sup enclosures, at its production
-    sizes (L up to 4096, N = 2^16 .. 2^24, each case's argmax included);
+    evaluator behind the coarse-to-fine sup enclosures, and of the block
+    route of eval_point_root, at the production sizes (L up to 4096,
+    offsets up to 2^40, N = 2^16 .. 2^24, each case's argmax included);
     verified against 50-digit reference sums.  It never exceeds eps_fp on
     the grids enclosures allow (N >= 4 L), so direct values fit the slack."""
     for L in [*range(1, 4097), *(2 ** h + d for h in range(12, 27)
@@ -254,8 +255,12 @@ def test_direct_error_model_against_mpmath():
                     acc = mp.mpc(0)
                     for c in reversed(coeffs):
                         acc = acc * w + c
-                    err = abs(complex(acc) - got)
+                    # eval_point_root's value carries the twist z_j^m
+                    twisted = acc * mp.expj(2 * mp.pi * (m * j % N) / N)
                     bound = eps_direct(n)
-                    assert err <= bound, (n, N, j, err, bound)
-                    worst = max(worst, err / bound)
+                    for err in (abs(complex(acc) - got),
+                                abs(complex(twisted)
+                                    - eval_point_root(seg, j, N))):
+                        assert err <= bound, (n, N, j, err, bound)
+                        worst = max(worst, err / bound)
     assert worst < 0.25

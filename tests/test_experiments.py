@@ -10,7 +10,7 @@ from rsbounds.experiments import (ExtremalPair, L_ratio_lower, critical_pair,
                                   montgomery_counterexample,
                                   random_sphere_target, sphere_sampler,
                                   tail_point, tail_point_root)
-from rsbounds.sequence import Segment, coeff_range
+from rsbounds.sequence import CapacityError, Segment, coeff_range
 
 
 def test_critical_pair_invariants():
@@ -109,6 +109,13 @@ def test_dense_limit_rows():
     assert rows[0].target.contains(2.0)
     with pytest.raises(ValueError):
         dense_limit_empirical(3, 3, 2)
+    with pytest.raises(ValueError):
+        dense_limit_empirical(0, 1, -1)
+    # the 16x grid of 2^23 terms is past the grid limit: refused before work
+    with pytest.raises(CapacityError):
+        dense_limit_empirical(0, 1, 23)
+    with pytest.raises(CapacityError):
+        dense_limit_empirical(0, 1, 1 << 70)
 
 
 def test_dense_limit_trend_toward_target():
