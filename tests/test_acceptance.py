@@ -16,7 +16,7 @@ from rsbounds.certify1d import (brute_onedim, builtin_centers, certify_cover,
 from rsbounds.certify2d import (certify_f2, certify_g_full,
                                 check_exclusion_region)
 from rsbounds.dyadic import DyadicPoint
-from rsbounds.evaluate import abs_sq_slack, eval_PQ
+from rsbounds.evaluate import abs_sq_slack, eval_PQ, eval_roots
 from rsbounds.experiments import (critical_pair, dense_limit_empirical,
                                   montgomery_counterexample, tail_point_root)
 from rsbounds.norms import L_norm_sq, f_dyadic, g_int
@@ -203,14 +203,16 @@ def test_c09_identity_suite():
         a = L_norm_sq(Segment(m, n), 1 << 13)
         b = L_norm_sq(Segment(2 * m, 2 * n), 1 << 13)
         ok &= (b.lo <= 2 * a.hi + 1e-9) and (2 * a.lo <= b.hi + 1e-9)
-    # one-step tail recursion against direct evaluation, k <= 8
-    from rsbounds.evaluate import eval_point_root
+    # one-step tail recursion against the pairwise direct sum of
+    # eval_roots times the twist z^m, k <= 8
+    N = 1 << 20
     for k in range(9):
         mk, nk = critical_pair(k)
-        for _ in range(12):
-            j = int(rng.integers(0, 1 << 20))
-            v1 = tail_point_root(k, j, 1 << 20)
-            v2 = eval_point_root(Segment(mk, nk), j, 1 << 20)
+        js = [int(j) for j in rng.integers(0, N, 12)]
+        direct = eval_roots(Segment(mk, nk), js, N)
+        for j, d in zip(js, direct):
+            v1 = tail_point_root(k, j, N)
+            v2 = d * np.exp(2j * np.pi * (mk * j % N) / N)
             ok &= abs(v1 - v2) <= 1e-8 * max(1.0, abs(v2))
     # g symmetry and doubling
     for _ in range(10):

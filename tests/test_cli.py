@@ -134,7 +134,11 @@ def test_invalid_input_exit_code(capsys):
     cases = [['f', bad] for bad in bad_points] + [
         ['certify-f', '--interval', '1', '2'],     # no --target
         ['no-such-command'], ['montgomery', '--k', 'abc'],
-        ['eval', '0', '5', '--z', 'nan,0']]
+        ['eval', '0', '5', '--z', 'nan,0'],
+        ['certify-f', '--target', 'inf', '--interval', '1', '2'],
+        ['certify-f', '--target', 'nan', '--interval', '1', '2'],
+        ['certify-f', '--target', '9', '--interval', '2', '1'],   # reversed
+        ['dense', '--m', '0', '--n', '1', '--kmax', '-1']]
     for argv in cases:
         code = main(argv)
         err = json.loads(capsys.readouterr().err)

@@ -137,12 +137,17 @@ def test_eval_pq_examples():
 
 
 def test_eval_pq_matches_prefix():
+    """P_t is the sum over [0, 2^t) and Q_t the untwisted sum over
+    [2^t, 2^{t+1}), both taken by eval_roots, the pairwise direct sum."""
     rng = np.random.default_rng(23)
+    N = 1 << 16
     for t in range(0, 11):
-        z = grid_point(int(rng.integers(0, 1 << 16)), 1 << 16)
-        p, q = eval_PQ(t, z)
-        direct = eval_point(Segment(0, 1 << t), z)
-        assert abs(p - direct) < 1e-9 * max(1.0, abs(direct))
+        j = int(rng.integers(0, N))
+        p, q = eval_PQ(t, grid_point(j, N))
+        want_p = eval_roots(Segment(0, 1 << t), [j], N)[0]
+        want_q = eval_roots(Segment(1 << t, 2 << t), [j], N)[0]
+        assert abs(p - want_p) < 1e-9 * max(1.0, abs(want_p))
+        assert abs(q - want_q) < 1e-9 * max(1.0, abs(want_q))
 
 
 def test_parseval_pairs():

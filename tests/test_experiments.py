@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rsbounds.evaluate import eval_point_root
+from rsbounds.evaluate import eval_roots
 from rsbounds.experiments import (ExtremalPair, L_ratio_lower, critical_pair,
                                   dense_limit_empirical, extremal_values,
                                   montgomery_counterexample,
@@ -33,6 +33,8 @@ def test_extremal_values_match_direct_summation():
 
 
 def test_tail_recursion_matches_direct_eval():
+    """Against eval_roots, the pairwise direct sum, times the twist z^m;
+    one point per call keeps its memory at one row of up to 4^10 terms."""
     rng = np.random.default_rng(7)
     N = 1 << 20
     for k in range(0, 11):
@@ -40,7 +42,8 @@ def test_tail_recursion_matches_direct_eval():
         for _ in range(10):
             j = int(rng.integers(0, N))
             via_recursion = tail_point_root(k, j, N)
-            direct = eval_point_root(Segment(m, n), j, N)
+            direct = (eval_roots(Segment(m, n), [j], N)[0]
+                      * cmath.exp(2j * cmath.pi * (m * j % N) / N))
             assert abs(via_recursion - direct) <= 1e-8 * max(1.0, abs(direct))
 
 
@@ -58,9 +61,9 @@ def test_montgomery_point_examples():
     assert montgomery_counterexample(0).point_ratio == pytest.approx(1.0)
     rep = montgomery_counterexample(10)
     assert rep.exceeds_nine and rep.point_ratio > 9.0
-    # independent oracle at k=10: direct summation route
+    # independent oracle at k=10: the pairwise direct sum of eval_roots
     m, n = critical_pair(10)
-    direct = eval_point_root(Segment(m, n), 3, 8)
+    direct = eval_roots(Segment(m, n), [3], 8)[0]
     assert rep.point_ratio == pytest.approx(abs(direct) ** 2 / 4 ** 10,
                                             rel=1e-9)
 
