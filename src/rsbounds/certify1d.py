@@ -40,9 +40,9 @@ from fractions import Fraction
 from importlib import resources
 
 from .dyadic import DyadicPoint
-from .evaluate import abs_sq_slack
+from .evaluate import abs_sq_slack, segment_sum_pm1
 from .norms import Enclosure, L_norm_sq, decision, f_dyadic, sup_norm_sq
-from .sequence import Segment, segment_sum_pm1
+from .sequence import Segment
 
 BINDING_LINEAR = 'case-6x'
 BINDING_EIGHT = 'case-8'

@@ -2,9 +2,12 @@
 grid of N-th roots of unity through a real FFT (half_spectrum), and the
 paired P_t/Q_t recursion.
 
-One core evaluates a segment at a single point, in O(log^2 n), by the
-P/Q recursion over the blocks of block_decompose; eval_point feeds it powers
-z^e from the squaring table z^{2^i}, eval_point_root exact phases mod N.
+One core evaluates a segment at a single point by the P/Q recursion over
+the blocks of block_decompose, in whatever numbers the powers z^e come in:
+eval_point feeds it the squaring table z^{2^i}, eval_point_root exact
+phases mod N, and segment_sum_pm1 the integers 1 and (-1)^e, which gives
+the exact values at z = 1 and z = -1 in O(log n) integer operations.
+eval_PQ is the recursion's pass alone, on the squaring table.
 
 Floating-point error model: a length-L segment evaluated through an FFT of
 size N carries an absolute per-value error of at most
@@ -85,9 +88,7 @@ def eval_point(seg: Segment, z: complex) -> complex:
     unity, eval_point_root reduces phases exactly and has no such loss.
     """
     _check_unit(z)
-    squares = [z]                              # squares[i] = z^(2^i)
-    for _ in range(seg.n.bit_length() - 1):
-        squares.append(squares[-1] * squares[-1])
+    squares = _squares(z, seg.n.bit_length())
 
     def power(e: int) -> complex:
         out = 1 + 0j        # top bit first: shared high bits, shared rounding
@@ -104,6 +105,22 @@ def eval_point_root(seg: Segment, j: int, N: int) -> complex:
     if N <= 0:
         raise ValueError("N must be positive")
     return _eval(seg, lambda e: _root(e * j, N))
+
+
+def segment_sum_pm1(seg: Segment) -> tuple[int, int]:
+    """Exact integers (P(1), P(-1)) for the partial sum over [m, n): the
+    block recursion with powers 1 and (-1)^e, O(log n) integer operations."""
+    return _eval(seg, lambda e: 1), _eval(seg, lambda e: 1 - 2 * (e & 1))
+
+
+def _squares(z: complex, count: int) -> list[complex]:
+    """[z, z^2, z^4, ..., z^(2^(count-1))], each the square of the one
+    before."""
+    squares = []
+    for _ in range(count):
+        squares.append(z)
+        z *= z
+    return squares
 
 
 def _root(k: int, N: int) -> complex:
@@ -142,23 +159,32 @@ def eval_roots(seg: Segment, js: np.ndarray, N: int) -> np.ndarray:
 
 
 def _eval(seg: Segment, power: Callable[[int], complex]) -> complex:
-    """P over [m, n) at z, where power(e) returns z^e.
+    """P over [m, n) at z, where power(e) returns z^e, in the numbers power
+    returns (complex, or int for z = +-1).
 
-    One pass of the recursion, with z^{2^t} = power(2^t), gives P_t and Q_t
-    up to the largest block of block_decompose(seg); the blocks are then
-    summed as sign * power(offset) * (P_t or Q_t).
+    One pass of the recursion gives P_t and Q_t up to the largest block of
+    block_decompose(seg); the blocks are then summed as
+    sign * power(offset) * (P_t or Q_t).
     """
     blocks = block_decompose(seg).blocks
-    pq = [(1 + 0j, 1 + 0j)]                     # pq[t] = (P_t(z), Q_t(z))
-    for t in range(max((b.t for b in blocks), default=0)):
-        p, q = pq[-1]
-        wq = power(1 << t) * q
-        pq.append((p + wq, p - wq))
-    total = 0j
+    top = max((b.t for b in blocks), default=0)
+    pq = _pq([power(1 << t) for t in range(top)])
+    total = 0 * power(0)            # zero in power's numbers, if no blocks
     for b in blocks:
         p, q = pq[b.t]
         total += b.sign * power(b.offset) * (p if b.kind == 'P' else q)
     return total
+
+
+def _pq(ws: list[complex]) -> list[tuple[complex, complex]]:
+    """[(P_t(z), Q_t(z)) for t = 0 .. len(ws)] by P_{t+1} = P_t + w_t Q_t,
+    Q_{t+1} = P_t - w_t Q_t, where ws[t] = z^{2^t}."""
+    pq = [(1, 1)]
+    for w in ws:
+        p, q = pq[-1]
+        wq = w * q
+        pq.append((p + wq, p - wq))
+    return pq
 
 
 def half_spectrum(seg: Segment, N: int) -> np.ndarray:
@@ -182,8 +208,8 @@ def half_spectrum(seg: Segment, N: int) -> np.ndarray:
 
 
 def eval_PQ(t: int, z: complex) -> tuple[complex, complex]:
-    """(P_t(z), Q_t(z)) by the paired recursion P' = P + w Q, Q' = P - w Q
-    with w running through z, z^2, z^4, ...
+    """(P_t(z), Q_t(z)) by the recursion pass of _eval, on the squaring
+    table z, z^2, z^4, ...
 
     Equivalent to the normalized 2x2 matrix-product form used for the unit
     3-sphere sampler, rescaled by 2^{(t+1)/2}.
@@ -191,9 +217,4 @@ def eval_PQ(t: int, z: complex) -> tuple[complex, complex]:
     if t < 0:
         raise ValueError("t must be non-negative")
     _check_unit(z)
-    p, q = 1 + 0j, 1 + 0j
-    w = z
-    for _ in range(t):
-        p, q = p + w * q, p - w * q
-        w *= w
-    return p, q
+    return _pq(_squares(z, t))[t]

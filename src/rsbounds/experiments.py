@@ -20,9 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evaluate import segment_sum_pm1
 from .norms import Enclosure, L_norm_sq, oversampled_grid, sup_norm_sq
-from .sequence import (DEFAULT_MAX_RANGE, CapacityError, Segment, coeff,
-                       coeff_range, segment_sum_pm1)
+from .sequence import DEFAULT_MAX_RANGE, CapacityError, Segment, coeff
+# Unused here, kept because certbench/spans.py traces it through this module.
+from .sequence import coeff_range
 
 
 def critical_pair(k: int) -> tuple[int, int]:
@@ -142,36 +144,15 @@ def montgomery_counterexample(k: int, N: int | None = None
                             N=N)
 
 
-def L_ratio_lower(k: int, N: int) -> tuple[float, float]:
-    """(lower enclosure of the squared L-norm of the critical tail divided
-    by 4^k, closed-form floor 10 - 16 2^-k + 8 4^-k).
+def L_ratio_lower(k: int) -> tuple[float, float]:
+    """(lower bound on the squared L-norm of the critical tail divided by
+    4^k, closed-form floor 10 - 16 2^-k + 8 4^-k).
 
-    For 4^k > N the coefficients are folded mod N, which evaluates the tail
-    exactly on the N-grid and still yields a valid lower enclosure.
+    The bound is (V_k(1)^2 + V_k(-1)^2) / 4^k from the exact integers of
+    segment_sum_pm1, and equals the floor: V_k(+-1) = 3 2^k - 2, -2^k + 2.
     """
-    pair = ExtremalPair(k)
-    length = pair.n - pair.m
-    at_one, at_minus_one = segment_sum_pm1(pair.segment)
-    exact_pair = float(at_one * at_one + at_minus_one * at_minus_one)
-    if length <= N:
-        enc = L_norm_sq(pair.segment, N)
-        lo = enc.lo
-    else:
-        folded = np.zeros(N)
-        offset = pair.m % N
-        chunk = 1 << 22
-        for start in range(pair.m, pair.n, chunk):
-            stop = min(start + chunk, pair.n)
-            a = coeff_range(Segment(start, stop)).astype(np.float64)
-            pos = (offset + (start - pair.m)) % N
-            idx = np.arange(pos, pos + (stop - start)) % N
-            np.add.at(folded, idx, a)
-        R = np.abs(np.fft.rfft(folded)) ** 2
-        from .evaluate import abs_sq_slack
-        lo = float(np.max(R + R[::-1])) - 2.0 * abs_sq_slack(length, N)
-    # The exact integer evaluation at z = +-1 is itself a rigorous lower
-    # bound and recovers the closed-form floor without grid slack.
-    lo = max(lo, exact_pair)
+    at_one, at_minus_one = segment_sum_pm1(ExtremalPair(k).segment)
+    lo = float(at_one * at_one + at_minus_one * at_minus_one)
     floor = 10.0 - 16.0 * 2.0 ** -k + 8.0 * 4.0 ** -k
     return lo / 4 ** k, floor
 

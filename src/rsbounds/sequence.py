@@ -5,6 +5,9 @@ a_{2n} = a_n, a_{2n+1} = (-1)^n a_n.  Equivalently a_n = (-1)^c where c is
 the number of adjacent '11' pairs in the binary expansion of n.  The second
 form is used for production (O(1) per term, constant memory); the recurrence
 serves as the test oracle.
+
+block_decompose splits any range into signed, shifted P_t/Q_t blocks; the
+evaluate module sums them, at z = +-1 in exact integers.
 """
 
 from __future__ import annotations
@@ -46,10 +49,12 @@ def coeff(n: int) -> int:
 
 
 def coeff_range(seg: Segment, max_range: int = DEFAULT_MAX_RANGE) -> np.ndarray:
-    """Signs (a_m, ..., a_{n-1}) as an int8 vector."""
+    """Signs (a_m, ..., a_{n-1}) as an int8 vector; indices below 2^64."""
     if seg.length > max_range:
         raise CapacityError(
             f"range of {seg.length} coefficients exceeds limit {max_range}")
+    if seg.n > 1 << 64:
+        raise CapacityError(f"index {seg.n - 1} exceeds the limit 2^64 - 1")
     if seg.length == 0:
         return np.zeros(0, dtype=np.int8)
     idx = np.arange(seg.m, seg.n, dtype=np.uint64)
@@ -175,34 +180,3 @@ def reconstruct_coefficients(dec: BlockDecomposition,
     if not parts:
         return np.zeros(0, dtype=np.int8)
     return np.concatenate(parts)
-
-
-def partial_sum_pm1(n: int, _memo={0: (0, 0)}) -> tuple[int, int]:
-    """Exact integer pair (sum of a_i for i < n, alternating sum of a_i for
-    i < n), i.e. the prefix evaluated at z = 1 and z = -1.
-
-    Uses the halving identities: with S(n) the plain sum and T(n) the
-    alternating sum, S(2t) = 2 S(ceil(t/2)), T(2t) = 2 (S(t) - S(ceil(t/2))),
-    and appending one term adds a_{n-1} with the appropriate sign.  O(log^2 n).
-    """
-    if n in _memo:
-        return _memo[n]
-    if n % 2:
-        s_prev, t_prev = partial_sum_pm1(n - 1)
-        a = coeff(n - 1)
-        res = (s_prev + a, t_prev + a)   # even index n-1: +a for both
-    else:
-        t_half = n // 2
-        s_half, _ = partial_sum_pm1(t_half)
-        s_ceil, _ = partial_sum_pm1((t_half + 1) // 2)
-        res = (2 * s_ceil, 2 * (s_half - s_ceil))
-    if len(_memo) < 1 << 16:
-        _memo[n] = res
-    return res
-
-
-def segment_sum_pm1(seg: Segment) -> tuple[int, int]:
-    """Exact (P(1), P(-1)) for the partial sum over [m, n)."""
-    s_n, t_n = partial_sum_pm1(seg.n)
-    s_m, t_m = partial_sum_pm1(seg.m)
-    return s_n - s_m, t_n - t_m

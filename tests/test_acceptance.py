@@ -16,11 +16,12 @@ from rsbounds.certify1d import (brute_onedim, builtin_centers, certify_cover,
 from rsbounds.certify2d import (certify_f2, certify_g_full,
                                 check_exclusion_region)
 from rsbounds.dyadic import DyadicPoint
-from rsbounds.evaluate import abs_sq_slack, eval_PQ, eval_roots
+from rsbounds.evaluate import (abs_sq_slack, eval_PQ, eval_roots,
+                               segment_sum_pm1)
 from rsbounds.experiments import (critical_pair, dense_limit_empirical,
                                   montgomery_counterexample, tail_point_root)
 from rsbounds.norms import L_norm_sq, f_dyadic, g_int
-from rsbounds.sequence import Segment, coeff_range, segment_sum_pm1
+from rsbounds.sequence import Segment, coeff_range
 
 FIXTURES = Path(__file__).parent / 'fixtures'
 

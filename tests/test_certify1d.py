@@ -13,9 +13,9 @@ from rsbounds.certify1d import (BINDING_EIGHT, BINDING_HALFSTEP,
                                 check_smallk_L, coverage_to_json, envelope_at,
                                 load_centers, max_radius)
 from rsbounds.dyadic import DyadicPoint
-from rsbounds.evaluate import abs_sq_slack, half_spectrum
+from rsbounds.evaluate import abs_sq_slack, half_spectrum, segment_sum_pm1
 from rsbounds.norms import f_dyadic
-from rsbounds.sequence import Segment, segment_sum_pm1
+from rsbounds.sequence import Segment
 
 N = 1 << 20
 

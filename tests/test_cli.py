@@ -138,7 +138,12 @@ def test_invalid_input_exit_code(capsys):
         ['certify-f', '--target', 'inf', '--interval', '1', '2'],
         ['certify-f', '--target', 'nan', '--interval', '1', '2'],
         ['certify-f', '--target', '9', '--interval', '2', '1'],   # reversed
-        ['dense', '--m', '0', '--n', '1', '--kmax', '-1']]
+        ['dense', '--m', '0', '--n', '1', '--kmax', '-1'],
+        # indices past 2^64 - 1
+        ['coeffs', str(1 << 64), str((1 << 64) + 4)],
+        ['eval', str(1 << 64), str((1 << 64) + 4), '--grid'],
+        ['dense', '--m', str(1 << 64), '--n', str((1 << 64) + 1),
+         '--kmax', '0']]
     for argv in cases:
         code = main(argv)
         err = json.loads(capsys.readouterr().err)

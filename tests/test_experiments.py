@@ -86,20 +86,21 @@ def test_montgomery_grid_ratio():
 
 
 def test_L_ratio_lower_examples():
-    lo, floor = L_ratio_lower(1, 1 << 10)
+    lo, floor = L_ratio_lower(1)
     assert 4.0 <= lo <= 10.0 and floor == pytest.approx(4.0)
-    lo, floor = L_ratio_lower(5, 1 << 16)
+    lo, floor = L_ratio_lower(5)
     assert floor == pytest.approx(10.0 - 16.0 / 32 + 8.0 / 1024)
-    assert floor - 1e-12 <= lo <= 10.0
-    # folded evaluation (4^k beyond the grid) still a valid lower bound
-    lo, floor = L_ratio_lower(9, 1 << 14)
     assert floor - 1e-12 <= lo <= 10.0
 
 
 def test_L_ratio_never_exceeds_ten():
-    for k, nlog in [(0, 10), (2, 10), (4, 12), (6, 16), (8, 18)]:
-        lo, _ = L_ratio_lower(k, 1 << nlog)
-        assert lo <= 10.0 + 1e-9
+    """lo is the exact +-1 ratio, which is the closed-form floor."""
+    for k in range(21):
+        lo, floor = L_ratio_lower(k)
+        at_one, at_minus_one = extremal_values(k)
+        assert (at_one, at_minus_one) == (3 * 2 ** k - 2, -(2 ** k) + 2)
+        assert lo == (at_one ** 2 + at_minus_one ** 2) / 4 ** k
+        assert floor - 1e-12 <= lo <= 10.0
 
 
 def test_dense_limit_rows():

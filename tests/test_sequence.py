@@ -1,11 +1,13 @@
+import time
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from rsbounds.evaluate import segment_sum_pm1
 from rsbounds.sequence import (CapacityError, Segment, block_decompose,
                                coeff, coeff_range, coeff_range_oracle,
-                               partial_sum_pm1, pq_coeffs,
-                               reconstruct_coefficients, segment_sum_pm1)
+                               pq_coeffs, reconstruct_coefficients)
 
 
 def test_coeff_examples():
@@ -40,6 +42,11 @@ def test_coeff_range_offsets_match_scalar():
 def test_coeff_range_capacity():
     with pytest.raises(CapacityError):
         coeff_range(Segment(0, 1 << 30), max_range=1 << 20)
+    # indices are uint64: the last one that fits is 2^64 - 1
+    top = coeff_range(Segment((1 << 64) - 4, 1 << 64))
+    assert list(top) == [coeff((1 << 64) - 4 + i) for i in range(4)]
+    with pytest.raises(CapacityError):
+        coeff_range(Segment(1 << 64, (1 << 64) + 4))
 
 
 def test_segment_validation():
@@ -94,7 +101,21 @@ def test_partial_sums_match_cumsum():
     s = np.cumsum(a)
     t = np.cumsum(a * np.where(np.arange(n) % 2, -1, 1))
     for i in range(1, n + 1):
-        assert partial_sum_pm1(i) == (int(s[i - 1]), int(t[i - 1]))
+        assert segment_sum_pm1(Segment(0, i)) == (int(s[i - 1]),
+                                                  int(t[i - 1]))
+
+
+def test_segment_sums_need_no_cache():
+    """Thousands of large offsets, then fresh 48-bit ends: each sum is
+    O(log n) integer work, with nothing kept between calls."""
+    start = time.perf_counter()
+    for i in range(2000):
+        m = (1 << 62) + 7919 * i * i
+        segment_sum_pm1(Segment(m, m + 1000 + i))
+    for i in range(20):
+        n = (1 << 47) + 104729 * i + 1
+        segment_sum_pm1(Segment(n // 3, n))
+    assert time.perf_counter() - start < 5.0
 
 
 def test_segment_sums():
