@@ -33,7 +33,6 @@ about 2200 n.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -255,15 +254,6 @@ class SmallRangeRecord:
     def ok(self) -> bool:
         return self.ok_L or self.ok_sup
 
-    def to_dict(self) -> dict:
-        return {
-            'k': self.k, 'n': self.n, 'bound': self.bound,
-            'L_lo': self.L_enc.lo, 'L_hi': self.L_enc.hi,
-            'sup_lo': self.sup_enc.lo, 'sup_hi': self.sup_enc.hi,
-            'value_at_one': self.value_at_one,
-            'ok_L': self.ok_L, 'ok_sup': self.ok_sup, 'ok': self.ok,
-        }
-
 
 _REFINE_CAP = 1 << 22
 
@@ -372,8 +362,3 @@ def brute_onedim(n_max: int, N: int) -> BruteForceReport:
                             worst_n=worst_n, failures=failures,
                             unsettled=unsettled)
 
-
-def coverage_to_json(report: CoverageReport, **meta) -> str:
-    payload = dict(meta)
-    payload['coverage'] = report.to_dict()
-    return json.dumps(payload, indent=2, sort_keys=True)

@@ -2,25 +2,26 @@
 and the constrained root sampling on the unit 3-sphere.
 
 The critical pair m_k = (5 4^k + 1)/3, n_k = (8 4^k + 1)/3 spans 4^k terms.
-The tail satisfies the exact one-step recursion
+The tail V_k, the partial sum over [m_k, n_k), is a Segment like any other
+and is evaluated by the P/Q block recursion of the evaluate module, at
+exact phases for roots of unity.  It satisfies the one-step recursion
 
     V_{k+1}(z) = (1 + z) V_k(z^4) + (z^2 - z^3) V_k(-z^4)
                  + z^{m_{k+1}} + z^{n_{k+1}}
 
-with V_0(z) = z^2, which evaluates any V_k at a single point in O(k) work;
-direct coefficient summation is the oracle for small k.
+with V_0(z) = z^2, an identity that the acceptance suite (criterion 9)
+checks against direct coefficient summation.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import segment_sum_pm1
+from .evaluate import eval_point, eval_point_root, segment_sum_pm1
 from .norms import Enclosure, L_norm_sq, oversampled_grid, sup_norm_sq
 from .sequence import DEFAULT_MAX_RANGE, CapacityError, Segment, coeff
 # Unused here, kept because certbench/spans.py traces it through this module.
@@ -75,37 +76,16 @@ def extremal_values(k: int) -> tuple[int, int]:
     return at_one, at_minus_one
 
 
+# tail_point and tail_point_root are kept because certbench/spans.py traces
+# them through this module.
 def tail_point(k: int, z: complex) -> complex:
-    """V_k(z) via the one-step recursion; O(k) arithmetic.
-
-    Phases z^{m_j} are computed by complex exponentiation, which keeps
-    roughly 1e-9 phase accuracy up to k around 14; use tail_point_root for
-    exact phase reduction at any k.
-    """
-    ws = [z]
-    for _ in range(k):
-        ws.append(ws[-1] ** 4)
-    return _tail(k, lambda i, e: ws[i] ** e)
+    """V_k(z) at a unimodular float z, by eval_point."""
+    return eval_point(ExtremalPair(k).segment, z)
 
 
 def tail_point_root(k: int, j: int, N: int) -> complex:
-    """V_k at z = exp(2*pi*i*j/N) with exact integer phase reduction."""
-    return _tail(k, lambda i, e: cmath.exp(
-        2j * cmath.pi * ((j * 4 ** i * e) % N) / N))
-
-
-def _tail(k: int, power: Callable[[int, int], complex]) -> complex:
-    """V_k(z) by the one-step recursion, where power(i, e) returns
-    (z^{4^i})^e."""
-    a = b = power(k, 2)         # V_0 at +-w is w^2 either way
-    for lvl in range(1, k + 1):
-        y = power(k - lvl, 1)
-        m, n = critical_pair(lvl)
-        pm, pn = power(k - lvl, m), power(k - lvl, n)
-        # m and n are odd for every level, so (-y)^m = -y^m, (-y)^n = -y^n.
-        a, b = ((1 + y) * a + (y * y - y ** 3) * b + pm + pn,
-                (1 - y) * a + (y * y + y ** 3) * b - pm - pn)
-    return a
+    """V_k at z = exp(2*pi*i*j/N) with exact phases, by eval_point_root."""
+    return eval_point_root(ExtremalPair(k).segment, j, N)
 
 
 @dataclass(frozen=True)
@@ -126,7 +106,7 @@ def montgomery_counterexample(k: int, N: int | None = None
     if not 0 <= k <= 40:
         raise ValueError("supported range is 0 <= k <= 40")
     # exp(3 pi i / 4) is the N = 8, j = 3 grid root: exact phases.
-    val = tail_point_root(k, 3, 8)
+    val = eval_point_root(ExtremalPair(k).segment, 3, 8)
     point_ratio = abs(val) ** 2 / 4 ** k
     grid_hi = grid_lo = None
     if N is not None:

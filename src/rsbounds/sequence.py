@@ -48,11 +48,11 @@ def coeff(n: int) -> int:
     return 1 - 2 * ((n & (n >> 1)).bit_count() & 1)
 
 
-def coeff_range(seg: Segment, max_range: int = DEFAULT_MAX_RANGE) -> np.ndarray:
+def coeff_range(seg: Segment) -> np.ndarray:
     """Signs (a_m, ..., a_{n-1}) as an int8 vector; indices below 2^64."""
-    if seg.length > max_range:
-        raise CapacityError(
-            f"range of {seg.length} coefficients exceeds limit {max_range}")
+    if seg.length > DEFAULT_MAX_RANGE:
+        raise CapacityError(f"range of {seg.length} coefficients exceeds "
+                            f"limit {DEFAULT_MAX_RANGE}")
     if seg.n > 1 << 64:
         raise CapacityError(f"index {seg.n - 1} exceeds the limit 2^64 - 1")
     if seg.length == 0:
@@ -162,21 +162,19 @@ def pq_coeffs(t: int) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def block_coefficients(block: Block,
-                       max_range: int = DEFAULT_MAX_RANGE) -> np.ndarray:
-    if block.length > max_range:
+def block_coefficients(block: Block) -> np.ndarray:
+    if block.length > DEFAULT_MAX_RANGE:
         raise CapacityError("block too long to materialize")
     p, q = pq_coeffs(block.t)
     base = p if block.kind == 'P' else q
     return (block.sign * base).astype(np.int8)
 
 
-def reconstruct_coefficients(dec: BlockDecomposition,
-                             max_range: int = DEFAULT_MAX_RANGE) -> np.ndarray:
+def reconstruct_coefficients(dec: BlockDecomposition) -> np.ndarray:
     """Concatenate per-block coefficients; must equal coeff_range exactly."""
-    if dec.segment.length > max_range:
+    if dec.segment.length > DEFAULT_MAX_RANGE:
         raise CapacityError("segment too long to materialize")
-    parts = [block_coefficients(b, max_range) for b in dec.blocks]
+    parts = [block_coefficients(b) for b in dec.blocks]
     if not parts:
         return np.zeros(0, dtype=np.int8)
     return np.concatenate(parts)

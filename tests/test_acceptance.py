@@ -19,7 +19,7 @@ from rsbounds.dyadic import DyadicPoint
 from rsbounds.evaluate import (abs_sq_slack, eval_PQ, eval_roots,
                                segment_sum_pm1)
 from rsbounds.experiments import (critical_pair, dense_limit_empirical,
-                                  montgomery_counterexample, tail_point_root)
+                                  montgomery_counterexample)
 from rsbounds.norms import L_norm_sq, f_dyadic, g_int
 from rsbounds.sequence import Segment, coeff_range
 
@@ -204,17 +204,32 @@ def test_c09_identity_suite():
         a = L_norm_sq(Segment(m, n), 1 << 13)
         b = L_norm_sq(Segment(2 * m, 2 * n), 1 << 13)
         ok &= (b.lo <= 2 * a.hi + 1e-9) and (2 * a.lo <= b.hi + 1e-9)
-    # one-step tail recursion against the pairwise direct sum of
-    # eval_roots times the twist z^m, k <= 8
+    # the one-step tail recursion
+    #   V_{k+1}(z) = (1 + z) V_k(z^4) + (z^2 - z^3) V_k(-z^4)
+    #                + z^{m_{k+1}} + z^{n_{k+1}},  k <= 7,
+    # with every V the pairwise direct sum of eval_roots times the twist
+    # z^m, at exact phases: z^4 = z_{4j} and -z^4 = z_{4j + N/2}
     N = 1 << 20
-    for k in range(9):
+
+    def root(e):
+        return np.exp(2j * np.pi * (e % N) / N)
+
+    def tail(k, js):
         mk, nk = critical_pair(k)
-        js = [int(j) for j in rng.integers(0, N, 12)]
         direct = eval_roots(Segment(mk, nk), js, N)
-        for j, d in zip(js, direct):
-            v1 = tail_point_root(k, j, N)
-            v2 = d * np.exp(2j * np.pi * (mk * j % N) / N)
-            ok &= abs(v1 - v2) <= 1e-8 * max(1.0, abs(v2))
+        return [d * root(mk * j) for j, d in zip(js, direct)]
+
+    for k in range(8):
+        m1, n1 = critical_pair(k + 1)
+        js = [int(j) for j in rng.integers(0, N, 12)]
+        lhs = tail(k + 1, js)
+        at_z4 = tail(k, [4 * j for j in js])
+        at_minus_z4 = tail(k, [4 * j + N // 2 for j in js])
+        for j, v, a, b in zip(js, lhs, at_z4, at_minus_z4):
+            z = root(j)
+            rhs = ((1 + z) * a + (z ** 2 - z ** 3) * b
+                   + root(m1 * j) + root(n1 * j))
+            ok &= abs(v - rhs) <= 1e-8 * max(1.0, abs(v))
     # g symmetry and doubling
     for _ in range(10):
         r, s = int(rng.integers(0, 48)), int(rng.integers(0, 48))

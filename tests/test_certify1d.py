@@ -10,7 +10,7 @@ import pytest
 from rsbounds.certify1d import (BINDING_EIGHT, BINDING_HALFSTEP,
                                 BINDING_LINEAR, BINDING_NINE,
                                 brute_onedim, builtin_centers, certify_cover,
-                                check_smallk_L, coverage_to_json, envelope_at,
+                                check_smallk_L, envelope_at,
                                 load_centers, max_radius)
 from rsbounds.dyadic import DyadicPoint
 from rsbounds.evaluate import abs_sq_slack, half_spectrum, segment_sum_pm1
@@ -148,9 +148,9 @@ def test_certify_cover_rejects_bad_target_and_interval():
 def test_coverage_json_roundtrip():
     rep = certify_cover((Fraction(11, 8), Fraction(25, 16)), 7.92,
                         builtin_centers(1), N)
-    doc = json.loads(coverage_to_json(rep, note='test'))
-    assert doc['coverage']['covered'] is True
-    assert len(doc['coverage']['records']) == 5
+    doc = json.loads(json.dumps(rep.to_dict()))
+    assert doc['covered'] is True
+    assert len(doc['records']) == 5
 
 
 def test_load_centers_from_text(tmp_path):

@@ -57,6 +57,14 @@ def test_tail_point_generic_matches_root_form():
         assert abs(a - b) < 1e-7 * max(1.0, abs(b))
 
 
+def test_tail_rejects_negative_k():
+    for k in (-1, -2, -3, -10):
+        with pytest.raises(ValueError, match="non-negative"):
+            tail_point(k, 1j)
+        with pytest.raises(ValueError, match="non-negative"):
+            tail_point_root(k, 3, 8)
+
+
 def test_montgomery_point_examples():
     assert montgomery_counterexample(0).point_ratio == pytest.approx(1.0)
     rep = montgomery_counterexample(10)
@@ -71,7 +79,8 @@ def test_montgomery_point_examples():
 def test_montgomery_convergence_rate():
     limit = 5.0 + 7.0 / math.sqrt(2.0)
     fitted = 0.0
-    for k in range(4, 13):
+    # from k = 32 on the indices pass 2^64: no coefficient vector exists
+    for k in range(4, 41):
         ratio = montgomery_counterexample(k).point_ratio
         fitted = max(fitted, abs(ratio - limit) * 2.0 ** k)
     assert fitted < 60.0          # |ratio(k) - limit| <= C' 2^-k

@@ -5,9 +5,10 @@ import numpy.testing as npt
 import pytest
 
 from rsbounds.evaluate import segment_sum_pm1
-from rsbounds.sequence import (CapacityError, Segment, block_decompose,
-                               coeff, coeff_range, coeff_range_oracle,
-                               pq_coeffs, reconstruct_coefficients)
+from rsbounds.sequence import (DEFAULT_MAX_RANGE, CapacityError, Segment,
+                               block_decompose, coeff, coeff_range,
+                               coeff_range_oracle, pq_coeffs,
+                               reconstruct_coefficients)
 
 
 def test_coeff_examples():
@@ -41,7 +42,7 @@ def test_coeff_range_offsets_match_scalar():
 
 def test_coeff_range_capacity():
     with pytest.raises(CapacityError):
-        coeff_range(Segment(0, 1 << 30), max_range=1 << 20)
+        coeff_range(Segment(0, DEFAULT_MAX_RANGE + 1))
     # indices are uint64: the last one that fits is 2^64 - 1
     top = coeff_range(Segment((1 << 64) - 4, 1 << 64))
     assert list(top) == [coeff((1 << 64) - 4 + i) for i in range(4)]
