@@ -11,14 +11,13 @@ from .dyadic import DyadicPoint
 from .evaluate import eval_point, eval_point_root, eval_PQ
 from .norms import (Enclosure, L_norm_sq, f2_dyadic, f_dyadic, g_dyadic,
                     g_int, sup_norm_sq)
-from .sequence import (Block, BlockDecomposition, Segment, block_decompose,
-                       coeff, coeff_range)
+from .sequence import Block, Segment, block_decompose, coeff, coeff_range
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Block", "BlockDecomposition", "DyadicPoint", "Enclosure", "L_norm_sq",
-    "RunConfig", "Segment", "block_decompose", "coeff", "coeff_range",
+    "Block", "DyadicPoint", "Enclosure", "L_norm_sq", "RunConfig",
+    "Segment", "block_decompose", "coeff", "coeff_range",
     "eval_PQ", "eval_point", "eval_point_root", "f2_dyadic", "f_dyadic",
     "g_dyadic", "g_int", "sup_norm_sq", "__version__",
 ]

@@ -83,7 +83,11 @@ def _cmd_eval(cfg: RunConfig, args) -> int:
             'argmax_index': j,
         }
         return _emit(cfg, 'eval', result, True)
-    re, im = (float(t) for t in args.z.split(','))
+    try:
+        re, im = map(float, args.z.split(','))
+    except ValueError:
+        raise ValueError(
+            f"--z takes a point as re,im, got {args.z!r}") from None
     val = eval_point(seg, complex(re, im))
     return _emit(cfg, 'eval', {'value': [val.real, val.imag]}, True)
 

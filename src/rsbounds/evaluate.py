@@ -4,10 +4,11 @@ paired P_t/Q_t recursion.
 
 One core evaluates a segment at a single point by the P/Q recursion over
 the blocks of block_decompose, in whatever numbers the powers z^e come in:
-eval_point feeds it the squaring table z^{2^i}, eval_point_root exact
-phases mod N, and segment_sum_pm1 the integers 1 and (-1)^e, which gives
-the exact values at z = 1 and z = -1 in O(log n) integer operations.
-eval_PQ is the recursion's pass alone, on the squaring table.
+eval_point_root feeds it exact phases mod N, and segment_sum_pm1 the
+integers 1 and (-1)^e, which gives the exact values at z = 1 and z = -1 in
+O(log n) integer operations.  eval_point reads a floating-point z as the
+nearest root of unity of order 2^53 and goes through eval_point_root.
+eval_PQ is the recursion's pass alone, on the squaring table z, z^2, ...
 
 Floating-point error model: a length-L segment evaluated through an FFT of
 size N carries an absolute per-value error of at most
@@ -22,6 +23,7 @@ slack derived from this bound.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Callable
 
@@ -32,6 +34,8 @@ from .sequence import (DEFAULT_MAX_RANGE, CapacityError, Segment,
 
 UNIT_ROUNDOFF = 2.0 ** -53
 C_FFT = 8.0
+_PHASE_ORDER = 1 << 53      # eval_point reads z as a root of this order
+_AXES = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
 
 _UNIT_TOL = 1e-12
 
@@ -79,24 +83,19 @@ def _check_unit(z: complex) -> None:
 
 
 def eval_point(seg: Segment, z: complex) -> complex:
-    """P over [m, n) at a single unimodular point.
+    """P over [m, n) at a single unimodular point, read as the nearest root
+    of unity of order 2^53 and evaluated there by eval_point_root.
 
-    A floating-point z is off the point it stands for by about u in phase,
-    and z^e multiplies that error by e; the squaring table adds rounding
-    of the same order.  So the relative error grows to about 10 n u, where
-    n is the end of the segment: about 2e-3 at n = 2^44.  For a root of
-    unity, eval_point_root reduces phases exactly and has no such loss.
+    Rounding the phase moves the point by at most 2^-54 of a turn (pi u
+    radians), the order of the float's own phase uncertainty.  Every power
+    z^e is then taken at an exactly reduced phase, so the value stays
+    finite and of modulus at most about n - m at any offset.  Against P at
+    z's own phase it errs by at most 10 n u max(1, |P|), where n is the
+    end of the segment.
     """
     _check_unit(z)
-    squares = _squares(z, seg.n.bit_length())
-
-    def power(e: int) -> complex:
-        out = 1 + 0j        # top bit first: shared high bits, shared rounding
-        for i in reversed(range(e.bit_length())):
-            if e >> i & 1:
-                out *= squares[i]
-        return out
-    return _eval(seg, power)
+    j = round(cmath.phase(z) / (2.0 * math.pi) * _PHASE_ORDER)
+    return eval_point_root(seg, j, _PHASE_ORDER)
 
 
 def eval_point_root(seg: Segment, j: int, N: int) -> complex:
@@ -125,8 +124,11 @@ def _squares(z: complex, count: int) -> list[complex]:
 
 def _root(k: int, N: int) -> complex:
     """exp(2 pi i k / N), with k reduced in exact integer arithmetic to
-    |k| <= N/2 as in eval_roots: within 8u for a power-of-two N."""
+    |k| <= N/2 as in eval_roots: within 8u for a power-of-two N, and exact
+    on the axes, so that z = +-1 and +-i give exact sums."""
     k %= N
+    if 4 * k % N == 0:
+        return _AXES[4 * k // N]
     if 2 * k > N:
         k -= N
     theta = k * (2.0 * math.pi / N)
@@ -166,7 +168,7 @@ def _eval(seg: Segment, power: Callable[[int], complex]) -> complex:
     block_decompose(seg); the blocks are then summed as
     sign * power(offset) * (P_t or Q_t).
     """
-    blocks = block_decompose(seg).blocks
+    blocks = block_decompose(seg)
     top = max((b.t for b in blocks), default=0)
     pq = _pq([power(1 << t) for t in range(top)])
     total = 0 * power(0)            # zero in power's numbers, if no blocks
@@ -209,7 +211,7 @@ def half_spectrum(seg: Segment, N: int) -> np.ndarray:
 
 def eval_PQ(t: int, z: complex) -> tuple[complex, complex]:
     """(P_t(z), Q_t(z)) by the recursion pass of _eval, on the squaring
-    table z, z^2, z^4, ...
+    table z, z^2, z^4, ...; its callers take t <= 22 and no offset.
 
     Equivalent to the normalized 2x2 matrix-product form used for the unit
     3-sphere sampler, rescaled by 2^{(t+1)/2}.

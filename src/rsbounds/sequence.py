@@ -6,8 +6,9 @@ the number of adjacent '11' pairs in the binary expansion of n.  The second
 form is used for production (O(1) per term, constant memory); the recurrence
 serves as the test oracle.
 
-block_decompose splits any range into signed, shifted P_t/Q_t blocks; the
-evaluate module sums them, at z = +-1 in exact integers.
+block_decompose tiles any range greedily by signed, aligned P_t/Q_t blocks;
+the evaluate module sums them at a point, in floating point at a root of
+unity or in exact integers at z = +-1.
 """
 
 from __future__ import annotations
@@ -90,91 +91,22 @@ class Block:
         return 1 << self.t
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    segment: Segment
-    blocks: tuple[Block, ...]
+def block_decompose(seg: Segment) -> tuple[Block, ...]:
+    """Greedy tiling of [m, n) by aligned P/Q blocks, in ascending order.
 
-    def total_length(self) -> int:
-        return sum(b.length for b in self.blocks)
-
-
-def _peel(offset: int, length: int, ascending: bool) -> list[Block]:
-    """Tile [offset, offset + length) (ascending) or [offset - length, offset)
-    with blocks whose lengths are the binary digits of `length`, largest first
-    adjacent to `offset`'s coarse side."""
-    blocks = []
-    o = offset
-    for t in range(length.bit_length() - 1, -1, -1):
-        if not (length >> t) & 1:
-            continue
-        if ascending:
-            blocks.append(_make_block(o, t))
-            o += 1 << t
-        else:
-            o -= 1 << t
-            blocks.append(_make_block(o, t))
-    if not ascending:
-        blocks.reverse()
-    return blocks
-
-
-def _make_block(offset: int, t: int) -> Block:
-    idx = offset >> t
-    kind = 'P' if idx % 2 == 0 else 'Q'
-    return Block(offset=offset, t=t, kind=kind, sign=coeff(idx))
-
-
-def block_decompose(seg: Segment) -> BlockDecomposition:
-    """Greedy decomposition of [m, n) into aligned P/Q blocks.
-
-    Splits at the multiple of the largest power of two lying in [m, n], then
-    peels binary block lengths off both sides.  The block at index j of scale
-    t covers [j 2^t, (j+1) 2^t) and equals a_j z^{j 2^t} P_t(z) for even j and
-    a_j z^{j 2^t} Q_t(z) for odd j.
+    From o = m, each step takes the largest aligned block that fits,
+    t = min(v2(o), floor(log2(n - o))), so there are at most
+    2 * bit_length(n - m) blocks.  The block at index j = o / 2^t of scale
+    t covers [j 2^t, (j+1) 2^t) and equals a_j z^{j 2^t} P_t(z) for even j
+    and a_j z^{j 2^t} Q_t(z) for odd j.
     """
-    m, n = seg.m, seg.n
-    if m == n:
-        return BlockDecomposition(seg, ())
-    if m == 0:
-        split = 0
-    else:
-        k = 0
-        while True:
-            step = 1 << (k + 1)
-            if -(-m // step) * step <= n:
-                k += 1
-            else:
-                break
-        split = -(-m // (1 << k)) * (1 << k)
-    blocks = _peel(split, split - m, ascending=False)
-    blocks += _peel(split, n - split, ascending=True)
-    return BlockDecomposition(seg, tuple(blocks))
-
-
-def pq_coeffs(t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient vectors of P_t and Q_t (int8, length 2^t), by the paired
-    doubling recursion P' = P | Q, Q' = P | -Q."""
-    p = np.array([1], dtype=np.int8)
-    q = np.array([1], dtype=np.int8)
-    for _ in range(t):
-        p, q = np.concatenate([p, q]), np.concatenate([p, -q])
-    return p, q
-
-
-def block_coefficients(block: Block) -> np.ndarray:
-    if block.length > DEFAULT_MAX_RANGE:
-        raise CapacityError("block too long to materialize")
-    p, q = pq_coeffs(block.t)
-    base = p if block.kind == 'P' else q
-    return (block.sign * base).astype(np.int8)
-
-
-def reconstruct_coefficients(dec: BlockDecomposition) -> np.ndarray:
-    """Concatenate per-block coefficients; must equal coeff_range exactly."""
-    if dec.segment.length > DEFAULT_MAX_RANGE:
-        raise CapacityError("segment too long to materialize")
-    parts = [block_coefficients(b) for b in dec.blocks]
-    if not parts:
-        return np.zeros(0, dtype=np.int8)
-    return np.concatenate(parts)
+    blocks = []
+    o = seg.m
+    while o < seg.n:
+        t = (seg.n - o).bit_length() - 1
+        if o:
+            t = min(t, (o & -o).bit_length() - 1)
+        j = o >> t
+        blocks.append(Block(o, t, 'Q' if j & 1 else 'P', coeff(j)))
+        o += 1 << t
+    return tuple(blocks)

@@ -60,6 +60,18 @@ def test_eval_point_and_grid(capsys):
         abs(eval_point_root(Segment(5, 77), j, 256)))
 
 
+def test_eval_point_large_offset_is_strict_json(capsys):
+    """At offsets past 2^53 the value stays finite, so stdout stays strict
+    JSON (no NaN)."""
+    m = (1 << 80) - 6
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+    code, out = run_cli(capsys, 'eval', str(m), str(m + 10), '--z', '0.6,0.8')
+    value = json.loads(out, parse_constant=reject)['result']['value']
+    assert code == 0 and abs(complex(*value)) <= 10
+
+
 def test_certify_f_builtin(capsys, tmp_path):
     code, out = run_cli(capsys, '--grid-log2', '18', '--out-dir',
                         str(tmp_path), 'certify-f', '--table', 'builtin:1',
@@ -135,6 +147,7 @@ def test_invalid_input_exit_code(capsys):
         ['certify-f', '--interval', '1', '2'],     # no --target
         ['no-such-command'], ['montgomery', '--k', 'abc'],
         ['eval', '0', '5', '--z', 'nan,0'],
+        ['eval', '0', '5', '--z', '1'], ['eval', '0', '5', '--z', '1,0,0'],
         ['certify-f', '--target', 'inf', '--interval', '1', '2'],
         ['certify-f', '--target', 'nan', '--interval', '1', '2'],
         ['certify-f', '--target', '9', '--interval', '2', '1'],   # reversed
@@ -149,6 +162,9 @@ def test_invalid_input_exit_code(capsys):
         err = json.loads(capsys.readouterr().err)
         assert code == 2 and 'error' in err, argv
         assert err['schema_version'] == 1, argv
+    for z in ('1', '1,0,0'):     # the message names the form --z takes
+        main(['eval', '0', '5', '--z', z])
+        assert 're,im' in json.loads(capsys.readouterr().err)['error']
 
 
 def test_help_exits_zero(capsys):

@@ -40,6 +40,35 @@ def test_eval_point_magnitude_bound():
         assert abs(eval_point(Segment(m, n), z)) <= (n - m) + 1e-9
 
 
+def test_eval_point_bounded_at_large_offsets():
+    """z is read as a root of unity of order 2^53, so powers past 2^53 stay
+    unimodular: the 10-term segment keeps |P| <= 10 at any offset."""
+    for b in (56, 64, 80):
+        v = eval_point(Segment(2 ** b - 6, 2 ** b + 4), 0.6 + 0.8j)
+        assert cmath.isfinite(v) and abs(v) <= 10, (b, v)
+
+
+def test_eval_point_error_model_against_mpmath():
+    """eval_point errs by at most 10 n u max(1, |P|) from P at z's own
+    phase, n the end of the segment, at offsets below 2^46; verified
+    against 60-digit reference sums."""
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(61)
+    with mp.workdps(60):
+        for _ in range(40):
+            m = int(rng.integers(0, 1 << int(rng.integers(1, 46))))
+            seg = Segment(m, m + int(rng.integers(1, 2000)))
+            z = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            w = mp.expj(mp.arg(mp.mpc(z.real, z.imag)))
+            acc = mp.mpc(0)
+            for c in reversed([int(c) for c in coeff_range(seg)]):
+                acc = acc * w + c
+            want = complex(acc * w ** m)
+            err = abs(eval_point(seg, z) - want)
+            bound = 10 * seg.n * UNIT_ROUNDOFF * max(1.0, abs(want))
+            assert err <= bound, (seg, z, err, bound)
+
+
 def test_eval_grid_examples():
     spec = half_spectrum(Segment(0, 1), 8)
     np.testing.assert_allclose(spec, np.ones(5), atol=1e-12)

@@ -7,8 +7,7 @@ import pytest
 from rsbounds.evaluate import segment_sum_pm1
 from rsbounds.sequence import (DEFAULT_MAX_RANGE, CapacityError, Segment,
                                block_decompose, coeff, coeff_range,
-                               coeff_range_oracle, pq_coeffs,
-                               reconstruct_coefficients)
+                               coeff_range_oracle)
 
 
 def test_coeff_examples():
@@ -58,15 +57,17 @@ def test_segment_validation():
 
 
 def test_block_decompose_examples():
-    b, = block_decompose(Segment(0, 4)).blocks
+    b, = block_decompose(Segment(0, 4))
     assert (b.offset, b.t, b.kind, b.sign) == (0, 2, 'P', 1)
-    b, = block_decompose(Segment(4, 8)).blocks
+    b, = block_decompose(Segment(4, 8))
     assert (b.offset, b.t, b.kind, b.sign) == (4, 2, 'Q', 1)
-    b, = block_decompose(Segment(3, 4)).blocks
+    b, = block_decompose(Segment(3, 4))
     assert b.offset == 3 and b.t == 0 and b.sign * 1 == coeff(3) == -1
 
 
 def test_blocks_reconstruct_coefficients():
+    """The blocks concatenate to the segment's signs, and each is its sign
+    times P_t, the signs over [0, 2^t), or Q_t, those over [2^t, 2^{t+1})."""
     rng = np.random.default_rng(5)
     segs = [Segment(0, 0), Segment(0, 1), Segment(0, 4), Segment(4, 8),
             Segment(3, 4), Segment(7, 11), Segment(5, 77)]
@@ -74,26 +75,33 @@ def test_blocks_reconstruct_coefficients():
              for m, l in zip(rng.integers(0, 4096, 25),
                              rng.integers(0, 2048, 25))]
     for seg in segs:
-        dec = block_decompose(seg)
-        assert dec.total_length() == seg.length
-        npt.assert_array_equal(reconstruct_coefficients(dec),
-                               coeff_range(seg))
+        parts = []
+        for b in block_decompose(seg):
+            start = 0 if b.kind == 'P' else b.length
+            base = coeff_range(Segment(start, start + b.length))
+            parts.append(b.sign * base)
+        got = np.concatenate(parts) if parts else np.zeros(0, np.int8)
+        npt.assert_array_equal(got, coeff_range(seg))
 
 
 def test_blocks_are_aligned():
     for seg in [Segment(13, 1000), Segment(129, 1000), Segment(1, 2)]:
-        for b in block_decompose(seg).blocks:
+        for b in block_decompose(seg):
             assert b.offset % (1 << b.t) == 0
             assert b.kind == ('P' if (b.offset >> b.t) % 2 == 0 else 'Q')
 
 
 def test_pq_coeffs_doubling():
-    p3, q3 = pq_coeffs(3)
-    p4, q4 = pq_coeffs(4)
-    npt.assert_array_equal(p4[:8], p3)
-    npt.assert_array_equal(p4[8:], q3)
-    npt.assert_array_equal(q4[8:], -q3)
-    npt.assert_array_equal(p3, coeff_range(Segment(0, 8)))
+    """The identity _pq runs, on the signs: P_{t+1} = P_t | Q_t and
+    Q_{t+1} = P_t | -Q_t, where P_t and Q_t are the signs over [0, 2^t)
+    and [2^t, 2^{t+1})."""
+    for t in range(13):
+        p = coeff_range(Segment(0, 1 << t))
+        q = coeff_range(Segment(1 << t, 2 << t))
+        npt.assert_array_equal(coeff_range(Segment(0, 2 << t)),
+                               np.concatenate([p, q]))
+        npt.assert_array_equal(coeff_range(Segment(2 << t, 4 << t)),
+                               np.concatenate([p, -q]))
 
 
 def test_partial_sums_match_cumsum():
