@@ -225,7 +225,12 @@ def load_centers(source) -> list[DyadicPoint]:
     return points
 
 
-def builtin_centers(table: int) -> list[DyadicPoint]:
+def builtin_centers(table: int | str) -> list[DyadicPoint]:
+    """Centers of the packaged anchor table 1 or 2 (also given as '1' or
+    '2', the suffix of the CLI's builtin:1 and builtin:2)."""
+    if str(table) not in ('1', '2'):
+        raise ValueError(f"no built-in table {table!r}: use builtin:1 or "
+                         "builtin:2")
     name = f"table{table}_centers.txt"
     text = resources.files('rsbounds.data').joinpath(name).read_text()
     return load_centers(text.splitlines())
@@ -236,16 +241,18 @@ class SmallRangeRecord:
     """One (k, n) pair of the direct small-scale norm check.
 
     ok_L is the strict squared-L-norm comparison from the stated claim;
-    ok_sup is the sup-norm fallback that the surrounding induction actually
-    needs, as a non-refutation grid check (the bound holds with equality at
-    sharpness points, witnessed exactly by value_at_one).
+    ok_sup is the sup-norm bound that the surrounding induction actually
+    needs.  It follows from ok_L (sup |P|^2 <= L), so sup_enc is None
+    where ok_L holds; elsewhere it is a non-refutation grid check (the
+    bound holds with equality at sharpness points, witnessed exactly by
+    value_at_one).
     """
 
     k: int
     n: int
     bound: float
     L_enc: Enclosure
-    sup_enc: Enclosure
+    sup_enc: Enclosure | None
     value_at_one: int
     ok_L: bool
     ok_sup: bool
@@ -266,17 +273,15 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
     bound 2^{(k+3)/2} - 1 on the L-norm.  kind 'upper': k <= 6,
     25/16 2^k <= n <= 2^{k+1}, claimed strict bound sqrt(6n-2) - 1.
 
-    Each pair makes one decision per norm on the norms engine, with grid
-    cap _REFINE_CAP: it refines until the enclosure settles the test or
-    the cap is reached.  The two decisions share the pair's prefix
-    spectra, so the 8n grid where nearly all of them settle costs one FFT
-    per pair, not two; the records are those of unshared calls.  The
-    strict L comparison settles when hi clears or lo refutes the bound.
-    The sup-norm fallback is a non-refutation check (ok unless lo exceeds
-    the bound): the bound is attained with equality at the sharpness
-    points, so no finite enclosure can certify it strictly there.  Both
-    results are computed and reported for every pair; neither is silently
-    preferred.
+    Each pair makes one decision on the L-norm on the norms engine, with
+    grid cap _REFINE_CAP: it refines until the enclosure settles the test
+    or the cap is reached.  The strict L comparison settles when hi clears
+    or lo refutes the bound.  Where it certifies, so does the sup-norm
+    bound: sup |P(z)|^2 <= sup (|P(z)|^2 + |P(-z)|^2) <= hi < bound^2.
+    Only the other pairs make a sup-norm decision, a non-refutation check
+    (ok unless lo exceeds the bound): the bound is attained with equality
+    at the sharpness points, so no finite enclosure can certify it
+    strictly there.  Both results are reported for every pair.
     """
     if kind == 'midrange':
         pairs = [(k, n) for k in range(13)
@@ -294,17 +299,16 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
     for k, n in pairs:
         bound = bound_of(k, n)
         bound_sq = bound * bound
-        # One dict per pair: a run-wide one would keep every spectrum.
-        seg, spectra = Segment(0, n), {}
-        L = L_norm_sq(seg, _REFINE_CAP, decision(lambda v: v < bound_sq),
-                      spectra)
-        sup = sup_norm_sq(seg, _REFINE_CAP,
-                          decision(lambda v: v <= bound_sq * (1.0 + 1e-12)),
-                          spectra)
+        seg = Segment(0, n)
+        L = L_norm_sq(seg, _REFINE_CAP, decision(lambda v: v < bound_sq))
+        ok_L = L.verdict is True
+        sup = None if ok_L else sup_norm_sq(
+            seg, _REFINE_CAP,
+            decision(lambda v: v <= bound_sq * (1.0 + 1e-12)))
         at_one, _ = segment_sum_pm1(seg)
         records.append(SmallRangeRecord(
             k=k, n=n, bound=bound, L_enc=L, sup_enc=sup, value_at_one=at_one,
-            ok_L=L.verdict is True, ok_sup=sup.verdict is not False))
+            ok_L=ok_L, ok_sup=ok_L or sup.verdict is not False))
     return records, all(r.ok for r in records)
 
 

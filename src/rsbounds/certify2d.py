@@ -24,6 +24,7 @@ only if that leaves the child unsettled below the cap.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass, field
@@ -219,9 +220,8 @@ def _g_target_min(child: DyadicSquare) -> Fraction:
 
 
 def _run_g(roots: list[DyadicSquare], N: int, max_scale: int) -> CertTree:
-    spectra = {}   # prefix spectra shared by every corner of the run
-    return _run(roots, lambda x, y, cap, decide: g_dyadic(x, y, cap, spectra,
-                                                          decide),
+    # One memo of prefix spectra for every corner of the run.
+    return _run(roots, functools.partial(g_dyadic, spectra={}),
                 _g_target_min, N, max_scale, kind='g-bound')
 
 

@@ -116,7 +116,7 @@ def _cmd_certify_f(cfg: RunConfig, args) -> int:
     from .certify1d import builtin_centers, certify_cover, load_centers
 
     if args.table.startswith('builtin:'):
-        centers = builtin_centers(int(args.table.split(':', 1)[1]))
+        centers = builtin_centers(args.table.split(':', 1)[1])
     else:
         with open(args.table) as fh:
             centers = load_centers(fh)

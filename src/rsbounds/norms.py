@@ -64,9 +64,6 @@ class Enclosure:
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
-    def overlaps(self, other: "Enclosure") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def scale(self, factor: float) -> "Enclosure":
         if factor < 0:
             raise ValueError("scale factor must be non-negative")
@@ -126,13 +123,13 @@ def _direct_values(segs: list[Segment], js: np.ndarray, N: int, paired: bool,
 
 
 def _grid_sup(segs: list[Segment], N: int, degree: int, paired: bool,
-              slack, cross=None, spectra=None, decide=None):
+              slack, cross=None, decide=None, spectra=None):
     """Enclosure of the sup of F, of degree D = ``degree``, from its
     maximum over the N-grid, whose values err by at most slack(N).  F is
     the sum over the segments of |P(z)|^2 (+ |P(-z)|^2 if paired), plus
     cross(v, w) of the lists of their untwisted v = conj P(z_j) and
-    w = P(-z_j).  If ``spectra`` is given, the segments must be prefixes
-    (m = 0), and it memoizes their spectra (see _prefix_half_spectrum).
+    w = P(-z_j).  ``spectra``, if given, memoizes the spectra of prefixes
+    (see _prefix_half_spectrum); only g_int passes it.
 
     F is even, and of period pi if paired, so indices are folded into
     [0, p/2] with p = N (or N/2).  Level 0 takes F on the whole grid
@@ -165,23 +162,17 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, paired: bool,
     monotone decision ``decide(enc)`` (True: holds, False: refuted, None:
     refine) is asked once per level, and the result is the enclosure, with
     its verdict, of the first level that settles it, or of N.  A decision
-    starts instead at the smallest power of two >= 8 n (at least 64),
-    below N_0, where most settle; the levels up to N_0 are then whole
-    grids, as on their own caps.  Decisions on one segment start there
-    with or without ``spectra``: the small-k checks pass one dict to a
-    prefix's two decisions, which then share that first FFT.  Only g
-    corners with ``spectra`` start at N_0, where a run's corners share
-    their prefix spectra.
+    on one segment starts instead at the smallest power of two >= 8 n (at
+    least 64), below N_0, where most settle; the levels up to N_0 are then
+    whole grids, as on their own caps.  A decision on g, whose two prefix
+    spectra a run's corners share, starts at N_0.  The start depends on
+    the objective alone, so ``spectra`` never changes the result.
     """
     n, L = sum(seg.length for seg in segs), max(seg.length for seg in segs)
     if N < 4 * L:
         raise ValueError(f"grid size {N} below 4 * segment length {L}")
-    if spectra is not None and any(seg.m for seg in segs):
-        raise ValueError("spectra holds prefix spectra: segments must "
-                         f"start at 0, got {segs}")
     N0 = oversampled_grid(n, N)
-    shared = spectra is not None and len(segs) > 1
-    N_l = oversampled_grid(n, N, 8) if decide and not shared else N0
+    N_l = oversampled_grid(n, N, 8) if decide and len(segs) == 1 else N0
     F = _spectral_values(segs, N_l, paired, cross, spectra)
     rows = 2 if paired else 1
     N_l = N_l if degree >= rows else N     # degree < rows: constant
@@ -210,24 +201,19 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, paired: bool,
         js, F = None, _spectral_values(segs, N_l, paired, cross, spectra)
 
 
-def sup_norm_sq(seg: Segment, N: int, decide=None,
-                spectra: dict | None = None) -> Enclosure:
+def sup_norm_sq(seg: Segment, N: int, decide=None) -> Enclosure:
     """Enclosure of the squared sup-norm of the segment on the unit circle,
-    settling ``decide`` if given (see _grid_sup).  A prefix's spectra are
-    memoized in ``spectra`` if given."""
+    settling ``decide`` if given (see _grid_sup)."""
     return _grid_sup([seg], N, seg.length - 1, False,
-                     lambda M: abs_sq_slack(seg.length, M), None, spectra,
-                     decide)
+                     lambda M: abs_sq_slack(seg.length, M), None, decide)
 
 
-def L_norm_sq(seg: Segment, N: int, decide=None,
-              spectra: dict | None = None) -> Enclosure:
+def L_norm_sq(seg: Segment, N: int, decide=None) -> Enclosure:
     """Enclosure of sup over the circle of |P(z)|^2 + |P(-z)|^2, settling
-    ``decide`` if given (see _grid_sup).  A prefix's spectra are memoized
-    in ``spectra`` if given."""
+    ``decide`` if given (see _grid_sup)."""
     return _grid_sup([seg], N, seg.length - 1, True,
                      lambda M: 2.0 * abs_sq_slack(seg.length, M), None,
-                     spectra, decide)
+                     decide)
 
 
 def _scaled(decide, factor: float):
@@ -262,8 +248,8 @@ def _prefix_half_spectrum(n: int, N: int, spectra: dict) -> np.ndarray:
     return val
 
 
-def g_int(r: int, s: int, N: int, spectra: dict | None = None,
-          decide=None) -> Enclosure:
+def g_int(r: int, s: int, N: int, decide=None,
+          spectra: dict | None = None) -> Enclosure:
     """Enclosure of g(r, s) through the alpha-free objective
 
         |P_{<r}(z)|^2 + |P_{<r}(-z)|^2 + |P_{<s}(z)|^2 + |P_{<s}(-z)|^2
@@ -272,7 +258,7 @@ def g_int(r: int, s: int, N: int, spectra: dict | None = None,
     maximized over the N-grid with antipodal index pairing, settling
     ``decide`` if given (see _grid_sup).  Prefix spectra are memoized in
     ``spectra`` if given; a caller that encloses many corners passes one
-    dict to share them.
+    dict to share them, and gets the same enclosures as without it.
     """
     if r < 0 or s < 0:
         raise ValueError("g_int needs non-negative integer arguments")
@@ -287,7 +273,7 @@ def g_int(r: int, s: int, N: int, spectra: dict | None = None,
                 + 2.0 * (s * er + r * es + er * es))
 
     return _grid_sup([Segment(0, r), Segment(0, s)], N, r + s, True, slack,
-                     _g_cross, spectra, decide)
+                     _g_cross, decide, spectra)
 
 
 def _g_cross(v: list, w: list) -> np.ndarray:
@@ -296,11 +282,11 @@ def _g_cross(v: list, w: list) -> np.ndarray:
     return 2.0 * np.abs(np.conj(vs) * wr - ws * np.conj(vr))
 
 
-def g_dyadic(x: DyadicPoint, y: DyadicPoint, N: int,
-             spectra: dict | None = None, decide=None) -> Enclosure:
+def g_dyadic(x: DyadicPoint, y: DyadicPoint, N: int, decide=None,
+             spectra: dict | None = None) -> Enclosure:
     """Enclosure of g(x, y) = 2^{-k} g(2^k x, 2^k y) at the common minimal
     scale k, settling ``decide`` on g(x, y) if given; ``spectra`` is passed
     on to g_int."""
     k = max(x.k, y.k)
-    return g_int(x.scaled_numerator(k), y.scaled_numerator(k), N, spectra,
-                 _scaled(decide, 0.5 ** k)).scale(0.5 ** k)
+    return g_int(x.scaled_numerator(k), y.scaled_numerator(k), N,
+                 _scaled(decide, 0.5 ** k), spectra).scale(0.5 ** k)

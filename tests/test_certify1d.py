@@ -189,57 +189,63 @@ def test_check_smallk_upper_all_strict():
 
 
 def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch):
-    """Each pair makes exactly one L_norm_sq and one sup_norm_sq call, at
-    the grid cap and with a decision: the grid policy lives in norms.  The
-    two calls of a pair, L first, share one fresh spectra dict, so nearly
-    every pair costs one FFT."""
+    """Each pair makes exactly one L_norm_sq call, at the grid cap and
+    with a decision: the grid policy lives in norms.  Only the two pairs
+    whose L decision fails, (1, 3) and (3, 11), make a sup_norm_sq
+    decision, so nearly every pair costs one FFT."""
     import rsbounds.certify1d as c1
     import rsbounds.norms as norms
 
-    calls, pair_dict = [], []
+    calls = []
     for name in ('L_norm_sq', 'sup_norm_sq'):
-        def spy(seg, N, decide=None, spectra=None, real=getattr(c1, name),
-                name=name):
-            if name == 'L_norm_sq':
-                # A new pair: an empty dict, not the last pair's.  Only
-                # the last one is held; all of them would hold ~0.8 GB.
-                assert spectra == {} and spectra not in pair_dict
-                pair_dict[:] = [spectra]
-            else:
-                assert spectra is pair_dict[0]
+        def spy(seg, N, decide=None, real=getattr(c1, name), name=name):
             calls.append((name, seg, N, decide is not None))
-            return real(seg, N, decide, spectra)
+            return real(seg, N, decide)
         monkeypatch.setattr(c1, name, spy)
     ffts = []
     monkeypatch.setattr(norms, 'half_spectrum', lambda seg, N,
                         real=norms.half_spectrum: ffts.append(N) or
                         real(seg, N))
-    for kind, expected_ffts in (('midrange', 1549), ('upper', 60)):
+    for kind, sup_ns, expected_ffts in (('midrange', (3, 11), 1551),
+                                        ('upper', (), 60)):
         calls.clear()
         ffts.clear()
         records, _ = check_smallk_L(kind)
         assert Counter(calls) == Counter(
-            (name, Segment(0, r.n), c1._REFINE_CAP, True) for r in records
-            for name in ('L_norm_sq', 'sup_norm_sq'))
+            [('L_norm_sq', Segment(0, r.n), c1._REFINE_CAP, True)
+             for r in records]
+            + [('sup_norm_sq', Segment(0, n), c1._REFINE_CAP, True)
+               for n in sup_ns])
         assert len(ffts) == expected_ffts
 
 
-def test_check_smallk_records_match_unshared_calls(smallk_records):
-    """Sharing the spectra of a pair leaves its records as unshared calls
-    make them: the same lo, hi, grid N and verdict, for every 'upper' pair
-    and a seeded sample of 'midrange' pairs."""
+def test_check_smallk_L_bound_implies_sup_bound(smallk_records):
+    """A pair whose L decision certifies skips its sup decision, since
+    sup |P|^2 <= L: a fresh sup decision at the cap certifies it too, on
+    every 'upper' pair and a seeded sample of 200 certified 'midrange'
+    pairs.  The two pairs whose L decision fails record the enclosure of
+    a fresh sup decision, unsettled at the cap."""
     from rsbounds.certify1d import _REFINE_CAP
-    from rsbounds.norms import L_norm_sq, decision, sup_norm_sq
+    from rsbounds.norms import decision, sup_norm_sq
 
-    sample = random.Random(6).sample(smallk_records['midrange'], 200)
+    certified = [r for r in smallk_records['midrange'] if r.ok_L]
+    sample = random.Random(6).sample(certified, 200)
     for r in smallk_records['upper'] + sample:
-        seg, bound_sq = Segment(0, r.n), r.bound * r.bound
-        L = L_norm_sq(seg, _REFINE_CAP, decision(lambda v: v < bound_sq))
-        sup = sup_norm_sq(seg, _REFINE_CAP,
+        assert r.ok_L and r.ok_sup and r.sup_enc is None, (r.k, r.n)
+        bound_sq = r.bound * r.bound
+        sup = sup_norm_sq(Segment(0, r.n), _REFINE_CAP,
                           decision(lambda v: v <= bound_sq * (1.0 + 1e-12)))
-        for got, want in ((r.L_enc, L), (r.sup_enc, sup)):
-            assert ((got.lo, got.hi, got.N, got.verdict)
-                    == (want.lo, want.hi, want.N, want.verdict)), (r.k, r.n)
+        assert sup.verdict is True, (r.k, r.n)
+    failing = [r for r in smallk_records['midrange'] if not r.ok_L]
+    assert [(r.k, r.n) for r in failing] == [(1, 3), (3, 11)]
+    for r in failing:
+        bound_sq = r.bound * r.bound
+        sup = sup_norm_sq(Segment(0, r.n), _REFINE_CAP,
+                          decision(lambda v: v <= bound_sq * (1.0 + 1e-12)))
+        got = r.sup_enc
+        assert ((got.lo, got.hi, got.N, got.verdict)
+                == (sup.lo, sup.hi, _REFINE_CAP, None)), (r.k, r.n)
+        assert got.contains(bound_sq)   # attained at z = 1
 
 
 def test_check_smallk_midrange_k0_vacuous(smallk_records):

@@ -138,8 +138,8 @@ def test_g_int_shared_spectra_match_fresh():
     spectra = {}
     for r, s in [(5, 9), (9, 5), (9, 9), (12, 5), (0, 7)]:
         for N in (1 << 10, 1 << 12):
-            assert g_int(r, s, N, spectra) == g_int(r, s, N, {}) \
-                == g_int(r, s, N)
+            assert g_int(r, s, N, spectra=spectra) \
+                == g_int(r, s, N, spectra={}) == g_int(r, s, N)
     # g_int(9, 9, 2^12) takes level 0 on oversampled_grid(18) = 2^11.
     assert (9, 1 << 11) in spectra
 

@@ -151,6 +151,8 @@ def test_invalid_input_exit_code(capsys):
         ['certify-f', '--target', 'inf', '--interval', '1', '2'],
         ['certify-f', '--target', 'nan', '--interval', '1', '2'],
         ['certify-f', '--target', '9', '--interval', '2', '1'],   # reversed
+        *(['certify-f', '--table', f'builtin:{t}', '--target', '9',
+           '--interval', '1', '2'] for t in ('0', '3', 'x', '')),
         ['dense', '--m', '0', '--n', '1', '--kmax', '-1'],
         # indices past 2^64 - 1
         ['coeffs', str(1 << 64), str((1 << 64) + 4)],
@@ -165,6 +167,12 @@ def test_invalid_input_exit_code(capsys):
     for z in ('1', '1,0,0'):     # the message names the form --z takes
         main(['eval', '0', '5', '--z', z])
         assert 're,im' in json.loads(capsys.readouterr().err)['error']
+    for t in ('3', 'x'):         # ... and the tables, not a file path
+        main(['certify-f', '--table', f'builtin:{t}', '--target', '9',
+              '--interval', '1', '2'])
+        error = json.loads(capsys.readouterr().err)['error']
+        assert 'builtin:1' in error and 'builtin:2' in error, error
+        assert 'table3' not in error and 'int()' not in error, error
 
 
 def test_help_exits_zero(capsys):
