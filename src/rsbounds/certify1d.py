@@ -303,8 +303,7 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
         L = L_norm_sq(seg, _REFINE_CAP, decision(lambda v: v < bound_sq))
         ok_L = L.verdict is True
         sup = None if ok_L else sup_norm_sq(
-            seg, _REFINE_CAP,
-            decision(lambda v: v <= bound_sq * (1.0 + 1e-12)))
+            seg, _REFINE_CAP, decision(lambda v: v <= bound_sq))
         at_one, _ = segment_sum_pm1(seg)
         records.append(SmallRangeRecord(
             k=k, n=n, bound=bound, L_enc=L, sup_enc=sup, value_at_one=at_one,

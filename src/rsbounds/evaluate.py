@@ -8,7 +8,8 @@ eval_point_root feeds it exact phases mod N, and segment_sum_pm1 the
 integers 1 and (-1)^e, which gives the exact values at z = 1 and z = -1 in
 O(log n) integer operations.  eval_point reads a floating-point z as the
 nearest root of unity of order 2^53 and goes through eval_point_root.
-eval_PQ is the recursion's pass alone, on the squaring table z, z^2, ...
+eval_PQ is the recursion's pass alone, on the same root of order 2^53,
+with every z^{2^t} taken at its exactly reduced phase.
 
 Floating-point error model: a length-L segment evaluated through an FFT of
 size N carries an absolute per-value error of at most
@@ -34,7 +35,7 @@ from .sequence import (DEFAULT_MAX_RANGE, CapacityError, Segment,
 
 UNIT_ROUNDOFF = 2.0 ** -53
 C_FFT = 8.0
-_PHASE_ORDER = 1 << 53      # eval_point reads z as a root of this order
+_PHASE_ORDER = 1 << 53      # a float z is read as a root of this order
 _AXES = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
 
 _UNIT_TOL = 1e-12
@@ -77,9 +78,12 @@ def abs_sq_slack(length: int, N: int) -> float:
     return 2.0 * length * e + e * e
 
 
-def _check_unit(z: complex) -> None:
+def _phase_index(z: complex) -> int:
+    """The index j of the root exp(2 pi i j / 2^53) nearest to the
+    unimodular z."""
     if not abs(abs(z) - 1.0) <= _UNIT_TOL:     # NaN fails too
         raise DomainError(f"|z| = {abs(z)!r} is not 1 within {_UNIT_TOL}")
+    return round(cmath.phase(z) / (2.0 * math.pi) * _PHASE_ORDER)
 
 
 def eval_point(seg: Segment, z: complex) -> complex:
@@ -93,9 +97,7 @@ def eval_point(seg: Segment, z: complex) -> complex:
     z's own phase it errs by at most 10 n u max(1, |P|), where n is the
     end of the segment.
     """
-    _check_unit(z)
-    j = round(cmath.phase(z) / (2.0 * math.pi) * _PHASE_ORDER)
-    return eval_point_root(seg, j, _PHASE_ORDER)
+    return eval_point_root(seg, _phase_index(z), _PHASE_ORDER)
 
 
 def eval_point_root(seg: Segment, j: int, N: int) -> complex:
@@ -110,16 +112,6 @@ def segment_sum_pm1(seg: Segment) -> tuple[int, int]:
     """Exact integers (P(1), P(-1)) for the partial sum over [m, n): the
     block recursion with powers 1 and (-1)^e, O(log n) integer operations."""
     return _eval(seg, lambda e: 1), _eval(seg, lambda e: 1 - 2 * (e & 1))
-
-
-def _squares(z: complex, count: int) -> list[complex]:
-    """[z, z^2, z^4, ..., z^(2^(count-1))], each the square of the one
-    before."""
-    squares = []
-    for _ in range(count):
-        squares.append(z)
-        z *= z
-    return squares
 
 
 def _root(k: int, N: int) -> complex:
@@ -178,9 +170,10 @@ def _eval(seg: Segment, power: Callable[[int], complex]) -> complex:
     return total
 
 
-def _pq(ws: list[complex]) -> list[tuple[complex, complex]]:
+def _pq(ws: list) -> list[tuple]:
     """[(P_t(z), Q_t(z)) for t = 0 .. len(ws)] by P_{t+1} = P_t + w_t Q_t,
-    Q_{t+1} = P_t - w_t Q_t, where ws[t] = z^{2^t}."""
+    Q_{t+1} = P_t - w_t Q_t, where ws[t] = z^{2^t}: complex numbers, or
+    numpy arrays for many z at once."""
     pq = [(1, 1)]
     for w in ws:
         p, q = pq[-1]
@@ -210,13 +203,14 @@ def half_spectrum(seg: Segment, N: int) -> np.ndarray:
 
 
 def eval_PQ(t: int, z: complex) -> tuple[complex, complex]:
-    """(P_t(z), Q_t(z)) by the recursion pass of _eval, on the squaring
-    table z, z^2, z^4, ...; its callers take t <= 22 and no offset.
+    """(P_t(z), Q_t(z)) by the recursion pass of _eval, with z read as in
+    eval_point and each z^{2^s} taken at the exactly reduced phase
+    2^s j mod 2^53: each is within 8u, whatever t (no squaring chain).
 
     Equivalent to the normalized 2x2 matrix-product form used for the unit
     3-sphere sampler, rescaled by 2^{(t+1)/2}.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    _check_unit(z)
-    return _pq(_squares(z, t))[t]
+    j = _phase_index(z)
+    return _pq([_root(j << s, _PHASE_ORDER) for s in range(t)])[t]

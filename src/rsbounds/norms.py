@@ -33,6 +33,7 @@ directed rounding is attempted.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,8 +66,14 @@ class Enclosure:
         return self.lo <= x <= self.hi
 
     def scale(self, factor: float) -> "Enclosure":
+        """[lo, hi] times factor >= 0, refused where a nonzero endpoint
+        would underflow the normal floats and lose what it encloses."""
         if factor < 0:
             raise ValueError("scale factor must be non-negative")
+        if any(x and abs(x * factor) < sys.float_info.min
+               for x in (self.lo, self.hi)):
+            raise ValueError(f"scaling [{self.lo!r}, {self.hi!r}] by "
+                             f"{factor!r} underflows the float range")
         return Enclosure(self.lo * factor, self.hi * factor, self.N,
                          self.verdict)
 

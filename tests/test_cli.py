@@ -158,7 +158,10 @@ def test_invalid_input_exit_code(capsys):
         ['coeffs', str(1 << 64), str((1 << 64) + 4)],
         ['eval', str(1 << 64), str((1 << 64) + 4), '--grid'],
         ['dense', '--m', str(1 << 64), '--n', str((1 << 64) + 1),
-         '--kmax', '0']]
+         '--kmax', '0'],
+        # 2^-k times the enclosure would underflow to 0.0
+        ['f', f'1/{1 << 1080}'],
+        *([cmd, f'1/{1 << 1100}', f'1/{1 << 1099}'] for cmd in ('f2', 'g'))]
     for argv in cases:
         code = main(argv)
         err = json.loads(capsys.readouterr().err)

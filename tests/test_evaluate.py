@@ -180,13 +180,15 @@ def test_eval_pq_matches_prefix():
 
 
 def test_parseval_pairs():
+    """Each z^{2^s} is taken at an exact phase, so the error does not
+    double with t as on a squaring chain (1e-4 at t = 40)."""
     rng = np.random.default_rng(29)
-    for t in range(21):
+    for t in range(49):
         for _ in range(50):
             z = grid_point(int(rng.integers(0, 1 << 20)), 1 << 20)
             p, q = eval_PQ(t, z)
             total = abs(p) ** 2 + abs(q) ** 2
-            assert total == pytest.approx(2.0 ** (t + 1), rel=1e-9)
+            assert total == pytest.approx(2.0 ** (t + 1), rel=1e-12), t
 
 
 def test_splitting_identity():

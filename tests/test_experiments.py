@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rsbounds.evaluate import eval_roots
+from rsbounds.evaluate import eval_PQ, eval_roots
 from rsbounds.experiments import (ExtremalPair, L_ratio_lower, critical_pair,
                                   dense_limit_empirical, extremal_values,
                                   montgomery_counterexample,
@@ -152,8 +152,22 @@ def test_sphere_sampler_parseval_and_determinism():
     b = sphere_sampler(10, 1j, target, 256, seed=5)
     assert a == b
     assert a.parseval_max_err < 1e-9
-    with pytest.raises(ValueError):
-        sphere_sampler(2, 1 + 0j, target, 5, seed=0)
+    # the array pass against eval_PQ, root by root, on the same picks
+    picks = np.random.default_rng(5).choice(1 << 10, size=256, replace=False)
+    want = math.inf
+    for j in picks:
+        p, q = eval_PQ(10, cmath.exp(1j * (math.pi / 2 + 2 * math.pi * j)
+                                     / (1 << 10)))
+        want = min(want, math.hypot(abs(p * 2.0 ** -5.5 - target[0]),
+                                    abs(q * 2.0 ** -5.5 - target[1])))
+    assert abs(a.min_distance - want) <= 1e-12
+    for k in (24, 40):      # past where a squaring chain loses 1e-9
+        rep = sphere_sampler(k, 1j, target, 256, seed=5)
+        assert rep.parseval_max_err <= 1e-12, k
+    assert sphere_sampler(62, 1j, target, 16, seed=5).count == 16
+    for k, count in ((2, 5), (63, 1), (-1, 1)):
+        with pytest.raises(ValueError):
+            sphere_sampler(k, 1 + 0j, target, count, seed=0)
 
 
 def test_sphere_sampler_density_report():
