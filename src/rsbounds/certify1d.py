@@ -275,7 +275,10 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
 
     Each pair makes one decision on the L-norm on the norms engine, with
     grid cap _REFINE_CAP: it refines until the enclosure settles the test
-    or the cap is reached.  The strict L comparison settles when hi clears
+    or the cap is reached.  The L objective of the prefix n is read from
+    its half prefixes ceil(n/2) and floor(n/2), so consecutive n share one
+    of their two spectra through one memo, which drops every prefix
+    shorter than floor(n/2).  The strict L comparison settles when hi clears
     or lo refutes the bound.  Where it certifies, so does the sup-norm
     bound: sup |P(z)|^2 <= sup (|P(z)|^2 + |P(-z)|^2) <= hi < bound^2.
     Only the other pairs make a sup-norm decision, a non-refutation check
@@ -295,12 +298,16 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    records = []
+    records, spectra = [], {}
     for k, n in pairs:
         bound = bound_of(k, n)
         bound_sq = bound * bound
         seg = Segment(0, n)
-        L = L_norm_sq(seg, _REFINE_CAP, decision(lambda v: v < bound_sq))
+        # n rises, so no later pair reads a half prefix shorter than n // 2.
+        for key in [key for key in spectra if key[0] < n // 2]:
+            del spectra[key]
+        L = L_norm_sq(seg, _REFINE_CAP, decision(lambda v: v < bound_sq),
+                      spectra=spectra)
         ok_L = L.verdict is True
         sup = None if ok_L else sup_norm_sq(
             seg, _REFINE_CAP, decision(lambda v: v <= bound_sq))

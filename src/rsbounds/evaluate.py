@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
@@ -162,7 +162,7 @@ def _eval(seg: Segment, power: Callable[[int], complex]) -> complex:
     """
     blocks = block_decompose(seg)
     top = max((b.t for b in blocks), default=0)
-    pq = _pq([power(1 << t) for t in range(top)])
+    pq = list(_pq(power(1 << t) for t in range(top)))
     total = 0 * power(0)            # zero in power's numbers, if no blocks
     for b in blocks:
         p, q = pq[b.t]
@@ -170,16 +170,18 @@ def _eval(seg: Segment, power: Callable[[int], complex]) -> complex:
     return total
 
 
-def _pq(ws: list) -> list[tuple]:
-    """[(P_t(z), Q_t(z)) for t = 0 .. len(ws)] by P_{t+1} = P_t + w_t Q_t,
-    Q_{t+1} = P_t - w_t Q_t, where ws[t] = z^{2^t}: complex numbers, or
-    numpy arrays for many z at once."""
-    pq = [(1, 1)]
+def _pq(ws) -> Iterator[tuple]:
+    """Yield (P_t(z), Q_t(z)) for t = 0 .. len(ws) by P_{t+1} = P_t + w_t Q_t,
+    Q_{t+1} = P_t - w_t Q_t, where w_t = z^{2^t} comes from the iterable
+    ws: complex numbers, or numpy arrays for many z at once.  Each w_t is
+    read only when its step runs, so a caller that keeps the last pair
+    holds one pair and one w_t at a time."""
+    p = q = 1
+    yield p, q
     for w in ws:
-        p, q = pq[-1]
         wq = w * q
-        pq.append((p + wq, p - wq))
-    return pq
+        p, q = p + wq, p - wq
+        yield p, q
 
 
 def half_spectrum(seg: Segment, N: int) -> np.ndarray:
@@ -190,8 +192,8 @@ def half_spectrum(seg: Segment, N: int) -> np.ndarray:
     |P_seg(z_{N-j})| = |P_seg(z_j)|, so the half spectrum determines all
     moduli on the grid.  The antipode satisfies |P_seg(-z_j)| = |out[N/2-j]|.
     """
-    if N < 4 or N & (N - 1):
-        raise ValueError(f"grid size {N} is not a power of two >= 4")
+    if N < 2 or N & (N - 1):
+        raise ValueError(f"grid size {N} is not a power of two >= 2")
     if N > DEFAULT_MAX_RANGE:
         raise CapacityError(f"grid size {N} exceeds limit {DEFAULT_MAX_RANGE}")
     if seg.length > N:
@@ -213,4 +215,6 @@ def eval_PQ(t: int, z: complex) -> tuple[complex, complex]:
     if t < 0:
         raise ValueError("t must be non-negative")
     j = _phase_index(z)
-    return _pq([_root(j << s, _PHASE_ORDER) for s in range(t)])[t]
+    for pq in _pq(_root(j << s, _PHASE_ORDER) for s in range(t)):
+        pass
+    return pq

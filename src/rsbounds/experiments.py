@@ -199,10 +199,12 @@ def sphere_sampler(k: int, z: complex, target: tuple[complex, complex],
     picks = np.random.default_rng(seed).choice(1 << k, size=count,
                                                replace=False)
     theta = cmath.phase(z)
-    ws = [np.exp(1j * ((theta + 2.0 * math.pi * (picks % (1 << r)))
+    # One power and one (P_t, Q_t) pair alive at a time.
+    ws = (np.exp(1j * ((theta + 2.0 * math.pi * (picks % (1 << r)))
                        * 2.0 ** -r))
-          for r in range(k, 0, -1)]
-    p, q = _pq(ws)[k]
+          for r in range(k, 0, -1))
+    for p, q in _pq(ws):
+        pass
     scale = 2.0 ** (-(k + 1) / 2.0)
     ph, qh = p * scale, q * scale
     alpha, beta = target

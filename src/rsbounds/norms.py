@@ -15,6 +15,28 @@ non-negative trigonometric polynomials A(t) + 2 Re(e^{i phi} H(e^{it})) of
 degree <= r + s over phases phi; each family member is dominated pointwise
 by the objective, so the grid maximum of the objective bounds every member.
 
+The L objective on the half grid.  The doubling rule a_{2s} = a_s,
+a_{2s+1} = (-1)^s a_s splits P over [m, n) into its even and odd terms:
+
+    P(z) = A(w) + z B(-w),    w = z^2,
+
+with A = P over [ceil(m/2), ceil(n/2)) and B = P over [floor(m/2),
+floor(n/2)) (the even index 2s lies in [m, n) iff s lies in A's range, the
+odd index 2s + 1 iff s lies in B's).  Then P(-z) = A(w) - z B(-w), and on
+the circle the cross terms cancel:
+
+    |P(z)|^2 + |P(-z)|^2 = 2 (|A(w)|^2 + |B(-w)|^2).
+
+The z_j of the N-grid square to the w_j of the N/2-grid, so the L
+objective's N-grid maximum is twice that of G(w) = |A(w)|^2 + |B(-w)|^2 on
+the N/2-grid.  G is a non-negative trigonometric polynomial in w of degree
+max(|A|, |B|) - 1 <= (L - 1)/2, so the off-grid and Szego steps below hold
+for it as they stand, on the w-grid; D pi / N is the same or smaller than
+for the z-objective of degree L - 1.  Each FFT value of A or B errs by at
+most eps_fp(|A| or |B|, N/2), so G's values carry the slack
+abs_sq_slack(|A|, N/2) + abs_sq_slack(|B|, N/2), half or less of the
+z-objective's 2 abs_sq_slack(L, N).
+
 Coarse to fine.  sup_norm_sq, L_norm_sq and g_int need M, the maximum
 over the N-grid, not the other N - 1 values.  One routine (_grid_sup)
 takes F on a coarse grid by FFT and refines only the arcs that can hold
@@ -40,7 +62,7 @@ import numpy as np
 
 from .dyadic import DyadicPoint
 from .evaluate import abs_sq_slack, eps_fp, eval_roots, half_spectrum
-from .sequence import Segment
+from .sequence import Segment, even_odd_split
 
 
 @dataclass(frozen=True)
@@ -104,47 +126,55 @@ def decision(holds):
                         else None if holds(enc.lo) else False)
 
 
-def _spectral_values(segs: list[Segment], N: int, paired: bool, cross,
+def _spectral_values(segs: list[Segment], signs, N: int, cross,
                      spectra: dict | None) -> np.ndarray:
-    """F at z_j, j = 0 .. N/2, from one real FFT R per segment (memoized in
-    ``spectra`` if given): v = R[j] and w = R[N/2 - j]."""
-    v = [half_spectrum(seg, N) if spectra is None
+    """F at x_j, j = 0 .. N/2, from one real FFT R per segment (a prefix's
+    memoized in ``spectra`` if given): v = R[j] and w = R[N/2 - j]."""
+    v = [half_spectrum(seg, N) if spectra is None or seg.m
          else _prefix_half_spectrum(seg.n, N, spectra) for seg in segs]
-    # |w|^2 as reversed |v|^2: np.abs of a reversed view may round apart.
-    A = [np.abs(R) ** 2 for R in v]
-    F = A[0] + A[0][::-1] if paired else A[0]
-    for a in A[1:]:
-        F += a + a[::-1] if paired else a
+    F = None
+    for R, sg in zip(v, signs):
+        # |w|^2 as reversed |v|^2: np.abs of a reversed view may round apart.
+        a = np.abs(R) ** 2
+        t = a + a[::-1] if len(sg) == 2 else a if sg[0] > 0 else a[::-1]
+        F = t if F is None else F + t
     if cross:
         F += cross(v, [R[::-1] for R in v])
     return F
 
 
-def _direct_values(segs: list[Segment], js: np.ndarray, N: int, paired: bool,
+def _direct_values(segs: list[Segment], signs, js: np.ndarray, N: int,
                    cross) -> np.ndarray:
-    """F at z_j for each j in js, by direct evaluation."""
-    v = [np.conj(eval_roots(seg, js, N)) for seg in segs]
-    w = [eval_roots(seg, js + N // 2, N) for seg in segs] if paired else []
+    """F at x_j for each j in js, by direct evaluation."""
+    pairs = list(zip(segs, signs))
+    v = [np.conj(eval_roots(seg, js, N)) for seg, sg in pairs if 1 in sg]
+    w = [eval_roots(seg, js + N // 2, N) for seg, sg in pairs if -1 in sg]
     F = sum(np.abs(x) ** 2 for x in v + w)
     return F + cross(v, w) if cross else F
 
 
-def _grid_sup(segs: list[Segment], N: int, degree: int, paired: bool,
-              slack, cross=None, decide=None, spectra=None):
+def _grid_sup(segs: list[Segment], signs, N: int, degree: int, slack,
+              cross=None, decide=None, spectra=None, half: bool = False):
     """Enclosure of the sup of F, of degree D = ``degree``, from its
     maximum over the N-grid, whose values err by at most slack(N).  F is
-    the sum over the segments of |P(z)|^2 (+ |P(-z)|^2 if paired), plus
-    cross(v, w) of the lists of their untwisted v = conj P(z_j) and
-    w = P(-z_j).  ``spectra``, if given, memoizes the spectra of prefixes
-    (see _prefix_half_spectrum); only g_int passes it.
+    the sum over the segments of |P(x)|^2 and |P(-x)|^2, for the signs
+    +1 and -1 in the segment's tuple of ``signs`` ((1,), (-1,) or (1, -1)),
+    plus cross(v, w) of the lists of the untwisted v = conj P(x_j) of the
+    segments read at +1 and w = P(-x_j) of those read at -1.  ``spectra``,
+    if given, memoizes the spectra of prefixes (see _prefix_half_spectrum).
 
-    F is even, and of period pi if paired, so indices are folded into
-    [0, p/2] with p = N (or N/2).  Level 0 takes F on the whole grid
-    N_0 = oversampled_grid(n, N), n the total length of the segments.  A
-    paired F has only even frequencies, so of degree < 2 (as |P|^2 of
-    degree 0) it is constant and its N-grid maximum is its level-0 one.
-    Otherwise each step from N_l to N_{l+1} = min(4 N_l, N) keeps the
-    evaluated points j with
+    With ``half``, F is a polynomial in w = z^2 (the L objective, see the
+    module docstring).  The level grids N_l, the cap N and the recorded
+    Enclosure.N below stay those of z, and F, D, the slack, h and the fold
+    are taken on the N_l/2-grid of w, which the N_l-grid of z covers twice.
+
+    F is even, and of period pi if every segment is read at both signs
+    (g), so indices are folded into [0, p/2] with p = N (or N/2).  Level 0
+    takes F on the whole grid N_0 = oversampled_grid(n, N), n the total
+    length of the segments.  F of period pi has only even frequencies, so
+    of degree < 2 (as |P|^2 of degree 0) it is constant and its N-grid
+    maximum is its level-0 one.  Otherwise each step from N_l to
+    N_{l+1} = min(4 N_l, N) keeps the evaluated points j with
 
         F_j + s >= lo - D h sqrt(lo (U - lo)) - (D h)^2 U / 2,
 
@@ -162,65 +192,79 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, paired: bool,
     on every level.  Direct values err by at most eps_direct(L) <=
     eps_fp(L, N_l) (N_l >= 4 L), so s holds for them.  The next level is
     taken whole, by FFT, when lo < U/2, when it would cost more direct
-    work than the N_0 FFT (rows * points * n > N_0), or when its grid is
-    no larger than N_0.
+    work than the N_0 FFT (points times the terms read per point, the sum
+    of each segment's length times its number of signs, above the N_0
+    FFT's grid), or when its grid is no larger than N_0.
 
     Without ``decide`` the result is the N-grid enclosure.  With it, the
     monotone decision ``decide(enc)`` (True: holds, False: refuted, None:
     refine) is asked once per level, and the result is the enclosure, with
     its verdict, of the first level that settles it, or of N.  A decision
-    on one segment starts instead at the smallest power of two >= 8 n (at
-    least 64), below N_0, where most settle; the levels up to N_0 are then
-    whole grids, as on their own caps.  A decision on g, whose two prefix
-    spectra a run's corners share, starts at N_0.  The start depends on
-    the objective alone, so ``spectra`` never changes the result.
+    on the sup or the L objective of one segment starts instead at the
+    smallest power of two >= 8 n (at least 64), below N_0, where most
+    settle; the levels up to N_0 are then whole grids, as on their own
+    caps.  A decision on g, whose two prefix spectra a run's corners
+    share, starts at N_0.  The start depends on the objective alone, so
+    ``spectra`` never changes the result.
     """
     n, L = sum(seg.length for seg in segs), max(seg.length for seg in segs)
     if N < 4 * L:
         raise ValueError(f"grid size {N} below 4 * segment length {L}")
+    sh = 1 if half else 0                  # the grid of w is N_l >> sh
+    terms = sum(len(sg) * seg.length for seg, sg in zip(segs, signs))
+    # Read at both signs, F has only even frequencies: period pi.
+    even = 2 if all(len(sg) == 2 for sg in signs) else 1
     N0 = oversampled_grid(n, N)
-    N_l = oversampled_grid(n, N, 8) if decide and len(segs) == 1 else N0
-    F = _spectral_values(segs, N_l, paired, cross, spectra)
-    rows = 2 if paired else 1
-    N_l = N_l if degree >= rows else N     # degree < rows: constant
+    N_l = oversampled_grid(n, N, 8) if decide and not cross else N0
+    F = _spectral_values(segs, signs, N_l >> sh, cross, spectra)
+    N_l = N_l if degree >= even else N     # degree < even: constant
     js = None                              # level 0: j = 0 .. N_l/2
     while True:
-        s = slack(N_l)
-        enc = _enclose_grid_sup(float(np.max(F)), degree, N_l, s)
-        if decide:
-            enc = Enclosure(enc.lo, enc.hi, N_l, decide(enc))
+        s = slack(N_l >> sh)
+        enc = _enclose_grid_sup(float(np.max(F)), degree, N_l >> sh, s)
+        enc = Enclosure(enc.lo, enc.hi, N_l, decide and decide(enc))
         if enc.verdict is not None or N_l == N:
             return enc
         lo, U = enc.lo, enc.hi
-        Dh, c = degree * math.pi / N_l, min(4, N // N_l)
+        Dh, c = degree * math.pi / (N_l >> sh), min(4, N // N_l)
         N_l *= c
         if 2.0 * lo >= U and N_l > N0:
             keep = F + s >= (lo - Dh * math.sqrt(lo * (U - lo))
                              - 0.5 * Dh * Dh * U)
             kept = np.flatnonzero(keep) if js is None else js[keep]
-            p = N_l // 2 if paired else N_l
+            p = (N_l >> sh) // even
             js = np.add.outer(c * kept, np.arange(-(c // 2), c // 2 + 1)) % p
             # A set, not np.unique: numpy's sort code adds 1.6 MB to peak RSS.
             js = np.array(sorted(set(np.minimum(js, p - js).ravel().tolist())))
-            if rows * len(js) * n <= N0:
-                F = _direct_values(segs, js, N_l, paired, cross)
+            if len(js) * terms <= N0 >> sh:
+                F = _direct_values(segs, signs, js, N_l >> sh, cross)
                 continue
-        js, F = None, _spectral_values(segs, N_l, paired, cross, spectra)
+        js, F = None, _spectral_values(segs, signs, N_l >> sh, cross, spectra)
 
 
 def sup_norm_sq(seg: Segment, N: int, decide=None) -> Enclosure:
     """Enclosure of the squared sup-norm of the segment on the unit circle,
     settling ``decide`` if given (see _grid_sup)."""
-    return _grid_sup([seg], N, seg.length - 1, False,
-                     lambda M: abs_sq_slack(seg.length, M), None, decide)
+    return _grid_sup([seg], [(1,)], N, seg.length - 1,
+                     lambda M: abs_sq_slack(seg.length, M), decide=decide)
 
 
-def L_norm_sq(seg: Segment, N: int, decide=None) -> Enclosure:
+def L_norm_sq(seg: Segment, N: int, decide=None,
+              spectra: dict | None = None) -> Enclosure:
     """Enclosure of sup over the circle of |P(z)|^2 + |P(-z)|^2, settling
-    ``decide`` if given (see _grid_sup)."""
-    return _grid_sup([seg], N, seg.length - 1, True,
-                     lambda M: 2.0 * abs_sq_slack(seg.length, M), None,
-                     decide)
+    ``decide`` if given (see _grid_sup): twice that of |A(w)|^2 + |B(-w)|^2
+    for the halves A and B of the even/odd split (module docstring), on
+    the half grid.  ``spectra``, if given, memoizes the spectra of the
+    halves of a prefix, which are prefixes too (see _prefix_half_spectrum).
+    """
+    if N < 4 * seg.length:
+        raise ValueError(f"grid size {N} below 4 * segment length "
+                         f"{seg.length}")
+    A, B = even_odd_split(seg)
+    return _grid_sup(
+        [A, B], [(1,), (-1,)], N, max(A.length, B.length) - 1,
+        lambda M: abs_sq_slack(A.length, M) + abs_sq_slack(B.length, M),
+        decide=_scaled(decide, 2.0), spectra=spectra, half=True).scale(2.0)
 
 
 def _scaled(decide, factor: float):
@@ -279,8 +323,8 @@ def g_int(r: int, s: int, N: int, decide=None,
         return (2.0 * (abs_sq_slack(r, M) + abs_sq_slack(s, M))
                 + 2.0 * (s * er + r * es + er * es))
 
-    return _grid_sup([Segment(0, r), Segment(0, s)], N, r + s, True, slack,
-                     _g_cross, decide, spectra)
+    return _grid_sup([Segment(0, r), Segment(0, s)], [(1, -1)] * 2, N, r + s,
+                     slack, _g_cross, decide, spectra)
 
 
 def _g_cross(v: list, w: list) -> np.ndarray:

@@ -42,6 +42,15 @@ class Segment:
         return self.n - self.m
 
 
+def even_odd_split(seg: Segment) -> tuple[Segment, Segment]:
+    """The ranges A = [ceil(m/2), ceil(n/2)) and B = [floor(m/2),
+    floor(n/2)) with P(z) = A(z^2) + z B(-z^2) for P over [m, n): by the
+    doubling rule the even index 2s of [m, n) carries a_s, s in A, and the
+    odd index 2s + 1 carries (-1)^s a_s, s in B."""
+    return (Segment((seg.m + 1) // 2, (seg.n + 1) // 2),
+            Segment(seg.m // 2, seg.n // 2))
+
+
 def coeff(n: int) -> int:
     """Sign a_n, computed from the '11'-pair parity of binary(n)."""
     if n < 0:

@@ -192,24 +192,36 @@ def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch):
     """Each pair makes exactly one L_norm_sq call, at the grid cap and
     with a decision: the grid policy lives in norms.  Only the two pairs
     whose L decision fails, (1, 3) and (3, 11), make a sup_norm_sq
-    decision, so nearly every pair costs one FFT."""
+    decision.  The L objective is read from the half prefixes ceil(n/2)
+    and floor(n/2) on the half grid, and consecutive n share one of them
+    through the memo: about one FFT per two pairs, none above 2^15.  The
+    memo drops the prefixes shorter than floor(n/2), so it holds the two
+    halves of each level that a decision takes whole, at most four
+    spectra."""
     import rsbounds.certify1d as c1
     import rsbounds.norms as norms
 
     calls = []
     for name in ('L_norm_sq', 'sup_norm_sq'):
-        def spy(seg, N, decide=None, real=getattr(c1, name), name=name):
+        def spy(seg, N, decide=None, real=getattr(c1, name), name=name,
+                **memo):
             calls.append((name, seg, N, decide is not None))
-            return real(seg, N, decide)
+            return real(seg, N, decide, **memo)
         monkeypatch.setattr(c1, name, spy)
-    ffts = []
+    ffts, held = [], []
     monkeypatch.setattr(norms, 'half_spectrum', lambda seg, N,
                         real=norms.half_spectrum: ffts.append(N) or
                         real(seg, N))
-    for kind, sup_ns, expected_ffts in (('midrange', (3, 11), 1551),
-                                        ('upper', (), 60)):
+    def lookup(n, N, spectra, real=norms._prefix_half_spectrum):
+        R = real(n, N, spectra)
+        held.append(len(spectra))
+        return R
+    monkeypatch.setattr(norms, '_prefix_half_spectrum', lookup)
+    for kind, sup_ns, expected_ffts in (('midrange', (3, 11), 787),
+                                        ('upper', (), 35)):
         calls.clear()
         ffts.clear()
+        held.clear()
         records, _ = check_smallk_L(kind)
         assert Counter(calls) == Counter(
             [('L_norm_sq', Segment(0, r.n), c1._REFINE_CAP, True)
@@ -217,6 +229,8 @@ def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch):
             + [('sup_norm_sq', Segment(0, n), c1._REFINE_CAP, True)
                for n in sup_ns])
         assert len(ffts) == expected_ffts
+        assert max(ffts) <= 1 << 15
+        assert held and max(held) <= 4
 
 
 def test_check_smallk_L_bound_implies_sup_bound(smallk_records):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,39 @@ def test_sphere_sampler_parseval_and_determinism():
     for k, count in ((2, 5), (63, 1), (-1, 1)):
         with pytest.raises(ValueError):
             sphere_sampler(k, 1 + 0j, target, count, seed=0)
+
+
+def test_sphere_sampler_holds_one_power_at_a_time():
+    """At k = 40 with 2^14 roots one complex array is 0.25 MB; the pass
+    keeps one power w^{2^t} and one (P_t, Q_t) pair alive, so the traced
+    peak stays under 4 MB (31 MB when every power and pair was kept).  On
+    the seeded cases its outputs equal, bit for bit, those of a pass that
+    builds every power first."""
+    target = random_sphere_target(np.random.default_rng(42))
+    tracemalloc.start()
+    try:
+        sphere_sampler(40, 1j, target, 1 << 14, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    for k, count in ((10, 256), (24, 256), (40, 256), (62, 16)):
+        picks = np.random.default_rng(5).choice(1 << k, size=count,
+                                                replace=False)
+        ws = [np.exp(1j * ((math.pi / 2 + 2.0 * math.pi * (picks % (1 << r)))
+                           * 2.0 ** -r))
+              for r in range(k, 0, -1)]
+        p = q = 1
+        for w in ws:
+            wq = w * q
+            p, q = p + wq, p - wq
+        ph, qh = p * 2.0 ** (-(k + 1) / 2.0), q * 2.0 ** (-(k + 1) / 2.0)
+        dist = np.sqrt(np.abs(ph - target[0]) ** 2
+                       + np.abs(qh - target[1]) ** 2)
+        err = np.max(np.abs(np.abs(ph) ** 2 + np.abs(qh) ** 2 - 1.0))
+        rep = sphere_sampler(k, 1j, target, count, seed=5)
+        assert (rep.min_distance, rep.parseval_max_err) == (
+            float(np.min(dist)), float(err)), k
 
 
 def test_sphere_sampler_density_report():

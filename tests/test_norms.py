@@ -27,13 +27,23 @@ def brute_L_sq(seg: Segment, N: int) -> float:
     return float(np.max(f + np.roll(f, N // 2)))
 
 
-def full_grid_enclosure(seg: Segment, N: int, paired: bool):
+def full_grid_enclosure(seg: Segment, N: int, paired: bool, split=True):
     """Oracle: the enclosure from the maximum over the whole N-grid, by one
-    FFT, and its slack s."""
+    FFT, and its slack s.  The paired objective takes the degree and slack
+    of the even/odd split that L_norm_sq encloses it by: degree
+    2 max(|A|, |B|) - 2 in z, slack 2 (abs_sq_slack(|A|, N/2) +
+    abs_sq_slack(|B|, N/2)); with split=False, those of the z-objective:
+    degree L - 1, slack 2 abs_sq_slack(L, N)."""
     F = np.abs(half_spectrum(seg, N)) ** 2
     M = float(np.max(F + F[::-1] if paired else F))
-    s = (2.0 if paired else 1.0) * abs_sq_slack(seg.length, N)
-    delta = 0.5 * (seg.length - 1) ** 2 * (math.pi / N) ** 2
+    D, s = seg.length - 1, abs_sq_slack(seg.length, N)
+    if paired and split:
+        a, b = (seg.n + 1) // 2 - (seg.m + 1) // 2, seg.n // 2 - seg.m // 2
+        D = 2 * max(a, b) - 2
+        s = 2.0 * (abs_sq_slack(a, N // 2) + abs_sq_slack(b, N // 2))
+    elif paired:
+        s *= 2.0
+    delta = 0.5 * max(D, 0) ** 2 * (math.pi / N) ** 2
     return Enclosure(max(M - s, 0.0), (M + s) / (1.0 - delta)), s
 
 
@@ -55,13 +65,15 @@ def full_grid_g(r: int, s: int, N: int):
 
 @pytest.fixture
 def direct_calls(monkeypatch):
-    """Record (js, N, paired) of every direct evaluation in norms."""
+    """Record (js, N, paired) of every direct evaluation in norms, N the
+    grid it evaluates on, and paired whether every segment is read at both
+    signs (g: period N/2)."""
     calls = []
     real = norms._direct_values
 
-    def spy(segs, js, N, paired, cross):
-        calls.append((np.array(js), N, paired))
-        return real(segs, js, N, paired, cross)
+    def spy(segs, signs, js, N, cross):
+        calls.append((np.array(js), N, all(len(sg) == 2 for sg in signs)))
+        return real(segs, signs, js, N, cross)
 
     monkeypatch.setattr(norms, '_direct_values', spy)
     return calls
@@ -69,7 +81,8 @@ def direct_calls(monkeypatch):
 
 @pytest.fixture
 def fft_sizes(monkeypatch):
-    """Record the grid of every FFT taken in norms."""
+    """Record the grid of every FFT taken in norms (for the L objective the
+    w-grid, half the level's z-grid)."""
     sizes = []
     real = norms.half_spectrum
     monkeypatch.setattr(norms, 'half_spectrum',
@@ -79,13 +92,15 @@ def fft_sizes(monkeypatch):
 
 @pytest.fixture
 def level_grids(monkeypatch):
-    """Record the grid of every level's values in norms, FFT or direct."""
+    """Record the grid of every level's values in norms, FFT or direct (for
+    the L objective the w-grid, half the level's z-grid)."""
     grids = []
     spectral, direct = norms._spectral_values, norms._direct_values
-    monkeypatch.setattr(norms, '_spectral_values', lambda segs, N, *rest: (
-        grids.append(N) or spectral(segs, N, *rest)))
-    monkeypatch.setattr(norms, '_direct_values', lambda segs, js, N, *rest: (
-        grids.append(N) or direct(segs, js, N, *rest)))
+    monkeypatch.setattr(norms, '_spectral_values', lambda segs, sg, N, *rest: (
+        grids.append(N) or spectral(segs, sg, N, *rest)))
+    monkeypatch.setattr(norms, '_direct_values',
+                        lambda segs, sg, js, N, *rest: (
+                            grids.append(N) or direct(segs, sg, js, N, *rest)))
     return grids
 
 
@@ -130,7 +145,8 @@ def test_decision_settles_on_the_first_level_that_decides(level_grids):
             else:
                 assert got.N == N
             assert len(asked) == len(level_grids) and asked[-1] == got
-            assert level_grids[-1] == got.N
+            # got.N is the z-grid; the L objective is taken on its half.
+            assert level_grids[-1] * (2 if kind == 'L' else 1) == got.N
             if kind == 'g':
                 # The memo is a cache: the other setting decides alike.
                 other = g_int(r, s, N, below, {} if spectra is None else None)
@@ -189,20 +205,28 @@ def test_g_coarse_to_fine_matches_full_grid(direct_calls):
 
 
 def test_constant_objective_stops_at_level_0(direct_calls, fft_sizes):
-    """L <= 2 paired (|P(z)|^2 + |P(-z)|^2 = 2L) and L = 1 unpaired are
-    constant, so their N-grid maximum is their level-0 maximum: no FFT
-    above the level-0 grid and no direct evaluation, and the enclosure is
-    the full grid's within s."""
+    """L <= 2 paired (|P(z)|^2 + |P(-z)|^2 = 2L, of degree 0 in w = z^2)
+    and L = 1 unpaired are constant, so their N-grid maximum is their
+    level-0 maximum: no FFT above the level-0 grid (its half, the w-grid,
+    for the paired objective) and no direct evaluation, and the enclosure
+    is the full grid's within s.  Lengths 0 to 2, odd offsets, and the
+    grid N = 4, whose w-grid has 2 points, need no special case."""
     cases = [(Segment(0, 1), True), (Segment(0, 2), True),
-             (Segment(1 << 40, (1 << 40) + 2), True), (Segment(7, 8), False)]
+             (Segment(1 << 40, (1 << 40) + 2), True), (Segment(7, 8), False),
+             (Segment(5, 5), True), (Segment(3, 4), True),
+             (Segment(3, 5), True)]
     for seg, paired in cases:
-        for N in (1 << 12, 1 << 20):
+        for N in (4, 1 << 12, 1 << 20):
+            if N < 4 * seg.length:
+                continue
             fft_sizes.clear()
             enc = (L_norm_sq if paired else sup_norm_sq)(seg, N)
             want, s = full_grid_enclosure(seg, N, paired)
-            assert max(fft_sizes) == norms.oversampled_grid(seg.length, N)
+            level0 = norms.oversampled_grid(seg.length, N)
+            assert max(fft_sizes) == (level0 // 2 if paired else level0)
             assert abs(enc.lo - want.lo) <= s and abs(enc.hi - want.hi) <= s
             assert enc.contains(2.0 * seg.length if paired else 1.0)
+            assert enc.N == N
     assert not direct_calls
 
 
@@ -210,8 +234,9 @@ def test_sup_norm_refines_folded_arcs(direct_calls):
     """sup_norm_sq with N far above 64 L on the sharp prefix n = 43, whose
     maximum |P(1)|^2 = (sqrt(6n - 2) - 1)^2 = 225 sits at the fold point
     j = 0: the result is the full-grid enclosure, and every direct
-    evaluation is of distinct indices folded into [0, p/2] (p = N for |P|^2,
-    N/2 for the paired objective)."""
+    evaluation is of distinct indices folded into [0, p/2], p the grid it
+    evaluates on (for the L objective the w-grid; half of it for g, which
+    reads every segment at both signs)."""
     N = 1 << 22
     seg = Segment(0, 43)
     enc = sup_norm_sq(seg, N)
@@ -225,6 +250,36 @@ def test_sup_norm_refines_folded_arcs(direct_calls):
         period = grid // 2 if paired else grid
         assert js.min() >= 0 and 2 * js.max() <= period
         assert len(np.unique(js)) == len(js)
+
+
+def test_split_L_against_full_z_grid():
+    """Seeded property of the even/odd split against the z-grid oracle of
+    the L objective (degree L - 1 and slack 2 abs_sq_slack(L, N), from one
+    FFT over the whole N-grid): on the grid the split enclosure returns,
+    its grid maximum, lo plus its own slack, agrees with the oracle's
+    within the oracle's slack, and its hi is never larger.  Lengths 1, 2
+    and 3, even and odd lengths up to 600 at offsets up to 2^40, grids
+    from 4 to 2^16, every third case a decision."""
+    rng = np.random.default_rng(73)
+    ranges = [(0, 1), (6, 7), (5, 7), (0, 2), (0, 3), (1, 4), (0, 11)]
+    for _ in range(45):
+        m = int(rng.integers(0, 1 << 40))
+        ranges.append((m, m + int(rng.integers(4, 600))))
+    decided = 0
+    for i, (m, n) in enumerate(ranges):
+        seg = Segment(m, n)
+        N = 1 << int(rng.integers((4 * seg.length - 1).bit_length(), 17))
+        decide = None
+        if i % 3 == 2:
+            T = full_grid_enclosure(seg, N, True, split=False)[0].hi
+            decide = decision(lambda v: v < T * (1.0 + 1e-3))
+        enc = L_norm_sq(seg, N, decide)
+        decided += enc.N < N
+        want, s_z = full_grid_enclosure(seg, enc.N, True, split=False)
+        _, s = full_grid_enclosure(seg, enc.N, True)
+        assert abs((enc.lo + s) - (want.lo + s_z)) <= s_z, (m, n, N)
+        assert enc.hi <= want.hi, (m, n, N)
+    assert decided >= 3
 
 
 def test_enclosure_basics():
