@@ -288,24 +288,3 @@ def certify_f2(N: int, max_scale: int = DEFAULT_MAX_SCALE
                 kind='f2-bound')
     return tree, not tree.bad
 
-
-def reflection_reduction_check(k: int) -> bool:
-    """Exact check of the coefficient identity behind the mirror reduction
-    that halves the 2-D parameter space:
-
-        a_{2^{k+2}-1-i} = (-1)^{k+i} a_i    for 2^{k+1} <= i < 2^{k+2}.
-
-    Summed over [m, n) it gives, with T = 2^{k+2},
-    P_{[T-n, T-m)}(z) = (-1)^k z^{T-1} P_{[m, n)}(-1/z), so the two segments
-    have equal L-norms for 2^{k+1} <= m <= n <= T.  Every index is checked
-    in integer arithmetic.
-    """
-    import numpy as np
-
-    from .sequence import Segment, coeff_range
-
-    half = 1 << (k + 1)
-    upper = coeff_range(Segment(half, 2 * half)).astype(np.int64)
-    mirrored = coeff_range(Segment(0, half))[::-1].astype(np.int64)
-    signs = (-1) ** k * (1 - 2 * (np.arange(half, 2 * half) % 2))
-    return bool(np.array_equal(mirrored, signs * upper))

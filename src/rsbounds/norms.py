@@ -10,32 +10,48 @@ with Bernstein's inequality gives
 at the maximizer t* the nearest grid point t_j has |t_j - t*| <= pi/N, and
 F(t_j) >= F(t*) - (1/2)(pi/N)^2 sup|F''| >= F(t*)(1 - (1/2) D^2 (pi/N)^2).
 
-The same bound covers the g objective, which is a supremum of the family of
-non-negative trigonometric polynomials A(t) + 2 Re(e^{i phi} H(e^{it})) of
-degree <= r + s over phases phi; each family member is dominated pointwise
-by the objective, so the grid maximum of the objective bounds every member.
-
-The L objective on the half grid.  The doubling rule a_{2s} = a_s,
-a_{2s+1} = (-1)^s a_s splits P over [m, n) into its even and odd terms:
+The half grid.  The doubling rule a_{2s} = a_s, a_{2s+1} = (-1)^s a_s
+splits P over [m, n) into its even and odd terms:
 
     P(z) = A(w) + z B(-w),    w = z^2,
 
 with A = P over [ceil(m/2), ceil(n/2)) and B = P over [floor(m/2),
 floor(n/2)) (the even index 2s lies in [m, n) iff s lies in A's range, the
-odd index 2s + 1 iff s lies in B's).  Then P(-z) = A(w) - z B(-w), and on
-the circle the cross terms cancel:
+odd index 2s + 1 iff s lies in B's).  Then P(-z) = A(w) - z B(-w).  The
+z_j of the N-grid square to the w_j of the N/2-grid, so an objective that
+is a function of w is enclosed from its maximum on the N/2-grid.  Each FFT
+value of a half X errs by at most eps_fp(|X|, N/2).
+
+The L objective.  On the circle the cross terms cancel:
 
     |P(z)|^2 + |P(-z)|^2 = 2 (|A(w)|^2 + |B(-w)|^2).
 
-The z_j of the N-grid square to the w_j of the N/2-grid, so the L
-objective's N-grid maximum is twice that of G(w) = |A(w)|^2 + |B(-w)|^2 on
-the N/2-grid.  G is a non-negative trigonometric polynomial in w of degree
-max(|A|, |B|) - 1 <= (L - 1)/2, so the off-grid and Szego steps below hold
-for it as they stand, on the w-grid; D pi / N is the same or smaller than
-for the z-objective of degree L - 1.  Each FFT value of A or B errs by at
-most eps_fp(|A| or |B|, N/2), so G's values carry the slack
-abs_sq_slack(|A|, N/2) + abs_sq_slack(|B|, N/2), half or less of the
+G(w) = |A(w)|^2 + |B(-w)|^2 is a non-negative trigonometric polynomial in
+w of degree max(|A|, |B|) - 1 <= (L - 1)/2, so the off-grid and Szego
+steps below hold for it as they stand, on the w-grid; D pi / N is the same
+or smaller than for the z-objective of degree L - 1.  G's values carry the
+slack abs_sq_slack(|A|, N/2) + abs_sq_slack(|B|, N/2), half or less of the
 z-objective's 2 abs_sq_slack(L, N).
+
+The g objective.  Write a = A_r(w), b = B_r(-w) for the halves of the
+prefix r and c = A_s(w), d = B_s(-w) for those of the prefix s.  Then
+P_s(z) P_r(-z) - P_s(-z) P_r(z) = 2 z (a d - c b), so g's objective is
+2 H(w) with
+
+    H = |a|^2 + |b|^2 + |c|^2 + |d|^2 + 2 |a d - c b|.
+
+H is the sup over phases phi of the family of non-negative trigonometric
+polynomials |a + e^{-i phi} conj(d)|^2 + |c - e^{-i phi} conj(b)|^2.  Each
+member is dominated pointwise by H, so H's grid maximum bounds every
+member, and the off-grid and Szego steps hold for H through the member
+that attains it.  The member's degree in w is
+max(spread(|A_r|, |B_s|), spread(|A_s|, |B_r|)): |x + e^{-i phi} conj(y)|^2
+has degree p + q - 2 for halves x, y of lengths p, q > 0 (the frequencies
+of x run over 0 .. p - 1, those of conj(y) over 1 - q .. 0), and
+max(p, q) - 1 if either is empty, as B_1 is.  A value of a half errs by at
+most e_x = eps_fp(|x|, N/2), so H's values carry the slack of the four
+|x|^2 plus 2 (|A_r| e_d + |B_s| e_a + e_a e_d + |A_s| e_b + |B_r| e_c +
+e_b e_c), the first-order error of the cross term.
 
 Coarse to fine.  sup_norm_sq, L_norm_sq and g_int need M, the maximum
 over the N-grid, not the other N - 1 values.  One routine (_grid_sup)
@@ -129,50 +145,50 @@ def decision(holds):
 def _spectral_values(segs: list[Segment], signs, N: int, cross,
                      spectra: dict | None) -> np.ndarray:
     """F at x_j, j = 0 .. N/2, from one real FFT R per segment (a prefix's
-    memoized in ``spectra`` if given): v = R[j] and w = R[N/2 - j]."""
+    memoized in ``spectra`` if given): a segment read at sign +1 has the
+    value v = R[j] = conj P(x_j), one read at -1 the value
+    w = R[N/2 - j] = P(-x_j)."""
     v = [half_spectrum(seg, N) if spectra is None or seg.m
          else _prefix_half_spectrum(seg.n, N, spectra) for seg in segs]
     F = None
     for R, sg in zip(v, signs):
         # |w|^2 as reversed |v|^2: np.abs of a reversed view may round apart.
         a = np.abs(R) ** 2
-        t = a + a[::-1] if len(sg) == 2 else a if sg[0] > 0 else a[::-1]
+        t = a if sg > 0 else a[::-1]
         F = t if F is None else F + t
     if cross:
-        F += cross(v, [R[::-1] for R in v])
+        F += cross([R if sg > 0 else R[::-1] for R, sg in zip(v, signs)])
     return F
 
 
 def _direct_values(segs: list[Segment], signs, js: np.ndarray, N: int,
                    cross) -> np.ndarray:
     """F at x_j for each j in js, by direct evaluation."""
-    pairs = list(zip(segs, signs))
-    v = [np.conj(eval_roots(seg, js, N)) for seg, sg in pairs if 1 in sg]
-    w = [eval_roots(seg, js + N // 2, N) for seg, sg in pairs if -1 in sg]
-    F = sum(np.abs(x) ** 2 for x in v + w)
-    return F + cross(v, w) if cross else F
+    v = [np.conj(eval_roots(seg, js, N)) if sg > 0
+         else eval_roots(seg, js + N // 2, N) for seg, sg in zip(segs, signs)]
+    F = sum(np.abs(x) ** 2 for x in v)
+    return F + cross(v) if cross else F
 
 
 def _grid_sup(segs: list[Segment], signs, N: int, degree: int, slack,
               cross=None, decide=None, spectra=None, half: bool = False):
     """Enclosure of the sup of F, of degree D = ``degree``, from its
     maximum over the N-grid, whose values err by at most slack(N).  F is
-    the sum over the segments of |P(x)|^2 and |P(-x)|^2, for the signs
-    +1 and -1 in the segment's tuple of ``signs`` ((1,), (-1,) or (1, -1)),
-    plus cross(v, w) of the lists of the untwisted v = conj P(x_j) of the
-    segments read at +1 and w = P(-x_j) of those read at -1.  ``spectra``,
-    if given, memoizes the spectra of prefixes (see _prefix_half_spectrum).
+    the sum over the segments of |P(x)|^2 or |P(-x)|^2, as the segment's
+    sign in ``signs`` is +1 or -1, plus cross(v) of the list of the
+    segments' untwisted values v, conj P(x_j) or P(-x_j) by the same
+    signs.  ``spectra``, if given, memoizes the spectra of prefixes (see
+    _prefix_half_spectrum).
 
-    With ``half``, F is a polynomial in w = z^2 (the L objective, see the
-    module docstring).  The level grids N_l, the cap N and the recorded
-    Enclosure.N below stay those of z, and F, D, the slack, h and the fold
-    are taken on the N_l/2-grid of w, which the N_l-grid of z covers twice.
+    With ``half``, F is a function of w = z^2 and the objective is 2F
+    (the L and g objectives, see the module docstring).  The level grids
+    N_l, the cap N and the recorded Enclosure.N below stay those of z, and
+    F, D, the slack, h and the index fold are taken on the N_l/2-grid of w,
+    which the N_l-grid of z covers twice.
 
-    F is even, and of period pi if every segment is read at both signs
-    (g), so indices are folded into [0, p/2] with p = N (or N/2).  Level 0
-    takes F on the whole grid N_0 = oversampled_grid(n, N), n the total
-    length of the segments.  F of period pi has only even frequencies, so
-    of degree < 2 (as |P|^2 of degree 0) it is constant and its N-grid
+    F is even, so indices are folded into [0, p/2], p the grid of F.
+    Level 0 takes F on the whole grid N_0 = oversampled_grid(n, N), n the
+    total length of the segments.  F of degree 0 is constant, so its N-grid
     maximum is its level-0 one.  Otherwise each step from N_l to
     N_{l+1} = min(4 N_l, N) keeps the evaluated points j with
 
@@ -185,15 +201,14 @@ def _grid_sup(segs: list[Segment], signs, N: int, degree: int, slack,
     F'^2 <= D^2 F (U - F), and x - D h sqrt(x (U - x)) increases with x for
     x >= U/2; so a Taylor step from the argmax of any finer grid, or from
     the maximizer, to its nearest level-l point shows that point is kept
-    while lo >= U/2.  For g the step is taken on the family member that attains
-    F there: a non-negative trigonometric polynomial of degree <= D, below
-    F <= U everywhere.  By induction each level holds its grid's argmax,
-    and the point nearest the maximizer, which makes [lo, U] an enclosure
-    on every level.  Direct values err by at most eps_direct(L) <=
-    eps_fp(L, N_l) (N_l >= 4 L), so s holds for them.  The next level is
-    taken whole, by FFT, when lo < U/2, when it would cost more direct
-    work than the N_0 FFT (points times the terms read per point, the sum
-    of each segment's length times its number of signs, above the N_0
+    while lo >= U/2.  For g the step is taken on the family member that
+    attains F there: a non-negative trigonometric polynomial of degree
+    <= D, below F <= U everywhere.  By induction each level holds its
+    grid's argmax, and the point nearest the maximizer, which makes
+    [lo, U] an enclosure on every level.  Direct values err by at most
+    eps_direct(L) <= eps_fp(L, N_l) (N_l >= 4 L), so s holds for them.
+    The next level is taken whole, by FFT, when lo < U/2, when it would
+    cost more direct work than the N_0 FFT (points times n above the N_0
     FFT's grid), or when its grid is no larger than N_0.
 
     Without ``decide`` the result is the N-grid enclosure.  With it, the
@@ -203,40 +218,38 @@ def _grid_sup(segs: list[Segment], signs, N: int, degree: int, slack,
     on the sup or the L objective of one segment starts instead at the
     smallest power of two >= 8 n (at least 64), below N_0, where most
     settle; the levels up to N_0 are then whole grids, as on their own
-    caps.  A decision on g, whose two prefix spectra a run's corners
-    share, starts at N_0.  The start depends on the objective alone, so
+    caps.  A decision on g, whose prefix spectra a run's corners share,
+    starts at N_0.  The start depends on the objective alone, so
     ``spectra`` never changes the result.
     """
     n, L = sum(seg.length for seg in segs), max(seg.length for seg in segs)
     if N < 4 * L:
         raise ValueError(f"grid size {N} below 4 * segment length {L}")
     sh = 1 if half else 0                  # the grid of w is N_l >> sh
-    terms = sum(len(sg) * seg.length for seg, sg in zip(segs, signs))
-    # Read at both signs, F has only even frequencies: period pi.
-    even = 2 if all(len(sg) == 2 for sg in signs) else 1
     N0 = oversampled_grid(n, N)
     N_l = oversampled_grid(n, N, 8) if decide and not cross else N0
     F = _spectral_values(segs, signs, N_l >> sh, cross, spectra)
-    N_l = N_l if degree >= even else N     # degree < even: constant
+    N_l = N_l if degree > 0 else N         # degree 0: constant
     js = None                              # level 0: j = 0 .. N_l/2
     while True:
         s = slack(N_l >> sh)
         enc = _enclose_grid_sup(float(np.max(F)), degree, N_l >> sh, s)
+        lo, U = enc.lo, enc.hi
+        enc = enc.scale(1 << sh)           # the objective is 2F with half
         enc = Enclosure(enc.lo, enc.hi, N_l, decide and decide(enc))
         if enc.verdict is not None or N_l == N:
             return enc
-        lo, U = enc.lo, enc.hi
         Dh, c = degree * math.pi / (N_l >> sh), min(4, N // N_l)
         N_l *= c
         if 2.0 * lo >= U and N_l > N0:
             keep = F + s >= (lo - Dh * math.sqrt(lo * (U - lo))
                              - 0.5 * Dh * Dh * U)
             kept = np.flatnonzero(keep) if js is None else js[keep]
-            p = (N_l >> sh) // even
+            p = N_l >> sh
             js = np.add.outer(c * kept, np.arange(-(c // 2), c // 2 + 1)) % p
             # A set, not np.unique: numpy's sort code adds 1.6 MB to peak RSS.
             js = np.array(sorted(set(np.minimum(js, p - js).ravel().tolist())))
-            if len(js) * terms <= N0 >> sh:
+            if len(js) * n <= N0 >> sh:
                 F = _direct_values(segs, signs, js, N_l >> sh, cross)
                 continue
         js, F = None, _spectral_values(segs, signs, N_l >> sh, cross, spectra)
@@ -245,7 +258,7 @@ def _grid_sup(segs: list[Segment], signs, N: int, degree: int, slack,
 def sup_norm_sq(seg: Segment, N: int, decide=None) -> Enclosure:
     """Enclosure of the squared sup-norm of the segment on the unit circle,
     settling ``decide`` if given (see _grid_sup)."""
-    return _grid_sup([seg], [(1,)], N, seg.length - 1,
+    return _grid_sup([seg], [1], N, seg.length - 1,
                      lambda M: abs_sq_slack(seg.length, M), decide=decide)
 
 
@@ -262,9 +275,9 @@ def L_norm_sq(seg: Segment, N: int, decide=None,
                          f"{seg.length}")
     A, B = even_odd_split(seg)
     return _grid_sup(
-        [A, B], [(1,), (-1,)], N, max(A.length, B.length) - 1,
+        [A, B], [1, -1], N, max(A.length, B.length) - 1,
         lambda M: abs_sq_slack(A.length, M) + abs_sq_slack(B.length, M),
-        decide=_scaled(decide, 2.0), spectra=spectra, half=True).scale(2.0)
+        decide=decide, spectra=spectra, half=True)
 
 
 def _scaled(decide, factor: float):
@@ -304,12 +317,14 @@ def g_int(r: int, s: int, N: int, decide=None,
     """Enclosure of g(r, s) through the alpha-free objective
 
         |P_{<r}(z)|^2 + |P_{<r}(-z)|^2 + |P_{<s}(z)|^2 + |P_{<s}(-z)|^2
-            + 2 |P_{<s}(z) P_{<r}(-z) - P_{<s}(-z) P_{<r}(z)|
+            + 2 |P_{<s}(z) P_{<r}(-z) - P_{<s}(-z) P_{<r}(z)|,
 
-    maximized over the N-grid with antipodal index pairing, settling
-    ``decide`` if given (see _grid_sup).  Prefix spectra are memoized in
-    ``spectra`` if given; a caller that encloses many corners passes one
-    dict to share them, and gets the same enclosures as without it.
+    twice H(w) of the halves of the prefixes r and s (module docstring),
+    maximized over the half grid, settling ``decide`` if given (see
+    _grid_sup).  The halves' spectra, which are prefix spectra, are
+    memoized in ``spectra`` if given; a caller that encloses many corners
+    passes one dict to share them, and gets the same enclosures as without
+    it.
     """
     if r < 0 or s < 0:
         raise ValueError("g_int needs non-negative integer arguments")
@@ -317,20 +332,31 @@ def g_int(r: int, s: int, N: int, decide=None,
         # One factor is the empty sum: the objective collapses to the
         # squared L-norm of the other prefix.
         return L_norm_sq(Segment(0, max(r, s)), N, decide)
+    if N < 4 * max(r, s):
+        raise ValueError(f"grid size {N} below 4 * segment length "
+                         f"{max(r, s)}")
+    halves = even_odd_split(Segment(0, r)) + even_odd_split(Segment(0, s))
+    a, b, c, d = (h.length for h in halves)
 
     def slack(M: int) -> float:
-        er, es = eps_fp(r, M), eps_fp(s, M)
-        return (2.0 * (abs_sq_slack(r, M) + abs_sq_slack(s, M))
-                + 2.0 * (s * er + r * es + er * es))
+        ea, eb, ec, ed = (eps_fp(x, M) for x in (a, b, c, d))
+        return (sum(abs_sq_slack(x, M) for x in (a, b, c, d))
+                + 2.0 * (a * ed + d * ea + ea * ed
+                         + c * eb + b * ec + eb * ec))
 
-    return _grid_sup([Segment(0, r), Segment(0, s)], [(1, -1)] * 2, N, r + s,
-                     slack, _g_cross, decide, spectra)
+    return _grid_sup(list(halves), [1, -1, 1, -1], N,
+                     max(_spread(a, d), _spread(c, b)), slack, _g_half_cross,
+                     decide, spectra, half=True)
 
 
-def _g_cross(v: list, w: list) -> np.ndarray:
-    """2 |P_s(z) P_r(-z) - P_s(-z) P_r(z)| from the values of prefixes r, s."""
-    (vr, vs), (wr, ws) = v, w
-    return 2.0 * np.abs(np.conj(vs) * wr - ws * np.conj(vr))
+def _spread(p: int, q: int) -> int:
+    """Degree of |x + e^{-i phi} conj(y)|^2 for halves x, y of lengths p, q."""
+    return p + q - 2 if p and q else max(p, q) - 1
+
+
+def _g_half_cross(v: list) -> np.ndarray:
+    """2 |a d - c b| from the values [conj a, b, conj c, d] of the halves."""
+    return 2.0 * np.abs(np.conj(v[0]) * v[3] - np.conj(v[2]) * v[1])
 
 
 def g_dyadic(x: DyadicPoint, y: DyadicPoint, N: int, decide=None,

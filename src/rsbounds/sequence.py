@@ -3,8 +3,8 @@
 The sequence a_0, a_1, ... with a_n in {-1, +1} is defined by a_0 = 1,
 a_{2n} = a_n, a_{2n+1} = (-1)^n a_n.  Equivalently a_n = (-1)^c where c is
 the number of adjacent '11' pairs in the binary expansion of n.  The second
-form is used for production (O(1) per term, constant memory); the recurrence
-serves as the test oracle.
+form is used for production (O(1) per term, constant memory); the test
+suite checks it against the recurrence.
 
 block_decompose tiles any range greedily by signed, aligned P_t/Q_t blocks;
 the evaluate module sums them at a point, in floating point at a root of
@@ -70,19 +70,6 @@ def coeff_range(seg: Segment) -> np.ndarray:
     idx = np.arange(seg.m, seg.n, dtype=np.uint64)
     pairs = np.bitwise_count(idx & (idx >> np.uint64(1)))
     return np.where(pairs & np.uint64(1), -1, 1).astype(np.int8)
-
-
-def coeff_range_oracle(n: int) -> np.ndarray:
-    """First n signs built purely from the defining recurrence (test oracle)."""
-    out = np.empty(max(n, 1), dtype=np.int8)
-    out[0] = 1
-    for i in range(1, n):
-        half = i >> 1
-        if i & 1:
-            out[i] = out[half] * (1 if half % 2 == 0 else -1)
-        else:
-            out[i] = out[half]
-    return out[:n]
 
 
 @dataclass(frozen=True)

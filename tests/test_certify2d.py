@@ -1,16 +1,17 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rsbounds.certify2d import (CertTree, DyadicSquare, SquareRecord,
                                 STATUS_BAD, _certified, _g_target_min,
-                                certify_f2, certify_square_g,
+                                certify_f2, certify_g_full, certify_square_g,
                                 check_exclusion_region,
-                                reflection_reduction_check,
                                 square_interior_meets_B)
 from rsbounds.dyadic import DyadicPoint
 from rsbounds.norms import g_dyadic, g_int, f2_dyadic
+from rsbounds.sequence import Segment, coeff_range
 
 
 def test_square_geometry():
@@ -140,8 +141,9 @@ def test_g_int_shared_spectra_match_fresh():
         for N in (1 << 10, 1 << 12):
             assert g_int(r, s, N, spectra=spectra) \
                 == g_int(r, s, N, spectra={}) == g_int(r, s, N)
-    # g_int(9, 9, 2^12) takes level 0 on oversampled_grid(18) = 2^11.
-    assert (9, 1 << 11) in spectra
+    # g_int(9, 9, 2^12) takes level 0 on oversampled_grid(18) = 2^11, from
+    # the spectra of the halves 5 and 4 of the prefix 9 on its w-grid 2^10.
+    assert (5, 1 << 10) in spectra and (4, 1 << 10) in spectra
 
 
 def test_certified_squares_survive_grid_doubling():
@@ -152,6 +154,16 @@ def test_certified_squares_survive_grid_doubling():
         y = DyadicPoint.from_fraction(rec.corner[1])
         hi2 = g_dyadic(x, y, 1 << 14).hi
         assert _certified(hi2, rec.square.k - 1, rec.target_min)
+
+
+def test_g_to_scale_10_keeps_its_summary():
+    """certify-g over [0, 4]^2 to scale 10 at the default cap 2^20 keeps
+    this summary and passes the exclusion check, so a change to the g
+    enclosure that moves a deep square fails here."""
+    tree = certify_g_full(1 << 20, max_scale=10)
+    assert (len(tree.bad), len(tree.certified), len(tree.subdivided),
+            tree.corner_evals) == (331, 8679, 2998, 3757)
+    assert check_exclusion_region(tree)[0]
 
 
 def test_square_interior_meets_B():
@@ -187,6 +199,27 @@ def test_exclusion_region_examples():
     assert ok and not viol
 
 
+def reflection_reduction_check(k: int) -> bool:
+    """Exact check of the coefficient identity behind the mirror reduction
+    that halves the 2-D parameter space:
+
+        a_{2^{k+2}-1-i} = (-1)^{k+i} a_i    for 2^{k+1} <= i < 2^{k+2}.
+
+    Summed over [m, n) it gives, with T = 2^{k+2},
+    P_{[T-n, T-m)}(z) = (-1)^k z^{T-1} P_{[m, n)}(-1/z), so the two segments
+    have equal L-norms for 2^{k+1} <= m <= n <= T.  Every index is checked
+    in integer arithmetic.  The identity holds for every k (README): the
+    (k+2)-bit complement of i turns its '11' pairs into '00' pairs, and of
+    i's k + 1 adjacent pairs #00 + #11 + #changes = k + 1 with
+    #changes = 1 + i (mod 2), so #00 = k + i + #11 (mod 2).
+    """
+    half = 1 << (k + 1)
+    upper = coeff_range(Segment(half, 2 * half)).astype(np.int64)
+    mirrored = coeff_range(Segment(0, half))[::-1].astype(np.int64)
+    signs = (-1) ** k * (1 - 2 * (np.arange(half, 2 * half) % 2))
+    return bool(np.array_equal(mirrored, signs * upper))
+
+
 def test_reflection_reduction():
     for k in range(16):
         assert reflection_reduction_check(k)
@@ -194,7 +227,6 @@ def test_reflection_reduction():
 
 def test_reflection_full_blocks():
     from rsbounds.norms import L_norm_sq
-    from rsbounds.sequence import Segment
 
     for k in (1, 2, 3):
         top = 1 << (k + 2)

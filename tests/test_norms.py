@@ -9,7 +9,7 @@ from rsbounds.dyadic import DyadicPoint
 from rsbounds.evaluate import abs_sq_slack, eps_fp, half_spectrum
 from rsbounds.norms import (Enclosure, L_norm_sq, decision, f2_dyadic,
                             f_dyadic, g_dyadic, g_int, sup_norm_sq)
-from rsbounds.sequence import Segment, coeff_range
+from rsbounds.sequence import Segment, coeff_range, even_odd_split
 
 
 def brute_max_abs_sq(seg: Segment, N: int) -> float:
@@ -47,32 +47,48 @@ def full_grid_enclosure(seg: Segment, N: int, paired: bool, split=True):
     return Enclosure(max(M - s, 0.0), (M + s) / (1.0 - delta)), s
 
 
-def full_grid_g(r: int, s: int, N: int):
+def full_grid_g(r: int, s: int, N: int, split=True):
     """Oracle: the g enclosure from the maximum over the whole N-grid, by
-    one FFT per prefix and the alpha-free reduction, and its slack s."""
+    one FFT per prefix and the alpha-free reduction, and its slack s.  It
+    takes the degree and slack of the even/odd split that g_int encloses
+    g by: with half lengths a, b of the prefix r and c, d of the prefix s,
+    degree 2 max(spread(a, d), spread(c, b)) in z and slack twice the four
+    abs_sq_slack(., N/2) plus 2 (a e_d + d e_a + e_a e_d + c e_b + b e_c +
+    e_b e_c), e_x = eps_fp(x, N/2); with split=False, those of the
+    z-objective: degree r + s and slack 2 (abs_sq_slack(r, N) +
+    abs_sq_slack(s, N)) + 2 (s e_r + r e_s + e_r e_s)."""
     Rr = half_spectrum(Segment(0, r), N)
     Rs = half_spectrum(Segment(0, s), N)
     Fr, Fs = np.abs(Rr) ** 2, np.abs(Rs) ** 2
     G = Fr + Fr[::-1] + Fs + Fs[::-1]
     G += 2.0 * np.abs(np.conj(Rs) * Rr[::-1] - Rs[::-1] * np.conj(Rr))
-    er, es = eps_fp(r, N), eps_fp(s, N)
-    slack = 2.0 * (abs_sq_slack(r, N) + abs_sq_slack(s, N))
-    slack += 2.0 * (s * er + r * es + er * es)
+    if split:
+        a, b, c, d = (r + 1) // 2, r // 2, (s + 1) // 2, s // 2
+        spread = lambda p, q: p + q - 2 if p and q else max(p, q) - 1
+        D = 2 * max(spread(a, d), spread(c, b))
+        ea, eb, ec, ed = (eps_fp(x, N // 2) for x in (a, b, c, d))
+        slack = sum(abs_sq_slack(x, N // 2) for x in (a, b, c, d))
+        slack += 2.0 * (a * ed + d * ea + ea * ed + c * eb + b * ec + eb * ec)
+        slack *= 2.0
+    else:
+        er, es = eps_fp(r, N), eps_fp(s, N)
+        D = r + s
+        slack = 2.0 * (abs_sq_slack(r, N) + abs_sq_slack(s, N))
+        slack += 2.0 * (s * er + r * es + er * es)
     M = float(np.max(G))
-    delta = 0.5 * (r + s) ** 2 * (math.pi / N) ** 2
+    delta = 0.5 * D ** 2 * (math.pi / N) ** 2
     return Enclosure(max(M - slack, 0.0), (M + slack) / (1.0 - delta)), slack
 
 
 @pytest.fixture
 def direct_calls(monkeypatch):
-    """Record (js, N, paired) of every direct evaluation in norms, N the
-    grid it evaluates on, and paired whether every segment is read at both
-    signs (g: period N/2)."""
+    """Record (js, N) of every direct evaluation in norms, N the grid it
+    evaluates on (for the L and g objectives the w-grid)."""
     calls = []
     real = norms._direct_values
 
     def spy(segs, signs, js, N, cross):
-        calls.append((np.array(js), N, all(len(sg) == 2 for sg in signs)))
+        calls.append((np.array(js), N))
         return real(segs, signs, js, N, cross)
 
     monkeypatch.setattr(norms, '_direct_values', spy)
@@ -81,8 +97,8 @@ def direct_calls(monkeypatch):
 
 @pytest.fixture
 def fft_sizes(monkeypatch):
-    """Record the grid of every FFT taken in norms (for the L objective the
-    w-grid, half the level's z-grid)."""
+    """Record the grid of every FFT taken in norms (for the L and g
+    objectives the w-grid, half the level's z-grid)."""
     sizes = []
     real = norms.half_spectrum
     monkeypatch.setattr(norms, 'half_spectrum',
@@ -93,7 +109,7 @@ def fft_sizes(monkeypatch):
 @pytest.fixture
 def level_grids(monkeypatch):
     """Record the grid of every level's values in norms, FFT or direct (for
-    the L objective the w-grid, half the level's z-grid)."""
+    the L and g objectives the w-grid, half the level's z-grid)."""
     grids = []
     spectral, direct = norms._spectral_values, norms._direct_values
     monkeypatch.setattr(norms, '_spectral_values', lambda segs, sg, N, *rest: (
@@ -145,8 +161,8 @@ def test_decision_settles_on_the_first_level_that_decides(level_grids):
             else:
                 assert got.N == N
             assert len(asked) == len(level_grids) and asked[-1] == got
-            # got.N is the z-grid; the L objective is taken on its half.
-            assert level_grids[-1] * (2 if kind == 'L' else 1) == got.N
+            # got.N is the z-grid; L and g are taken on its half.
+            assert level_grids[-1] * (1 if kind == 'sup' else 2) == got.N
             if kind == 'g':
                 # The memo is a cache: the other setting decides alike.
                 other = g_int(r, s, N, below, {} if spectra is None else None)
@@ -235,8 +251,7 @@ def test_sup_norm_refines_folded_arcs(direct_calls):
     maximum |P(1)|^2 = (sqrt(6n - 2) - 1)^2 = 225 sits at the fold point
     j = 0: the result is the full-grid enclosure, and every direct
     evaluation is of distinct indices folded into [0, p/2], p the grid it
-    evaluates on (for the L objective the w-grid; half of it for g, which
-    reads every segment at both signs)."""
+    evaluates on (for the L and g objectives the w-grid)."""
     N = 1 << 22
     seg = Segment(0, 43)
     enc = sup_norm_sq(seg, N)
@@ -246,9 +261,9 @@ def test_sup_norm_refines_folded_arcs(direct_calls):
     assert direct_calls and direct_calls[-1][1] == N
     L_norm_sq(Segment(0, 91), N)
     L_norm_sq(Segment(3, 60), N)
-    for js, grid, paired in direct_calls:
-        period = grid // 2 if paired else grid
-        assert js.min() >= 0 and 2 * js.max() <= period
+    g_int(43, 21, N)
+    for js, grid in direct_calls:
+        assert js.min() >= 0 and 2 * js.max() <= grid
         assert len(np.unique(js)) == len(js)
 
 
@@ -280,6 +295,71 @@ def test_split_L_against_full_z_grid():
         assert abs((enc.lo + s) - (want.lo + s_z)) <= s_z, (m, n, N)
         assert enc.hi <= want.hi, (m, n, N)
     assert decided >= 3
+
+
+def test_split_g_against_full_z_grid():
+    """Seeded property of g's even/odd split against the z-grid oracle
+    (degree r + s and the z-form slack, from one FFT per prefix over the
+    whole N-grid): on the grid the split enclosure returns, its grid
+    maximum, lo plus its own slack, agrees with the oracle's within the
+    oracle's slack, and its hi is never larger.  r and s take 1, 2, odd
+    and even values up to 300, on grids from 4 (r + s) to 2^18, every
+    third case a decision."""
+    rng = np.random.default_rng(79)
+    pairs = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 5), (5, 1), (1, 6),
+             (2, 7), (3, 3), (4, 9)]
+    pairs += [tuple(int(t) for t in rng.integers(1, 301, 2))
+              for _ in range(40)]
+    decided = 0
+    for i, (r, s) in enumerate(pairs):
+        N = 1 << int(rng.integers((4 * (r + s) - 1).bit_length(), 19))
+        decide = None
+        if i % 3 == 2:
+            T = full_grid_g(r, s, N, split=False)[0].hi
+            decide = decision(lambda v: v < T * (1.0 + 1e-3))
+        enc = g_int(r, s, N, decide)
+        decided += enc.N < N
+        want, slack_z = full_grid_g(r, s, enc.N, split=False)
+        _, slack = full_grid_g(r, s, enc.N)
+        assert abs((enc.lo + slack) - (want.lo + slack_z)) <= slack_z, (r, s)
+        assert enc.hi <= want.hi, (r, s, N)
+    assert decided >= 3
+
+
+def test_g_degree_bounds_family_frequencies(monkeypatch):
+    """The degree g_int passes to the engine is at least the highest
+    frequency in w of the family members |a + e^{-i phi} conj(d)|^2 and
+    |c - e^{-i phi} conj(b)|^2, built from the signs of the halves, for
+    every 1 <= r, s <= 40.  At (1, 5), where the half B_1 is empty, that
+    frequency is 2, one above max(|A_r| + |B_s|, |A_s| + |B_r|) - 2."""
+    degrees = []
+
+    def spy(segs, signs, N, degree, *rest, **kw):
+        degrees.append(degree)
+        return Enclosure(0.0, 0.0)
+
+    monkeypatch.setattr(norms, '_grid_sup', spy)
+
+    def top_frequency(x: np.ndarray, y: np.ndarray) -> int:
+        # x + e^{-i phi} conj(y(-w)): y's w^t enters at frequency -t.
+        q = len(y)
+        f = np.zeros(len(x) + max(q - 1, 0), complex)
+        f[max(q - 1, 0):] += x
+        if q:
+            f[:q] += np.exp(-0.7j) * (y * (-1.0) ** np.arange(q))[::-1]
+        power = np.convolve(f, np.conj(f[::-1]))
+        return int(np.flatnonzero(np.abs(power) > 1e-9).max()) - (len(f) - 1)
+
+    halves = lambda n: [coeff_range(h).astype(float)
+                        for h in even_odd_split(Segment(0, n))]
+    top = {}
+    for r in range(1, 41):
+        for s in range(1, 41):
+            (a, b), (c, d) = halves(r), halves(s)
+            top[r, s] = max(top_frequency(a, d), top_frequency(c, -b))
+            g_int(r, s, 1 << 10)
+            assert degrees[-1] >= top[r, s], (r, s)
+    assert top[1, 5] == 2
 
 
 def test_enclosure_basics():

@@ -6,8 +6,20 @@ import pytest
 
 from rsbounds.evaluate import segment_sum_pm1
 from rsbounds.sequence import (DEFAULT_MAX_RANGE, CapacityError, Segment,
-                               block_decompose, coeff, coeff_range,
-                               coeff_range_oracle)
+                               block_decompose, coeff, coeff_range)
+
+
+def coeff_range_oracle(n: int) -> np.ndarray:
+    """First n signs built purely from the defining recurrence."""
+    out = np.empty(max(n, 1), dtype=np.int8)
+    out[0] = 1
+    for i in range(1, n):
+        half = i >> 1
+        if i & 1:
+            out[i] = out[half] * (1 if half % 2 == 0 else -1)
+        else:
+            out[i] = out[half]
+    return out[:n]
 
 
 def test_coeff_examples():
