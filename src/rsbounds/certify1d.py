@@ -17,10 +17,18 @@ certified radius is the largest r <= 2^{-k-1} with
 
     sqrt(f_hi) + sqrt(B(r)) <= sqrt(T - margin).
 
-All comparisons are carried out in exact rational arithmetic: with rational
-q and beta, sqrt(q) + sqrt(beta) <= sqrt(T') iff q + beta <= T' and
-4 q beta <= (T' - q - beta)^2.  The binding constraint records which piece
-of B0 (or the half-step cap) limited the radius.
+All comparisons are exact, in integer arithmetic.  For rationals q, beta
+>= 0 and T', squaring twice gives sqrt(q) + sqrt(beta) <= sqrt(T') iff
+R' = T' - q - beta >= 0 and 4 q beta <= R'^2.  Write q = a/b, beta = c/d
+and T' = e/f with positive denominators b, d, f; multiplying R' by b d f
+and the second inequality by (b d f)^2 > 0 keeps both directions, so the
+test is
+
+    R = e b d - (a d + c b) f >= 0    and    4 a c b d f^2 <= R^2,
+
+on the integers of each argument's as_integer_ratio(), with no gcd.  The
+binding constraint records which piece of B0 (or the half-step cap)
+limited the radius.
 
 Sup-norm sweep.  brute_onedim decides sup |P_{<n}|^2 <= (sqrt(6n-2) - 1)^2
 (1 + 1e-6) for each n by one decision on the norms engine, so the grid
@@ -111,12 +119,16 @@ class CoverageReport:
         }
 
 
-def _sqrt_sum_le(q: Fraction, beta: Fraction, t: Fraction) -> bool:
-    """Exact test of sqrt(q) + sqrt(beta) <= sqrt(t) for rationals >= 0."""
-    if q + beta > t:
-        return False
-    rest = t - q - beta
-    return 4 * q * beta <= rest * rest
+def _sqrt_sum_le(q: float | Fraction, beta: float | Fraction,
+                 t: float | Fraction) -> bool:
+    """Exact test of sqrt(q) + sqrt(beta) <= sqrt(t) for rationals q,
+    beta >= 0 (ints, floats or Fractions), by the integer cross-
+    multiplication of the module docstring: no gcd, no new Fraction."""
+    a, b = q.as_integer_ratio()
+    c, d = beta.as_integer_ratio()
+    e, f = t.as_integer_ratio()
+    rest = e * b * d - (a * d + c * b) * f
+    return rest >= 0 and 4 * a * c * b * d * f * f <= rest * rest
 
 
 def envelope_at(d: Fraction) -> Fraction:

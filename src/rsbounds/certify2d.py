@@ -8,7 +8,11 @@ integers and every child point is within 2^{-k-1} per axis) via
 
     sqrt(value_hi(x, y)) + 3 * 2^{-k/2} <= sqrt(target_min(child)),
 
-where target_min is the exact rational infimum of the target over the child.
+where target_min is the exact rational infimum of the target over the child,
+built as one Fraction from integers at the child's scale k (10 (r + s)
+capped at 40 * 2^k for g, 10 (s - r - 1) for f2, over 2^k).  The test is
+exact (certify1d._sqrt_sum_le): it reads corner_hi, 9 / 2^k and target_min
+as integer ratios and cross-multiplies.
 Children that fail are subdivided; at side 2^-max_scale they are marked bad.
 
 Each child is one decision on its corner's objective, settled by the
@@ -178,7 +182,7 @@ class CertTree:
 
 def _certified(corner_hi: float, k: int, t_min: Fraction) -> bool:
     """Exact test of sqrt(corner_hi) + 3 * 2^{-k/2} <= sqrt(t_min)."""
-    return _sqrt_sum_le(Fraction(corner_hi), Fraction(9, 1 << k), t_min)
+    return _sqrt_sum_le(corner_hi, Fraction(9, 1 << k), t_min)
 
 
 def _run(roots: list[DyadicSquare], enclose, target_min_fn, N: int,
@@ -215,8 +219,9 @@ def _run(roots: list[DyadicSquare], enclose, target_min_fn, N: int,
 
 
 def _g_target_min(child: DyadicSquare) -> Fraction:
-    """Infimum of min(10(x+y), 40) over the child (at its lower-left corner)."""
-    return min(10 * (child.x0 + child.y0), Fraction(40))
+    """Infimum of min(10(x+y), 40) over the child (at its lower-left corner),
+    10 (r + s) / 2^k capped at 40."""
+    return Fraction(min(10 * (child.r + child.s), 40 << child.k), 1 << child.k)
 
 
 def _run_g(roots: list[DyadicSquare], N: int, max_scale: int) -> CertTree:
@@ -271,8 +276,9 @@ F2_ROOTS = [(0, 2), (0, 3), (1, 3)]
 
 
 def _f2_target_min(child: DyadicSquare) -> Fraction:
-    """Infimum of 10(y - x) over the child (at its lower-right corner)."""
-    return 10 * (child.y0 - child.x1)
+    """Infimum of 10(y - x) over the child (at its lower-right corner),
+    10 (s - r - 1) / 2^k."""
+    return Fraction(10 * (child.s - child.r - 1), 1 << child.k)
 
 
 def certify_f2(N: int, max_scale: int = DEFAULT_MAX_SCALE

@@ -119,10 +119,16 @@ class Enclosure:
         return Enclosure(math.sqrt(max(self.lo, 0.0)), math.sqrt(max(self.hi, 0.0)))
 
 
+def _off_grid_delta(degree: int, N: int) -> float:
+    """The relative off-grid correction D^2 pi^2 / (2 N^2) on the N-grid
+    (0 if D <= 0)."""
+    return 0.5 * degree * degree * (math.pi / N) ** 2 if degree > 0 else 0.0
+
+
 def _enclose_grid_sup(M: float, degree: int, N: int, slack: float) -> Enclosure:
-    """[M - s, (M + s) / (1 - delta)] from the N-grid maximum M, with the
-    relative off-grid correction delta = D^2 pi^2 / (2 N^2) (0 if D <= 0)."""
-    delta = 0.5 * degree * degree * (math.pi / N) ** 2 if degree > 0 else 0.0
+    """[M - s, (M + s) / (1 - delta)] from the N-grid maximum M, with
+    delta = _off_grid_delta(D, N)."""
+    delta = _off_grid_delta(degree, N)
     if delta >= 0.5:
         raise ValueError(
             f"grid size {N} too small for trigonometric degree {degree}")
@@ -226,6 +232,11 @@ def _grid_sup(segs: list[Segment], signs, N: int, degree: int, slack,
     if N < 4 * L:
         raise ValueError(f"grid size {N} below 4 * segment length {L}")
     sh = 1 if half else 0                  # the grid of w is N_l >> sh
+    if _off_grid_delta(degree, N >> sh) >= 0.5:
+        # Coarser levels are at least 8 n (4 n in w), above pi D for every
+        # objective here (D < n, and D < n/2 in w).
+        raise ValueError(f"grid size {N} too small for trigonometric degree "
+                         f"{degree}" + (" in w = z^2" if half else ""))
     N0 = oversampled_grid(n, N)
     N_l = oversampled_grid(n, N, 8) if decide and not cross else N0
     F = _spectral_values(segs, signs, N_l >> sh, cross, spectra)

@@ -39,6 +39,14 @@ def test_g_enclosure(capsys):
     assert code == 0 and abs(0.5 * (enc['lo'] + enc['hi']) - 10.0) < 1e-5
 
 
+def test_degree_error_names_the_given_grid(capsys):
+    # g 64 64 has degree 62 in w = z^2, too high for the half grid 2^7 of
+    # the grid 2^8 given; the error names 2^8
+    code = main(['--grid-log2', '8', 'g', '64', '64'])
+    err = json.loads(capsys.readouterr().err)['error']
+    assert code == 2 and err.startswith('grid size 256 too small'), err
+
+
 def test_f2_enclosure(capsys):
     code, out = run_cli(capsys, '--grid-log2', '12', 'f2', '10.', '11.')
     enc = json.loads(out)['result']['enclosure']

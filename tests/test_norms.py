@@ -405,6 +405,36 @@ def test_norm_preconditions():
         sup_norm_sq(Segment(0, 100), 128)      # N below 4x length
 
 
+def test_grid_too_small_for_the_degree_is_refused_up_front(monkeypatch):
+    """g_int(40, 64, 256) passes N >= 4 max(r, s), but its degree 50 in w
+    needs a w-grid above 50 pi > 128: it is refused before any FFT, and
+    the error names the grid the caller gave.  Every (r, s) either raises
+    so or is enclosed; the next grid encloses them all."""
+    ffts = []
+
+    def spy(seg, N):
+        ffts.append(N)
+        return half_spectrum(seg, N)
+
+    monkeypatch.setattr(norms, 'half_spectrum', spy)
+    for decide in (None, decision(lambda v: True)):
+        with pytest.raises(ValueError, match=r'^grid size 256 too small '
+                           r'for trigonometric degree 50 in w = z\^2$'):
+            g_int(40, 64, 256, decide)
+    assert not ffts
+    refused = 0
+    for r in range(1, 65, 3):
+        for s in range(1, 65, 3):
+            ffts.clear()
+            try:
+                g_int(r, s, 256)
+            except ValueError as exc:
+                assert not ffts and str(exc).startswith('grid size 256 ')
+                refused += 1
+                assert g_int(r, s, 512).hi > 0
+    assert refused
+
+
 def test_f_dyadic_table_values():
     N = 1 << 20
     for binary, expect in [('1.1', 5.0), ('1.011', 6.25), ('1.0111', 6.625),
