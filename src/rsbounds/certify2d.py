@@ -97,16 +97,24 @@ class DyadicSquare:
 class SquareRecord:
     square: DyadicSquare
     status: str
-    corner: tuple[Fraction, Fraction] | None = None
     corner_hi: float | None = None
     target_min: Fraction | None = None
     N: int | None = None   # grid of the enclosure that decided the square
 
+    @property
+    def corner(self) -> tuple[Fraction, Fraction] | None:
+        """The parent corner that decided the square; None if subdivided."""
+        if self.corner_hi is not None:
+            return tuple(Fraction((t + 1) >> 1, 1 << self.square.k - 1)
+                         for t in (self.square.r, self.square.s))
+
     def to_dict(self) -> dict:
-        d = {'k': self.square.k, 'r': self.square.r, 's': self.square.s,
-             'status': self.status}
-        if self.corner is not None:
-            d['corner'] = [float(self.corner[0]), float(self.corner[1])]
+        sq = self.square
+        d = {'k': sq.k, 'r': sq.r, 's': sq.s, 'status': self.status}
+        if self.corner_hi is not None:
+            # The corner's floats: int / int rounds as float(Fraction) does.
+            d['corner'] = [((t + 1) >> 1) / (1 << sq.k - 1)
+                           for t in (sq.r, sq.s)]
             d['corner_hi'] = self.corner_hi
             d['target_min'] = float(self.target_min)
             d['N'] = self.N
@@ -209,7 +217,7 @@ def _run(roots: list[DyadicSquare], enclose, target_min_fn, N: int,
                 if verdict or child.k >= max_scale:
                     tree.records.append(SquareRecord(
                         child, STATUS_CERTIFIED if verdict else STATUS_BAD,
-                        (x.fraction, y.fraction), enc.hi, t_min, enc.N))
+                        enc.hi, t_min, enc.N))
                 else:
                     next_frontier.append(child)
         frontier = next_frontier

@@ -102,7 +102,7 @@ class MontgomeryReport:
 def montgomery_counterexample(k: int, N: int | None = None
                               ) -> MontgomeryReport:
     """Ratio of the squared tail at exp(3*pi*i/4) to its length, plus the
-    grid sup-norm ratio when the segment fits the requested grid."""
+    grid sup-norm ratio on the N-grid if N is given."""
     if not 0 <= k <= 40:
         raise ValueError("supported range is 0 <= k <= 40")
     # exp(3 pi i / 4) is the N = 8, j = 3 grid root: exact phases.
@@ -110,11 +110,6 @@ def montgomery_counterexample(k: int, N: int | None = None
     point_ratio = abs(val) ** 2 / 4 ** k
     grid_hi = grid_lo = None
     if N is not None:
-        length = 4 ** k
-        if length > 1 << 24 or N < 4 * length:
-            raise ValueError(
-                f"grid sup for k={k} needs N >= {4 * length} and "
-                f"length <= {1 << 24}")
         enc = sup_norm_sq(ExtremalPair(k).segment, N)
         grid_hi = enc.hi / 4 ** k
         grid_lo = enc.lo / 4 ** k

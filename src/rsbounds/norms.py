@@ -148,49 +148,52 @@ def decision(holds):
                         else None if holds(enc.lo) else False)
 
 
-def _spectral_values(segs: list[Segment], signs, N: int, cross,
+def _spectral_values(segs: list[Segment], N: int, cross,
                      spectra: dict | None) -> np.ndarray:
     """F at x_j, j = 0 .. N/2, from one real FFT R per segment (a prefix's
-    memoized in ``spectra`` if given): a segment read at sign +1 has the
-    value v = R[j] = conj P(x_j), one read at -1 the value
-    w = R[N/2 - j] = P(-x_j)."""
+    memoized in ``spectra`` if given): a segment at an even position is
+    read at x, with the value v = R[j] = conj P(x_j), one at an odd
+    position at -x, with the value w = R[N/2 - j] = P(-x_j)."""
     v = [half_spectrum(seg, N) if spectra is None or seg.m
          else _prefix_half_spectrum(seg.n, N, spectra) for seg in segs]
     F = None
-    for R, sg in zip(v, signs):
+    for i, R in enumerate(v):
         # |w|^2 as reversed |v|^2: np.abs of a reversed view may round apart.
         a = np.abs(R) ** 2
-        t = a if sg > 0 else a[::-1]
+        t = a[::-1] if i % 2 else a
         F = t if F is None else F + t
     if cross:
-        F += cross([R if sg > 0 else R[::-1] for R, sg in zip(v, signs)])
+        F += cross([R[::-1] if i % 2 else R for i, R in enumerate(v)])
     return F
 
 
-def _direct_values(segs: list[Segment], signs, js: np.ndarray, N: int,
+def _direct_values(segs: list[Segment], js: np.ndarray, N: int,
                    cross) -> np.ndarray:
     """F at x_j for each j in js, by direct evaluation."""
-    v = [np.conj(eval_roots(seg, js, N)) if sg > 0
-         else eval_roots(seg, js + N // 2, N) for seg, sg in zip(segs, signs)]
+    v = [eval_roots(seg, js + N // 2, N) if i % 2
+         else np.conj(eval_roots(seg, js, N)) for i, seg in enumerate(segs)]
     F = sum(np.abs(x) ** 2 for x in v)
     return F + cross(v) if cross else F
 
 
-def _grid_sup(segs: list[Segment], signs, N: int, degree: int, slack,
-              cross=None, decide=None, spectra=None, half: bool = False):
+def _grid_sup(segs: list[Segment], N: int, degree: int, slack, cross=None,
+              decide=None, spectra=None, half: bool = False):
     """Enclosure of the sup of F, of degree D = ``degree``, from its
     maximum over the N-grid, whose values err by at most slack(N).  F is
-    the sum over the segments of |P(x)|^2 or |P(-x)|^2, as the segment's
-    sign in ``signs`` is +1 or -1, plus cross(v) of the list of the
-    segments' untwisted values v, conj P(x_j) or P(-x_j) by the same
-    signs.  ``spectra``, if given, memoizes the spectra of prefixes (see
-    _prefix_half_spectrum).
+    the sum of |P(x)|^2 over the segments at even positions in ``segs``
+    and of |P(-x)|^2 over those at odd positions, plus cross(v) of the
+    list of the segments' untwisted values v, conj P(x_j) or P(-x_j) by
+    the same positions.  ``spectra``, if given, memoizes the spectra of
+    prefixes (see _prefix_half_spectrum).
 
     With ``half``, F is a function of w = z^2 and the objective is 2F
     (the L and g objectives, see the module docstring).  The level grids
-    N_l, the cap N and the recorded Enclosure.N below stay those of z, and
+    N_l, the cap N and the recorded Enclosure.N below are those of z, and
     F, D, the slack, h and the index fold are taken on the N_l/2-grid of w,
-    which the N_l-grid of z covers twice.
+    which the N_l-grid of z covers twice.  N must be a power of two at
+    least 4 L, L the length in z: the segment's, or with ``half`` the
+    largest |A| + |B| over its pairs of halves (max(r, s) for g); and the
+    grid of F must lie above pi D.  Any other N is refused before any FFT.
 
     F is even, so indices are folded into [0, p/2], p the grid of F.
     Level 0 takes F on the whole grid N_0 = oversampled_grid(n, N), n the
@@ -225,51 +228,55 @@ def _grid_sup(segs: list[Segment], signs, N: int, degree: int, slack,
     smallest power of two >= 8 n (at least 64), below N_0, where most
     settle; the levels up to N_0 are then whole grids, as on their own
     caps.  A decision on g, whose prefix spectra a run's corners share,
-    starts at N_0.  The start depends on the objective alone, so
-    ``spectra`` never changes the result.
+    starts at N_0, on the axes as elsewhere.  The start depends on the
+    objective alone, so ``spectra`` never changes the result.
     """
-    n, L = sum(seg.length for seg in segs), max(seg.length for seg in segs)
-    if N < 4 * L:
-        raise ValueError(f"grid size {N} below 4 * segment length {L}")
-    sh = 1 if half else 0                  # the grid of w is N_l >> sh
+    n = sum(seg.length for seg in segs)
+    L = max(A.length + B.length
+            for A, B in zip(segs[::2], segs[1::2])) if half else n
+    if N < 4 * max(L, 1) or N & (N - 1):
+        raise ValueError(f"grid size {N} is not a power of two >= "
+                         f"4 * max(length {L}, 1)")
+    sh = 1 if half else 0                  # the grid of F is the z-grid >> sh
     if _off_grid_delta(degree, N >> sh) >= 0.5:
         # Coarser levels are at least 8 n (4 n in w), above pi D for every
         # objective here (D < n, and D < n/2 in w).
         raise ValueError(f"grid size {N} too small for trigonometric degree "
                          f"{degree}" + (" in w = z^2" if half else ""))
-    N0 = oversampled_grid(n, N)
-    N_l = oversampled_grid(n, N, 8) if decide and not cross else N0
-    F = _spectral_values(segs, signs, N_l >> sh, cross, spectra)
+    N0 = oversampled_grid(n, N) >> sh
+    N_l = oversampled_grid(n, N, 8) >> sh if decide and not cross else N0
+    N >>= sh
+    F = _spectral_values(segs, N_l, cross, spectra)
     N_l = N_l if degree > 0 else N         # degree 0: constant
     js = None                              # level 0: j = 0 .. N_l/2
     while True:
-        s = slack(N_l >> sh)
-        enc = _enclose_grid_sup(float(np.max(F)), degree, N_l >> sh, s)
+        s = slack(N_l)
+        enc = _enclose_grid_sup(float(np.max(F)), degree, N_l, s)
         lo, U = enc.lo, enc.hi
         enc = enc.scale(1 << sh)           # the objective is 2F with half
-        enc = Enclosure(enc.lo, enc.hi, N_l, decide and decide(enc))
+        enc = Enclosure(enc.lo, enc.hi, N_l << sh, decide and decide(enc))
         if enc.verdict is not None or N_l == N:
             return enc
-        Dh, c = degree * math.pi / (N_l >> sh), min(4, N // N_l)
+        Dh, c = degree * math.pi / N_l, min(4, N // N_l)
         N_l *= c
         if 2.0 * lo >= U and N_l > N0:
             keep = F + s >= (lo - Dh * math.sqrt(lo * (U - lo))
                              - 0.5 * Dh * Dh * U)
             kept = np.flatnonzero(keep) if js is None else js[keep]
-            p = N_l >> sh
-            js = np.add.outer(c * kept, np.arange(-(c // 2), c // 2 + 1)) % p
+            js = np.add.outer(c * kept, np.arange(-(c // 2), c // 2 + 1)) % N_l
             # A set, not np.unique: numpy's sort code adds 1.6 MB to peak RSS.
-            js = np.array(sorted(set(np.minimum(js, p - js).ravel().tolist())))
-            if len(js) * n <= N0 >> sh:
-                F = _direct_values(segs, signs, js, N_l >> sh, cross)
+            js = set(np.minimum(js, N_l - js).ravel().tolist())
+            js = np.array(sorted(js))
+            if len(js) * n <= N0:
+                F = _direct_values(segs, js, N_l, cross)
                 continue
-        js, F = None, _spectral_values(segs, signs, N_l >> sh, cross, spectra)
+        js, F = None, _spectral_values(segs, N_l, cross, spectra)
 
 
 def sup_norm_sq(seg: Segment, N: int, decide=None) -> Enclosure:
     """Enclosure of the squared sup-norm of the segment on the unit circle,
     settling ``decide`` if given (see _grid_sup)."""
-    return _grid_sup([seg], [1], N, seg.length - 1,
+    return _grid_sup([seg], N, seg.length - 1,
                      lambda M: abs_sq_slack(seg.length, M), decide=decide)
 
 
@@ -281,12 +288,9 @@ def L_norm_sq(seg: Segment, N: int, decide=None,
     the half grid.  ``spectra``, if given, memoizes the spectra of the
     halves of a prefix, which are prefixes too (see _prefix_half_spectrum).
     """
-    if N < 4 * seg.length:
-        raise ValueError(f"grid size {N} below 4 * segment length "
-                         f"{seg.length}")
     A, B = even_odd_split(seg)
     return _grid_sup(
-        [A, B], [1, -1], N, max(A.length, B.length) - 1,
+        [A, B], N, max(A.length, B.length) - 1,
         lambda M: abs_sq_slack(A.length, M) + abs_sq_slack(B.length, M),
         decide=decide, spectra=spectra, half=True)
 
@@ -335,17 +339,10 @@ def g_int(r: int, s: int, N: int, decide=None,
     _grid_sup).  The halves' spectra, which are prefix spectra, are
     memoized in ``spectra`` if given; a caller that encloses many corners
     passes one dict to share them, and gets the same enclosures as without
-    it.
+    it.  An empty prefix adds exact zeros, so g(0, s) is the L objective.
     """
     if r < 0 or s < 0:
         raise ValueError("g_int needs non-negative integer arguments")
-    if r == 0 or s == 0:
-        # One factor is the empty sum: the objective collapses to the
-        # squared L-norm of the other prefix.
-        return L_norm_sq(Segment(0, max(r, s)), N, decide)
-    if N < 4 * max(r, s):
-        raise ValueError(f"grid size {N} below 4 * segment length "
-                         f"{max(r, s)}")
     halves = even_odd_split(Segment(0, r)) + even_odd_split(Segment(0, s))
     a, b, c, d = (h.length for h in halves)
 
@@ -355,9 +352,8 @@ def g_int(r: int, s: int, N: int, decide=None,
                 + 2.0 * (a * ed + d * ea + ea * ed
                          + c * eb + b * ec + eb * ec))
 
-    return _grid_sup(list(halves), [1, -1, 1, -1], N,
-                     max(_spread(a, d), _spread(c, b)), slack, _g_half_cross,
-                     decide, spectra, half=True)
+    return _grid_sup(list(halves), N, max(_spread(a, d), _spread(c, b)),
+                     slack, _g_half_cross, decide, spectra, half=True)
 
 
 def _spread(p: int, q: int) -> int:

@@ -7,6 +7,7 @@ import pytest
 from rsbounds import norms
 from rsbounds.dyadic import DyadicPoint
 from rsbounds.evaluate import abs_sq_slack, eps_fp, half_spectrum
+from rsbounds.experiments import montgomery_counterexample
 from rsbounds.norms import (Enclosure, L_norm_sq, decision, f2_dyadic,
                             f_dyadic, g_dyadic, g_int, sup_norm_sq)
 from rsbounds.sequence import Segment, coeff_range, even_odd_split
@@ -87,9 +88,9 @@ def direct_calls(monkeypatch):
     calls = []
     real = norms._direct_values
 
-    def spy(segs, signs, js, N, cross):
+    def spy(segs, js, N, cross):
         calls.append((np.array(js), N))
-        return real(segs, signs, js, N, cross)
+        return real(segs, js, N, cross)
 
     monkeypatch.setattr(norms, '_direct_values', spy)
     return calls
@@ -112,23 +113,24 @@ def level_grids(monkeypatch):
     the L and g objectives the w-grid, half the level's z-grid)."""
     grids = []
     spectral, direct = norms._spectral_values, norms._direct_values
-    monkeypatch.setattr(norms, '_spectral_values', lambda segs, sg, N, *rest: (
-        grids.append(N) or spectral(segs, sg, N, *rest)))
-    monkeypatch.setattr(norms, '_direct_values',
-                        lambda segs, sg, js, N, *rest: (
-                            grids.append(N) or direct(segs, sg, js, N, *rest)))
+    monkeypatch.setattr(norms, '_spectral_values', lambda segs, N, *rest: (
+        grids.append(N) or spectral(segs, N, *rest)))
+    monkeypatch.setattr(norms, '_direct_values', lambda segs, js, N, *rest: (
+        grids.append(N) or direct(segs, js, N, *rest)))
     return grids
 
 
 def test_decision_settles_on_the_first_level_that_decides(level_grids):
     """Seeded property of the decision engine on the sup, L and g
     objectives (g with and without shared spectra, which give the same
-    results), deciding v < T for thresholds T at the cap oracle's hi
-    times 1 + eps.  The returned enclosure agrees within the slack with
-    the full-grid oracle on its own grid; True means the cap oracle's lo
-    is below T, False that its hi reaches T; None comes back only at the
-    cap; the decision is asked once per level visited, last on the
-    returned grid's enclosure."""
+    results, and with r = 0 or s = 0 in every fourth g case), deciding
+    v < T for thresholds T at the cap oracle's hi times 1 + eps.  The
+    returned enclosure agrees within the slack with the full-grid oracle
+    on its own grid; True means the cap oracle's lo is below T, False that
+    its hi reaches T; None comes back only at the cap; the decision is
+    asked once per level visited, last on the returned grid's enclosure.
+    Every g decision, on the axes too, starts at
+    oversampled_grid(r + s, N), on its half the w-grid."""
     rng = np.random.default_rng(67)
     verdicts, early = Counter(), 0
     for i in range(48):
@@ -136,6 +138,8 @@ def test_decision_settles_on_the_first_level_that_decides(level_grids):
         N = 1 << int(rng.integers(12, 19))
         if kind == 'g':
             r, s = (int(t) for t in rng.integers(1, 200, 2))
+            if i % 4 == 1:             # a corner on an axis
+                r, s = (0, s) if i % 8 == 5 else (r, 0)
             spectra = {} if i % 2 else None
             oracle = lambda M: full_grid_g(r, s, M)
             run = lambda d: g_int(r, s, N, d, spectra)
@@ -164,6 +168,7 @@ def test_decision_settles_on_the_first_level_that_decides(level_grids):
             # got.N is the z-grid; L and g are taken on its half.
             assert level_grids[-1] * (1 if kind == 'sup' else 2) == got.N
             if kind == 'g':
+                assert level_grids[0] == norms.oversampled_grid(r + s, N) // 2
                 # The memo is a cache: the other setting decides alike.
                 other = g_int(r, s, N, below, {} if spectra is None else None)
                 assert ((other.lo, other.hi, other.N, other.verdict)
@@ -334,7 +339,7 @@ def test_g_degree_bounds_family_frequencies(monkeypatch):
     frequency is 2, one above max(|A_r| + |B_s|, |A_s| + |B_r|) - 2."""
     degrees = []
 
-    def spy(segs, signs, N, degree, *rest, **kw):
+    def spy(segs, N, degree, *rest, **kw):
         degrees.append(degree)
         return Enclosure(0.0, 0.0)
 
@@ -403,6 +408,28 @@ def test_L_norm_examples():
 def test_norm_preconditions():
     with pytest.raises(ValueError):
         sup_norm_sq(Segment(0, 100), 128)      # N below 4x length
+
+
+def test_grid_contract_is_checked_before_any_fft(monkeypatch):
+    """A cap that is not a power of two, or a power of two below 4 times
+    the objective's length in z, is refused before any FFT, with and
+    without a decision, by an error that names the grid given.  A cap
+    such as 1000 must not reach the level loop: there the step
+    min(4, N // N_l) is 1 at N_l = 512, so the loop would never end."""
+    monkeypatch.setattr(norms, 'half_spectrum',
+                        lambda seg, N: pytest.fail(f'FFT on grid {N}'))
+    table = [(lambda N, d: sup_norm_sq(Segment(0, 10), N, d), 10),
+             (lambda N, d: L_norm_sq(Segment(0, 10), N, d), 10),
+             (lambda N, d: g_int(5, 7, N, d), 7)]
+    for run, length in table:
+        below = 1 << ((4 * length - 1).bit_length() - 1)   # 32 and 16
+        for N in (1000, 3 << 10, below):
+            for decide in (None, lambda enc: None):
+                with pytest.raises(ValueError, match=f'^grid size {N} is '
+                                   'not a power of two >= 4 '):
+                    run(N, decide)
+    with pytest.raises(ValueError, match='^grid size 1024 '):
+        montgomery_counterexample(6, N=1 << 10)
 
 
 def test_grid_too_small_for_the_degree_is_refused_up_front(monkeypatch):
@@ -477,9 +504,9 @@ def test_g_examples():
 def test_g_zero_first_argument_equals_f():
     N = 1 << 14
     for y in (3, 7, 12):
-        a = g_int(0, y, N)
         b = L_norm_sq(Segment(0, y), N)
-        assert a.lo == b.lo and a.hi == b.hi
+        for a in (g_int(0, y, N), g_int(y, 0, N)):
+            assert (a.lo, a.hi, a.N) == (b.lo, b.hi, b.N)
 
 
 def test_g_against_direct_alpha_free_formula():
