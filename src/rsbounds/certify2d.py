@@ -30,12 +30,12 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .certify1d import _sqrt_sum_le
 from .dyadic import DyadicPoint
+from .jsonfmt import dumps
 from .norms import decision, f2_dyadic, g_dyadic
 
 STATUS_CERTIFIED = 'certified'
@@ -175,7 +175,7 @@ class CertTree:
         return payload
 
     def to_json(self, **meta) -> str:
-        return json.dumps(self.to_dict(**meta), indent=2, sort_keys=True)
+        return dumps(self.to_dict(**meta))
 
     def to_csv(self) -> str:
         """Square outcomes, one row per square: k, r, s, status."""
@@ -190,7 +190,22 @@ class CertTree:
 
 def _certified(corner_hi: float, k: int, t_min: Fraction) -> bool:
     """Exact test of sqrt(corner_hi) + 3 * 2^{-k/2} <= sqrt(t_min)."""
-    return _sqrt_sum_le(corner_hi, Fraction(9, 1 << k), t_min)
+    return _sqrt_sum_le(corner_hi, _nine_over(k), t_min)
+
+
+@functools.lru_cache(maxsize=None)
+def _nine_over(k: int) -> Fraction:
+    """9 / 2^k, built once per scale."""
+    return Fraction(9, 1 << k)
+
+
+def _corner_key(cx: int, cy: int, k: int) -> tuple[int, int, int]:
+    """The corner (cx, cy) / 2^k at its joint minimal scale k - t,
+    t = min(v2(cx | cy), k): equal keys are equal points, whatever the
+    scale they were given at."""
+    low = cx | cy
+    t = min((low & -low).bit_length() - 1, k) if low else k
+    return cx >> t, cy >> t, k - t
 
 
 def _run(roots: list[DyadicSquare], enclose, target_min_fn, N: int,
@@ -199,20 +214,21 @@ def _run(roots: list[DyadicSquare], enclose, target_min_fn, N: int,
     the objective at the dyadic corner (x, y), settling ``decide`` with grid
     cap N (see norms._grid_sup)."""
     tree = CertTree(roots=list(roots), N=N, max_scale=max_scale, kind=kind)
-    settled = {}   # corner -> its last enclosure
+    settled = {}   # corner key -> the corner's last enclosure
     frontier = sorted(roots, key=lambda sq: (sq.k, sq.r, sq.s))
     while frontier:
         next_frontier = []
         for sq in frontier:
             tree.records.append(SquareRecord(sq, STATUS_SUBDIVIDED))
             for child, (cx, cy) in sq.children():
-                x, y = DyadicPoint(cx, sq.k), DyadicPoint(cy, sq.k)
+                key = _corner_key(cx, cy, sq.k)
                 t_min = target_min_fn(child)
                 decide = decision(lambda v: _certified(v, sq.k, t_min))
-                enc = settled.get((x, y))
+                enc = settled.get(key)
                 verdict = None if enc is None else decide(enc)
                 if verdict is None and (enc is None or enc.N < N):
-                    enc = settled[x, y] = enclose(x, y, N, decide)
+                    x, y = DyadicPoint(cx, sq.k), DyadicPoint(cy, sq.k)
+                    enc = settled[key] = enclose(x, y, N, decide)
                     verdict = enc.verdict
                 if verdict or child.k >= max_scale:
                     tree.records.append(SquareRecord(

@@ -25,6 +25,7 @@ from .dyadic import DyadicPoint
 from .norms import Enclosure, f2_dyadic, f_dyadic, g_dyadic
 from .sequence import Segment, coeff_range
 from .evaluate import eval_point, half_spectrum
+from .jsonfmt import dumps
 
 SCHEMA_VERSION = 1
 
@@ -47,7 +48,7 @@ def _payload(cfg: RunConfig, command: str, result: dict) -> dict:
 def _emit(cfg: RunConfig, command: str, result: dict, ok: bool,
           out_name: str | None = None) -> int:
     doc = _payload(cfg, command, result)
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = dumps(doc)
     print(text)
     if out_name:
         _write_file(cfg, out_name, text + '\n')

@@ -150,21 +150,27 @@ def decision(holds):
 
 def _spectral_values(segs: list[Segment], N: int, cross,
                      spectra: dict | None) -> np.ndarray:
-    """F at x_j, j = 0 .. N/2, from one real FFT R per segment (a prefix's
-    memoized in ``spectra`` if given): a segment at an even position is
-    read at x, with the value v = R[j] = conj P(x_j), one at an odd
-    position at -x, with the value w = R[N/2 - j] = P(-x_j)."""
-    v = [half_spectrum(seg, N) if spectra is None or seg.m
+    """F at x_j, j = 0 .. N/2, from one real FFT R per segment and its
+    power |R|^2 (a prefix's both memoized in ``spectra`` if given): a
+    segment at an even position is read at x, with the value
+    v = R[j] = conj P(x_j), one at an odd position at -x, with the value
+    w = R[N/2 - j] = P(-x_j)."""
+    v = [_power(half_spectrum(seg, N)) if spectra is None or seg.m
          else _prefix_half_spectrum(seg.n, N, spectra) for seg in segs]
     F = None
-    for i, R in enumerate(v):
+    for i, (R, a) in enumerate(v):
         # |w|^2 as reversed |v|^2: np.abs of a reversed view may round apart.
-        a = np.abs(R) ** 2
         t = a[::-1] if i % 2 else a
         F = t if F is None else F + t
     if cross:
-        F += cross([R[::-1] if i % 2 else R for i, R in enumerate(v)])
+        # Not in place: F may be a memoized power.
+        F = F + cross([R[::-1] if i % 2 else R for i, (R, _) in enumerate(v)])
     return F
+
+
+def _power(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R, |R|^2) of a spectrum R."""
+    return R, np.abs(R) ** 2
 
 
 def _direct_values(segs: list[Segment], js: np.ndarray, N: int,
@@ -317,13 +323,15 @@ def f2_dyadic(x: DyadicPoint, y: DyadicPoint, N: int,
     return L_norm_sq(seg, N, _scaled(decide, 0.5 ** k)).scale(0.5 ** k)
 
 
-def _prefix_half_spectrum(n: int, N: int, spectra: dict) -> np.ndarray:
-    """Half spectrum of the length-n prefix on the N-grid, memoized in the
-    caller's dict ``spectra`` under (n, N).  Entries are read-only."""
+def _prefix_half_spectrum(n: int, N: int, spectra: dict
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Half spectrum R of the length-n prefix on the N-grid and its power
+    |R|^2, memoized in the caller's dict ``spectra`` under (n, N).
+    Entries are read-only."""
     key = (n, N)
     val = spectra.get(key)
     if val is None:
-        val = spectra[key] = half_spectrum(Segment(0, n), N)
+        val = spectra[key] = _power(half_spectrum(Segment(0, n), N))
     return val
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from rsbounds.certify2d import (CertTree, DyadicSquare, SquareRecord,
-                                STATUS_BAD, _certified, _g_target_min,
+                                STATUS_BAD, _certified, _corner_key,
+                                _g_target_min,
                                 certify_f2, certify_g_full, certify_square_g,
                                 check_exclusion_region,
                                 square_interior_meets_B)
@@ -164,6 +165,32 @@ def test_g_to_scale_10_keeps_its_summary():
     assert (len(tree.bad), len(tree.certified), len(tree.subdivided),
             tree.corner_evals) == (331, 8679, 2998, 3757)
     assert check_exclusion_region(tree)[0]
+
+
+def test_g_at_the_benchmark_grid_keeps_its_corner_count():
+    """certify-g over [0, 4]^2 at the grid 2^16 encloses g at 1753 distinct
+    corners, as at scale 10 it does at 3757."""
+    assert certify_g_full(1 << 16).corner_evals == 1753
+
+
+def test_corner_key_is_the_dyadic_pair():
+    """For k <= 8 and every corner (cx, cy) / 2^k with cx, cy < 4 * 2^k,
+    the integer key gives back the pair (DyadicPoint(cx, k),
+    DyadicPoint(cy, k)), and the pair gives back the key, at the pair's
+    joint minimal scale: so two corners get equal keys exactly when their
+    pairs are equal, at any two scales."""
+    pairs = [[(p.u, p.k) for p in map(DyadicPoint, range(4 << k),
+                                        [k] * (4 << k))]
+             for k in range(9)]
+    for k in range(9):
+        for cx in range(4 << k):
+            ux, kx = x = pairs[k][cx]
+            for cy in range(4 << k):
+                uy, ky = y = pairs[k][cy]
+                a, b, j = _corner_key(cx, cy, k)
+                m = max(kx, ky)
+                assert (pairs[j][a], pairs[j][b], a, b, j) == (
+                    x, y, ux << m - kx, uy << m - ky, m)
 
 
 def test_square_interior_meets_B():

@@ -225,3 +225,32 @@ def test_byte_determinism_modulo_timestamp(capsys):
     d1, d2 = json.loads(out1), json.loads(out2)
     d1.pop('generated_at'), d2.pop('generated_at')
     assert d1 == d2
+
+
+# One invocation of each subcommand that prints JSON (coeffs prints signs).
+_JSON_COMMANDS = [
+    ['eval', '3', '19', '--z', '0.6,0.8'],
+    ['--grid-log2', '12', 'eval', '5', '77', '--grid'],
+    ['--grid-log2', '16', 'f', '1.011'],
+    ['--grid-log2', '12', 'f2', '10.', '11.'],
+    ['--grid-log2', '14', 'g', '1.', '10.'],
+    ['--grid-log2', '16', 'certify-f', '--table', 'builtin:1', '--target',
+     '7.92', '--interval', '11/8', '25/16'],
+    ['--grid-log2', '16', 'certify-g'],
+    ['--grid-log2', '14', '--max-scale', '4', 'certify-f2'],
+    ['extremal', '--k', '3'],
+    ['montgomery', '--k', '6'],
+    ['dense', '--m', '0', '--n', '1', '--kmax', '4'],
+    ['--grid-log2', '12', 'figures'],
+]
+
+
+@pytest.mark.parametrize('argv', _JSON_COMMANDS, ids=lambda a: ' '.join(a))
+def test_stdout_is_the_indented_sorted_layout(capsys, tmp_path, argv):
+    """Stdout is json.dumps(doc, indent=2, sort_keys=True) of its own
+    document, plus a newline; a JSON file it writes holds the same text."""
+    code, out = run_cli(capsys, '--out-dir', str(tmp_path), *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + '\n'
+    for path in tmp_path.glob('*.json'):
+        assert path.read_text() == out
