@@ -26,17 +26,17 @@ test is
 
     R = e b d - (a d + c b) f >= 0    and    4 a c b d f^2 <= R^2,
 
-on the integers of each argument's as_integer_ratio(), with no gcd.  The
-binding constraint records which piece of B0 (or the half-step cap)
-limited the radius.
+on the integers of each argument's as_integer_ratio(), with no gcd; the
+strict test is R >= 0 and 4 a c b d f^2 < R^2.  The binding constraint
+records which piece of B0 (or the half-step cap) limited the radius.
 
-Sup-norm sweep.  brute_onedim decides sup |P_{<n}|^2 <= (sqrt(6n-2) - 1)^2
-(1 + 1e-6) for each n by one decision on the norms engine, so the grid
-grows only for the n that need it.  An n the grid cap leaves undecided is
-reported as unsettled and checked on the cap grid alone.  Only sharpness
-points n = (2 4^k + 1)/3 stay unsettled: the bound is attained there, so
-no finite grid certifies it exactly, and the tolerance takes a grid of
-about 2200 n.
+Sup-norm sweep.  brute_onedim decides sqrt(sup |P_{<n}|^2) + 1 <=
+sqrt((6n-2)(1 + 10^-6)) for each n by one decision on the norms engine,
+so the grid grows only for the n that need it.  An n the grid cap leaves
+undecided is reported as unsettled and checked on the cap grid alone.
+Only sharpness points n = (2 4^k + 1)/3 stay unsettled: the bound is
+attained there, so no finite grid certifies it exactly, and the
+tolerance takes a grid of about 2200 n.
 """
 
 from __future__ import annotations
@@ -119,16 +119,23 @@ class CoverageReport:
         }
 
 
-def _sqrt_sum_le(q: float | Fraction, beta: float | Fraction,
-                 t: float | Fraction) -> bool:
-    """Exact test of sqrt(q) + sqrt(beta) <= sqrt(t) for rationals q,
-    beta >= 0 (ints, floats or Fractions), by the integer cross-
-    multiplication of the module docstring: no gcd, no new Fraction."""
+def _sqrt_sum_cmp(q: float | Fraction, beta: float | Fraction,
+                  t: float | Fraction) -> int:
+    """Sign of sqrt(t) - sqrt(q) - sqrt(beta) for rationals q, beta >= 0
+    (ints, floats or Fractions), by the integer cross-multiplication of
+    the module docstring: no gcd, no new Fraction."""
     a, b = q.as_integer_ratio()
     c, d = beta.as_integer_ratio()
     e, f = t.as_integer_ratio()
     rest = e * b * d - (a * d + c * b) * f
-    return rest >= 0 and 4 * a * c * b * d * f * f <= rest * rest
+    gap = rest * rest - 4 * a * c * b * d * f * f
+    return -1 if rest < 0 else (gap > 0) - (gap < 0)
+
+
+def _sqrt_sum_le(q: float | Fraction, beta: float | Fraction,
+                 t: float | Fraction) -> bool:
+    """Exact test of sqrt(q) + sqrt(beta) <= sqrt(t)."""
+    return _sqrt_sum_cmp(q, beta, t) >= 0
 
 
 def envelope_at(d: Fraction) -> Fraction:
@@ -158,11 +165,10 @@ def max_radius(center: DyadicPoint, target: float, N: int) -> CertRecord1D:
     """Largest certified radius around a dyadic center for f <= target."""
     enc = f_dyadic(center, N)
     k = center.k
-    q = Fraction(enc.hi)
     t_eff = Fraction(target) - Fraction(MARGIN_FACTOR * enc.width)
 
     def ok(beta: Fraction) -> bool:
-        return _sqrt_sum_le(q, beta, t_eff)
+        return _sqrt_sum_le(enc.hi, beta, t_eff)
 
     def record(radius: Fraction, binding: str, status: str) -> CertRecord1D:
         return CertRecord1D(center=center, k=k, f_lo=enc.lo, f_hi=enc.hi,
@@ -252,12 +258,12 @@ def builtin_centers(table: int | str) -> list[DyadicPoint]:
 class SmallRangeRecord:
     """One (k, n) pair of the direct small-scale norm check.
 
-    ok_L is the strict squared-L-norm comparison from the stated claim;
-    ok_sup is the sup-norm bound that the surrounding induction actually
-    needs.  It follows from ok_L (sup |P|^2 <= L), so sup_enc is None
-    where ok_L holds; elsewhere it is a non-refutation grid check (the
-    bound holds with equality at sharpness points, witnessed exactly by
-    value_at_one).
+    ok_L is the strict L-norm comparison from the stated claim; ok_sup,
+    the pair's verdict, is the sup-norm bound that the induction needs.
+    It follows from ok_L (sup |P|^2 <= L), so sup_enc is None where ok_L
+    holds; elsewhere it is a non-refutation grid check (the bound holds
+    with equality at sharpness points, witnessed exactly by
+    value_at_one).  bound, a float, is for reporting only.
     """
 
     k: int
@@ -269,10 +275,6 @@ class SmallRangeRecord:
     ok_L: bool
     ok_sup: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.ok_L or self.ok_sup
-
 
 _REFINE_CAP = 1 << 22
 
@@ -281,9 +283,10 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
     """Direct norm checks below the scales where the generic estimates take
     over.
 
-    kind 'midrange': k <= 12, 11/8 2^k <= n <= 25/16 2^k, claimed strict
-    bound 2^{(k+3)/2} - 1 on the L-norm.  kind 'upper': k <= 6,
-    25/16 2^k <= n <= 2^{k+1}, claimed strict bound sqrt(6n-2) - 1.
+    kind 'midrange': k <= 12, 11/8 2^k <= n <= 25/16 2^k, t = 2^{k+3}.
+    kind 'upper': k <= 6, 25/16 2^k <= n <= 2^{k+1}, t = 6n - 2.  The
+    claimed strict L bound is sqrt(hi) + 1 < sqrt(t), the sup bound
+    sqrt(v) + 1 <= sqrt(t), both decided exactly (_sqrt_sum_cmp).
 
     Each pair makes one decision on the L-norm on the norms engine, with
     grid cap _REFINE_CAP: it refines until the enclosure settles the test
@@ -292,42 +295,40 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
     of their two spectra through one memo, which drops every prefix
     shorter than floor(n/2).  The strict L comparison settles when hi clears
     or lo refutes the bound.  Where it certifies, so does the sup-norm
-    bound: sup |P(z)|^2 <= sup (|P(z)|^2 + |P(-z)|^2) <= hi < bound^2.
+    bound: sup |P(z)|^2 <= sup (|P(z)|^2 + |P(-z)|^2) <= hi.
     Only the other pairs make a sup-norm decision, a non-refutation check
     (ok unless lo exceeds the bound): the bound is attained with equality
     at the sharpness points, so no finite enclosure can certify it
     strictly there.  Both results are reported for every pair.
     """
     if kind == 'midrange':
-        pairs = [(k, n) for k in range(13)
+        pairs = [(k, n, 1 << (k + 3)) for k in range(13)
                  for n in range(math.ceil(11 * (1 << k) / 8),
                                 math.floor(25 * (1 << k) / 16) + 1)]
-        bound_of = lambda k, n: 2.0 ** ((k + 3) / 2) - 1.0
     elif kind == 'upper':
-        pairs = [(k, n) for k in range(7)
+        pairs = [(k, n, 6 * n - 2) for k in range(7)
                  for n in range(math.ceil(25 * (1 << k) / 16), (1 << (k + 1)) + 1)]
-        bound_of = lambda k, n: math.sqrt(6 * n - 2) - 1.0
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
     records, spectra = [], {}
-    for k, n in pairs:
-        bound = bound_of(k, n)
-        bound_sq = bound * bound
+    for k, n, t in pairs:
         seg = Segment(0, n)
         # n rises, so no later pair reads a half prefix shorter than n // 2.
         for key in [key for key in spectra if key[0] < n // 2]:
             del spectra[key]
-        L = L_norm_sq(seg, _REFINE_CAP, decision(lambda v: v < bound_sq),
+        L = L_norm_sq(seg, _REFINE_CAP,
+                      decision(lambda v: _sqrt_sum_cmp(v, 1, t) > 0),
                       spectra=spectra)
         ok_L = L.verdict is True
         sup = None if ok_L else sup_norm_sq(
-            seg, _REFINE_CAP, decision(lambda v: v <= bound_sq))
+            seg, _REFINE_CAP, decision(lambda v: _sqrt_sum_le(v, 1, t)))
         at_one, _ = segment_sum_pm1(seg)
         records.append(SmallRangeRecord(
-            k=k, n=n, bound=bound, L_enc=L, sup_enc=sup, value_at_one=at_one,
-            ok_L=ok_L, ok_sup=ok_L or sup.verdict is not False))
-    return records, all(r.ok for r in records)
+            k=k, n=n, bound=math.sqrt(t) - 1.0, L_enc=L, sup_enc=sup,
+            value_at_one=at_one, ok_L=ok_L,
+            ok_sup=ok_L or sup.verdict is not False))
+    return records, all(r.ok_sup for r in records)
 
 
 @dataclass
@@ -348,15 +349,16 @@ def brute_onedim(n_max: int, N: int) -> BruteForceReport:
     """Sweep the sqrt(6n-2) - 1 sup-norm bound for every 1 <= n <= n_max.
 
     Each n makes one decision on the norms engine, with grid cap N: is
-    sup |P_{<n}|^2 <= T_n = (sqrt((6n-2)(1 + 1e-6)) - 1)^2?  The engine
-    refines until the enclosure certifies it (hi <= T_n, off the grid
-    too), refutes it (lo > T_n) or reaches N.  The n that N leaves
-    undecided are reported in ``unsettled``; they fail when the cap-grid
-    maximum plus its floating-point slack, lo + 2 s, exceeds T_n, which
+    sqrt(sup |P_{<n}|^2) + 1 <= sqrt(t_n), t_n = (6n-2)(1 + 10^-6) an
+    exact rational?  The engine refines until the enclosure certifies it
+    (hi passes, off the grid too), refutes it (lo fails) or reaches N,
+    each by the exact test _sqrt_sum_le.  The n that N leaves undecided
+    are reported in ``unsettled``; they fail when the cap-grid maximum
+    plus its floating-point slack, lo + 2 s, fails the same test, which
     is the grid-only non-refutation test.  Only sharpness points
     n = (2 4^k + 1)/3 stay unsettled on a large enough N: the bound is
     attained there at z = 1, so no finite grid certifies it exactly, and
-    hi <= T_n needs the off-grid correction below the 1e-6 tolerance,
+    hi passing needs the off-grid correction below the 10^-6 tolerance,
     which takes N above about 2200 n.
 
     The worst ratio is (sqrt(M + s) + 1)^2 / (6n - 2), with M + s = lo + 2 s
@@ -369,16 +371,16 @@ def brute_onedim(n_max: int, N: int) -> BruteForceReport:
     worst, worst_n = 0.0, 0
     failures, unsettled = [], []
     for n in range(1, n_max + 1):
-        bound_sq = (math.sqrt((6 * n - 2) * (1.0 + 1e-6)) - 1.0) ** 2
-        enc = sup_norm_sq(Segment(0, n), N,
-                          decision(lambda v: v <= bound_sq))
+        t_n = Fraction((6 * n - 2) * 1000001, 1000000)
+        holds = lambda v: _sqrt_sum_le(v, 1, t_n)
+        enc = sup_norm_sq(Segment(0, n), N, decision(holds))
         upper = enc.lo + 2.0 * abs_sq_slack(n, enc.N)
         ratio = (math.sqrt(upper) + 1.0) ** 2 / (6 * n - 2)
         if ratio > worst:
             worst, worst_n = ratio, n
         if enc.verdict is None:
             unsettled.append(n)
-        if enc.verdict is False or (enc.verdict is None and upper > bound_sq):
+        if enc.verdict is False or (enc.verdict is None and not holds(upper)):
             failures.append(n)
     return BruteForceReport(n_max=n_max, N=N, worst_ratio=worst,
                             worst_n=worst_n, failures=failures,

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .certify1d import _sqrt_sum_le
-from .dyadic import DyadicPoint
+from .dyadic import DyadicPoint, lowest_terms
 from .jsonfmt import dumps
 from .norms import decision, f2_dyadic, g_dyadic
 
@@ -77,16 +77,16 @@ class DyadicSquare:
     def side(self) -> Fraction:
         return Fraction(1, 1 << self.k)
 
-    def children(self) -> list[tuple["DyadicSquare", tuple[int, int]]]:
-        """Four scale-(k+1) children, each with the adjacent parent corner
-        (as integer coordinates at scale k)."""
-        out = []
-        for dr in (0, 1):
-            for ds in (0, 1):
-                child = DyadicSquare(2 * self.r + dr, 2 * self.s + ds,
-                                     self.k + 1)
-                out.append((child, (self.r + dr, self.s + ds)))
-        return out
+    @property
+    def parent_corner(self) -> tuple[int, int, int]:
+        """The corner of the parent square (k >= 1) adjacent to this one,
+        (cx, cy, k - 1) for the point (cx, cy) / 2^{k-1}."""
+        return (self.r + 1) >> 1, (self.s + 1) >> 1, self.k - 1
+
+    def children(self) -> list["DyadicSquare"]:
+        """The four scale-(k+1) children."""
+        return [DyadicSquare(2 * self.r + dr, 2 * self.s + ds, self.k + 1)
+                for dr in (0, 1) for ds in (0, 1)]
 
     def contained_in(self, x0, y0, x1, y1) -> bool:
         return (self.x0 >= x0 and self.x1 <= x1
@@ -105,16 +105,16 @@ class SquareRecord:
     def corner(self) -> tuple[Fraction, Fraction] | None:
         """The parent corner that decided the square; None if subdivided."""
         if self.corner_hi is not None:
-            return tuple(Fraction((t + 1) >> 1, 1 << self.square.k - 1)
-                         for t in (self.square.r, self.square.s))
+            cx, cy, k = self.square.parent_corner
+            return Fraction(cx, 1 << k), Fraction(cy, 1 << k)
 
     def to_dict(self) -> dict:
         sq = self.square
         d = {'k': sq.k, 'r': sq.r, 's': sq.s, 'status': self.status}
         if self.corner_hi is not None:
             # The corner's floats: int / int rounds as float(Fraction) does.
-            d['corner'] = [((t + 1) >> 1) / (1 << sq.k - 1)
-                           for t in (sq.r, sq.s)]
+            cx, cy, k = sq.parent_corner
+            d['corner'] = [cx / (1 << k), cy / (1 << k)]
             d['corner_hi'] = self.corner_hi
             d['target_min'] = float(self.target_min)
             d['N'] = self.N
@@ -199,35 +199,27 @@ def _nine_over(k: int) -> Fraction:
     return Fraction(9, 1 << k)
 
 
-def _corner_key(cx: int, cy: int, k: int) -> tuple[int, int, int]:
-    """The corner (cx, cy) / 2^k at its joint minimal scale k - t,
-    t = min(v2(cx | cy), k): equal keys are equal points, whatever the
-    scale they were given at."""
-    low = cx | cy
-    t = min((low & -low).bit_length() - 1, k) if low else k
-    return cx >> t, cy >> t, k - t
-
-
 def _run(roots: list[DyadicSquare], enclose, target_min_fn, N: int,
          max_scale: int, kind: str) -> CertTree:
     """Level-synchronous subdivision.  ``enclose(x, y, N, decide)`` encloses
     the objective at the dyadic corner (x, y), settling ``decide`` with grid
     cap N (see norms._grid_sup)."""
     tree = CertTree(roots=list(roots), N=N, max_scale=max_scale, kind=kind)
-    settled = {}   # corner key -> the corner's last enclosure
+    settled = {}   # corner in lowest terms -> its last enclosure
     frontier = sorted(roots, key=lambda sq: (sq.k, sq.r, sq.s))
     while frontier:
         next_frontier = []
         for sq in frontier:
             tree.records.append(SquareRecord(sq, STATUS_SUBDIVIDED))
-            for child, (cx, cy) in sq.children():
-                key = _corner_key(cx, cy, sq.k)
+            for child in sq.children():
+                cx, cy, k = child.parent_corner
+                key = lowest_terms(cx, cy, k)
                 t_min = target_min_fn(child)
-                decide = decision(lambda v: _certified(v, sq.k, t_min))
+                decide = decision(lambda v: _certified(v, k, t_min))
                 enc = settled.get(key)
                 verdict = None if enc is None else decide(enc)
                 if verdict is None and (enc is None or enc.N < N):
-                    x, y = DyadicPoint(cx, sq.k), DyadicPoint(cy, sq.k)
+                    x, y = DyadicPoint(cx, k), DyadicPoint(cy, k)
                     enc = settled[key] = enclose(x, y, N, decide)
                     verdict = enc.verdict
                 if verdict or child.k >= max_scale:

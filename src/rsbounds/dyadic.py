@@ -7,6 +7,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+def lowest_terms(u: int, v: int, k: int) -> tuple[int, int, int]:
+    """(u, v, k) at the joint minimal scale of u / 2^k and v / 2^k: equal
+    results are equal pairs, whatever the scale they were given at."""
+    low = u | v
+    t = min((low & -low).bit_length() - 1, k) if low else k
+    return u >> t, v >> t, k - t
+
+
 @dataclass(frozen=True)
 class DyadicPoint:
     """Non-negative dyadic rational u / 2^k in canonical form (u odd or k = 0).
@@ -21,10 +29,7 @@ class DyadicPoint:
     def __post_init__(self):
         if self.u < 0 or self.k < 0:
             raise ValueError("dyadic point requires u >= 0 and k >= 0")
-        u, k = self.u, self.k
-        while k > 0 and u % 2 == 0:
-            u //= 2
-            k -= 1
+        u, _, k = lowest_terms(self.u, 0, self.k)
         object.__setattr__(self, 'u', u)
         object.__setattr__(self, 'k', k)
 

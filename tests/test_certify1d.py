@@ -168,7 +168,7 @@ def smallk_records():
 
 def test_check_smallk_midrange_known_boundary_pairs(smallk_records):
     records = smallk_records['midrange']
-    assert all(r.ok for r in records)
+    assert all(r.ok_sup for r in records)
     failures = {(r.k, r.n) for r in records if not r.ok_L}
     # exactly the two sharpness points sit on the range boundary and
     # exceed the strict L bound; the sup-norm bound holds with equality
@@ -186,6 +186,31 @@ def test_check_smallk_upper_all_strict():
     k1 = [r for r in records if r.k == 1]
     assert [r.n for r in k1] == [4]
     assert math.sqrt(k1[0].L_enc.hi) < math.sqrt(22) - 1
+
+
+def test_check_smallk_strict_claim_is_exact(monkeypatch):
+    """The strict L claim at (k, n) = (2, 6) is sqrt(hi) + 1 < sqrt(32),
+    i.e. hi < 33 - 8 sqrt(2) = 21.686291501015239...: an enclosure with
+    lo = hi = 21.68629150101524, a float just above that, refutes it,
+    although it lies below the float 21.686291501015244 of
+    (2^{5/2} - 1)^2.  The sup fallback then decides the pair."""
+    import rsbounds.certify1d as c1
+    from rsbounds.norms import Enclosure
+
+    v = 21.68629150101524
+    assert (33 - Fraction(v)) ** 2 < 128           # v > 33 - 8 sqrt(2)
+    assert v < (2.0 ** 2.5 - 1.0) ** 2
+
+    def stub(seg, N, decide, real=c1.L_norm_sq, **memo):
+        if seg != Segment(0, 6):
+            return real(seg, N, decide, **memo)
+        enc = Enclosure(v, v, N)
+        return Enclosure(v, v, N, decide(enc))
+    monkeypatch.setattr(c1, 'L_norm_sq', stub)
+    records, ok = check_smallk_L('midrange')
+    (r,) = [r for r in records if (r.k, r.n) == (2, 6)]
+    assert r.L_enc.verdict is False and not r.ok_L
+    assert r.sup_enc is not None and r.ok_sup and ok
 
 
 def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch):

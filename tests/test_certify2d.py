@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from rsbounds.certify2d import (CertTree, DyadicSquare, SquareRecord,
-                                STATUS_BAD, _certified, _corner_key,
-                                _g_target_min,
+                                STATUS_BAD, _certified, _g_target_min,
                                 certify_f2, certify_g_full, certify_square_g,
                                 check_exclusion_region,
                                 square_interior_meets_B)
-from rsbounds.dyadic import DyadicPoint
+from rsbounds.dyadic import DyadicPoint, lowest_terms
 from rsbounds.norms import g_dyadic, g_int, f2_dyadic
 from rsbounds.sequence import Segment, coeff_range
 
@@ -21,19 +20,21 @@ def test_square_geometry():
     assert sq.side == Fraction(1, 8)
     kids = sq.children()
     assert len(kids) == 4
-    child, corner = kids[0]
-    assert child == DyadicSquare(10, 24, 4) and corner == (5, 12)
-    child, corner = kids[3]
-    assert child == DyadicSquare(11, 25, 4) and corner == (6, 13)
+    assert kids[0] == DyadicSquare(10, 24, 4)
+    assert kids[0].parent_corner == (5, 12, 3)
+    assert kids[3] == DyadicSquare(11, 25, 4)
+    assert kids[3].parent_corner == (6, 13, 3)
     with pytest.raises(ValueError):
         DyadicSquare(-1, 0, 0)
 
 
 def test_children_satisfy_corner_distance():
     sq = DyadicSquare(3, 2, 2)
-    for child, (cx, cy) in sq.children():
-        x = Fraction(cx, 1 << sq.k)
-        y = Fraction(cy, 1 << sq.k)
+    for child in sq.children():
+        cx, cy, k = child.parent_corner
+        assert k == sq.k
+        x = Fraction(cx, 1 << k)
+        y = Fraction(cy, 1 << k)
         half = Fraction(1, 1 << (sq.k + 1))
         assert max(abs(child.x0 - x), abs(child.x1 - x)) <= half
         assert max(abs(child.y0 - y), abs(child.y1 - y)) <= half
@@ -187,7 +188,7 @@ def test_corner_key_is_the_dyadic_pair():
             ux, kx = x = pairs[k][cx]
             for cy in range(4 << k):
                 uy, ky = y = pairs[k][cy]
-                a, b, j = _corner_key(cx, cy, k)
+                a, b, j = lowest_terms(cx, cy, k)
                 m = max(kx, ky)
                 assert (pairs[j][a], pairs[j][b], a, b, j) == (
                     x, y, ux << m - kx, uy << m - ky, m)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from rsbounds.dyadic import DyadicPoint
+from rsbounds.dyadic import DyadicPoint, lowest_terms
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -28,6 +28,24 @@ def test_parse_grammar(text, value):
 def test_parse_rejects(text):
     with pytest.raises(ValueError):
         DyadicPoint.parse(text)
+
+
+def _halved(u: int, v: int, k: int) -> tuple[int, int, int]:
+    """Halve u and v while both are even and the scale is positive."""
+    while k > 0 and u % 2 == 0 and v % 2 == 0:
+        u, v, k = u // 2, v // 2, k - 1
+    return u, v, k
+
+
+def test_lowest_terms_is_the_halving_loop():
+    """The bit form gives what repeated halving gives, for k <= 8 and every
+    u, v < 4 * 2^k, and DyadicPoint's canonical form is its v = 0 case."""
+    for k in range(9):
+        for u in range(4 << k):
+            for v in range(4 << k):
+                assert lowest_terms(u, v, k) == _halved(u, v, k), (u, v, k)
+            x = DyadicPoint(u, k)
+            assert (x.u, 0, x.k) == _halved(u, 0, k)
 
 
 dyadics = st.builds(DyadicPoint, st.integers(0, 1 << 70), st.integers(0, 70))

@@ -1,15 +1,17 @@
 """The exact square and radius test in integers against its Fraction form.
 
-certify1d._sqrt_sum_le decides sqrt(q) + sqrt(beta) <= sqrt(t) by integer
-cross-multiplication.  The oracle below is the same test in Fraction
-arithmetic, as the decisions were first written."""
+certify1d._sqrt_sum_cmp gives the sign of sqrt(t) - sqrt(q) - sqrt(beta) by
+integer cross-multiplication; _sqrt_sum_le is its test >= 0, and the
+small-k claims use its strict test > 0.  The oracles below are the same
+tests in Fraction arithmetic, as the decisions were first written."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from rsbounds import certify2d
-from rsbounds.certify1d import _sqrt_sum_le
+from rsbounds.certify1d import _sqrt_sum_cmp, _sqrt_sum_le
 from rsbounds.certify2d import (DyadicSquare, _f2_target_min, _g_target_min,
                                 certify_f2, certify_square_g)
 
@@ -22,10 +24,18 @@ def sqrt_sum_le_fraction(q: Fraction, beta: Fraction, t: Fraction) -> bool:
     return 4 * q * beta <= rest * rest
 
 
+def sqrt_sum_lt_fraction(q: Fraction, beta: Fraction, t: Fraction) -> bool:
+    """Exact test of sqrt(q) + sqrt(beta) < sqrt(t) for rationals >= 0."""
+    return q + beta < t and 4 * q * beta < (t - q - beta) ** 2
+
+
 def _agree(q, beta, t) -> bool:
+    """The test <= and its strict form, each against its oracle."""
     got = _sqrt_sum_le(q, beta, t)
-    assert got == sqrt_sum_le_fraction(Fraction(q), Fraction(beta),
-                                       Fraction(t)), (q, beta, t)
+    exact = Fraction(q), Fraction(beta), Fraction(t)
+    assert got == sqrt_sum_le_fraction(*exact), (q, beta, t)
+    assert (_sqrt_sum_cmp(q, beta, t) > 0) == sqrt_sum_lt_fraction(*exact), (
+        q, beta, t)
     return got
 
 
@@ -53,7 +63,21 @@ def test_sqrt_sum_le_boundary_cases(q, beta, t, holds):
     assert _agree(q, beta, t) is holds
 
 
+@pytest.mark.parametrize('q, beta, t, le, lt', [
+    # sqrt 49 + 1 = sqrt 64: <= holds, < fails
+    (49.0, 1, 64, True, False),
+    (math.nextafter(49.0, 0.0), 1, 64, True, True),
+    (math.nextafter(49.0, math.inf), 1, 64, False, False),
+    (0, 0, 0, True, False),
+    (0, 0, Fraction(1, 1 << 60), True, True),
+])
+def test_sqrt_sum_strict_boundary_cases(q, beta, t, le, lt):
+    assert _agree(q, beta, t) is le
+    assert (_sqrt_sum_cmp(q, beta, t) > 0) is lt
+
+
 def test_sqrt_sum_le_agrees_with_fraction_oracle():
+    """Both forms, <= and <, against their Fraction oracles."""
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
