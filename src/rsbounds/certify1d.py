@@ -32,8 +32,10 @@ records which piece of B0 (or the half-step cap) limited the radius.
 
 Sup-norm sweep.  brute_onedim decides sqrt(sup |P_{<n}|^2) + 1 <=
 sqrt((6n-2)(1 + 10^-6)) for each n by one decision on the norms engine,
-so the grid grows only for the n that need it.  An n the grid cap leaves
-undecided is reported as unsettled and checked on the cap grid alone.
+so the grid grows only for the n that need it.  The prefix n is read from
+the FFTs of its half prefixes on half the grid (norms.PrefixSpectra), so
+consecutive n share one FFT.  An n the grid cap leaves undecided is
+reported as unsettled and checked on the cap grid alone.
 Only sharpness points n = (2 4^k + 1)/3 stay unsettled: the bound is
 attained there, so no finite grid certifies it exactly, and the
 tolerance takes a grid of about 2200 n.
@@ -48,7 +50,8 @@ from importlib import resources
 
 from .dyadic import DyadicPoint
 from .evaluate import abs_sq_slack, segment_sum_pm1
-from .norms import Enclosure, L_norm_sq, decision, f_dyadic, sup_norm_sq
+from .norms import (Enclosure, L_norm_sq, PrefixSpectra, decision, f_dyadic,
+                    sup_norm_sq)
 from .sequence import Segment
 
 BINDING_LINEAR = 'case-6x'
@@ -291,11 +294,14 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
     Each pair makes one decision on the L-norm on the norms engine, with
     grid cap _REFINE_CAP: it refines until the enclosure settles the test
     or the cap is reached.  The L objective of the prefix n is read from
-    its half prefixes ceil(n/2) and floor(n/2), so consecutive n share one
-    of their two spectra through one memo, which drops every prefix
-    shorter than floor(n/2).  The strict L comparison settles when hi clears
-    or lo refutes the bound.  Where it certifies, so does the sup-norm
-    bound: sup |P(z)|^2 <= sup (|P(z)|^2 + |P(-z)|^2) <= hi.
+    its half prefixes ceil(n/2) and floor(n/2), each a split entry of one
+    norms.PrefixSpectra: built by evaluate.radix2_step from the FFTs of
+    its own half prefixes on a quarter of the grid, within the same slack.
+    Consecutive n share entries, and the store's floor, floor(n/2), drops
+    every entry that no later pair reads.  The strict L comparison
+    settles when hi clears or lo refutes the bound.  Where it certifies,
+    so does the sup-norm bound: sup |P(z)|^2 <= sup (|P(z)|^2 +
+    |P(-z)|^2) <= hi.
     Only the other pairs make a sup-norm decision, a non-refutation check
     (ok unless lo exceeds the bound): the bound is attained with equality
     at the sharpness points, so no finite enclosure can certify it
@@ -311,15 +317,14 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    records, spectra = [], {}
+    records, store = [], PrefixSpectra()
     for k, n, t in pairs:
         seg = Segment(0, n)
         # n rises, so no later pair reads a half prefix shorter than n // 2.
-        for key in [key for key in spectra if key[0] < n // 2]:
-            del spectra[key]
+        store.floor(n // 2)
         L = L_norm_sq(seg, _REFINE_CAP,
                       decision(lambda v: _sqrt_sum_cmp(v, 1, t) > 0),
-                      spectra=spectra)
+                      store=store)
         ok_L = L.verdict is True
         sup = None if ok_L else sup_norm_sq(
             seg, _REFINE_CAP, decision(lambda v: _sqrt_sum_le(v, 1, t)))
@@ -361,6 +366,13 @@ def brute_onedim(n_max: int, N: int) -> BruteForceReport:
     hi passing needs the off-grid correction below the 10^-6 tolerance,
     which takes N above about 2200 n.
 
+    The objective is read from split entries of one norms.PrefixSpectra:
+    the values of the prefix n on a grid come from the FFTs of its half
+    prefixes ceil(n/2) and floor(n/2) on half that grid, by
+    evaluate.radix2_step, within the same slack, and consecutive n share
+    one of them.  The store's floor, n, drops every entry that no later n
+    reads.
+
     The worst ratio is (sqrt(M + s) + 1)^2 / (6n - 2), with M + s = lo + 2 s
     on the grid that decided n.  It reaches 1 at the sharpness points,
     which every grid contains, and stays below 1 elsewhere.
@@ -370,10 +382,12 @@ def brute_onedim(n_max: int, N: int) -> BruteForceReport:
                          f"4 * n_max = {4 * n_max}")
     worst, worst_n = 0.0, 0
     failures, unsettled = [], []
+    store = PrefixSpectra()
     for n in range(1, n_max + 1):
         t_n = Fraction((6 * n - 2) * 1000001, 1000000)
         holds = lambda v: _sqrt_sum_le(v, 1, t_n)
-        enc = sup_norm_sq(Segment(0, n), N, decision(holds))
+        store.floor(n)
+        enc = sup_norm_sq(Segment(0, n), N, decision(holds), store=store)
         upper = enc.lo + 2.0 * abs_sq_slack(n, enc.N)
         ratio = (math.sqrt(upper) + 1.0) ** 2 / (6 * n - 2)
         if ratio > worst:

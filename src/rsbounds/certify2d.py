@@ -36,7 +36,7 @@ from fractions import Fraction
 from .certify1d import _sqrt_sum_le
 from .dyadic import DyadicPoint, lowest_terms
 from .jsonfmt import dumps
-from .norms import decision, f2_dyadic, g_dyadic
+from .norms import PrefixSpectra, decision, f2_dyadic, g_dyadic
 
 STATUS_CERTIFIED = 'certified'
 STATUS_BAD = 'bad'
@@ -241,8 +241,8 @@ def _g_target_min(child: DyadicSquare) -> Fraction:
 
 
 def _run_g(roots: list[DyadicSquare], N: int, max_scale: int) -> CertTree:
-    # One memo of prefix spectra for every corner of the run.
-    return _run(roots, functools.partial(g_dyadic, spectra={}),
+    # One store of prefix spectra for every corner of the run.
+    return _run(roots, functools.partial(g_dyadic, store=PrefixSpectra()),
                 _g_target_min, N, max_scale, kind='g-bound')
 
 

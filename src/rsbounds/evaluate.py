@@ -19,7 +19,10 @@ size N carries an absolute per-value error of at most
 C_FFT = 8 is validated against 50-digit reference evaluation of
 half_spectrum, up to the production sizes N = 2^24 and L = 4096 (see
 tests); the observed FFT error is far smaller.  All enclosures widen by
-slack derived from this bound.
+slack derived from this bound.  radix2_step builds a prefix's half spectrum
+on N from those of its two half prefixes on N/2, one butterfly per value;
+its values err by at most eps_radix2(n, N) <= eps_fp(n, N), derived from
+the bound of its inputs, so every slack holds for them unchanged.
 """
 
 from __future__ import annotations
@@ -202,6 +205,78 @@ def half_spectrum(seg: Segment, N: int) -> np.ndarray:
     if seg.length:
         padded[:seg.length] = coeff_range(seg)
     return np.fft.rfft(padded)
+
+
+def radix2_step(RA: np.ndarray, RB: np.ndarray,
+                z: np.ndarray) -> np.ndarray:
+    """The half spectrum on the M-grid of the prefix n from the half
+    spectra RA and RB (half_spectrum) of its half prefixes ceil(n/2) and
+    floor(n/2) on the M/2-grid, M = 4 (len(RA) - 1) a power of two >= 4,
+    with the table z = twiddles(M) of the z_k below.
+
+    The doubling rule gives P(z) = A(w) + z B(-w) with w = z^2 (norms), so
+    with z_k = exp(2 pi i k / M), k = 0 .. M/4, and t_k = conj(z_k
+    RB[M/4 - k]) (RB[M/4 - k] = B(-w_k), by the conjugate symmetry of the
+    M/2-grid),
+
+        R[k] = RA[k] + t_k,    R[M/2 - k] = conj(RA[k] - t_k),
+
+    the values conj P(z_k) and P(-z_k) that half_spectrum of the prefix
+    gives.  The error bound is eps_radix2.
+    """
+    q = len(RA) - 1
+    if q < 1 or q & (q - 1) or not len(RB) == len(z) == q + 1:
+        raise ValueError(f"half spectra and twiddles of lengths {len(RA)}, "
+                         f"{len(RB)}, {len(z)} are not all M/4 + 1 for a "
+                         "power of two M >= 4")
+    t = z * RB[::-1]
+    np.conjugate(t, out=t)
+    R = np.empty(2 * q + 1, dtype=complex)
+    np.add(RA, t, out=R[:q + 1])
+    top = R[q:][::-1]                      # top[k] is R[M/2 - k]
+    np.subtract(RA, t, out=top)
+    np.conjugate(top, out=top)
+    return R
+
+
+def twiddles(M: int) -> np.ndarray:
+    """z_k = exp(2 pi i k / M) for k = 0 .. M/4, read-only, each taken at
+    the exact index k: within 8u, as the phases of eval_roots, and exact
+    on the axes."""
+    theta = np.arange(M // 4 + 1) * (2.0 * math.pi / M)
+    z = np.cos(theta) + 1j * np.sin(theta)
+    z[-1] = 1j
+    z.flags.writeable = False
+    return z
+
+
+def eps_radix2(n: int, M: int) -> float:
+    """Per-value absolute error bound of radix2_step for the prefix n on
+    the M-grid, given inputs within eps_fp of their halves on M/2.
+
+    Write a = ceil(n/2), b = floor(n/2), e_A = eps_fp(a, M/2) and
+    e_B = eps_fp(b, M/2); the true |RA| <= a and |RB| <= b.  The twiddle
+    errs by at most 8u (eps_direct), so |z RB - true| <= e_B + 8u (b + e_B)
+    before the product, and the complex product adds at most
+    sqrt(2) gamma_2 (1 + 8u)(b + e_B), gamma_2 = 2u / (1 - 2u) (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Lemma 3.5); the
+    conjugate is exact.  That bounds t's error e_t.  The sum or difference
+    with RA rounds each component to within u of its modulus, at most
+    n + e_A + e_t.  To first order the bound is
+
+        e_A + e_B + (8 + 2 sqrt(2)) u b + u n,
+
+    and e_A + e_B = 8 u n (log2 M - 1) = eps_fp(n, M) - 8 u n, while
+    (8 + 2 sqrt(2)) u b + u n <= 6.5 u n; the remaining 1.5 u n holds the
+    second-order terms, so eps_radix2(n, M) <= eps_fp(n, M) (see tests).
+    """
+    u = UNIT_ROUNDOFF
+    a, b = (n + 1) // 2, n // 2
+    e_b = eps_fp(b, M // 2)
+    e_t = e_b + (8 * u + math.sqrt(2.0) * 2 * u / (1 - 2 * u)
+                 * (1 + 8 * u)) * (b + e_b)
+    e = eps_fp(a, M // 2) + e_t
+    return e + u * (n + e)
 
 
 def eval_PQ(t: int, z: complex) -> tuple[complex, complex]:

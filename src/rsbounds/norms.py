@@ -33,6 +33,18 @@ or smaller than for the z-objective of degree L - 1.  G's values carry the
 slack abs_sq_slack(|A|, N/2) + abs_sq_slack(|B|, N/2), half or less of the
 z-objective's 2 abs_sq_slack(L, N).
 
+A prefix from its half prefixes.  For the prefix [0, n), A and B are the
+prefixes ceil(n/2) and floor(n/2), so the N-grid values conj P(z_j) and
+P(-z_j) that its own FFT gives follow from the N/2-grid FFTs of A and B by
+one butterfly with the twiddle z_j (evaluate.radix2_step), a quarter of
+the FFT points.  Each value errs by at most eps_radix2(n, N) <=
+eps_fp(n, N), so every slack below holds for it unchanged.  PrefixSpectra
+stores both kinds of prefix spectra by (prefix, grid): rfft entries, one
+FFT each, which g_int reads, and split entries, which sup_norm_sq and
+L_norm_sq read when given a store.  The sweeps of certify1d read split
+entries of rising prefixes, so consecutive n share a half, and they set
+the store's floor below which no entry is read again.
+
 The g objective.  Write a = A_r(w), b = B_r(-w) for the halves of the
 prefix r and c = A_s(w), d = B_s(-w) for those of the prefix s.  Then
 P_s(z) P_r(-z) - P_s(-z) P_r(z) = 2 z (a d - c b), so g's objective is
@@ -77,7 +89,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import DyadicPoint
-from .evaluate import abs_sq_slack, eps_fp, eval_roots, half_spectrum
+from .evaluate import (abs_sq_slack, eps_fp, eval_roots, half_spectrum,
+                       radix2_step, twiddles)
 from .sequence import Segment, even_odd_split
 
 
@@ -149,14 +162,14 @@ def decision(holds):
 
 
 def _spectral_values(segs: list[Segment], N: int, cross,
-                     spectra: dict | None) -> np.ndarray:
-    """F at x_j, j = 0 .. N/2, from one real FFT R per segment and its
-    power |R|^2 (a prefix's both memoized in ``spectra`` if given): a
-    segment at an even position is read at x, with the value
-    v = R[j] = conj P(x_j), one at an odd position at -x, with the value
-    w = R[N/2 - j] = P(-x_j)."""
-    v = [_power(half_spectrum(seg, N)) if spectra is None or seg.m
-         else _prefix_half_spectrum(seg.n, N, spectra) for seg in segs]
+                     lookup) -> np.ndarray:
+    """F at x_j, j = 0 .. N/2, from one half spectrum R per segment and its
+    power |R|^2 (a prefix's both read from ``lookup(n, N)`` if given, a
+    PrefixSpectra lookup): a segment at an even position is read at x,
+    with the value v = R[j] = conj P(x_j), one at an odd position at -x,
+    with the value w = R[N/2 - j] = P(-x_j)."""
+    v = [_power(half_spectrum(seg, N)) if lookup is None or seg.m
+         else lookup(seg.n, N) for seg in segs]
     F = None
     for i, (R, a) in enumerate(v):
         # |w|^2 as reversed |v|^2: np.abs of a reversed view may round apart.
@@ -183,14 +196,14 @@ def _direct_values(segs: list[Segment], js: np.ndarray, N: int,
 
 
 def _grid_sup(segs: list[Segment], N: int, degree: int, slack, cross=None,
-              decide=None, spectra=None, half: bool = False):
+              decide=None, lookup=None, half: bool = False):
     """Enclosure of the sup of F, of degree D = ``degree``, from its
     maximum over the N-grid, whose values err by at most slack(N).  F is
     the sum of |P(x)|^2 over the segments at even positions in ``segs``
     and of |P(-x)|^2 over those at odd positions, plus cross(v) of the
     list of the segments' untwisted values v, conj P(x_j) or P(-x_j) by
-    the same positions.  ``spectra``, if given, memoizes the spectra of
-    prefixes (see _prefix_half_spectrum).
+    the same positions.  ``lookup``, if given, reads the spectra of
+    prefixes from a PrefixSpectra.
 
     With ``half``, F is a function of w = z^2 and the objective is 2F
     (the L and g objectives, see the module docstring).  The level grids
@@ -235,7 +248,8 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, slack, cross=None,
     settle; the levels up to N_0 are then whole grids, as on their own
     caps.  A decision on g, whose prefix spectra a run's corners share,
     starts at N_0, on the axes as elsewhere.  The start depends on the
-    objective alone, so ``spectra`` never changes the result.
+    objective alone, so ``lookup`` never changes the grids, and its values
+    are within the same slack (PrefixSpectra).
     """
     n = sum(seg.length for seg in segs)
     L = max(A.length + B.length
@@ -252,7 +266,7 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, slack, cross=None,
     N0 = oversampled_grid(n, N) >> sh
     N_l = oversampled_grid(n, N, 8) >> sh if decide and not cross else N0
     N >>= sh
-    F = _spectral_values(segs, N_l, cross, spectra)
+    F = _spectral_values(segs, N_l, cross, lookup)
     N_l = N_l if degree > 0 else N         # degree 0: constant
     js = None                              # level 0: j = 0 .. N_l/2
     while True:
@@ -276,29 +290,33 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, slack, cross=None,
             if len(js) * n <= N0:
                 F = _direct_values(segs, js, N_l, cross)
                 continue
-        js, F = None, _spectral_values(segs, N_l, cross, spectra)
+        js, F = None, _spectral_values(segs, N_l, cross, lookup)
 
 
-def sup_norm_sq(seg: Segment, N: int, decide=None) -> Enclosure:
+def sup_norm_sq(seg: Segment, N: int, decide=None,
+                store: PrefixSpectra | None = None) -> Enclosure:
     """Enclosure of the squared sup-norm of the segment on the unit circle,
-    settling ``decide`` if given (see _grid_sup)."""
+    settling ``decide`` if given (see _grid_sup).  A prefix's spectra are
+    read as split entries of ``store``, if given."""
     return _grid_sup([seg], N, seg.length - 1,
-                     lambda M: abs_sq_slack(seg.length, M), decide=decide)
+                     lambda M: abs_sq_slack(seg.length, M), decide=decide,
+                     lookup=None if store is None else store.split)
 
 
 def L_norm_sq(seg: Segment, N: int, decide=None,
-              spectra: dict | None = None) -> Enclosure:
+              store: PrefixSpectra | None = None) -> Enclosure:
     """Enclosure of sup over the circle of |P(z)|^2 + |P(-z)|^2, settling
     ``decide`` if given (see _grid_sup): twice that of |A(w)|^2 + |B(-w)|^2
     for the halves A and B of the even/odd split (module docstring), on
-    the half grid.  ``spectra``, if given, memoizes the spectra of the
-    halves of a prefix, which are prefixes too (see _prefix_half_spectrum).
+    the half grid.  The halves of a prefix are prefixes too, read as split
+    entries of ``store``, if given.
     """
     A, B = even_odd_split(seg)
     return _grid_sup(
         [A, B], N, max(A.length, B.length) - 1,
         lambda M: abs_sq_slack(A.length, M) + abs_sq_slack(B.length, M),
-        decide=decide, spectra=spectra, half=True)
+        decide=decide, lookup=None if store is None else store.split,
+        half=True)
 
 
 def _scaled(decide, factor: float):
@@ -323,11 +341,12 @@ def f2_dyadic(x: DyadicPoint, y: DyadicPoint, N: int,
     return L_norm_sq(seg, N, _scaled(decide, 0.5 ** k)).scale(0.5 ** k)
 
 
+# A module function, not a method of PrefixSpectra: certbench traces the
+# prefix lookups through this name (norms.prefix_lookup).
 def _prefix_half_spectrum(n: int, N: int, spectra: dict
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Half spectrum R of the length-n prefix on the N-grid and its power
-    |R|^2, memoized in the caller's dict ``spectra`` under (n, N).
-    Entries are read-only."""
+    |R|^2, memoized in the dict ``spectra`` under (n, N)."""
     key = (n, N)
     val = spectra.get(key)
     if val is None:
@@ -335,8 +354,56 @@ def _prefix_half_spectrum(n: int, N: int, spectra: dict
     return val
 
 
+class PrefixSpectra:
+    """One store of the half spectra R of prefixes [0, n), each with its
+    power |R|^2, keyed by (n, grid).  Entries are read-only, and a caller
+    gets the same values with a fresh store as with a shared one.
+
+    rfft(n, N) is half_spectrum of the prefix on N.  split(n, N) is the
+    same prefix's on N, built by evaluate.radix2_step from the rfft
+    entries of its half prefixes ceil(n/2) and floor(n/2) on N/2: a
+    quarter of the FFT points, and consecutive n share one half.  Its
+    values differ from the rfft entry's by rounding alone, each within
+    eps_radix2(n, N) <= eps_fp(n, N), so the slack of every objective
+    holds for it.  The store keeps the twiddle table of each grid it
+    splits on.
+
+    A caller that reads split entries of rising prefixes calls floor(p)
+    once no split entry below p will be read: it drops those, and the
+    rfft entries below p // 2, which only they read.
+    """
+
+    def __init__(self):
+        self._rfft: dict = {}
+        self._split: dict = {}
+        self._twiddles: dict = {}           # grid -> evaluate.twiddles
+
+    def rfft(self, n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+        return _prefix_half_spectrum(n, N, self._rfft)
+
+    def split(self, n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+        key = (n, N)
+        val = self._split.get(key)
+        if val is None:
+            RA, _ = self.rfft((n + 1) // 2, N // 2)
+            RB, _ = self.rfft(n // 2, N // 2)
+            z = self._twiddles.get(N)
+            if z is None:
+                z = self._twiddles[N] = twiddles(N)
+            val = self._split[key] = _power(radix2_step(RA, RB, z))
+        return val
+
+    def floor(self, p: int) -> None:
+        for memo, least in ((self._split, p), (self._rfft, p // 2)):
+            for key in [key for key in memo if key[0] < least]:
+                del memo[key]
+
+    def __len__(self) -> int:
+        return len(self._rfft) + len(self._split)
+
+
 def g_int(r: int, s: int, N: int, decide=None,
-          spectra: dict | None = None) -> Enclosure:
+          store: PrefixSpectra | None = None) -> Enclosure:
     """Enclosure of g(r, s) through the alpha-free objective
 
         |P_{<r}(z)|^2 + |P_{<r}(-z)|^2 + |P_{<s}(z)|^2 + |P_{<s}(-z)|^2
@@ -345,9 +412,10 @@ def g_int(r: int, s: int, N: int, decide=None,
     twice H(w) of the halves of the prefixes r and s (module docstring),
     maximized over the half grid, settling ``decide`` if given (see
     _grid_sup).  The halves' spectra, which are prefix spectra, are
-    memoized in ``spectra`` if given; a caller that encloses many corners
-    passes one dict to share them, and gets the same enclosures as without
-    it.  An empty prefix adds exact zeros, so g(0, s) is the L objective.
+    read as rfft entries of ``store`` if given; a caller that encloses many
+    corners passes one store to share them, and gets the same enclosures
+    as without it.  An empty prefix adds exact zeros, so g(0, s) is the L
+    objective.
     """
     if r < 0 or s < 0:
         raise ValueError("g_int needs non-negative integer arguments")
@@ -361,7 +429,8 @@ def g_int(r: int, s: int, N: int, decide=None,
                          + c * eb + b * ec + eb * ec))
 
     return _grid_sup(list(halves), N, max(_spread(a, d), _spread(c, b)),
-                     slack, _g_half_cross, decide, spectra, half=True)
+                     slack, _g_half_cross, decide,
+                     None if store is None else store.rfft, half=True)
 
 
 def _spread(p: int, q: int) -> int:
@@ -375,10 +444,10 @@ def _g_half_cross(v: list) -> np.ndarray:
 
 
 def g_dyadic(x: DyadicPoint, y: DyadicPoint, N: int, decide=None,
-             spectra: dict | None = None) -> Enclosure:
+             store: PrefixSpectra | None = None) -> Enclosure:
     """Enclosure of g(x, y) = 2^{-k} g(2^k x, 2^k y) at the common minimal
-    scale k, settling ``decide`` on g(x, y) if given; ``spectra`` is passed
+    scale k, settling ``decide`` on g(x, y) if given; ``store`` is passed
     on to g_int."""
     k = max(x.k, y.k)
     return g_int(x.scaled_numerator(k), y.scaled_numerator(k), N,
-                 _scaled(decide, 0.5 ** k), spectra).scale(0.5 ** k)
+                 _scaled(decide, 0.5 ** k), store).scale(0.5 ** k)

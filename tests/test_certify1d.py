@@ -218,11 +218,11 @@ def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch):
     with a decision: the grid policy lives in norms.  Only the two pairs
     whose L decision fails, (1, 3) and (3, 11), make a sup_norm_sq
     decision.  The L objective is read from the half prefixes ceil(n/2)
-    and floor(n/2) on the half grid, and consecutive n share one of them
-    through the memo: about one FFT per two pairs, none above 2^15.  The
-    memo drops the prefixes shorter than floor(n/2), so it holds the two
-    halves of each level that a decision takes whole, at most four
-    spectra."""
+    and floor(n/2) on the half grid, each a split entry of one store,
+    built by the radix-2 step from the FFTs of its own half prefixes on
+    a quarter of the grid; consecutive n share them: about one FFT per
+    four pairs, none above 2^14.  The store's floor drops every entry
+    that no later pair reads, so it holds at most eight."""
     import rsbounds.certify1d as c1
     import rsbounds.norms as norms
 
@@ -237,13 +237,13 @@ def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch):
     monkeypatch.setattr(norms, 'half_spectrum', lambda seg, N,
                         real=norms.half_spectrum: ffts.append(N) or
                         real(seg, N))
-    def lookup(n, N, spectra, real=norms._prefix_half_spectrum):
-        R = real(n, N, spectra)
-        held.append(len(spectra))
+    def split(store, n, N, real=norms.PrefixSpectra.split):
+        R = real(store, n, N)
+        held.append(len(store))
         return R
-    monkeypatch.setattr(norms, '_prefix_half_spectrum', lookup)
-    for kind, sup_ns, expected_ffts in (('midrange', (3, 11), 787),
-                                        ('upper', (), 35)):
+    monkeypatch.setattr(norms.PrefixSpectra, 'split', split)
+    for kind, sup_ns, expected_ffts in (('midrange', (3, 11), 405),
+                                        ('upper', (), 21)):
         calls.clear()
         ffts.clear()
         held.clear()
@@ -254,8 +254,31 @@ def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch):
             + [('sup_norm_sq', Segment(0, n), c1._REFINE_CAP, True)
                for n in sup_ns])
         assert len(ffts) == expected_ffts
-        assert max(ffts) <= 1 << 15
-        assert held and max(held) <= 4
+        assert max(ffts) <= 1 << 14
+        assert held and max(held) <= 8
+
+
+def test_brute_onedim_one_fft_per_n(monkeypatch):
+    """The sweep reads each n's sup objective as a split entry, built from
+    the FFTs of its half prefixes on half the grid; consecutive n share
+    one half, so the benchmark's sweep takes about one FFT per n, half
+    the 2,055 that whole-prefix FFTs take, none above 2^14, and its store
+    holds at most six entries."""
+    import rsbounds.norms as norms
+
+    ffts, held = [], []
+    monkeypatch.setattr(norms, 'half_spectrum', lambda seg, N,
+                        real=norms.half_spectrum: ffts.append(N) or
+                        real(seg, N))
+    def split(store, n, N, real=norms.PrefixSpectra.split):
+        R = real(store, n, N)
+        held.append(len(store))
+        return R
+    monkeypatch.setattr(norms.PrefixSpectra, 'split', split)
+    report = brute_onedim(2048, 1 << 15)
+    assert report.ok and report.unsettled == [43, 171, 683]
+    assert len(ffts) == 1043 and max(ffts) <= 1 << 14
+    assert max(held) <= 6
 
 
 def test_check_smallk_L_bound_implies_sup_bound(smallk_records):

@@ -10,7 +10,7 @@ from rsbounds.certify2d import (CertTree, DyadicSquare, SquareRecord,
                                 check_exclusion_region,
                                 square_interior_meets_B)
 from rsbounds.dyadic import DyadicPoint, lowest_terms
-from rsbounds.norms import g_dyadic, g_int, f2_dyadic
+from rsbounds.norms import PrefixSpectra, f2_dyadic, g_dyadic, g_int
 from rsbounds.sequence import Segment, coeff_range
 
 
@@ -138,14 +138,16 @@ def test_f2_records_reenclose_at_their_grid():
 
 
 def test_g_int_shared_spectra_match_fresh():
-    spectra = {}
+    store = PrefixSpectra()
     for r, s in [(5, 9), (9, 5), (9, 9), (12, 5), (0, 7)]:
         for N in (1 << 10, 1 << 12):
-            assert g_int(r, s, N, spectra=spectra) \
-                == g_int(r, s, N, spectra={}) == g_int(r, s, N)
+            assert g_int(r, s, N, store=store) \
+                == g_int(r, s, N, store=PrefixSpectra()) == g_int(r, s, N)
     # g_int(9, 9, 2^12) takes level 0 on oversampled_grid(18) = 2^11, from
-    # the spectra of the halves 5 and 4 of the prefix 9 on its w-grid 2^10.
-    assert (5, 1 << 10) in spectra and (4, 1 << 10) in spectra
+    # the spectra of the halves 5 and 4 of the prefix 9 on its w-grid 2^10,
+    # which it reads as plain rfft entries.
+    assert len(store) == len(store._rfft)
+    assert (5, 1 << 10) in store._rfft and (4, 1 << 10) in store._rfft
 
 
 def test_certified_squares_survive_grid_doubling():

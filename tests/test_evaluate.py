@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from rsbounds.evaluate import (UNIT_ROUNDOFF, DomainError, eps_direct, eps_fp,
-                               eval_point, eval_point_root, eval_PQ,
-                               eval_roots, half_spectrum)
+                               eps_radix2, eval_point, eval_point_root,
+                               eval_PQ, eval_roots, half_spectrum,
+                               radix2_step, twiddles)
 from rsbounds.sequence import CapacityError, Segment, coeff_range
 
 
@@ -299,4 +300,67 @@ def test_direct_error_model_against_mpmath():
                                     - eval_point_root(seg, j, N))):
                         assert err <= bound, (n, N, j, err, bound)
                         worst = max(worst, err / bound)
+    assert worst < 0.25
+
+
+def split_spectrum(n, M):
+    """radix2_step's half spectrum of the prefix n on M, from the FFTs of
+    its half prefixes on M/2."""
+    return radix2_step(half_spectrum(Segment(0, (n + 1) // 2), M // 2),
+                       half_spectrum(Segment(0, n // 2), M // 2),
+                       twiddles(M))
+
+
+def test_radix2_step_error_bound_fits_eps_fp():
+    """The derived bound of the radix-2 step never exceeds eps_fp on the
+    grids the sweeps use, so every slack holds for split values."""
+    for n in range(1, (1 << 13) + 1):
+        M = 1 << (4 * n - 1).bit_length()
+        while M <= 1 << 24:
+            assert eps_radix2(n, M) <= eps_fp(n, M), (n, M)
+            M *= 2
+
+
+def test_radix2_step_preconditions():
+    R, z = half_spectrum(Segment(0, 8), 32), twiddles(32)
+    for RA, RB, zz in ((R[:9], R[:8], z), (R[:1], R[:1], z[:1]),
+                       (R[:4], R[:4], z[:4]), (R[:9], R[:9], twiddles(64))):
+        with pytest.raises(ValueError):
+            radix2_step(RA, RB, zz)
+    assert z[0] == 1 and z[-1] == 1j and not z.flags.writeable
+    # M = 4: the prefixes 1 and 2, whose values sit on the axes alone.
+    for n in (1, 2):
+        assert np.array_equal(split_spectrum(n, 4),
+                              half_spectrum(Segment(0, n), 4))
+
+
+def test_radix2_error_model_against_mpmath():
+    """eps_radix2 must dominate the true error of the radix-2 step's
+    values by a wide margin, at the sweeps' production sizes (prefixes up
+    to 6400, the top of the small-k midrange, grids up to 2^16, each
+    case's argmax included); verified against 50-digit reference
+    evaluation."""
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(29)
+    cases = [(int(rng.integers(1, 220)), 1 << int(rng.integers(10, 13)), 4)
+             for _ in range(6)]
+    cases += [(6400, 1 << 15, 1), (6400, 1 << 16, 1),
+              (int(rng.integers(1000, 6400)), 1 << 16, 1),
+              (int(rng.integers(1000, 4096)), 1 << 14, 1)]
+    worst = 0.0
+    with mp.workdps(50):
+        for n, M, draws in cases:
+            spec = split_spectrum(n, M)
+            coeffs = [int(c) for c in coeff_range(Segment(0, n))]
+            js = [int(np.argmax(np.abs(spec)))]
+            js += map(int, rng.integers(0, M // 2 + 1, draws))
+            for j in js:
+                w = mp.expj(-2 * mp.pi * j / M)     # spec[j] is conj P(z_j)
+                acc = mp.mpc(0)
+                for c in reversed(coeffs):
+                    acc = acc * w + c
+                err = abs(complex(acc) - spec[j])
+                bound = eps_radix2(n, M)
+                assert err <= bound, (n, M, j, err, bound)
+                worst = max(worst, err / bound)
     assert worst < 0.25

@@ -140,9 +140,9 @@ def test_decision_settles_on_the_first_level_that_decides(level_grids):
             r, s = (int(t) for t in rng.integers(1, 200, 2))
             if i % 4 == 1:             # a corner on an axis
                 r, s = (0, s) if i % 8 == 5 else (r, 0)
-            spectra = {} if i % 2 else None
+            store = norms.PrefixSpectra() if i % 2 else None
             oracle = lambda M: full_grid_g(r, s, M)
-            run = lambda d: g_int(r, s, N, d, spectra)
+            run = lambda d: g_int(r, s, N, d, store)
         else:
             m, L = int(rng.integers(0, 1 << 40)), int(rng.integers(3, 300))
             seg, paired = Segment(m, m + L), kind == 'L'
@@ -170,7 +170,8 @@ def test_decision_settles_on_the_first_level_that_decides(level_grids):
             if kind == 'g':
                 assert level_grids[0] == norms.oversampled_grid(r + s, N) // 2
                 # The memo is a cache: the other setting decides alike.
-                other = g_int(r, s, N, below, {} if spectra is None else None)
+                other = g_int(r, s, N, below,
+                              norms.PrefixSpectra() if store is None else None)
                 assert ((other.lo, other.hi, other.N, other.verdict)
                         == (got.lo, got.hi, got.N, got.verdict)), (i, eps)
             verdicts[got.verdict] += 1
