@@ -220,19 +220,17 @@ def certify_cover(interval: tuple[Fraction, Fraction], target: float,
     records = [max_radius(c, target, N) for c in centers]
     spans = sorted((r.interval for r in records if r.status == 'certified'),
                    key=lambda iv: iv[0])
-    reach = a
-    gap = None
+    # [a, reach] is covered once a span contains a, and a span that
+    # contains reach extends it; so a point is covered only by a span
+    # that contains it.
+    reach, covered = a, False
     for lo, hi in spans:
-        if lo > reach:
+        if lo > reach or covered:
             break
-        reach = max(reach, hi)
-        if reach >= b:
-            break
-    covered = reach >= b
-    if not covered:
-        gap = reach
+        if hi >= reach:
+            reach, covered = hi, hi >= b
     return CoverageReport(interval=(a, b), target=target, records=records,
-                          covered=covered, gap_at=gap)
+                          covered=covered, gap_at=None if covered else reach)
 
 
 def load_centers(source) -> list[DyadicPoint]:
@@ -266,7 +264,8 @@ class SmallRangeRecord:
     It follows from ok_L (sup |P|^2 <= L), so sup_enc is None where ok_L
     holds; elsewhere it is a non-refutation grid check (the bound holds
     with equality at sharpness points, witnessed exactly by
-    value_at_one).  bound, a float, is for reporting only.
+    value_at_one, the integer P(1), which is None exactly where sup_enc
+    is).  bound, a float, is for reporting only.
     """
 
     k: int
@@ -274,7 +273,7 @@ class SmallRangeRecord:
     bound: float
     L_enc: Enclosure
     sup_enc: Enclosure | None
-    value_at_one: int
+    value_at_one: int | None
     ok_L: bool
     ok_sup: bool
 
@@ -326,9 +325,11 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
                       decision(lambda v: _sqrt_sum_cmp(v, 1, t) > 0),
                       store=store)
         ok_L = L.verdict is True
-        sup = None if ok_L else sup_norm_sq(
-            seg, _REFINE_CAP, decision(lambda v: _sqrt_sum_le(v, 1, t)))
-        at_one, _ = segment_sum_pm1(seg)
+        sup = at_one = None
+        if not ok_L:
+            sup = sup_norm_sq(seg, _REFINE_CAP,
+                              decision(lambda v: _sqrt_sum_le(v, 1, t)))
+            at_one, _ = segment_sum_pm1(seg)
         records.append(SmallRangeRecord(
             k=k, n=n, bound=math.sqrt(t) - 1.0, L_enc=L, sup_enc=sup,
             value_at_one=at_one, ok_L=ok_L,

@@ -156,10 +156,9 @@ class CertTree:
     def canonical(self) -> None:
         self.records.sort(key=lambda r: (r.square.k, r.square.r, r.square.s))
 
-    def to_dict(self, **meta) -> dict:
+    def to_dict(self) -> dict:
         self.canonical()
-        payload = dict(meta)
-        payload.update({
+        return {
             'kind': self.kind,
             'N': self.N,
             'max_scale': self.max_scale,
@@ -171,11 +170,10 @@ class CertTree:
                 'corner_evals': self.corner_evals,
             },
             'records': [r.to_dict() for r in self.records],
-        })
-        return payload
+        }
 
-    def to_json(self, **meta) -> str:
-        return dumps(self.to_dict(**meta))
+    def to_json(self) -> str:
+        return dumps(self.to_dict())
 
     def to_csv(self) -> str:
         """Square outcomes, one row per square: k, r, s, status."""

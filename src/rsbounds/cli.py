@@ -93,24 +93,17 @@ def _cmd_eval(cfg: RunConfig, args) -> int:
     return _emit(cfg, 'eval', {'value': [val.real, val.imag]}, True)
 
 
-def _cmd_f(cfg: RunConfig, args) -> int:
-    x = DyadicPoint.parse(args.x)
-    enc = f_dyadic(x, cfg.N)
-    return _emit(cfg, 'f', {'x': float(x), 'enclosure': _enc_dict(enc)}, True)
-
-
-def _cmd_f2(cfg: RunConfig, args) -> int:
-    x, y = DyadicPoint.parse(args.x), DyadicPoint.parse(args.y)
-    enc = f2_dyadic(x, y, cfg.N)
-    return _emit(cfg, 'f2', {'x': float(x), 'y': float(y),
-                             'enclosure': _enc_dict(enc)}, True)
-
-
-def _cmd_g(cfg: RunConfig, args) -> int:
-    x, y = DyadicPoint.parse(args.x), DyadicPoint.parse(args.y)
-    enc = g_dyadic(x, y, cfg.N)
-    return _emit(cfg, 'g', {'x': float(x), 'y': float(y),
-                            'enclosure': _enc_dict(enc)}, True)
+def _cmd_point(cfg: RunConfig, args) -> int:
+    """f, f2 or g: the objective's enclosure at the command's one or two
+    dyadic points.  The objective is looked up on this module at each
+    call, so a wrapper set on the module attribute is the one called."""
+    objective = {'f': f_dyadic, 'f2': f2_dyadic, 'g': g_dyadic}[args.cmd]
+    names = [n for n in ('x', 'y') if hasattr(args, n)]
+    points = [DyadicPoint.parse(getattr(args, n)) for n in names]
+    enc = objective(*points, cfg.N)
+    result = {n: float(p) for n, p in zip(names, points)}
+    result['enclosure'] = _enc_dict(enc)
+    return _emit(cfg, args.cmd, result, True)
 
 
 def _cmd_certify_f(cfg: RunConfig, args) -> int:
@@ -138,21 +131,27 @@ def _cmd_certify_g(cfg: RunConfig, args) -> int:
     else:
         tree = certify_g_full(cfg.N, cfg.max_scale)
     ok, violations = check_exclusion_region(tree)
-    result = tree.to_dict()
-    result['exclusion_ok'] = ok
-    result['violations'] = [v.to_dict() for v in violations]
-    _write_csv(cfg, 'certify_g_squares.csv', tree.to_csv())
-    return _emit(cfg, 'certify-g', result, ok, out_name='certify_g.json')
+    return _emit_tree(cfg, 'certify-g', tree, ok, {
+        'exclusion_ok': ok, 'violations': [v.to_dict() for v in violations]})
 
 
 def _cmd_certify_f2(cfg: RunConfig, args) -> int:
     from .certify2d import certify_f2
 
     tree, ok = certify_f2(cfg.N, cfg.max_scale)
+    return _emit_tree(cfg, 'certify-f2', tree, ok, {'ok': ok})
+
+
+def _emit_tree(cfg: RunConfig, command: str, tree, ok: bool,
+               fields: dict) -> int:
+    """A certificate tree's document, to_dict() plus the command's
+    ``fields``, and its files <name>_squares.csv and <name>.json, <name>
+    being the command with '_' in place of '-'."""
     result = tree.to_dict()
-    result['ok'] = ok
-    _write_csv(cfg, 'certify_f2_squares.csv', tree.to_csv())
-    return _emit(cfg, 'certify-f2', result, ok, out_name='certify_f2.json')
+    result.update(fields)
+    name = command.replace('-', '_')
+    _write_csv(cfg, f'{name}_squares.csv', tree.to_csv())
+    return _emit(cfg, command, result, ok, out_name=f'{name}.json')
 
 
 def _cmd_extremal(cfg: RunConfig, args) -> int:
@@ -262,17 +261,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser('f', help='enclosure of f at a dyadic point')
     p.add_argument('x', help=DYADIC_HELP)
-    p.set_defaults(fn=_cmd_f)
+    p.set_defaults(fn=_cmd_point)
 
     p = sub.add_parser('f2', help='enclosure of f(x, y)')
     p.add_argument('x', help=DYADIC_HELP)
     p.add_argument('y', help=DYADIC_HELP)
-    p.set_defaults(fn=_cmd_f2)
+    p.set_defaults(fn=_cmd_point)
 
     p = sub.add_parser('g', help='enclosure of g(x, y)')
     p.add_argument('x', help=DYADIC_HELP)
     p.add_argument('y', help=DYADIC_HELP)
-    p.set_defaults(fn=_cmd_g)
+    p.set_defaults(fn=_cmd_point)
 
     p = sub.add_parser('certify-f', help='interval coverage certification')
     p.add_argument('--table', default='builtin:1',

@@ -325,9 +325,9 @@ def _scaled(decide, factor: float):
 
 
 def f_dyadic(x: DyadicPoint, N: int) -> Enclosure:
-    """Enclosure of f(x) = 2^{-k} * (squared L-norm of the prefix 2^k x),
-    taken at the canonical (minimal) scale k."""
-    return L_norm_sq(Segment(0, x.u), N).scale(0.5 ** x.k)
+    """Enclosure of f(x) = f(0, x) = 2^{-k} * (squared L-norm of the
+    prefix 2^k x), taken at the canonical (minimal) scale k."""
+    return f2_dyadic(DyadicPoint(0, 0), x, N)
 
 
 def f2_dyadic(x: DyadicPoint, y: DyadicPoint, N: int,

@@ -136,6 +136,21 @@ def test_certify_cover_failure_reports_gap():
     assert any(r.status == 'failed' for r in rep.records)
 
 
+def test_certify_cover_point_needs_a_record_that_contains_it():
+    """A point interval is covered only by a certified record around a
+    center that contains it: f(3/2) = 5 fails every anchor at 0.5, and
+    an empty table covers nothing, while 11/8 lies inside a record
+    certified at 7.92."""
+    p = Fraction(3, 2)
+    for centers in (builtin_centers(1), []):
+        rep = certify_cover((p, p), 0.5, centers, 1 << 16)
+        assert not rep.covered and rep.gap_at == p
+    assert all(r.status == 'failed' for r in rep.records)
+    p = Fraction(11, 8)
+    rep = certify_cover((p, p), 7.92, builtin_centers(1), 1 << 16)
+    assert rep.covered and rep.gap_at is None
+
+
 def test_certify_cover_rejects_bad_target_and_interval():
     for target in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
@@ -178,6 +193,8 @@ def test_check_smallk_midrange_known_boundary_pairs(smallk_records):
             assert r.ok_sup
             bound = r.bound
             assert r.value_at_one == round(bound)   # equality witness at z=1
+        else:
+            assert r.value_at_one is None and r.sup_enc is None
 
 
 def test_check_smallk_upper_all_strict():

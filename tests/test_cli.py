@@ -80,6 +80,19 @@ def test_eval_point_large_offset_is_strict_json(capsys):
     assert code == 0 and abs(complex(*value)) <= 10
 
 
+def test_non_finite_value_is_a_json_error(capsys, tmp_path, monkeypatch):
+    """A NaN in a document is refused before anything is printed or
+    written: exit 2 and a JSON error, never non-strict JSON."""
+    import rsbounds.cli as cli
+
+    monkeypatch.setattr(cli, 'eval_point', lambda seg, z: complex('nan'))
+    code = main(['--out-dir', str(tmp_path), 'eval', '0', '3', '--z', '1,0'])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ''
+    assert json.loads(captured.err)['schema_version'] == 1
+    assert not list(tmp_path.glob('*.json'))
+
+
 def test_certify_f_builtin(capsys, tmp_path):
     code, out = run_cli(capsys, '--grid-log2', '18', '--out-dir',
                         str(tmp_path), 'certify-f', '--table', 'builtin:1',
@@ -96,6 +109,17 @@ def test_certify_f_failure_exit_code(capsys, tmp_path):
                         '--target', '6.0', '--interval', '11/8', '25/16')
     assert code == 1
     assert json.loads(out)['result']['covered'] is False
+
+
+def test_certify_f_point_interval_needs_a_certified_record(capsys, tmp_path):
+    """f(3/2) = 5 fails every anchor at target 0.5, so the point 3/2 is
+    not covered: exit 1 and the gap at 3/2."""
+    code, out = run_cli(capsys, '--grid-log2', '16', '--out-dir',
+                        str(tmp_path), 'certify-f', '--table', 'builtin:1',
+                        '--target', '0.5', '--interval', '3/2', '3/2')
+    doc = json.loads(out)['result']
+    assert code == 1
+    assert doc['covered'] is False and doc['gap_at'] == 1.5
 
 
 def test_certify_g_single_square(capsys, tmp_path):
