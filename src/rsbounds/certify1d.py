@@ -17,17 +17,10 @@ certified radius is the largest r <= 2^{-k-1} with
 
     sqrt(f_hi) + sqrt(B(r)) <= sqrt(T - margin).
 
-All comparisons are exact, in integer arithmetic.  For rationals q, beta
->= 0 and T', squaring twice gives sqrt(q) + sqrt(beta) <= sqrt(T') iff
-R' = T' - q - beta >= 0 and 4 q beta <= R'^2.  Write q = a/b, beta = c/d
-and T' = e/f with positive denominators b, d, f; multiplying R' by b d f
-and the second inequality by (b d f)^2 > 0 keeps both directions, so the
-test is
-
-    R = e b d - (a d + c b) f >= 0    and    4 a c b d f^2 <= R^2,
-
-on the integers of each argument's as_integer_ratio(), with no gcd; the
-strict test is R >= 0 and 4 a c b d f^2 < R^2.  The binding constraint
+Each test is exact, in integer arithmetic (norms._sqrt_sum_le).  B is
+probed octave by octave from t = k + 2, whose 9-piece B(2^{-k-1}) =
+9 / 2^{k+2} is the half-step cap; the 6x piece is inverted by bisection at
+resolution 2^-48, or 2^-t in an octave t > 48.  The binding constraint
 records which piece of B0 (or the half-step cap) limited the radius.
 
 Sup-norm sweep.  brute_onedim decides sqrt(sup |P_{<n}|^2) + 1 <=
@@ -50,8 +43,8 @@ from importlib import resources
 
 from .dyadic import DyadicPoint
 from .evaluate import abs_sq_slack, segment_sum_pm1
-from .norms import (Enclosure, L_norm_sq, PrefixSpectra, decision, f_dyadic,
-                    sup_norm_sq)
+from .norms import (Enclosure, L_norm_sq, PrefixSpectra, _sqrt_sum_cmp,
+                    _sqrt_sum_le, decision, f_dyadic, sup_norm_sq)
 from .sequence import Segment
 
 BINDING_LINEAR = 'case-6x'
@@ -63,7 +56,8 @@ BINDING_HALFSTEP = 'half-step'
 # MARGIN_FACTOR times the enclosure width of the f value used.
 MARGIN_FACTOR = 2.0
 
-# Dyadic refinement of the case-6x radius (absolute resolution 2^-_RADIUS_BITS).
+# Dyadic refinement of the case-6x radius: absolute resolution
+# 2^-_RADIUS_BITS, or 2^-t in an octave t below it.
 _RADIUS_BITS = 48
 
 
@@ -122,25 +116,6 @@ class CoverageReport:
         }
 
 
-def _sqrt_sum_cmp(q: float | Fraction, beta: float | Fraction,
-                  t: float | Fraction) -> int:
-    """Sign of sqrt(t) - sqrt(q) - sqrt(beta) for rationals q, beta >= 0
-    (ints, floats or Fractions), by the integer cross-multiplication of
-    the module docstring: no gcd, no new Fraction."""
-    a, b = q.as_integer_ratio()
-    c, d = beta.as_integer_ratio()
-    e, f = t.as_integer_ratio()
-    rest = e * b * d - (a * d + c * b) * f
-    gap = rest * rest - 4 * a * c * b * d * f * f
-    return -1 if rest < 0 else (gap > 0) - (gap < 0)
-
-
-def _sqrt_sum_le(q: float | Fraction, beta: float | Fraction,
-                 t: float | Fraction) -> bool:
-    """Exact test of sqrt(q) + sqrt(beta) <= sqrt(t)."""
-    return _sqrt_sum_cmp(q, beta, t) >= 0
-
-
 def envelope_at(d: Fraction) -> Fraction:
     """Scaled piecewise envelope B(d) for 0 < d <= 1, minimal across the two
     octave representations at dyadic boundary points."""
@@ -181,29 +156,27 @@ def max_radius(center: DyadicPoint, target: float, N: int) -> CertRecord1D:
     if not ok(Fraction(0)):
         return record(Fraction(0), '', 'failed')
 
-    half = Fraction(1, 1 << (k + 1))
-    if ok(envelope_at(half)):
-        return record(half, BINDING_HALFSTEP, 'certified')
-
     for t in range(k + 2, k + 2 + 64):
         if ok(Fraction(9, 1 << t)):
-            # Whole octave [2^-t, 2^{1-t}] admissible; capped by its 9-piece.
-            return record(Fraction(2, 1 << t), BINDING_NINE, 'certified')
+            # Whole octave [2^-t, 2^{1-t}] admissible; capped by its
+            # 9-piece, which at t = k + 2 is B at the half step 2^{-k-1}.
+            return record(Fraction(2, 1 << t), BINDING_HALFSTEP
+                          if t == k + 2 else BINDING_NINE, 'certified')
         if ok(Fraction(8, 1 << t)):
             return record(Fraction(25, 16 << t), BINDING_EIGHT, 'certified')
         if ok(Fraction(6, 1 << t)):
-            # Invert the 6x piece: largest dyadic r in [2^-t, 4/3 2^-t)
-            # with 6r admissible, at resolution 2^-_RADIUS_BITS.
-            shift = _RADIUS_BITS - t
-            lo_num = 1 << shift                       # r = 2^-t works
-            hi_num = (4 << shift) // 3                # 4/3 2^-t fails
+            # Invert the 6x piece: largest r = lo_num / 2^bits in
+            # [2^-t, 4/3 2^-t) with 6r admissible.
+            bits = max(_RADIUS_BITS, t)
+            lo_num = 1 << (bits - t)                  # r = 2^-t works
+            hi_num = (4 << (bits - t)) // 3           # 4/3 2^-t fails
             while hi_num - lo_num > 1:
                 mid = (lo_num + hi_num) // 2
-                if ok(6 * Fraction(mid, 1 << _RADIUS_BITS)):
+                if ok(Fraction(6 * mid, 1 << bits)):
                     lo_num = mid
                 else:
                     hi_num = mid
-            return record(Fraction(lo_num, 1 << _RADIUS_BITS),
+            return record(Fraction(lo_num, 1 << bits),
                           BINDING_LINEAR, 'certified')
     return record(Fraction(0), '', 'failed')
 
@@ -233,26 +206,23 @@ def certify_cover(interval: tuple[Fraction, Fraction], target: float,
                           covered=covered, gap_at=None if covered else reach)
 
 
-def load_centers(source) -> list[DyadicPoint]:
-    """Center list from a plain-text table, one binary dyadic string per
-    line; '#' starts a comment."""
-    points = []
-    for raw in source:
-        line = raw.split('#', 1)[0].strip()
-        if line:
-            points.append(DyadicPoint.from_binary(line))
-    return points
-
-
-def builtin_centers(table: int | str) -> list[DyadicPoint]:
-    """Centers of the packaged anchor table 1 or 2 (also given as '1' or
-    '2', the suffix of the CLI's builtin:1 and builtin:2)."""
-    if str(table) not in ('1', '2'):
-        raise ValueError(f"no built-in table {table!r}: use builtin:1 or "
-                         "builtin:2")
-    name = f"table{table}_centers.txt"
-    text = resources.files('rsbounds.data').joinpath(name).read_text()
-    return load_centers(text.splitlines())
+def load_centers(table: str) -> list[DyadicPoint]:
+    """Centers of a table named as on the command line: 'builtin:1' or
+    'builtin:2', a packaged anchor table, or the path of a plain-text
+    table.  Each line holds one point in DyadicPoint.parse's grammar,
+    the command line's; '#' starts a comment."""
+    if table.startswith('builtin:'):
+        n = table[len('builtin:'):]
+        if n not in ('1', '2'):
+            raise ValueError(f"no built-in table {n!r}: use builtin:1 or "
+                             "builtin:2")
+        name = f"table{n}_centers.txt"
+        text = resources.files('rsbounds.data').joinpath(name).read_text()
+    else:
+        with open(table) as fh:
+            text = fh.read()
+    lines = (raw.split('#', 1)[0].strip() for raw in text.splitlines())
+    return [DyadicPoint.parse(line) for line in lines if line]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ integers and every child point is within 2^{-k-1} per axis) via
 where target_min is the exact rational infimum of the target over the child,
 built as one Fraction from integers at the child's scale k (10 (r + s)
 capped at 40 * 2^k for g, 10 (s - r - 1) for f2, over 2^k).  The test is
-exact (certify1d._sqrt_sum_le): it reads corner_hi, 9 / 2^k and target_min
+exact (norms._sqrt_sum_le): it reads corner_hi, 9 / 2^k and target_min
 as integer ratios and cross-multiplies.
 Children that fail are subdivided; at side 2^-max_scale they are marked bad.
 
@@ -33,10 +33,10 @@ import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .certify1d import _sqrt_sum_le
 from .dyadic import DyadicPoint, lowest_terms
 from .jsonfmt import dumps
-from .norms import PrefixSpectra, decision, f2_dyadic, g_dyadic
+from .norms import (PrefixSpectra, _sqrt_sum_le, decision, f2_dyadic,
+                    g_dyadic)
 
 STATUS_CERTIFIED = 'certified'
 STATUS_BAD = 'bad'

@@ -107,13 +107,9 @@ def _cmd_point(cfg: RunConfig, args) -> int:
 
 
 def _cmd_certify_f(cfg: RunConfig, args) -> int:
-    from .certify1d import builtin_centers, certify_cover, load_centers
+    from .certify1d import certify_cover, load_centers
 
-    if args.table.startswith('builtin:'):
-        centers = builtin_centers(args.table.split(':', 1)[1])
-    else:
-        with open(args.table) as fh:
-            centers = load_centers(fh)
+    centers = load_centers(args.table)
     a = DyadicPoint.parse(args.interval[0]).fraction
     b = DyadicPoint.parse(args.interval[1]).fraction
     report = certify_cover((a, b), args.target, centers, cfg.N)

@@ -1,4 +1,6 @@
-"""Exact dyadic rationals u / 2^k used as certification anchor points."""
+"""Exact dyadic rationals u / 2^k used as certification anchor points,
+with the one grammar (DyadicPoint.parse) that reads them from the command
+line and from center tables."""
 
 from __future__ import annotations
 
@@ -41,25 +43,14 @@ class DyadicPoint:
         return cls(x.numerator, den.bit_length() - 1)
 
     @classmethod
-    def from_binary(cls, text: str) -> "DyadicPoint":
-        """Parse a binary string like '1.011011', '10.' or '101'."""
-        s = text.strip()
-        if not s:
-            raise ValueError("empty dyadic string")
-        int_part, _, frac_part = s.partition('.')
-        digits = (int_part + frac_part) or '0'
-        if set(digits) - {'0', '1'}:
-            raise ValueError(f"invalid binary dyadic string {text!r}")
-        return cls(int(digits, 2), len(frac_part))
-
-    @classmethod
     def parse(cls, text: str) -> "DyadicPoint":
-        """Parse a command-line dyadic point.
+        """Parse a dyadic point: a command-line point or a line of a
+        center table, which share this one grammar.
 
         'a/b' is a fraction whose reduced denominator is a power of two,
         bare decimal digits are an integer ('10' is ten), and a binary
-        string needs its point ('10.' is two, '1.011' is 11/8).  Anything
-        else raises ValueError.
+        string needs a digit before its point ('10.' is two, '1.011' is
+        11/8).  Anything else ('.', '.1', '1.2') raises ValueError.
         """
         s = text.strip()
         if re.fullmatch(r'[0-9]+/[0-9]+', s):
@@ -69,8 +60,9 @@ class DyadicPoint:
             return cls.from_fraction(Fraction(num, den))
         if re.fullmatch(r'[0-9]+', s):
             return cls(int(s), 0)
-        if re.fullmatch(r'[01]+\.[01]*', s):
-            return cls.from_binary(s)
+        binary = re.fullmatch(r'([01]+)\.([01]*)', s)
+        if binary:
+            return cls(int(binary[1] + binary[2], 2), len(binary[2]))
         raise ValueError(
             f"invalid dyadic point {text!r}: expected a/b, a decimal "
             f"integer, or a binary string with a point such as 1.011")
@@ -89,6 +81,7 @@ class DyadicPoint:
         return self.u << (k - self.k)
 
     def to_binary(self) -> str:
+        """Binary digits with a point, which parse reads back."""
         ip = self.u >> self.k
         frac = self.u - (ip << self.k)
         bits = format(frac, f'0{self.k}b') if self.k else ''

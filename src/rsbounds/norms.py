@@ -85,6 +85,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -159,6 +160,35 @@ def decision(holds):
     lo fails, None (refine) otherwise."""
     return lambda enc: (True if holds(enc.hi)
                         else None if holds(enc.lo) else False)
+
+
+def _sqrt_sum_cmp(q: float | Fraction, beta: float | Fraction,
+                  t: float | Fraction) -> int:
+    """Sign of sqrt(t) - sqrt(q) - sqrt(beta) for rationals q, beta >= 0
+    (ints, floats or Fractions), in integers: no gcd, no new Fraction.
+
+    Squaring twice gives sqrt(q) + sqrt(beta) <= sqrt(t) iff R' = t - q -
+    beta >= 0 and 4 q beta <= R'^2.  Write q = a/b, beta = c/d and t = e/f
+    (each argument's as_integer_ratio(), positive denominators);
+    multiplying R' by b d f and the second inequality by (b d f)^2 > 0
+    keeps both directions, so the test is
+
+        R = e b d - (a d + c b) f >= 0    and    4 a c b d f^2 <= R^2,
+
+    and it is strict when R >= 0 and 4 a c b d f^2 < R^2.
+    """
+    a, b = q.as_integer_ratio()
+    c, d = beta.as_integer_ratio()
+    e, f = t.as_integer_ratio()
+    rest = e * b * d - (a * d + c * b) * f
+    gap = rest * rest - 4 * a * c * b * d * f * f
+    return -1 if rest < 0 else (gap > 0) - (gap < 0)
+
+
+def _sqrt_sum_le(q: float | Fraction, beta: float | Fraction,
+                 t: float | Fraction) -> bool:
+    """Exact test of sqrt(q) + sqrt(beta) <= sqrt(t)."""
+    return _sqrt_sum_cmp(q, beta, t) >= 0
 
 
 def _spectral_values(segs: list[Segment], N: int, cross,

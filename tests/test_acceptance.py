@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rsbounds.certify1d import (brute_onedim, builtin_centers, certify_cover,
+from rsbounds.certify1d import (brute_onedim, certify_cover, load_centers,
                                 max_radius)
 from rsbounds.certify2d import (certify_f2, certify_g_full,
                                 check_exclusion_region)
@@ -60,7 +60,7 @@ def test_c01_table_reproduction():
     t0 = time.time()
     worst = 0.0
     for binary, expect in TABLE_F:
-        enc = f_dyadic(DyadicPoint.from_binary(binary), N)
+        enc = f_dyadic(DyadicPoint.parse(binary), N)
         mid = 0.5 * (enc.lo + enc.hi)
         worst = max(worst, abs(mid - expect))
     el = time.time() - t0
@@ -72,13 +72,13 @@ def test_c01_table_reproduction():
 def test_c02_interval_coverage():
     N = 1 << 20
     rep1 = certify_cover((Fraction(11, 8), Fraction(25, 16)), 7.92,
-                         builtin_centers(1), N)
+                         load_centers('builtin:1'), N)
     rep2 = certify_cover((Fraction(25, 16), Fraction(2)), 9.0,
-                         builtin_centers(2), N)
+                         load_centers('builtin:2'), N)
     worst = 0.0
     bindings_ok = True
     for binary, target, lo, hi, binding in TABLE_INTERVALS:
-        rec = max_radius(DyadicPoint.from_binary(binary), target, N)
+        rec = max_radius(DyadicPoint.parse(binary), target, N)
         got_lo, got_hi = (float(v) for v in rec.interval)
         worst = max(worst, abs(got_lo - lo), abs(got_hi - hi))
         bindings_ok &= rec.binding == binding and rec.status == 'certified'

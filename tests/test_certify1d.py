@@ -9,9 +9,8 @@ import pytest
 
 from rsbounds.certify1d import (BINDING_EIGHT, BINDING_HALFSTEP,
                                 BINDING_LINEAR, BINDING_NINE,
-                                brute_onedim, builtin_centers, certify_cover,
-                                check_smallk_L, envelope_at,
-                                load_centers, max_radius)
+                                brute_onedim, certify_cover, check_smallk_L,
+                                envelope_at, load_centers, max_radius)
 from rsbounds.dyadic import DyadicPoint
 from rsbounds.evaluate import abs_sq_slack, half_spectrum, segment_sum_pm1
 from rsbounds.norms import f_dyadic
@@ -61,7 +60,7 @@ def test_envelope_nondecreasing():
 
 @pytest.mark.parametrize("binary,fval,interval,binding", TABLE1)
 def test_max_radius_table1(binary, fval, interval, binding):
-    rec = max_radius(DyadicPoint.from_binary(binary), TABLE1_REPRO_TARGET, N)
+    rec = max_radius(DyadicPoint.parse(binary), TABLE1_REPRO_TARGET, N)
     assert rec.status == 'certified'
     assert rec.binding == binding
     assert rec.f_hi == pytest.approx(fval, abs=2e-6)
@@ -72,7 +71,7 @@ def test_max_radius_table1(binary, fval, interval, binding):
 
 @pytest.mark.parametrize("binary,fval,interval,binding", TABLE2)
 def test_max_radius_table2(binary, fval, interval, binding):
-    rec = max_radius(DyadicPoint.from_binary(binary), TABLE2_TARGET, N)
+    rec = max_radius(DyadicPoint.parse(binary), TABLE2_TARGET, N)
     assert rec.status == 'certified'
     assert rec.binding == binding
     assert rec.f_hi == pytest.approx(fval, abs=2e-6)
@@ -82,22 +81,22 @@ def test_max_radius_table2(binary, fval, interval, binding):
 
 
 def test_max_radius_specific_examples():
-    rec = max_radius(DyadicPoint.from_binary('1.1'), 7.92, N)
+    rec = max_radius(DyadicPoint.parse('1.1'), 7.92, N)
     assert rec.radius == Fraction(1, 16) and rec.binding == BINDING_NINE
-    rec = max_radius(DyadicPoint.from_binary('1.01101'), 7.92, N)
+    rec = max_radius(DyadicPoint.parse('1.01101'), 7.92, N)
     assert rec.radius == Fraction(1, 64) and rec.binding == BINDING_HALFSTEP
-    rec = max_radius(DyadicPoint.from_binary('1.011'), 7.92, N)
+    rec = max_radius(DyadicPoint.parse('1.011'), 7.92, N)
     assert rec.binding == BINDING_LINEAR
 
 
 def test_max_radius_fails_when_target_below_f():
-    rec = max_radius(DyadicPoint.from_binary('1.011011'), 6.0, N)
+    rec = max_radius(DyadicPoint.parse('1.011011'), 6.0, N)
     assert rec.status == 'failed' and rec.radius == 0
 
 
 def test_radius_within_half_step():
     for binary, *_ in TABLE1 + TABLE2:
-        c = DyadicPoint.from_binary(binary)
+        c = DyadicPoint.parse(binary)
         rec = max_radius(c, 9.0, N)
         assert rec.radius <= Fraction(1, 1 << (c.k + 1))
 
@@ -107,7 +106,7 @@ def test_certified_records_survive_grid_doubling():
     from rsbounds.certify1d import MARGIN_FACTOR, _sqrt_sum_le
 
     for binary, *_ in TABLE1[:3]:
-        c = DyadicPoint.from_binary(binary)
+        c = DyadicPoint.parse(binary)
         rec = max_radius(c, 7.92, N)
         assert rec.status == 'certified'
         enc2 = f_dyadic(c, 2 * N)
@@ -118,18 +117,54 @@ def test_certified_records_survive_grid_doubling():
                                 t_eff)
 
 
+def _octave(r: Fraction) -> int:
+    """The t with 2^-t <= r < 2^{1-t}."""
+    t = 0
+    while r < Fraction(1, 1 << t):
+        t += 1
+    return t
+
+
+@pytest.mark.parametrize('binary,target,slack', [
+    ('1.011', 7.92, None), ('1.0111', 7.92, None), ('1.1011', 9.0, None),
+    ('10.', 9.0, None), ('1.011', None, 1e-4), ('1.011', None, 1e-7),
+    ('10.', None, 1e-8), ('1.1011', None, 3e-7), ('1.11', None, 3e-9),
+])
+def test_case_6x_radius_is_maximal(binary, target, slack):
+    """A case-6x radius r is the largest at resolution 2^-bits, bits =
+    max(48, t) for its octave t: r passes the exact test and r + 2^-bits
+    fails it, at the table targets (t <= 48) and at targets a slack above
+    f_hi + 2 width.  A slack below 1e-6 binds the 6x piece below the
+    2^-48 resolution (near 2^-54 at 1.011)."""
+    from rsbounds.certify1d import MARGIN_FACTOR, _sqrt_sum_le
+
+    c = DyadicPoint.parse(binary)
+    if slack is not None:
+        enc = f_dyadic(c, N)
+        target = enc.hi + 2.0 * enc.width + slack
+    rec = max_radius(c, target, N)
+    assert rec.status == 'certified' and rec.binding == BINDING_LINEAR
+    t = _octave(rec.radius)
+    assert (t > 48) == (slack is not None and slack < 1e-6)
+    step = Fraction(1, 1 << max(48, t))
+    assert rec.radius % step == 0
+    t_eff = Fraction(target) - Fraction(MARGIN_FACTOR * (rec.f_hi - rec.f_lo))
+    assert _sqrt_sum_le(rec.f_hi, envelope_at(rec.radius), t_eff)
+    assert not _sqrt_sum_le(rec.f_hi, envelope_at(rec.radius + step), t_eff)
+
+
 def test_certify_cover_tables():
     rep = certify_cover((Fraction(11, 8), Fraction(25, 16)), 7.92,
-                        builtin_centers(1), N)
+                        load_centers('builtin:1'), N)
     assert rep.covered and all(r.status == 'certified' for r in rep.records)
     rep = certify_cover((Fraction(25, 16), Fraction(2)), 9.0,
-                        builtin_centers(2), N)
+                        load_centers('builtin:2'), N)
     assert rep.covered
 
 
 def test_certify_cover_failure_reports_gap():
     rep = certify_cover((Fraction(11, 8), Fraction(25, 16)), 6.0,
-                        builtin_centers(1), N)
+                        load_centers('builtin:1'), N)
     assert not rep.covered
     assert rep.gap_at is not None
     # f(1.421875) = 6.955 > 6 forces at least one failed record
@@ -142,12 +177,12 @@ def test_certify_cover_point_needs_a_record_that_contains_it():
     an empty table covers nothing, while 11/8 lies inside a record
     certified at 7.92."""
     p = Fraction(3, 2)
-    for centers in (builtin_centers(1), []):
+    for centers in (load_centers('builtin:1'), []):
         rep = certify_cover((p, p), 0.5, centers, 1 << 16)
         assert not rep.covered and rep.gap_at == p
     assert all(r.status == 'failed' for r in rep.records)
     p = Fraction(11, 8)
-    rep = certify_cover((p, p), 7.92, builtin_centers(1), 1 << 16)
+    rep = certify_cover((p, p), 7.92, load_centers('builtin:1'), 1 << 16)
     assert rep.covered and rep.gap_at is None
 
 
@@ -155,14 +190,14 @@ def test_certify_cover_rejects_bad_target_and_interval():
     for target in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             certify_cover((Fraction(11, 8), Fraction(25, 16)), target,
-                          builtin_centers(1), N)
+                          load_centers('builtin:1'), N)
     with pytest.raises(ValueError):
-        certify_cover((Fraction(2), Fraction(1)), 9.0, builtin_centers(2), N)
+        certify_cover((Fraction(2), Fraction(1)), 9.0, load_centers('builtin:2'), N)
 
 
 def test_coverage_json_roundtrip():
     rep = certify_cover((Fraction(11, 8), Fraction(25, 16)), 7.92,
-                        builtin_centers(1), N)
+                        load_centers('builtin:1'), N)
     doc = json.loads(json.dumps(rep.to_dict()))
     assert doc['covered'] is True
     assert len(doc['records']) == 5
@@ -171,8 +206,7 @@ def test_coverage_json_roundtrip():
 def test_load_centers_from_text(tmp_path):
     p = tmp_path / 'centers.txt'
     p.write_text("# comment\n1.011\n\n1.1  # trailing\n")
-    with open(p) as fh:
-        pts = load_centers(fh)
+    pts = load_centers(str(p))
     assert [float(x) for x in pts] == [1.375, 1.5]
 
 

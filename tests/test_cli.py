@@ -122,6 +122,41 @@ def test_certify_f_point_interval_needs_a_certified_record(capsys, tmp_path):
     assert doc['covered'] is False and doc['gap_at'] == 1.5
 
 
+def test_certify_f_radius_below_the_radius_bits(capsys, tmp_path):
+    """A target just above f(11/8) binds the 6x piece in an octave below
+    2^-48; the radius search covers the center instead of failing."""
+    table = tmp_path / 't1.txt'
+    table.write_text('1.011\n')
+    code, out = run_cli(capsys, '--grid-log2', '20', '--out-dir',
+                        str(tmp_path), 'certify-f', '--table', str(table),
+                        '--target', '6.2500001084', '--interval', '11/8',
+                        '11/8')
+    rec, = json.loads(out)['result']['records']
+    assert code == 0 and rec['binding'] == 'case-6x'
+
+
+def test_certify_f_table_uses_the_command_line_grammar(capsys, tmp_path):
+    """A table line is read as a command-line point: '10' is ten and
+    '11/8' is accepted; '.', '.1' and '1.2' exit 2, naming the text."""
+    table = tmp_path / 'centers.txt'
+    for line, target, point in (('10', '100', '10'),
+                                ('11/8  # a fraction', '7.92', '11/8')):
+        table.write_text(line + '\n')
+        code, out = run_cli(capsys, '--grid-log2', '16', '--out-dir',
+                            str(tmp_path), 'certify-f', '--table',
+                            str(table), '--target', target, '--interval',
+                            point, point)
+        assert code == 0 and json.loads(out)['result']['covered'] is True
+    for line in ('.', '.1', '1.2'):
+        table.write_text(f'1.011\n{line}\n')
+        code = main(['--grid-log2', '16', '--out-dir', str(tmp_path),
+                     'certify-f', '--table', str(table), '--target', '9',
+                     '--interval', '11/8', '11/8'])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ''
+        assert repr(line) in json.loads(captured.err)['error']
+
+
 def test_certify_g_single_square(capsys, tmp_path):
     code, out = run_cli(capsys, '--grid-log2', '12', '--max-scale', '3',
                         '--out-dir', str(tmp_path), '--threads', '1',

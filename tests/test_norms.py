@@ -468,7 +468,7 @@ def test_f_dyadic_table_values():
     for binary, expect in [('1.1', 5.0), ('1.011', 6.25), ('1.0111', 6.625),
                            ('10.', 4.0), ('1.01101', 6.491173),
                            ('1.011011', 6.955324)]:
-        enc = f_dyadic(DyadicPoint.from_binary(binary), N)
+        enc = f_dyadic(DyadicPoint.parse(binary), N)
         assert abs(0.5 * (enc.lo + enc.hi) - expect) < 2e-6, binary
 
 
