@@ -21,7 +21,9 @@ Each test is exact, in integer arithmetic (norms._sqrt_sum_le).  B is
 probed octave by octave from t = k + 2, whose 9-piece B(2^{-k-1}) =
 9 / 2^{k+2} is the half-step cap; the 6x piece is inverted by bisection at
 resolution 2^-48, or 2^-t in an octave t > 48.  The binding constraint
-records which piece of B0 (or the half-step cap) limited the radius.
+records which piece of B0 (or the half-step cap) limited the radius.  If
+no octave down to t = k + 65 admits a radius but f_hi alone passes, the
+center itself is certified, with radius 0 and binding 'center'.
 
 Sup-norm sweep.  brute_onedim decides sqrt(sup |P_{<n}|^2) + 1 <=
 sqrt((6n-2)(1 + 10^-6)) for each n by one decision on the norms engine,
@@ -51,6 +53,7 @@ BINDING_LINEAR = 'case-6x'
 BINDING_EIGHT = 'case-8'
 BINDING_NINE = 'case-9'
 BINDING_HALFSTEP = 'half-step'
+BINDING_CENTER = 'center'
 
 # Margin policy: every certified inequality must hold with slack at least
 # MARGIN_FACTOR times the enclosure width of the f value used.
@@ -178,7 +181,8 @@ def max_radius(center: DyadicPoint, target: float, N: int) -> CertRecord1D:
                     hi_num = mid
             return record(Fraction(lo_num, 1 << bits),
                           BINDING_LINEAR, 'certified')
-    return record(Fraction(0), '', 'failed')
+    # ok(0) holds: the point interval of the center is certified.
+    return record(Fraction(0), BINDING_CENTER, 'certified')
 
 
 def certify_cover(interval: tuple[Fraction, Fraction], target: float,

@@ -201,10 +201,9 @@ def half_spectrum(seg: Segment, N: int) -> np.ndarray:
         raise CapacityError(f"grid size {N} exceeds limit {DEFAULT_MAX_RANGE}")
     if seg.length > N:
         raise ValueError(f"segment length {seg.length} exceeds grid size {N}")
-    padded = np.zeros(N, dtype=np.float64)
-    if seg.length:
-        padded[:seg.length] = coeff_range(seg)
-    return np.fft.rfft(padded)
+    # pocketfft zero-pads to n itself: no N-float buffer of our own, and
+    # the same values, bit for bit, as an explicitly padded input.
+    return np.fft.rfft(coeff_range(seg), n=N)
 
 
 def radix2_step(RA: np.ndarray, RB: np.ndarray,

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluate import _pq, eval_point, eval_point_root, segment_sum_pm1
-from .norms import Enclosure, L_norm_sq, oversampled_grid, sup_norm_sq
+from .norms import (Enclosure, L_norm_sq, decision, oversampled_grid,
+                    sup_norm_sq)
 from .sequence import DEFAULT_MAX_RANGE, CapacityError, Segment, coeff
 # Unused here, kept because certbench/spans.py traces it through this module.
 from .sequence import coeff_range
@@ -90,6 +91,15 @@ def tail_point_root(k: int, j: int, N: int) -> complex:
 
 @dataclass(frozen=True)
 class MontgomeryReport:
+    """The tail's point ratio and, if a grid cap was given, the squared
+    sup-norm enclosure / 4^k on the grid that decided it.
+
+    N is that grid: the first level of the norms engine whose enclosure
+    settles sup |V_k|^2 <= 9 4^k (lo above 9 4^k refutes it, hi at most
+    9 4^k certifies it), or the cap if none does.  grid_sup_ratio (hi)
+    is that level's, so it can be looser than the cap grid's; the claim
+    is grid_sup_ratio_lo > 9."""
+
     k: int
     point_ratio: float            # |V_k(exp(3 pi i/4))|^2 / 4^k
     exceeds_nine: bool
@@ -101,8 +111,9 @@ class MontgomeryReport:
 
 def montgomery_counterexample(k: int, N: int | None = None
                               ) -> MontgomeryReport:
-    """Ratio of the squared tail at exp(3*pi*i/4) to its length, plus the
-    grid sup-norm ratio on the N-grid if N is given."""
+    """Ratio of the squared tail at exp(3*pi*i/4) to its length, plus, if
+    the grid cap N is given, the sup-norm ratio of the decision
+    sup |V_k|^2 <= 9 4^k on the norms engine (see MontgomeryReport)."""
     if not 0 <= k <= 40:
         raise ValueError("supported range is 0 <= k <= 40")
     # exp(3 pi i / 4) is the N = 8, j = 3 grid root: exact phases.
@@ -110,9 +121,11 @@ def montgomery_counterexample(k: int, N: int | None = None
     point_ratio = abs(val) ** 2 / 4 ** k
     grid_hi = grid_lo = None
     if N is not None:
-        enc = sup_norm_sq(ExtremalPair(k).segment, N)
+        enc = sup_norm_sq(ExtremalPair(k).segment, N,
+                          decision(lambda v: v <= 9 * 4 ** k))
         grid_hi = enc.hi / 4 ** k
         grid_lo = enc.lo / 4 ** k
+        N = enc.N
     return MontgomeryReport(k=k, point_ratio=point_ratio,
                             exceeds_nine=point_ratio > 9.0,
                             grid_sup_ratio=grid_hi, grid_sup_ratio_lo=grid_lo,

@@ -40,10 +40,10 @@ one butterfly with the twiddle z_j (evaluate.radix2_step), a quarter of
 the FFT points.  Each value errs by at most eps_radix2(n, N) <=
 eps_fp(n, N), so every slack below holds for it unchanged.  PrefixSpectra
 stores both kinds of prefix spectra by (prefix, grid): rfft entries, one
-FFT each, which g_int reads, and split entries, which sup_norm_sq and
-L_norm_sq read when given a store.  The sweeps of certify1d read split
-entries of rising prefixes, so consecutive n share a half, and they set
-the store's floor below which no entry is read again.
+FFT each, which g_int reads with their power, and split entries, which
+sup_norm_sq and L_norm_sq read when given a store.  The sweeps of
+certify1d read split entries of rising prefixes, so consecutive n share a
+half, and they set the store's floor below which no entry is read again.
 
 The g objective.  Write a = A_r(w), b = B_r(-w) for the halves of the
 prefix r and c = A_s(w), d = B_s(-w) for those of the prefix s.  Then
@@ -373,50 +373,57 @@ def f2_dyadic(x: DyadicPoint, y: DyadicPoint, N: int,
 
 # A module function, not a method of PrefixSpectra: certbench traces the
 # prefix lookups through this name (norms.prefix_lookup).
-def _prefix_half_spectrum(n: int, N: int, spectra: dict
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Half spectrum R of the length-n prefix on the N-grid and its power
-    |R|^2, memoized in the dict ``spectra`` under (n, N)."""
+def _prefix_half_spectrum(n: int, N: int, spectra: dict) -> np.ndarray:
+    """Half spectrum R of the length-n prefix on the N-grid, memoized in
+    the dict ``spectra`` under (n, N)."""
     key = (n, N)
-    val = spectra.get(key)
-    if val is None:
-        val = spectra[key] = _power(half_spectrum(Segment(0, n), N))
-    return val
+    R = spectra.get(key)
+    if R is None:
+        R = spectra[key] = half_spectrum(Segment(0, n), N)
+    return R
 
 
 class PrefixSpectra:
-    """One store of the half spectra R of prefixes [0, n), each with its
-    power |R|^2, keyed by (n, grid).  Entries are read-only, and a caller
-    gets the same values with a fresh store as with a shared one.
+    """One store of the half spectra R of prefixes [0, n), keyed by
+    (n, grid), with the power |R|^2 of each entry that a caller reads.
+    Entries are read-only, and a caller gets the same values with a fresh
+    store as with a shared one.
 
-    rfft(n, N) is half_spectrum of the prefix on N.  split(n, N) is the
-    same prefix's on N, built by evaluate.radix2_step from the rfft
-    entries of its half prefixes ceil(n/2) and floor(n/2) on N/2: a
-    quarter of the FFT points, and consecutive n share one half.  Its
-    values differ from the rfft entry's by rounding alone, each within
-    eps_radix2(n, N) <= eps_fp(n, N), so the slack of every objective
-    holds for it.  The store keeps the twiddle table of each grid it
-    splits on.
+    rfft(n, N) is half_spectrum of the prefix on N and its power.
+    split(n, N) is the same prefix's on N and its power, built by
+    evaluate.radix2_step from the half spectra of its half prefixes
+    ceil(n/2) and floor(n/2) on N/2: a quarter of the FFT points, and
+    consecutive n share one half.  Its values differ from the rfft
+    entry's by rounding alone, each within eps_radix2(n, N) <=
+    eps_fp(n, N), so the slack of every objective holds for it.  The
+    half prefixes' power is never read, so it is not computed.  The store
+    keeps the twiddle table of each grid it splits on.
 
     A caller that reads split entries of rising prefixes calls floor(p)
     once no split entry below p will be read: it drops those, and the
-    rfft entries below p // 2, which only they read.
+    half spectra below p // 2, which only they read.
     """
 
     def __init__(self):
-        self._rfft: dict = {}
-        self._split: dict = {}
+        self._rfft: dict = {}               # (n, grid) -> R
+        self._power: dict = {}              # (n, grid) -> (R, |R|^2)
+        self._split: dict = {}              # (n, grid) -> (R, |R|^2)
         self._twiddles: dict = {}           # grid -> evaluate.twiddles
 
     def rfft(self, n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-        return _prefix_half_spectrum(n, N, self._rfft)
+        R = _prefix_half_spectrum(n, N, self._rfft)
+        key = (n, N)
+        val = self._power.get(key)
+        if val is None:
+            val = self._power[key] = _power(R)
+        return val
 
     def split(self, n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
         key = (n, N)
         val = self._split.get(key)
         if val is None:
-            RA, _ = self.rfft((n + 1) // 2, N // 2)
-            RB, _ = self.rfft(n // 2, N // 2)
+            RA = _prefix_half_spectrum((n + 1) // 2, N // 2, self._rfft)
+            RB = _prefix_half_spectrum(n // 2, N // 2, self._rfft)
             z = self._twiddles.get(N)
             if z is None:
                 z = self._twiddles[N] = twiddles(N)
@@ -424,7 +431,8 @@ class PrefixSpectra:
         return val
 
     def floor(self, p: int) -> None:
-        for memo, least in ((self._split, p), (self._rfft, p // 2)):
+        for memo, least in ((self._split, p), (self._rfft, p // 2),
+                            (self._power, p // 2)):
             for key in [key for key in memo if key[0] < least]:
                 del memo[key]
 

@@ -169,9 +169,12 @@ def test_c08_counterexample_reproduction():
     grid_ok = True
     details = [f'k=12 point ratio = {rep12.point_ratio:.4f}']
     for k in (6, 7, 8, 9):
+        # The decision sup |V_k|^2 <= 9 4^k is refuted on its first grid.
         rep = montgomery_counterexample(k, N=1 << max(16, 2 * k + 4))
+        grid_ok &= rep.N == 1 << (2 * k + 3)
         grid_ok &= rep.grid_sup_ratio_lo > 9.0
-        details.append(f'k={k} grid lo = {rep.grid_sup_ratio_lo:.3f}')
+        details.append(f'k={k} grid lo = {rep.grid_sup_ratio_lo:.3f} '
+                       f'on 2^{rep.N.bit_length() - 1}')
     report('criterion 8 (counterexample reproduction)', point_ok and grid_ok,
            ', '.join(details))
 

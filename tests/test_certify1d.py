@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rsbounds.certify1d import (BINDING_EIGHT, BINDING_HALFSTEP,
-                                BINDING_LINEAR, BINDING_NINE,
+from rsbounds.certify1d import (BINDING_CENTER, BINDING_EIGHT,
+                                BINDING_HALFSTEP, BINDING_LINEAR, BINDING_NINE,
                                 brute_onedim, certify_cover, check_smallk_L,
                                 envelope_at, load_centers, max_radius)
 from rsbounds.dyadic import DyadicPoint
@@ -151,6 +151,29 @@ def test_case_6x_radius_is_maximal(binary, target, slack):
     t_eff = Fraction(target) - Fraction(MARGIN_FACTOR * (rec.f_hi - rec.f_lo))
     assert _sqrt_sum_le(rec.f_hi, envelope_at(rec.radius), t_eff)
     assert not _sqrt_sum_le(rec.f_hi, envelope_at(rec.radius + step), t_eff)
+
+
+@pytest.mark.parametrize('binary,slack', [('1.011', 1e-11), ('10.', 1e-9)])
+def test_center_alone_is_certified_below_every_octave(binary, slack):
+    """A target so close to f_hi + 2 width that no octave down to
+    t = k + 65 admits a radius still certifies the center: a radius-0
+    record with binding 'center', which covers the point interval of the
+    center (11/8 and 2 here); the same search answered 'failed'."""
+    from rsbounds.certify1d import MARGIN_FACTOR, _sqrt_sum_le
+
+    c = DyadicPoint.parse(binary)
+    enc = f_dyadic(c, N)
+    target = enc.hi + 2.0 * enc.width + slack
+    rec = max_radius(c, target, N)
+    assert (rec.status, rec.radius, rec.binding) \
+        == ('certified', 0, BINDING_CENTER)
+    t_eff = Fraction(target) - Fraction(MARGIN_FACTOR * enc.width)
+    assert _sqrt_sum_le(rec.f_hi, 0, t_eff)
+    # The last octave's 6x piece at its foot 2^-(k + 65) fails.
+    assert not _sqrt_sum_le(rec.f_hi, Fraction(6, 1 << (c.k + 65)), t_eff)
+    p = c.fraction
+    rep = certify_cover((p, p), target, [c], N)
+    assert rep.covered and rep.gap_at is None
 
 
 def test_certify_cover_tables():

@@ -88,6 +88,21 @@ def test_eval_grid_preconditions():
         half_spectrum(Segment(0, 4), 1 << 27)    # beyond the grid limit
 
 
+def test_half_spectrum_is_the_padded_rfft_bit_for_bit():
+    """half_spectrum lets pocketfft zero-pad (rfft's n) instead of filling
+    an N-float buffer: the same bits as the rfft of the explicitly padded
+    float input, for every length 0 .. 300 that fits, at even and odd
+    offsets up to 2^40, on N = 2 .. 2^14."""
+    for N in (1 << e for e in range(1, 15)):
+        for m in (0, 1, (1 << 40) - 1, 1 << 40):
+            for L in range(min(N, 300) + 1):
+                seg = Segment(m, m + L)
+                padded = np.zeros(N)
+                padded[:L] = coeff_range(seg)
+                assert (half_spectrum(seg, N).tobytes()
+                        == np.fft.rfft(padded).tobytes()), (seg, N)
+
+
 def test_eval_grid_matches_eval_point():
     rng = np.random.default_rng(17)
     for m, n, N in [(0, 37, 256), (11, 64, 128), (1000, 1500, 2048)]:

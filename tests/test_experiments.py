@@ -11,6 +11,7 @@ from rsbounds.experiments import (ExtremalPair, L_ratio_lower, critical_pair,
                                   montgomery_counterexample,
                                   random_sphere_target, sphere_sampler,
                                   tail_point, tail_point_root)
+from rsbounds.norms import sup_norm_sq
 from rsbounds.sequence import CapacityError, Segment, coeff_range
 
 
@@ -88,11 +89,35 @@ def test_montgomery_convergence_rate():
 
 
 def test_montgomery_grid_ratio():
-    rep = montgomery_counterexample(6, N=1 << 16)
-    assert rep.grid_sup_ratio_lo is not None
-    assert rep.grid_sup_ratio_lo > 9.0
+    """The grid check is the decision sup |V_k|^2 <= 9 4^k under the cap:
+    at the sweep's caps 2^16 .. 2^22 it is refuted on its first grid,
+    8 4^k = 2^(2k+3), with lo above 9 4^k and no lower than the lo of
+    the full enclosure at the cap (k <= 8; k = 9 would take a 2^22 FFT)."""
+    for k in (6, 7, 8, 9):
+        cap = 1 << max(16, 2 * k + 4)
+        rep = montgomery_counterexample(k, N=cap)
+        assert rep.N == 1 << (2 * k + 3), (k, rep.N)
+        assert rep.grid_sup_ratio_lo > 9.0
+        if k <= 8:
+            full = sup_norm_sq(ExtremalPair(k).segment, cap)
+            assert rep.grid_sup_ratio_lo >= full.lo / 4 ** k, k
     with pytest.raises(ValueError):
         montgomery_counterexample(6, N=1 << 10)
+
+
+def test_montgomery_grid_check_peak_memory():
+    """The decision at the 2^22 cap settles on the 2^21 grid, and its FFT
+    pads inside pocketfft: at most 32 MB traced, where the full 2^22
+    enclosure with its own padded buffer traced 64 MB."""
+    montgomery_counterexample(9)            # imports and caches first
+    tracemalloc.start()
+    try:
+        rep = montgomery_counterexample(9, N=1 << 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.grid_sup_ratio_lo > 9.0
+    assert peak <= 32 << 20, peak
 
 
 def test_L_ratio_lower_examples():

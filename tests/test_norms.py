@@ -593,3 +593,29 @@ def test_sqrt_continuity_constant():
         diff_hi = max(math.sqrt(fy.hi) - math.sqrt(fx.lo),
                       math.sqrt(fx.hi) - math.sqrt(fy.lo), 0.0)
         assert diff_hi <= 4.0 * gap + 1e-6
+
+
+def test_half_prefix_spectra_square_nothing(monkeypatch):
+    """A split entry reads only R of its half prefixes, so the sweep
+    squares only the spectra that radix2_step builds: no half-prefix FFT
+    reaches _power, and brute_onedim's report is the one it gave when the
+    store squared every FFT."""
+    from rsbounds.certify1d import brute_onedim
+
+    ffts, steps, powered = [], [], []
+    monkeypatch.setattr(norms, 'half_spectrum', lambda seg, N,
+                        real=norms.half_spectrum: ffts.append(real(seg, N))
+                        or ffts[-1])
+    monkeypatch.setattr(norms, 'radix2_step', lambda *a,
+                        real=norms.radix2_step: steps.append(real(*a))
+                        or steps[-1])
+    monkeypatch.setattr(norms, '_power', lambda R, real=norms._power:
+                        powered.append(R) or real(R))
+    report = brute_onedim(256, 1 << 12)
+    assert ffts
+    assert len(powered) == len(steps)
+    assert all(R is S for R, S in zip(powered, steps))
+    assert not any(R is F for R in powered for F in ffts)
+    assert (report.worst_n, report.failures, report.unsettled) \
+        == (171, [], [11, 43, 171])
+    assert report.worst_ratio == pytest.approx(1.000000000000628, rel=1e-12)
