@@ -28,9 +28,11 @@ center itself is certified, with radius 0 and binding 'center'.
 Sup-norm sweep.  brute_onedim decides sqrt(sup |P_{<n}|^2) + 1 <=
 sqrt((6n-2)(1 + 10^-6)) for each n by one decision on the norms engine,
 so the grid grows only for the n that need it.  The prefix n is read from
-the FFTs of its half prefixes on half the grid (norms.PrefixSpectra), so
-consecutive n share one FFT.  An n the grid cap leaves undecided is
-reported as unsettled and checked on the cap grid alone.
+its half prefixes on half the grid, and theirs from their own halves, by
+the radix-2 recursion down to the exact prefixes 0 and 1
+(norms.PrefixSpectra): no FFT, and an error bound derived end to end.
+An n the grid cap leaves undecided is reported as unsettled and checked
+on the cap grid alone.
 Only sharpness points n = (2 4^k + 1)/3 stay unsettled: the bound is
 attained there, so no finite grid certifies it exactly, and the
 tolerance takes a grid of about 2200 n.
@@ -268,17 +270,18 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
     grid cap _REFINE_CAP: it refines until the enclosure settles the test
     or the cap is reached.  The L objective of the prefix n is read from
     its half prefixes ceil(n/2) and floor(n/2), each a split entry of one
-    norms.PrefixSpectra: built by evaluate.radix2_step from the FFTs of
-    its own half prefixes on a quarter of the grid, within the same slack.
-    Consecutive n share entries, and the store's floor, floor(n/2), drops
-    every entry that no later pair reads.  The strict L comparison
+    norms.PrefixSpectra: built by the radix-2 recursion
+    (evaluate.radix2_step) from the exact prefixes 0 and 1, with no FFT,
+    within the same slack.  Consecutive n share entries, and the store
+    drops those that no later pair reads.  The strict L comparison
     settles when hi clears or lo refutes the bound.  Where it certifies,
     so does the sup-norm bound: sup |P(z)|^2 <= sup (|P(z)|^2 +
     |P(-z)|^2) <= hi.
     Only the other pairs make a sup-norm decision, a non-refutation check
     (ok unless lo exceeds the bound): the bound is attained with equality
     at the sharpness points, so no finite enclosure can certify it
-    strictly there.  Both results are reported for every pair.
+    strictly there.  These read whole-prefix FFTs and no store.  Both
+    results are reported for every pair.
     """
     if kind == 'midrange':
         pairs = [(k, n, 1 << (k + 3)) for k in range(13)
@@ -293,8 +296,6 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
     records, store = [], PrefixSpectra()
     for k, n, t in pairs:
         seg = Segment(0, n)
-        # n rises, so no later pair reads a half prefix shorter than n // 2.
-        store.floor(n // 2)
         L = L_norm_sq(seg, _REFINE_CAP,
                       decision(lambda v: _sqrt_sum_cmp(v, 1, t) > 0),
                       store=store)
@@ -342,11 +343,12 @@ def brute_onedim(n_max: int, N: int) -> BruteForceReport:
     which takes N above about 2200 n.
 
     The objective is read from split entries of one norms.PrefixSpectra:
-    the values of the prefix n on a grid come from the FFTs of its half
-    prefixes ceil(n/2) and floor(n/2) on half that grid, by
-    evaluate.radix2_step, within the same slack, and consecutive n share
-    one of them.  The store's floor, n, drops every entry that no later n
-    reads.
+    the values of the prefix n on a grid come from those of its half
+    prefixes ceil(n/2) and floor(n/2) on half that grid by
+    evaluate.radix2_step, and theirs likewise, down to the exact prefixes
+    0 and 1.  No FFT is taken, every value is within the same slack by
+    induction (evaluate.eps_radix2), consecutive n share their halves, and
+    the store drops the entries that no later n reads.
 
     The worst ratio is (sqrt(M + s) + 1)^2 / (6n - 2), with M + s = lo + 2 s
     on the grid that decided n.  It reaches 1 at the sharpness points,
@@ -361,7 +363,6 @@ def brute_onedim(n_max: int, N: int) -> BruteForceReport:
     for n in range(1, n_max + 1):
         t_n = Fraction((6 * n - 2) * 1000001, 1000000)
         holds = lambda v: _sqrt_sum_le(v, 1, t_n)
-        store.floor(n)
         enc = sup_norm_sq(Segment(0, n), N, decision(holds), store=store)
         upper = enc.lo + 2.0 * abs_sq_slack(n, enc.N)
         ratio = (math.sqrt(upper) + 1.0) ** 2 / (6 * n - 2)

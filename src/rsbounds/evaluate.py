@@ -21,8 +21,10 @@ half_spectrum, up to the production sizes N = 2^24 and L = 4096 (see
 tests); the observed FFT error is far smaller.  All enclosures widen by
 slack derived from this bound.  radix2_step builds a prefix's half spectrum
 on N from those of its two half prefixes on N/2, one butterfly per value;
-its values err by at most eps_radix2(n, N) <= eps_fp(n, N), derived from
-the bound of its inputs, so every slack holds for them unchanged.
+inputs within eps_fp on N/2 give values within eps_radix2(n, N) <=
+eps_fp(n, N).  Applied recursively from the prefixes 0 and 1, whose values
+are exact, it gives every prefix's values within eps_fp by induction, with
+no FFT: the bound is then derived, not validated (norms.PrefixSpectra).
 """
 
 from __future__ import annotations
@@ -268,6 +270,13 @@ def eps_radix2(n: int, M: int) -> float:
     and e_A + e_B = 8 u n (log2 M - 1) = eps_fp(n, M) - 8 u n, while
     (8 + 2 sqrt(2)) u b + u n <= 6.5 u n; the remaining 1.5 u n holds the
     second-order terms, so eps_radix2(n, M) <= eps_fp(n, M) (see tests).
+
+    So the bound carries through the recursion that builds every half
+    spectrum of a prefix this way, down to the prefixes 0 and 1, whose
+    values 0 and 1 are exact: if each step's inputs are within eps_fp on
+    M/2, its values are within eps_radix2(n, M) <= eps_fp(n, M), the
+    premise of the next step up.  The tests check that inequality at every
+    step the sweeps take.
     """
     u = UNIT_ROUNDOFF
     a, b = (n + 1) // 2, n // 2

@@ -35,15 +35,17 @@ z-objective's 2 abs_sq_slack(L, N).
 
 A prefix from its half prefixes.  For the prefix [0, n), A and B are the
 prefixes ceil(n/2) and floor(n/2), so the N-grid values conj P(z_j) and
-P(-z_j) that its own FFT gives follow from the N/2-grid FFTs of A and B by
-one butterfly with the twiddle z_j (evaluate.radix2_step), a quarter of
-the FFT points.  Each value errs by at most eps_radix2(n, N) <=
-eps_fp(n, N), so every slack below holds for it unchanged.  PrefixSpectra
-stores both kinds of prefix spectra by (prefix, grid): rfft entries, one
-FFT each, which g_int reads with their power, and split entries, which
-sup_norm_sq and L_norm_sq read when given a store.  The sweeps of
-certify1d read split entries of rising prefixes, so consecutive n share a
-half, and they set the store's floor below which no entry is read again.
+P(-z_j) follow from the N/2-grid values of A and B by one butterfly with
+the twiddle z_j (evaluate.radix2_step), and theirs from their own halves
+on N/4, down to the prefixes 0 and 1, whose values are exact.  By
+induction each value errs by at most eps_radix2(n, N) <= eps_fp(n, N), so
+every slack below holds for it unchanged, with no FFT and no validated
+constant.  PrefixSpectra stores both kinds of prefix spectra by (prefix,
+grid): rfft entries, one FFT each, which g_int reads with their power,
+and split entries, built by that recursion, which sup_norm_sq and
+L_norm_sq read when given a store.  The sweeps of certify1d read split
+entries of rising prefixes, so consecutive n share their halves on every
+grid.
 
 The g objective.  Write a = A_r(w), b = B_r(-w) for the halves of the
 prefix r and c = A_s(w), d = B_s(-w) for those of the prefix s.  Then
@@ -391,23 +393,26 @@ class PrefixSpectra:
 
     rfft(n, N) is half_spectrum of the prefix on N and its power.
     split(n, N) is the same prefix's on N and its power, built by
-    evaluate.radix2_step from the half spectra of its half prefixes
-    ceil(n/2) and floor(n/2) on N/2: a quarter of the FFT points, and
-    consecutive n share one half.  Its values differ from the rfft
-    entry's by rounding alone, each within eps_radix2(n, N) <=
-    eps_fp(n, N), so the slack of every objective holds for it.  The
-    half prefixes' power is never read, so it is not computed.  The store
-    keeps the twiddle table of each grid it splits on.
+    evaluate.radix2_step from the split entries of its half prefixes
+    ceil(n/2) and floor(n/2) on N/2, and so on down to prefixes of length
+    at most 1, whose values are exact: 1 for n = 1, 0 for n = 0.  No FFT
+    is taken, and consecutive n share their halves on every grid.  By
+    induction from the exact base each value errs by at most
+    eps_radix2(n, N) <= eps_fp(n, N) (evaluate), so the slack of every
+    objective holds for it.  Only the power of an entry a caller reads is
+    computed.  The store keeps the twiddle table of each grid it splits
+    on.
 
-    A caller that reads split entries of rising prefixes calls floor(p)
-    once no split entry below p will be read: it drops those, and the
-    half spectra below p // 2, which only they read.
+    The split entries bound themselves: adding the prefix j on a grid
+    drops the entries below j - 1 on that grid.  A sweep of rising
+    prefixes never reads those again, and any other order only
+    recomputes what it misses.
     """
 
     def __init__(self):
         self._rfft: dict = {}               # (n, grid) -> R
         self._power: dict = {}              # (n, grid) -> (R, |R|^2)
-        self._split: dict = {}              # (n, grid) -> (R, |R|^2)
+        self._split: dict = {}              # grid -> {n: [R, |R|^2 or None]}
         self._twiddles: dict = {}           # grid -> evaluate.twiddles
 
     def rfft(self, n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -419,25 +424,41 @@ class PrefixSpectra:
         return val
 
     def split(self, n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-        key = (n, N)
-        val = self._split.get(key)
-        if val is None:
-            RA = _prefix_half_spectrum((n + 1) // 2, N // 2, self._rfft)
-            RB = _prefix_half_spectrum(n // 2, N // 2, self._rfft)
-            z = self._twiddles.get(N)
-            if z is None:
-                z = self._twiddles[N] = twiddles(N)
-            val = self._split[key] = _power(radix2_step(RA, RB, z))
-        return val
+        entry = self._split_entry(n, N)
+        if entry[1] is None:
+            entry[1] = _power(entry[0])[1]
+        return entry[0], entry[1]
 
-    def floor(self, p: int) -> None:
-        for memo, least in ((self._split, p), (self._rfft, p // 2),
-                            (self._power, p // 2)):
-            for key in [key for key in memo if key[0] < least]:
-                del memo[key]
+    def _split_entry(self, n: int, N: int) -> list:
+        """[R, |R|^2 or None] of the prefix n on N, memoized."""
+        memo = self._split.setdefault(N, {})
+        entry = memo.get(n)
+        if entry is None:
+            if n <= 1:
+                # P_0 = 0 and P_1 = 1 everywhere, and so are their powers.
+                entry = [np.full(N // 2 + 1, n, dtype=complex),
+                         np.full(N // 2 + 1, float(n))]
+            else:
+                z = self._twiddles.get(N)
+                if z is None:
+                    z = self._twiddles[N] = twiddles(N)
+                RA = self._split_entry((n + 1) // 2, N // 2)[0]
+                RB = self._split_entry(n // 2, N // 2)[0]
+                entry = [radix2_step(RA, RB, z), None]
+            for j in [j for j in memo if j < n - 1]:
+                del memo[j]
+            memo[n] = entry
+        return entry
 
-    def __len__(self) -> int:
-        return len(self._rfft) + len(self._split)
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the store holds, each counted once."""
+        arrays = [*self._rfft.values(), *self._twiddles.values(),
+                  *(a for R, p in self._power.values() for a in (R, p)),
+                  *(a for memo in self._split.values()
+                    for entry in memo.values() for a in entry
+                    if a is not None)]
+        return sum({id(a): a.nbytes for a in arrays}.values())
 
 
 def g_int(r: int, s: int, N: int, decide=None,

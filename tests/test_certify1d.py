@@ -12,7 +12,8 @@ from rsbounds.certify1d import (BINDING_CENTER, BINDING_EIGHT,
                                 brute_onedim, certify_cover, check_smallk_L,
                                 envelope_at, load_centers, max_radius)
 from rsbounds.dyadic import DyadicPoint
-from rsbounds.evaluate import abs_sq_slack, half_spectrum, segment_sum_pm1
+from rsbounds.evaluate import (abs_sq_slack, eps_fp, eps_radix2, half_spectrum,
+                               segment_sum_pm1)
 from rsbounds.norms import f_dyadic
 from rsbounds.sequence import Segment
 
@@ -287,16 +288,42 @@ def test_check_smallk_strict_claim_is_exact(monkeypatch):
     assert r.sup_enc is not None and r.ok_sup and ok
 
 
-def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch):
+@pytest.fixture
+def split_visits(monkeypatch):
+    """Record every (prefix, grid) that the split recursion of
+    norms.PrefixSpectra visits, and the store's bytes after each split
+    entry a caller reads."""
+    import rsbounds.norms as norms
+
+    visits, held = [], []
+    entry, split = norms.PrefixSpectra._split_entry, norms.PrefixSpectra.split
+    monkeypatch.setattr(norms.PrefixSpectra, '_split_entry',
+                        lambda store, n, N: visits.append((n, N))
+                        or entry(store, n, N))
+    monkeypatch.setattr(norms.PrefixSpectra, 'split', lambda store, n, N: (
+        split(store, n, N), held.append(store.nbytes))[0])
+    return visits, held
+
+
+def assert_split_bound_holds(visits):
+    """The induction behind the split values' slack, at every (j, M) the
+    recursion visited: the prefixes 0 and 1 are exact, and a step whose
+    inputs err by at most eps_fp on M/2 errs by at most eps_radix2(j, M),
+    which must not exceed eps_fp(j, M)."""
+    for j, M in set(visits):
+        assert j <= 1 or eps_radix2(j, M) <= eps_fp(j, M), (j, M)
+
+
+def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch,
+                                                     split_visits):
     """Each pair makes exactly one L_norm_sq call, at the grid cap and
     with a decision: the grid policy lives in norms.  Only the two pairs
     whose L decision fails, (1, 3) and (3, 11), make a sup_norm_sq
-    decision.  The L objective is read from the half prefixes ceil(n/2)
-    and floor(n/2) on the half grid, each a split entry of one store,
-    built by the radix-2 step from the FFTs of its own half prefixes on
-    a quarter of the grid; consecutive n share them: about one FFT per
-    four pairs, none above 2^14.  The store's floor drops every entry
-    that no later pair reads, so it holds at most eight."""
+    decision, and only those take FFTs: they read no store.  The L
+    objective of the prefix n is read from its half prefixes ceil(n/2)
+    and floor(n/2) on the half grid, split entries of one store, built by
+    the radix-2 recursion down to the exact prefixes 0 and 1, within
+    eps_fp at every step.  The store bounds itself to under 3 MiB."""
     import rsbounds.certify1d as c1
     import rsbounds.norms as norms
 
@@ -307,17 +334,12 @@ def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch):
             calls.append((name, seg, N, decide is not None))
             return real(seg, N, decide, **memo)
         monkeypatch.setattr(c1, name, spy)
-    ffts, held = [], []
+    ffts = []
     monkeypatch.setattr(norms, 'half_spectrum', lambda seg, N,
-                        real=norms.half_spectrum: ffts.append(N) or
+                        real=norms.half_spectrum: ffts.append(seg) or
                         real(seg, N))
-    def split(store, n, N, real=norms.PrefixSpectra.split):
-        R = real(store, n, N)
-        held.append(len(store))
-        return R
-    monkeypatch.setattr(norms.PrefixSpectra, 'split', split)
-    for kind, sup_ns, expected_ffts in (('midrange', (3, 11), 405),
-                                        ('upper', (), 21)):
+    visits, held = split_visits
+    for kind, sup_ns in (('midrange', (3, 11)), ('upper', ())):
         calls.clear()
         ffts.clear()
         held.clear()
@@ -327,32 +349,25 @@ def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch):
              for r in records]
             + [('sup_norm_sq', Segment(0, n), c1._REFINE_CAP, True)
                for n in sup_ns])
-        assert len(ffts) == expected_ffts
-        assert max(ffts) <= 1 << 14
-        assert held and max(held) <= 8
+        assert set(ffts) == {Segment(0, n) for n in sup_ns}
+        assert len(held) >= len(records) and max(held) <= 3 << 20
+    assert_split_bound_holds(visits)
 
 
-def test_brute_onedim_one_fft_per_n(monkeypatch):
-    """The sweep reads each n's sup objective as a split entry, built from
-    the FFTs of its half prefixes on half the grid; consecutive n share
-    one half, so the benchmark's sweep takes about one FFT per n, half
-    the 2,055 that whole-prefix FFTs take, none above 2^14, and its store
-    holds at most six entries."""
+def test_brute_onedim_takes_no_fft(monkeypatch, split_visits):
+    """The sweep reads each n's sup objective as a split entry, built by
+    the radix-2 recursion from the exact prefixes 0 and 1: the
+    benchmark's sweep settles as with FFTs and takes none, every step of
+    the recursion is within eps_fp, and its store stays under 2.5 MiB."""
     import rsbounds.norms as norms
 
-    ffts, held = [], []
-    monkeypatch.setattr(norms, 'half_spectrum', lambda seg, N,
-                        real=norms.half_spectrum: ffts.append(N) or
-                        real(seg, N))
-    def split(store, n, N, real=norms.PrefixSpectra.split):
-        R = real(store, n, N)
-        held.append(len(store))
-        return R
-    monkeypatch.setattr(norms.PrefixSpectra, 'split', split)
+    monkeypatch.setattr(norms, 'half_spectrum', lambda seg, N: pytest.fail(
+        f'FFT of {seg} on grid {N}'))
     report = brute_onedim(2048, 1 << 15)
     assert report.ok and report.unsettled == [43, 171, 683]
-    assert len(ffts) == 1043 and max(ffts) <= 1 << 14
-    assert max(held) <= 6
+    visits, held = split_visits
+    assert len(held) >= 2048 and max(held) <= 5 << 19
+    assert_split_bound_holds(visits)
 
 
 def test_check_smallk_L_bound_implies_sup_bound(smallk_records):

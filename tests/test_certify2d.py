@@ -145,8 +145,8 @@ def test_g_int_shared_spectra_match_fresh():
                 == g_int(r, s, N, store=PrefixSpectra()) == g_int(r, s, N)
     # g_int(9, 9, 2^12) takes level 0 on oversampled_grid(18) = 2^11, from
     # the spectra of the halves 5 and 4 of the prefix 9 on its w-grid 2^10,
-    # which it reads as plain rfft entries.
-    assert len(store) == len(store._rfft)
+    # which it reads as plain rfft entries, and no split entry.
+    assert not store._split
     assert (5, 1 << 10) in store._rfft and (4, 1 << 10) in store._rfft
 
 

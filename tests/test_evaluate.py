@@ -8,6 +8,7 @@ from rsbounds.evaluate import (UNIT_ROUNDOFF, DomainError, eps_direct, eps_fp,
                                eps_radix2, eval_point, eval_point_root,
                                eval_PQ, eval_roots, half_spectrum,
                                radix2_step, twiddles)
+from rsbounds.norms import PrefixSpectra
 from rsbounds.sequence import CapacityError, Segment, coeff_range
 
 
@@ -318,17 +319,9 @@ def test_direct_error_model_against_mpmath():
     assert worst < 0.25
 
 
-def split_spectrum(n, M):
-    """radix2_step's half spectrum of the prefix n on M, from the FFTs of
-    its half prefixes on M/2."""
-    return radix2_step(half_spectrum(Segment(0, (n + 1) // 2), M // 2),
-                       half_spectrum(Segment(0, n // 2), M // 2),
-                       twiddles(M))
-
-
 def test_radix2_step_error_bound_fits_eps_fp():
-    """The derived bound of the radix-2 step never exceeds eps_fp on the
-    grids the sweeps use, so every slack holds for split values."""
+    """The derived bound of the radix-2 step never exceeds eps_fp on any
+    grid M >= 4 n up to 2^24, so every slack holds for split values."""
     for n in range(1, (1 << 13) + 1):
         M = 1 << (4 * n - 1).bit_length()
         while M <= 1 << 24:
@@ -345,16 +338,19 @@ def test_radix2_step_preconditions():
     assert z[0] == 1 and z[-1] == 1j and not z.flags.writeable
     # M = 4: the prefixes 1 and 2, whose values sit on the axes alone.
     for n in (1, 2):
-        assert np.array_equal(split_spectrum(n, 4),
+        halves = (half_spectrum(Segment(0, h), 2) for h in ((n + 1) // 2,
+                                                            n // 2))
+        assert np.array_equal(radix2_step(*halves, twiddles(4)),
                               half_spectrum(Segment(0, n), 4))
 
 
 def test_radix2_error_model_against_mpmath():
-    """eps_radix2 must dominate the true error of the radix-2 step's
-    values by a wide margin, at the sweeps' production sizes (prefixes up
-    to 6400, the top of the small-k midrange, grids up to 2^16, each
-    case's argmax included); verified against 50-digit reference
-    evaluation."""
+    """eps_radix2 must dominate the true error of the values that the
+    radix-2 recursion of norms.PrefixSpectra.split builds from the exact
+    prefixes 0 and 1, by a wide margin, at the sweeps' production sizes
+    (prefixes up to 6400, the top of the small-k midrange, grids up to
+    2^16, each case's argmax included); verified against 50-digit
+    reference evaluation."""
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(29)
     cases = [(int(rng.integers(1, 220)), 1 << int(rng.integers(10, 13)), 4)
@@ -365,7 +361,7 @@ def test_radix2_error_model_against_mpmath():
     worst = 0.0
     with mp.workdps(50):
         for n, M, draws in cases:
-            spec = split_spectrum(n, M)
+            spec, _ = PrefixSpectra().split(n, M)
             coeffs = [int(c) for c in coeff_range(Segment(0, n))]
             js = [int(np.argmax(np.abs(spec)))]
             js += map(int, rng.integers(0, M // 2 + 1, draws))
