@@ -1,6 +1,7 @@
 """Evaluation of Rudin-Shapiro partial sums: single points, moduli on the
-grid of N-th roots of unity through a real FFT (half_spectrum), and the
-paired P_t/Q_t recursion.
+grid of N-th roots of unity through a real FFT (half_spectrum) or one
+radix-2 step from the segment's halves (radix2_step), and the paired
+P_t/Q_t recursion.
 
 One core evaluates a segment at a single point by the P/Q recursion over
 the blocks of block_decompose, in whatever numbers the powers z^e come in:
@@ -19,12 +20,17 @@ size N carries an absolute per-value error of at most
 C_FFT = 8 is validated against 50-digit reference evaluation of
 half_spectrum, up to the production sizes N = 2^24 and L = 4096 (see
 tests); the observed FFT error is far smaller.  All enclosures widen by
-slack derived from this bound.  radix2_step builds a prefix's half spectrum
-on N from those of its two half prefixes on N/2, one butterfly per value;
-inputs within eps_fp on N/2 give values within eps_radix2(n, N) <=
-eps_fp(n, N).  Applied recursively from the prefixes 0 and 1, whose values
-are exact, it gives every prefix's values within eps_fp by induction, with
-no FFT: the bound is then derived, not validated (norms.PrefixSpectra).
+slack derived from this bound.  radix2_step builds the half spectrum of a
+segment [m, n) on N from those of its halves [ceil(m/2), ceil(n/2)) and
+[floor(m/2), floor(n/2)) on N/2, one butterfly per value, with a sign and
+a conjugate set by m mod 4; inputs within eps_fp on N/2 give values within
+eps_radix2(L, N) <= eps_fp(L, N).  Applied recursively from the segments
+of length at most 1, whose values are exact, it gives every value within
+eps_fp by induction, with no FFT: the bound is then derived, not validated
+(norms.segment_spectra, norms.PrefixSpectra).  Its top step can return
+|R|^2 alone, bit for bit np.abs(R) ** 2, for objectives that read only
+the power, so the top grid's complex values are never held.  Only g's
+rfft entries and ``eval --grid`` still read half_spectrum.
 """
 
 from __future__ import annotations
@@ -208,83 +214,147 @@ def half_spectrum(seg: Segment, N: int) -> np.ndarray:
     return np.fft.rfft(coeff_range(seg), n=N)
 
 
-def radix2_step(RA: np.ndarray, RB: np.ndarray,
-                z: np.ndarray) -> np.ndarray:
-    """The half spectrum on the M-grid of the prefix n from the half
-    spectra RA and RB (half_spectrum) of its half prefixes ceil(n/2) and
-    floor(n/2) on the M/2-grid, M = 4 (len(RA) - 1) a power of two >= 4,
-    with the table z = twiddles(M) of the z_k below.
+_CHUNK = 1 << 14    # butterflies per pass of radix2_step
 
-    The doubling rule gives P(z) = A(w) + z B(-w) with w = z^2 (norms), so
-    with z_k = exp(2 pi i k / M), k = 0 .. M/4, and t_k = conj(z_k
-    RB[M/4 - k]) (RB[M/4 - k] = B(-w_k), by the conjugate symmetry of the
-    M/2-grid),
 
-        R[k] = RA[k] + t_k,    R[M/2 - k] = conj(RA[k] - t_k),
+def radix2_step(RA: np.ndarray, RB: np.ndarray, z: np.ndarray,
+                m: int = 0, power: bool = False) -> np.ndarray:
+    """The half spectrum on the M-grid of a segment [m, n) from the half
+    spectra RA and RB (half_spectrum) of its halves A = [ceil(m/2),
+    ceil(n/2)) and B = [floor(m/2), floor(n/2)) on the M/2-grid,
+    M = 4 (len(RA) - 1) a power of two >= 4.  z is the table twiddles(M)
+    of the z_k below, or, for M >= 8, the table twiddles(M/2), which holds
+    the z_k of even k (z_{2j} on M is z_j on M/2, bit for bit): the odd
+    ones are then taken a chunk at a time, so no table of M is held.  With
+    ``power`` only |R|^2 is returned.
 
-    the values conj P(z_k) and P(-z_k) that half_spectrum of the prefix
-    gives.  The error bound is eps_radix2.
+    With P~(z) = z^-m P(z) and likewise A~, B~ (the untwisted values
+    half_spectrum gives), the doubling rule P(z) = A(w) + z B(-w), w = z^2
+    (norms), reads, with sigma = (-1)^floor(m/2),
+
+        m even:  P~(z) = A~(w) + sigma z B~(-w),
+        m odd:   P~(z) = z A~(w) + sigma B~(-w).
+
+    With z_k = exp(2 pi i k / M), k = 0 .. q = M/4, and RB[q - k] =
+    B~(-w_k) (the conjugate symmetry of the M/2-grid),
+
+        R[k] = X + Y,    R[M/2 - k] = conj(X - Y),
+
+    X = RA[k] and Y = sigma conj(z_k RB[q - k]) for m even, and
+    X = sigma conj(RB[q - k]) and Y = conj(z_k) RA[k] for m odd: the
+    values conj P~(z_k) and P~(-z_k) that half_spectrum of the segment
+    gives.  R[q] is written twice, last as conj(X - Y); the power takes
+    |X + Y|^2 and |X - Y|^2 in the same order, so it is bit for bit
+    np.abs(R) ** 2.  The butterflies run over chunks of k, so no
+    temporary spans the grid.  m = 0 is the step of a prefix from its
+    half prefixes.  The error bound is eps_radix2.
     """
     q = len(RA) - 1
-    if q < 1 or q & (q - 1) or not len(RB) == len(z) == q + 1:
+    half = q > 1 and len(z) == q // 2 + 1     # the table of M/2
+    if (q < 1 or q & (q - 1) or len(RB) != q + 1
+            or not (half or len(z) == q + 1)):
         raise ValueError(f"half spectra and twiddles of lengths {len(RA)}, "
-                         f"{len(RB)}, {len(z)} are not all M/4 + 1 for a "
-                         "power of two M >= 4")
-    t = z * RB[::-1]
-    np.conjugate(t, out=t)
-    R = np.empty(2 * q + 1, dtype=complex)
-    np.add(RA, t, out=R[:q + 1])
-    top = R[q:][::-1]                      # top[k] is R[M/2 - k]
-    np.subtract(RA, t, out=top)
-    np.conjugate(top, out=top)
+                         f"{len(RB)}, {len(z)} are not M/4 + 1, M/4 + 1 and "
+                         "M/4 + 1 or M/8 + 1 for a power of two M >= 4")
+    R = np.empty(2 * q + 1, dtype=float if power else complex)
+    for k0 in range(0, q + 1, _CHUNK):
+        k1 = min(k0 + _CHUNK, q + 1)
+        if half:                               # k0 is even
+            zk = np.empty(k1 - k0, dtype=complex)
+            zk[::2] = z[k0 // 2:(k1 + 1) // 2]
+            zk[1::2] = _twiddles_at(np.arange(k0 + 1, k1, 2), 4 * q)
+        else:
+            zk = z[k0:k1]
+        rb = RB[q - k0::-1][:k1 - k0]          # rb[i] is RB[q - k0 - i]
+        if m & 1:
+            x = np.conjugate(rb)
+            y = np.conjugate(zk) * RA[k0:k1]
+            signed = x
+        else:
+            x = RA[k0:k1]
+            y = zk * rb
+            np.conjugate(y, out=y)
+            signed = y
+        if m & 2:                              # sigma = -1
+            np.negative(signed, out=signed)
+        low = R[k0:k1]                         # R[k]
+        high = R[2 * q - k0:2 * q - k1:-1]     # R[M/2 - k]
+        if power:
+            # np.abs on contiguous values, as np.abs(R) takes them: its
+            # strided loop can round the last bit differently.
+            np.square(np.abs(x + y), out=low)
+            np.square(np.abs(x - y), out=high)
+        else:
+            np.add(x, y, out=low)
+            np.subtract(x, y, out=high)
+            np.conjugate(high, out=high)
     return R
 
 
+def _twiddles_at(k: np.ndarray, M: int) -> np.ndarray:
+    """z_k = exp(2 pi i k / M) at the integer indices k, each taken at the
+    exact index: within 8u, as the phases of eval_roots.  A value depends
+    on k and M alone, not on the other indices asked with it."""
+    theta = k * (2.0 * math.pi / M)
+    z = np.empty(len(theta), dtype=complex)
+    z.real = np.cos(theta)
+    z.imag = np.sin(theta)
+    return z
+
+
 def twiddles(M: int) -> np.ndarray:
-    """z_k = exp(2 pi i k / M) for k = 0 .. M/4, read-only, each taken at
-    the exact index k: within 8u, as the phases of eval_roots, and exact
-    on the axes."""
-    theta = np.arange(M // 4 + 1) * (2.0 * math.pi / M)
-    z = np.cos(theta) + 1j * np.sin(theta)
+    """z_k = exp(2 pi i k / M) for k = 0 .. M/4, M >= 4, read-only
+    (_twiddles_at), with z_{M/4} exactly i.  The table of M/2^j is the
+    table of M at the stride 2^j, bit for bit: the index k 2^j times
+    2 pi / M rounds as k times 2 pi / (M / 2^j)."""
+    z = _twiddles_at(np.arange(M // 4 + 1), M)
     z[-1] = 1j
     z.flags.writeable = False
     return z
 
 
-def eps_radix2(n: int, M: int) -> float:
-    """Per-value absolute error bound of radix2_step for the prefix n on
-    the M-grid, given inputs within eps_fp of their halves on M/2.
+def eps_radix2(length: int, M: int) -> float:
+    """Per-value absolute error bound of radix2_step for a segment of the
+    given length L on the M-grid, given inputs within eps_fp of their
+    halves on M/2.
 
-    Write a = ceil(n/2), b = floor(n/2), e_A = eps_fp(a, M/2) and
-    e_B = eps_fp(b, M/2); the true |RA| <= a and |RB| <= b.  The twiddle
-    errs by at most 8u (eps_direct), so |z RB - true| <= e_B + 8u (b + e_B)
-    before the product, and the complex product adds at most
-    sqrt(2) gamma_2 (1 + 8u)(b + e_B), gamma_2 = 2u / (1 - 2u) (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, Lemma 3.5); the
-    conjugate is exact.  That bounds t's error e_t.  The sum or difference
-    with RA rounds each component to within u of its modulus, at most
-    n + e_A + e_t.  To first order the bound is
+    Whatever the parity of m, one half enters untwiddled and has length
+    a = ceil(L/2), and the other is multiplied by a twiddle (z_k, or its
+    conjugate for m odd) and has length b = floor(L/2): for m even A has
+    ceil(n/2) - m/2 = ceil(L/2) terms and B floor(L/2), for m odd B has
+    floor(n/2) - (m - 1)/2 = ceil(L/2) and A floor(L/2).  The sign sigma
+    and the conjugates are exact.  Write e_A = eps_fp(a, M/2) and
+    e_B = eps_fp(b, M/2); the true moduli are at most a and b.  The
+    twiddle errs by at most 8u (eps_direct), so the twiddled value is
+    within e_B + 8u (b + e_B) before the product, and the complex product
+    adds at most sqrt(2) gamma_2 (1 + 8u)(b + e_B), gamma_2 = 2u / (1 - 2u)
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, Lemma 3.5).
+    That bounds the twiddled term's error e_t.  The sum or difference
+    rounds each component to within u of its modulus, at most
+    L + e_A + e_t.  To first order the bound is
 
-        e_A + e_B + (8 + 2 sqrt(2)) u b + u n,
+        e_A + e_B + (8 + 2 sqrt(2)) u b + u L,
 
-    and e_A + e_B = 8 u n (log2 M - 1) = eps_fp(n, M) - 8 u n, while
-    (8 + 2 sqrt(2)) u b + u n <= 6.5 u n; the remaining 1.5 u n holds the
-    second-order terms, so eps_radix2(n, M) <= eps_fp(n, M) (see tests).
+    and e_A + e_B = 8 u L (log2 M - 1) = eps_fp(L, M) - 8 u L, while
+    (8 + 2 sqrt(2)) u b + u L <= 6.5 u L; the remaining 1.5 u L holds the
+    second-order terms, so eps_radix2(L, M) <= eps_fp(L, M) (see tests).
+    The power-only step squares these same values, and abs_sq_slack
+    bounds |R|^2 from their error.
 
-    So the bound carries through the recursion that builds every half
-    spectrum of a prefix this way, down to the prefixes 0 and 1, whose
-    values 0 and 1 are exact: if each step's inputs are within eps_fp on
-    M/2, its values are within eps_radix2(n, M) <= eps_fp(n, M), the
+    So the bound carries through the recursion that builds a segment's
+    half spectrum this way, down to segments of length at most 1, whose
+    values a_m and 0 are exact: if each step's inputs are within eps_fp
+    on M/2, its values are within eps_radix2(L, M) <= eps_fp(L, M), the
     premise of the next step up.  The tests check that inequality at every
-    step the sweeps take.
+    step the sweeps, Montgomery's grid check, dense and certify-f2 take.
     """
     u = UNIT_ROUNDOFF
-    a, b = (n + 1) // 2, n // 2
+    a, b = (length + 1) // 2, length // 2
     e_b = eps_fp(b, M // 2)
     e_t = e_b + (8 * u + math.sqrt(2.0) * 2 * u / (1 - 2 * u)
                  * (1 + 8 * u)) * (b + e_b)
     e = eps_fp(a, M // 2) + e_t
-    return e + u * (n + e)
+    return e + u * (length + e)
 
 
 def eval_PQ(t: int, z: complex) -> tuple[complex, complex]:

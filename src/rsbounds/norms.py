@@ -19,7 +19,7 @@ with A = P over [ceil(m/2), ceil(n/2)) and B = P over [floor(m/2),
 floor(n/2)) (the even index 2s lies in [m, n) iff s lies in A's range, the
 odd index 2s + 1 iff s lies in B's).  Then P(-z) = A(w) - z B(-w).  The
 z_j of the N-grid square to the w_j of the N/2-grid, so an objective that
-is a function of w is enclosed from its maximum on the N/2-grid.  Each FFT
+is a function of w is enclosed from its maximum on the N/2-grid.  Each grid
 value of a half X errs by at most eps_fp(|X|, N/2).
 
 The L objective.  On the circle the cross terms cancel:
@@ -33,19 +33,24 @@ or smaller than for the z-objective of degree L - 1.  G's values carry the
 slack abs_sq_slack(|A|, N/2) + abs_sq_slack(|B|, N/2), half or less of the
 z-objective's 2 abs_sq_slack(L, N).
 
-A prefix from its half prefixes.  For the prefix [0, n), A and B are the
-prefixes ceil(n/2) and floor(n/2), so the N-grid values conj P(z_j) and
-P(-z_j) follow from the N/2-grid values of A and B by one butterfly with
-the twiddle z_j (evaluate.radix2_step), and theirs from their own halves
-on N/4, down to the prefixes 0 and 1, whose values are exact.  By
-induction each value errs by at most eps_radix2(n, N) <= eps_fp(n, N), so
+A segment from its halves.  With the untwisted values P~(z) = z^-m P(z)
+that a half spectrum holds, the split reads P~(z) = A~(w) + sigma z B~(-w)
+for m even and z A~(w) + sigma B~(-w) for m odd, sigma = (-1)^floor(m/2).
+So the N-grid values conj P~(z_j) and P~(-z_j) follow from the N/2-grid
+values of A and B by one butterfly with the twiddle z_j
+(evaluate.radix2_step), and theirs from their own halves on N/4, down to
+segments of length at most 1, whose values a_m and 0 are exact.  By
+induction each value errs by at most eps_radix2(L, N) <= eps_fp(L, N), so
 every slack below holds for it unchanged, with no FFT and no validated
-constant.  PrefixSpectra stores both kinds of prefix spectra by (prefix,
-grid): rfft entries, one FFT each, which g_int reads with their power,
-and split entries, built by that recursion, which sup_norm_sq and
-L_norm_sq read when given a store.  The sweeps of certify1d read split
-entries of rising prefixes, so consecutive n share their halves on every
-grid.
+constant.  segment_spectra builds any segments this way, level by level,
+holding at most two levels at a time; for the sup and L objectives its top
+step computes |R|^2 alone.  Every sup and L objective reads it, except
+the prefixes that a PrefixSpectra store serves.  PrefixSpectra stores two
+kinds of prefix spectra by (prefix, grid): split entries, built by the
+same recursion, which sup_norm_sq and L_norm_sq read when given a store,
+and rfft entries, one FFT each, which g_int reads with their power.  The
+sweeps of certify1d read split entries of rising prefixes, so consecutive
+n share their halves on every grid.
 
 The g objective.  Write a = A_r(w), b = B_r(-w) for the halves of the
 prefix r and c = A_s(w), d = B_s(-w) for those of the prefix s.  Then
@@ -69,7 +74,7 @@ e_b e_c), the first-order error of the cross term.
 
 Coarse to fine.  sup_norm_sq, L_norm_sq and g_int need M, the maximum
 over the N-grid, not the other N - 1 values.  One routine (_grid_sup)
-takes F on a coarse grid by FFT and refines only the arcs that can hold
+takes F on a whole coarse grid and refines only the arcs that can hold
 the N-grid maximum, by direct evaluation at exact phases.  Szego's
 inequality, F'^2 <= D^2 F (U - F) for any U >= sup F, bounds how far F can
 fall near the maximum; for g it holds through the family member that
@@ -94,7 +99,8 @@ import numpy as np
 from .dyadic import DyadicPoint
 from .evaluate import (abs_sq_slack, eps_fp, eval_roots, half_spectrum,
                        radix2_step, twiddles)
-from .sequence import Segment, even_odd_split
+from .sequence import (DEFAULT_MAX_RANGE, CapacityError, Segment, check_range,
+                       coeff, even_odd_split)
 
 
 @dataclass(frozen=True)
@@ -196,12 +202,15 @@ def _sqrt_sum_le(q: float | Fraction, beta: float | Fraction,
 def _spectral_values(segs: list[Segment], N: int, cross,
                      lookup) -> np.ndarray:
     """F at x_j, j = 0 .. N/2, from one half spectrum R per segment and its
-    power |R|^2 (a prefix's both read from ``lookup(n, N)`` if given, a
-    PrefixSpectra lookup): a segment at an even position is read at x,
-    with the value v = R[j] = conj P(x_j), one at an odd position at -x,
-    with the value w = R[N/2 - j] = P(-x_j)."""
-    v = [_power(half_spectrum(seg, N)) if lookup is None or seg.m
-         else lookup(seg.n, N) for seg in segs]
+    power |R|^2: read from ``lookup(n, N)``, a PrefixSpectra lookup, if
+    given and every segment is a prefix, else built by segment_spectra,
+    with R only where ``cross`` reads it.  A segment at an even position
+    is read at x, with the value v = R[j] = conj P(x_j), one at an odd
+    position at -x, with the value w = R[N/2 - j] = P(-x_j)."""
+    if lookup is None or any(seg.m for seg in segs):
+        v = segment_spectra(segs, N, power=cross is None)
+    else:
+        v = [lookup(seg.n, N) for seg in segs]
     F = None
     for i, (R, a) in enumerate(v):
         # |w|^2 as reversed |v|^2: np.abs of a reversed view may round apart.
@@ -211,6 +220,84 @@ def _spectral_values(segs: list[Segment], N: int, cross,
         # Not in place: F may be a memoized power.
         F = F + cross([R[::-1] if i % 2 else R for i, (R, _) in enumerate(v)])
     return F
+
+
+def segment_spectra(segs: list[Segment], N: int,
+                    power: bool = False) -> list[tuple]:
+    """(R, |R|^2) for each segment, R its half spectrum on the N-grid (the
+    values conj P~(z_j), j = 0 .. N/2, that half_spectrum gives), built by
+    the radix-2 recursion with no FFT; with ``power`` the pairs are
+    (None, |R|^2), and the top step computes the power alone.
+
+    The recursion runs up the levels of _levels: the segments of length at
+    most 1 have the exact values a_m, or 0 if empty, and every longer one
+    is built from its halves one level down by evaluate.radix2_step.  A
+    level is freed once the one above it is built.  A level holds few
+    segments (the ends of those on level j lie within one of m / 2^j and
+    n / 2^j), so a segment costs O(N) butterflies.  By induction from the
+    exact base each value is within eps_radix2(L, N) <= eps_fp(L, N)
+    (evaluate), so every slack holds for it.  One table of the N/2-grid
+    gives every twiddle below the top, at the stride of each grid, and the
+    even ones of the top step, which takes the odd ones a chunk at a time:
+    no table of the N-grid is held.  Grids above DEFAULT_MAX_RANGE and
+    indices past 2^64 - 1 are refused with CapacityError, as half_spectrum
+    and coeff_range refuse them.
+    """
+    if N > DEFAULT_MAX_RANGE:
+        raise CapacityError(f"grid size {N} exceeds limit {DEFAULT_MAX_RANGE}")
+    for seg in segs:
+        check_range(seg)
+    levels = _levels(segs, N)
+    # One table: the grid N/2's, read at a stride below it and for the
+    # even twiddles of the top step; N = 4's own for a top step on 4.
+    table = twiddles(max(N // 2, 4))
+    values: dict = {}
+    for depth in range(len(levels) - 1, -1, -1):
+        M, level = levels[depth]
+        z = table[::1 << max(depth - 1, 0)]
+        values = {seg: _segment_values(seg, halves, M, values, z,
+                                       power and not depth)
+                  for seg, halves in level.items()}
+    return [(None, values[seg]) if power else _power(values[seg])
+            for seg in segs]
+
+
+def _levels(segs: list[Segment], N: int) -> list[tuple[int, dict]]:
+    """[(M, {segment: its halves, or None})] of the radix-2 recursion, from
+    the distinct ``segs`` on the N-grid down: the halves (even_odd_split)
+    of each segment of length at least 2 are the segments of the next
+    level, on half the grid, and the last level has none that long."""
+    if N < 2 or N & (N - 1):
+        raise ValueError(f"grid size {N} is not a power of two >= 2")
+    levels, level = [], dict.fromkeys(segs)
+    while True:
+        for seg in level:
+            if seg.length > 1:
+                level[seg] = even_odd_split(seg)
+        levels.append((N, level))
+        below = [half for halves in level.values() if halves
+                 for half in halves]
+        if not below:
+            return levels
+        if N < 4:
+            raise ValueError(f"grid size {levels[0][0]} is too small for a "
+                             f"segment of length "
+                             f"{max(seg.length for seg in segs)}")
+        N, level = N // 2, dict.fromkeys(below)
+
+
+def _segment_values(seg: Segment, halves, M: int, below: dict, z,
+                    power: bool) -> np.ndarray:
+    """The half spectrum of seg on the M-grid, or its power: exact for a
+    segment of length at most 1 (``halves`` None), else one radix2_step
+    from the values of its ``halves`` in ``below``, with the twiddle table
+    z."""
+    if halves is None:
+        a = coeff(seg.m) if seg.length else 0
+        return np.full(M // 2 + 1, a * a if power else a,
+                       dtype=float if power else complex)
+    A, B = halves
+    return radix2_step(below[A], below[B], z, seg.m, power)
 
 
 def _power(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,7 +331,8 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, slack, cross=None,
     which the N_l-grid of z covers twice.  N must be a power of two at
     least 4 L, L the length in z: the segment's, or with ``half`` the
     largest |A| + |B| over its pairs of halves (max(r, s) for g); and the
-    grid of F must lie above pi D.  Any other N is refused before any FFT.
+    grid of F must lie above pi D.  Any other N is refused before any
+    spectrum is built.
 
     F is even, so indices are folded into [0, p/2], p the grid of F.
     Level 0 takes F on the whole grid N_0 = oversampled_grid(n, N), n the
@@ -267,9 +355,9 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, slack, cross=None,
     grid's argmax, and the point nearest the maximizer, which makes
     [lo, U] an enclosure on every level.  Direct values err by at most
     eps_direct(L) <= eps_fp(L, N_l) (N_l >= 4 L), so s holds for them.
-    The next level is taken whole, by FFT, when lo < U/2, when it would
-    cost more direct work than the N_0 FFT (points times n above the N_0
-    FFT's grid), or when its grid is no larger than N_0.
+    The next level is taken whole, when lo < U/2, when it would cost more
+    direct work than the N_0 spectrum (points times n above the N_0 grid),
+    or when its grid is no larger than N_0.
 
     Without ``decide`` the result is the N-grid enclosure.  With it, the
     monotone decision ``decide(enc)`` (True: holds, False: refuted, None:
@@ -329,7 +417,8 @@ def sup_norm_sq(seg: Segment, N: int, decide=None,
                 store: PrefixSpectra | None = None) -> Enclosure:
     """Enclosure of the squared sup-norm of the segment on the unit circle,
     settling ``decide`` if given (see _grid_sup).  A prefix's spectra are
-    read as split entries of ``store``, if given."""
+    read as split entries of ``store``, if given; all others are built by
+    segment_spectra."""
     return _grid_sup([seg], N, seg.length - 1,
                      lambda M: abs_sq_slack(seg.length, M), decide=decide,
                      lookup=None if store is None else store.split)
@@ -341,7 +430,8 @@ def L_norm_sq(seg: Segment, N: int, decide=None,
     ``decide`` if given (see _grid_sup): twice that of |A(w)|^2 + |B(-w)|^2
     for the halves A and B of the even/odd split (module docstring), on
     the half grid.  The halves of a prefix are prefixes too, read as split
-    entries of ``store``, if given.
+    entries of ``store``, if given; all others are built by
+    segment_spectra.
     """
     A, B = even_odd_split(seg)
     return _grid_sup(
@@ -471,13 +561,15 @@ def g_int(r: int, s: int, N: int, decide=None,
     twice H(w) of the halves of the prefixes r and s (module docstring),
     maximized over the half grid, settling ``decide`` if given (see
     _grid_sup).  The halves' spectra, which are prefix spectra, are
-    read as rfft entries of ``store`` if given; a caller that encloses many
-    corners passes one store to share them, and gets the same enclosures
-    as without it.  An empty prefix adds exact zeros, so g(0, s) is the L
-    objective.
+    read as rfft entries of ``store``, or of a fresh store if none is
+    given; a caller that encloses many corners passes one store to share
+    them, and gets the same enclosures as without it.  An empty prefix
+    adds exact zeros, so g(0, s) is the L objective.
     """
     if r < 0 or s < 0:
         raise ValueError("g_int needs non-negative integer arguments")
+    if store is None:
+        store = PrefixSpectra()
     halves = even_odd_split(Segment(0, r)) + even_odd_split(Segment(0, s))
     a, b, c, d = (h.length for h in halves)
 
@@ -488,8 +580,7 @@ def g_int(r: int, s: int, N: int, decide=None,
                          + c * eb + b * ec + eb * ec))
 
     return _grid_sup(list(halves), N, max(_spread(a, d), _spread(c, b)),
-                     slack, _g_half_cross, decide,
-                     None if store is None else store.rfft, half=True)
+                     slack, _g_half_cross, decide, store.rfft, half=True)
 
 
 def _spread(p: int, q: int) -> int:

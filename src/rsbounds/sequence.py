@@ -58,13 +58,19 @@ def coeff(n: int) -> int:
     return 1 - 2 * ((n & (n >> 1)).bit_count() & 1)
 
 
-def coeff_range(seg: Segment) -> np.ndarray:
-    """Signs (a_m, ..., a_{n-1}) as an int8 vector; indices below 2^64."""
+def check_range(seg: Segment) -> None:
+    """Refuse, with CapacityError, a range longer than DEFAULT_MAX_RANGE or
+    with an index past 2^64 - 1: the limits of every grid evaluation."""
     if seg.length > DEFAULT_MAX_RANGE:
         raise CapacityError(f"range of {seg.length} coefficients exceeds "
                             f"limit {DEFAULT_MAX_RANGE}")
     if seg.n > 1 << 64:
         raise CapacityError(f"index {seg.n - 1} exceeds the limit 2^64 - 1")
+
+
+def coeff_range(seg: Segment) -> np.ndarray:
+    """Signs (a_m, ..., a_{n-1}) as an int8 vector; indices below 2^64."""
+    check_range(seg)
     if seg.length == 0:
         return np.zeros(0, dtype=np.int8)
     idx = np.arange(seg.m, seg.n, dtype=np.uint64)

@@ -319,7 +319,8 @@ def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch,
     """Each pair makes exactly one L_norm_sq call, at the grid cap and
     with a decision: the grid policy lives in norms.  Only the two pairs
     whose L decision fails, (1, 3) and (3, 11), make a sup_norm_sq
-    decision, and only those take FFTs: they read no store.  The L
+    decision; they read no store, so theirs are the only spectra that
+    segment_spectra builds, and no FFT is taken at all.  The L
     objective of the prefix n is read from its half prefixes ceil(n/2)
     and floor(n/2) on the half grid, split entries of one store, built by
     the radix-2 recursion down to the exact prefixes 0 and 1, within
@@ -334,14 +335,15 @@ def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch,
             calls.append((name, seg, N, decide is not None))
             return real(seg, N, decide, **memo)
         monkeypatch.setattr(c1, name, spy)
-    ffts = []
-    monkeypatch.setattr(norms, 'half_spectrum', lambda seg, N,
-                        real=norms.half_spectrum: ffts.append(seg) or
-                        real(seg, N))
+    monkeypatch.setattr(norms, 'half_spectrum', lambda seg, N: pytest.fail(
+        f'FFT of {seg} on grid {N}'))
+    built, real = [], norms.segment_spectra
+    monkeypatch.setattr(norms, 'segment_spectra', lambda segs, N, **kw:
+                        built.extend(segs) or real(segs, N, **kw))
     visits, held = split_visits
     for kind, sup_ns in (('midrange', (3, 11)), ('upper', ())):
         calls.clear()
-        ffts.clear()
+        built.clear()
         held.clear()
         records, _ = check_smallk_L(kind)
         assert Counter(calls) == Counter(
@@ -349,7 +351,7 @@ def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch,
              for r in records]
             + [('sup_norm_sq', Segment(0, n), c1._REFINE_CAP, True)
                for n in sup_ns])
-        assert set(ffts) == {Segment(0, n) for n in sup_ns}
+        assert set(built) == {Segment(0, n) for n in sup_ns}
         assert len(held) >= len(records) and max(held) <= 3 << 20
     assert_split_bound_holds(visits)
 

@@ -8,7 +8,7 @@ from rsbounds.evaluate import (UNIT_ROUNDOFF, DomainError, eps_direct, eps_fp,
                                eps_radix2, eval_point, eval_point_root,
                                eval_PQ, eval_roots, half_spectrum,
                                radix2_step, twiddles)
-from rsbounds.norms import PrefixSpectra
+from rsbounds.norms import PrefixSpectra, segment_spectra
 from rsbounds.sequence import CapacityError, Segment, coeff_range
 
 
@@ -342,6 +342,79 @@ def test_radix2_step_preconditions():
                                                             n // 2))
         assert np.array_equal(radix2_step(*halves, twiddles(4)),
                               half_spectrum(Segment(0, n), 4))
+
+
+def _prefix_step(RA, RB, z):
+    """The radix-2 step as it was for prefixes alone: one pass over the
+    whole grid, no chunks."""
+    q = len(RA) - 1
+    t = z * RB[::-1]
+    np.conjugate(t, out=t)
+    R = np.empty(2 * q + 1, dtype=complex)
+    np.add(RA, t, out=R[:q + 1])
+    top = R[q:][::-1]
+    np.subtract(RA, t, out=top)
+    np.conjugate(top, out=top)
+    return R
+
+
+def test_radix2_step_at_m0_is_the_prefix_step_byte_for_byte():
+    """At m = 0 the segment step is the prefix step byte for byte, on
+    grids M = 4 .. 2^18 (up to 8 chunks), with the table of M or of M/2;
+    its power alone is np.abs(R) ** 2 byte for byte, at m = 0 and at
+    m = 4, the same step.  The table of M/2^j is that of M at the stride
+    2^j, byte for byte, up to M = 2^21."""
+    rng = np.random.default_rng(89)
+    for log2q in range(17):
+        q = 1 << log2q
+        RA, RB = (rng.normal(size=(q + 1, 2)) @ [1, 1j] for _ in range(2))
+        want = _prefix_step(RA, RB, twiddles(4 * q))
+        tables = [twiddles(4 * q)] + ([twiddles(2 * q)] if q > 1 else [])
+        for z in tables:
+            assert radix2_step(RA, RB, z).tobytes() == want.tobytes(), q
+            for m in (0, 4):
+                assert (radix2_step(RA, RB, z, m, power=True).tobytes()
+                        == (np.abs(want) ** 2).tobytes()), (q, m)
+    top = twiddles(1 << 21)
+    for j in range(20):
+        assert top[::1 << j].tobytes() == twiddles(1 << (21 - j)).tobytes()
+
+
+def test_segment_spectra_match_half_spectrum():
+    """Seeded property of the segment recursion (norms.segment_spectra,
+    radix2_step on every level): on 300 segments, m even and odd with both
+    signs of sigma = (-1)^floor(m/2), offsets up to 2^40, lengths up to 300
+    on grids 4 L to 16 L, every value is within eps_fp(L, N) of
+    half_spectrum's, and the power alone is |R|^2 byte for byte."""
+    rng = np.random.default_rng(83)
+    for i in range(300):
+        m = int(rng.integers(0, 1 << 40)) & ~3 | i % 4   # m mod 4 = i mod 4
+        L = int(rng.integers(1, 301))
+        N = 1 << int(rng.integers((4 * L - 1).bit_length(),
+                                  (16 * L - 1).bit_length() + 1))
+        seg = Segment(m, m + L)
+        ((R, P),) = segment_spectra([seg], N)
+        ((none, Q),) = segment_spectra([seg], N, power=True)
+        assert none is None and Q.tobytes() == P.tobytes(), (m, L, N)
+        err = np.max(np.abs(R - half_spectrum(seg, N)))
+        assert err <= eps_fp(L, N), (m, L, N, err)
+
+
+def test_segment_spectra_input_contract():
+    """segment_spectra refuses what half_spectrum refuses, with the same
+    errors: a grid above DEFAULT_MAX_RANGE and an index past 2^64 - 1
+    raise CapacityError, a grid that is not a power of two ValueError.  A
+    segment ending at 2^64 is accepted, its last index 2^64 - 1."""
+    for seg, N in ((Segment(0, 4), 1 << 27),
+                   (Segment((1 << 64) - 4, (1 << 64) + 1), 64)):
+        for build in (half_spectrum, lambda s, N: segment_spectra([s], N)):
+            with pytest.raises(CapacityError):
+                build(seg, N)
+    with pytest.raises(ValueError, match='not a power of two'):
+        segment_spectra([Segment(0, 4)], 24)
+    seg = Segment((1 << 64) - 5, 1 << 64)
+    ((R, _),) = segment_spectra([seg], 64)
+    assert np.max(np.abs(R - half_spectrum(seg, 64))) <= eps_fp(5, 64)
 
 
 def test_radix2_error_model_against_mpmath():

@@ -1,10 +1,14 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import rsbounds
 from rsbounds.evaluate import eval_PQ, eval_roots
 from rsbounds.experiments import (ExtremalPair, L_ratio_lower, critical_pair,
                                   dense_limit_empirical, extremal_values,
@@ -92,7 +96,7 @@ def test_montgomery_grid_ratio():
     """The grid check is the decision sup |V_k|^2 <= 9 4^k under the cap:
     at the sweep's caps 2^16 .. 2^22 it is refuted on its first grid,
     8 4^k = 2^(2k+3), with lo above 9 4^k and no lower than the lo of
-    the full enclosure at the cap (k <= 8; k = 9 would take a 2^22 FFT)."""
+    the full enclosure at the cap (k <= 8; k = 9 would build the 2^22 grid)."""
     for k in (6, 7, 8, 9):
         cap = 1 << max(16, 2 * k + 4)
         rep = montgomery_counterexample(k, N=cap)
@@ -106,9 +110,10 @@ def test_montgomery_grid_ratio():
 
 
 def test_montgomery_grid_check_peak_memory():
-    """The decision at the 2^22 cap settles on the 2^21 grid, and its FFT
-    pads inside pocketfft: at most 32 MB traced, where the full 2^22
-    enclosure with its own padded buffer traced 64 MB."""
+    """The decision at the 2^22 cap settles on the 2^21 grid, whose
+    spectrum the radix-2 recursion builds a level at a time, with a
+    power-only top step: at most 32 MB traced, where the full 2^22
+    enclosure by one FFT with its own padded buffer traced 64 MB."""
     montgomery_counterexample(9)            # imports and caches first
     tracemalloc.start()
     try:
@@ -118,6 +123,36 @@ def test_montgomery_grid_check_peak_memory():
         tracemalloc.stop()
     assert rep.grid_sup_ratio_lo > 9.0
     assert peak <= 32 << 20, peak
+
+
+def test_montgomery_grid_check_peak_rss_in_a_fresh_interpreter():
+    """The same decision raises a fresh interpreter's peak RSS by at most
+    40 MB over its own after the imports: the 2^21 grid is built by the
+    radix-2 recursion, not by a pocketfft transform, whose own buffers
+    tracemalloc does not see (53 MB above the interpreter's with them).
+    The peak is VmHWM, that of the interpreter's own memory map: a
+    spawned process's ru_maxrss starts at its parent's peak on Linux."""
+    src = os.path.dirname(os.path.dirname(rsbounds.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get('PYTHONPATH')])))
+    code = r'''
+import re
+from rsbounds.experiments import montgomery_counterexample
+
+def peak():
+    status = open('/proc/self/status').read()
+    return int(re.search(r'VmHWM:\s*(\d+) kB', status)[1])
+
+montgomery_counterexample(9)
+before = peak()
+rep = montgomery_counterexample(9, N=1 << 22)
+print(rep.N, rep.grid_sup_ratio_lo, (peak() - before) / 1024)
+'''
+    out = subprocess.run([sys.executable, '-c', code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    N, lo, rise_mb = int(out[0]), float(out[1]), float(out[2])
+    assert N == 1 << 21 and lo > 9.0
+    assert rise_mb <= 40.0, rise_mb
 
 
 def test_L_ratio_lower_examples():

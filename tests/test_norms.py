@@ -6,8 +6,10 @@ import pytest
 
 from rsbounds import norms
 from rsbounds.dyadic import DyadicPoint
-from rsbounds.evaluate import abs_sq_slack, eps_fp, half_spectrum
-from rsbounds.experiments import montgomery_counterexample
+from rsbounds.certify2d import certify_f2
+from rsbounds.evaluate import abs_sq_slack, eps_fp, eps_radix2, half_spectrum
+from rsbounds.experiments import (dense_limit_empirical,
+                                  montgomery_counterexample)
 from rsbounds.norms import (Enclosure, L_norm_sq, decision, f2_dyadic,
                             f_dyadic, g_dyadic, g_int, sup_norm_sq)
 from rsbounds.sequence import Segment, coeff_range, even_odd_split
@@ -97,14 +99,34 @@ def direct_calls(monkeypatch):
 
 
 @pytest.fixture
-def fft_sizes(monkeypatch):
-    """Record the grid of every FFT taken in norms (for the L and g
+def spectrum_grids(monkeypatch):
+    """Record the grid of every whole-grid spectrum built in norms, the top
+    grid of a segment_spectra call or the grid of an FFT (for the L and g
     objectives the w-grid, half the level's z-grid)."""
-    sizes = []
-    real = norms.half_spectrum
+    grids = []
+    fft, recursion = norms.half_spectrum, norms.segment_spectra
     monkeypatch.setattr(norms, 'half_spectrum',
-                        lambda seg, N: sizes.append(N) or real(seg, N))
-    return sizes
+                        lambda seg, N: grids.append(N) or fft(seg, N))
+    monkeypatch.setattr(norms, 'segment_spectra', lambda segs, N, **kw: (
+        grids.append(N) or recursion(segs, N, **kw)))
+    return grids
+
+
+@pytest.fixture
+def recursion_steps(monkeypatch):
+    """Record (L, M) of every radix2_step that segment_spectra takes: each
+    segment of length L >= 2 on a level of grid M of norms._levels."""
+    steps = []
+    real = norms._levels
+
+    def spy(segs, N):
+        levels = real(segs, N)
+        steps.extend((seg.length, M) for M, level in levels
+                     for seg, halves in level.items() if halves)
+        return levels
+
+    monkeypatch.setattr(norms, '_levels', spy)
+    return steps
 
 
 @pytest.fixture
@@ -180,6 +202,27 @@ def test_decision_settles_on_the_first_level_that_decides(level_grids):
     assert early >= 60
 
 
+def test_segment_recursion_bound_fits_eps_fp_at_every_step(recursion_steps):
+    """The induction behind the values of segment_spectra, at every step
+    that Montgomery's grid check (k <= 7, at the sweep's caps),
+    dense_limit_empirical(5, 8, 12) and certify_f2 at 2^14 take: segments
+    of length at most 1 are exact, and a step whose inputs err by at most
+    eps_fp on M/2 errs by at most eps_radix2(L, M), which must not exceed
+    eps_fp(L, M)."""
+    runs = [lambda: [montgomery_counterexample(k, N=1 << max(16, 2 * k + 4))
+                     for k in range(8)],
+            lambda: dense_limit_empirical(5, 8, 12),
+            lambda: certify_f2(1 << 14)]
+    for run in runs:
+        taken = len(recursion_steps)
+        run()
+        assert len(recursion_steps) > taken
+    # dense's top: [5 2^12, 8 2^12) on 16 times its length.
+    assert max(M for _, M in recursion_steps) == 1 << 18
+    for L, M in set(recursion_steps):
+        assert eps_radix2(L, M) <= eps_fp(L, M), (L, M)
+
+
 def test_coarse_to_fine_matches_full_grid(direct_calls):
     """Seeded property: on 300 segments (offsets up to 2^40, L log-uniform
     up to N / 128, N from 2^10 to 2^24; one in twenty above 2^20 to keep
@@ -226,13 +269,13 @@ def test_g_coarse_to_fine_matches_full_grid(direct_calls):
     assert refined >= 25
 
 
-def test_constant_objective_stops_at_level_0(direct_calls, fft_sizes):
+def test_constant_objective_stops_at_level_0(direct_calls, spectrum_grids):
     """L <= 2 paired (|P(z)|^2 + |P(-z)|^2 = 2L, of degree 0 in w = z^2)
     and L = 1 unpaired are constant, so their N-grid maximum is their
-    level-0 maximum: no FFT above the level-0 grid (its half, the w-grid,
-    for the paired objective) and no direct evaluation, and the enclosure
-    is the full grid's within s.  Lengths 0 to 2, odd offsets, and the
-    grid N = 4, whose w-grid has 2 points, need no special case."""
+    level-0 maximum: no spectrum above the level-0 grid (its half, the
+    w-grid, for the paired objective) and no direct evaluation, and the
+    enclosure is the full grid's within s.  Lengths 0 to 2, odd offsets,
+    and the grid N = 4, whose w-grid has 2 points, need no special case."""
     cases = [(Segment(0, 1), True), (Segment(0, 2), True),
              (Segment(1 << 40, (1 << 40) + 2), True), (Segment(7, 8), False),
              (Segment(5, 5), True), (Segment(3, 4), True),
@@ -241,11 +284,11 @@ def test_constant_objective_stops_at_level_0(direct_calls, fft_sizes):
         for N in (4, 1 << 12, 1 << 20):
             if N < 4 * seg.length:
                 continue
-            fft_sizes.clear()
+            spectrum_grids.clear()
             enc = (L_norm_sq if paired else sup_norm_sq)(seg, N)
             want, s = full_grid_enclosure(seg, N, paired)
             level0 = norms.oversampled_grid(seg.length, N)
-            assert max(fft_sizes) == (level0 // 2 if paired else level0)
+            assert max(spectrum_grids) == (level0 // 2 if paired else level0)
             assert abs(enc.lo - want.lo) <= s and abs(enc.hi - want.hi) <= s
             assert enc.contains(2.0 * seg.length if paired else 1.0)
             assert enc.N == N
@@ -413,12 +456,15 @@ def test_norm_preconditions():
 
 def test_grid_contract_is_checked_before_any_fft(monkeypatch):
     """A cap that is not a power of two, or a power of two below 4 times
-    the objective's length in z, is refused before any FFT, with and
+    the objective's length in z, is refused before any spectrum is built,
+    by FFT or by the recursion, with and
     without a decision, by an error that names the grid given.  A cap
     such as 1000 must not reach the level loop: there the step
     min(4, N // N_l) is 1 at N_l = 512, so the loop would never end."""
     monkeypatch.setattr(norms, 'half_spectrum',
                         lambda seg, N: pytest.fail(f'FFT on grid {N}'))
+    monkeypatch.setattr(norms, 'segment_spectra', lambda segs, N, **kw:
+                        pytest.fail(f'spectra of {segs} on grid {N}'))
     table = [(lambda N, d: sup_norm_sq(Segment(0, 10), N, d), 10),
              (lambda N, d: L_norm_sq(Segment(0, 10), N, d), 10),
              (lambda N, d: g_int(5, 7, N, d), 7)]
