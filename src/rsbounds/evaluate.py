@@ -302,14 +302,25 @@ def _twiddles_at(k: np.ndarray, M: int) -> np.ndarray:
     return z
 
 
+KEPT_TWIDDLES = 1 << 16     # twiddles keeps the tables of grids up to this
+_kept_tables: dict = {}     # M -> twiddles(M), M a power of two
+
+
 def twiddles(M: int) -> np.ndarray:
     """z_k = exp(2 pi i k / M) for k = 0 .. M/4, M >= 4, read-only
     (_twiddles_at), with z_{M/4} exactly i.  The table of M/2^j is the
     table of M at the stride 2^j, bit for bit: the index k 2^j times
-    2 pi / M rounds as k times 2 pi / (M / 2^j)."""
-    z = _twiddles_at(np.arange(M // 4 + 1), M)
-    z[-1] = 1j
-    z.flags.writeable = False
+    2 pi / M rounds as k times 2 pi / (M / 2^j).  The tables of the
+    power-of-two grids up to KEPT_TWIDDLES are built once and kept,
+    512 KiB for all of them: the objectives on small grids ask for the
+    same ones call after call."""
+    z = _kept_tables.get(M)
+    if z is None:
+        z = _twiddles_at(np.arange(M // 4 + 1), M)
+        z[-1] = 1j
+        z.flags.writeable = False
+        if M <= KEPT_TWIDDLES and not M & (M - 1):
+            _kept_tables[M] = z
     return z
 
 

@@ -43,14 +43,14 @@ segments of length at most 1, whose values a_m and 0 are exact.  By
 induction each value errs by at most eps_radix2(L, N) <= eps_fp(L, N), so
 every slack below holds for it unchanged, with no FFT and no validated
 constant.  segment_spectra builds any segments this way, level by level,
-holding at most two levels at a time; for the sup and L objectives its top
-step computes |R|^2 alone.  Every sup and L objective reads it, except
-the prefixes that a PrefixSpectra store serves.  PrefixSpectra stores two
-kinds of prefix spectra by (prefix, grid): split entries, built by the
-same recursion, which sup_norm_sq and L_norm_sq read when given a store,
-and rfft entries, one FFT each, which g_int reads with their power.  The
-sweeps of certify1d read split entries of rising prefixes, so consecutive
-n share their halves on every grid.
+holding at most two levels at a time, and its top step computes |R|^2
+alone, all that the sup and L objectives read.  Every sup and L objective
+reads it, except the prefixes that a PrefixSpectra store serves.
+PrefixSpectra stores two kinds of prefix spectra by (prefix, grid): split
+entries, built by the same recursion, which sup_norm_sq and L_norm_sq read
+when given a store, and rfft entries, one FFT each, which g_int reads with
+their power.  The sweeps of certify1d read split entries of rising
+prefixes, so consecutive n share their halves on every grid.
 
 The g objective.  Write a = A_r(w), b = B_r(-w) for the halves of the
 prefix r and c = A_s(w), d = B_s(-w) for those of the prefix s.  Then
@@ -97,10 +97,10 @@ from fractions import Fraction
 import numpy as np
 
 from .dyadic import DyadicPoint
-from .evaluate import (abs_sq_slack, eps_fp, eval_roots, half_spectrum,
-                       radix2_step, twiddles)
+from .evaluate import (KEPT_TWIDDLES, abs_sq_slack, eps_fp, eval_roots,
+                       half_spectrum, radix2_step, twiddles)
 from .sequence import (DEFAULT_MAX_RANGE, CapacityError, Segment, check_range,
-                       coeff, even_odd_split)
+                       coeff, even_odd_pairs, even_odd_split)
 
 
 @dataclass(frozen=True)
@@ -201,18 +201,20 @@ def _sqrt_sum_le(q: float | Fraction, beta: float | Fraction,
 
 def _spectral_values(segs: list[Segment], N: int, cross,
                      lookup) -> np.ndarray:
-    """F at x_j, j = 0 .. N/2, from one half spectrum R per segment and its
-    power |R|^2: read from ``lookup(n, N)``, a PrefixSpectra lookup, if
-    given and every segment is a prefix, else built by segment_spectra,
-    with R only where ``cross`` reads it.  A segment at an even position
-    is read at x, with the value v = R[j] = conj P(x_j), one at an odd
-    position at -x, with the value w = R[N/2 - j] = P(-x_j)."""
+    """F at x_j, j = 0 .. N/2, from the power |R|^2 of one half spectrum
+    R per segment: read with R from ``lookup(n, N)``, a PrefixSpectra
+    lookup, if given and every segment is a prefix, else built alone by
+    segment_spectra.  Only g has a ``cross`` term, which reads R, and g's
+    segments are prefixes that a store serves.  A segment at an even
+    position is read at x, with the value v = R[j] = conj P(x_j), one at
+    an odd position at -x, with the value w = R[N/2 - j] = P(-x_j)."""
     if lookup is None or any(seg.m for seg in segs):
-        v = segment_spectra(segs, N, power=cross is None)
+        v, powers = None, segment_spectra(segs, N)
     else:
         v = [lookup(seg.n, N) for seg in segs]
+        powers = [a for _, a in v]
     F = None
-    for i, (R, a) in enumerate(v):
+    for i, a in enumerate(powers):
         # |w|^2 as reversed |v|^2: np.abs of a reversed view may round apart.
         t = a[::-1] if i % 2 else a
         F = t if F is None else F + t
@@ -222,12 +224,11 @@ def _spectral_values(segs: list[Segment], N: int, cross,
     return F
 
 
-def segment_spectra(segs: list[Segment], N: int,
-                    power: bool = False) -> list[tuple]:
-    """(R, |R|^2) for each segment, R its half spectrum on the N-grid (the
+def segment_spectra(segs: list[Segment], N: int) -> list[np.ndarray]:
+    """|R|^2 for each segment, R its half spectrum on the N-grid (the
     values conj P~(z_j), j = 0 .. N/2, that half_spectrum gives), built by
-    the radix-2 recursion with no FFT; with ``power`` the pairs are
-    (None, |R|^2), and the top step computes the power alone.
+    the radix-2 recursion with no FFT.  The top step computes the power
+    alone, so R itself is never held.
 
     The recursion runs up the levels of _levels: the segments of length at
     most 1 have the exact values a_m, or 0 if empty, and every longer one
@@ -236,10 +237,12 @@ def segment_spectra(segs: list[Segment], N: int,
     segments (the ends of those on level j lie within one of m / 2^j and
     n / 2^j), so a segment costs O(N) butterflies.  By induction from the
     exact base each value is within eps_radix2(L, N) <= eps_fp(L, N)
-    (evaluate), so every slack holds for it.  One table of the N/2-grid
-    gives every twiddle below the top, at the stride of each grid, and the
-    even ones of the top step, which takes the odd ones a chunk at a time:
-    no table of the N-grid is held.  Grids above DEFAULT_MAX_RANGE and
+    (evaluate), so every slack holds for it, and abs_sq_slack(L, N) for
+    its power.  One twiddle table serves every level, at the stride of its
+    grid: the N-grid's, which twiddles keeps, up to KEPT_TWIDDLES, and
+    above it the N/2-grid's, which gives the even twiddles of the top
+    step; that step takes the odd ones a chunk at a time, so no table of
+    a large N-grid is held.  Grids above DEFAULT_MAX_RANGE and
     indices past 2^64 - 1 are refused with CapacityError, as half_spectrum
     and coeff_range refuse them.
     """
@@ -248,32 +251,30 @@ def segment_spectra(segs: list[Segment], N: int,
     for seg in segs:
         check_range(seg)
     levels = _levels(segs, N)
-    # One table: the grid N/2's, read at a stride below it and for the
-    # even twiddles of the top step; N = 4's own for a top step on 4.
-    table = twiddles(max(N // 2, 4))
+    T = N if N <= KEPT_TWIDDLES else N // 2    # the grid of the table
+    table = twiddles(max(T, 4))                # N = 2 takes no step
     values: dict = {}
     for depth in range(len(levels) - 1, -1, -1):
         M, level = levels[depth]
-        z = table[::1 << max(depth - 1, 0)]
-        values = {seg: _segment_values(seg, halves, M, values, z,
-                                       power and not depth)
-                  for seg, halves in level.items()}
-    return [(None, values[seg]) if power else _power(values[seg])
-            for seg in segs]
+        z = table[::max((T << depth) // N, 1)]
+        values = {mn: _segment_values(mn, halves, M, values, z, not depth)
+                  for mn, halves in level.items()}
+    return [values[seg.m, seg.n] for seg in segs]
 
 
 def _levels(segs: list[Segment], N: int) -> list[tuple[int, dict]]:
-    """[(M, {segment: its halves, or None})] of the radix-2 recursion, from
-    the distinct ``segs`` on the N-grid down: the halves (even_odd_split)
-    of each segment of length at least 2 are the segments of the next
-    level, on half the grid, and the last level has none that long."""
+    """[(M, {(m, n): its halves, or None})] of the radix-2 recursion, from
+    the distinct ``segs`` on the N-grid down, each segment [m, n) keyed by
+    the pair (m, n): the halves (even_odd_pairs) of each segment of length
+    at least 2 are the segments of the next level, on half the grid, and
+    the last level has none that long."""
     if N < 2 or N & (N - 1):
         raise ValueError(f"grid size {N} is not a power of two >= 2")
-    levels, level = [], dict.fromkeys(segs)
+    levels, level = [], dict.fromkeys((seg.m, seg.n) for seg in segs)
     while True:
-        for seg in level:
-            if seg.length > 1:
-                level[seg] = even_odd_split(seg)
+        for m, n in level:
+            if n - m > 1:
+                level[m, n] = even_odd_pairs(m, n)
         levels.append((N, level))
         below = [half for halves in level.values() if halves
                  for half in halves]
@@ -286,18 +287,19 @@ def _levels(segs: list[Segment], N: int) -> list[tuple[int, dict]]:
         N, level = N // 2, dict.fromkeys(below)
 
 
-def _segment_values(seg: Segment, halves, M: int, below: dict, z,
+def _segment_values(mn: tuple[int, int], halves, M: int, below: dict, z,
                     power: bool) -> np.ndarray:
-    """The half spectrum of seg on the M-grid, or its power: exact for a
-    segment of length at most 1 (``halves`` None), else one radix2_step
-    from the values of its ``halves`` in ``below``, with the twiddle table
-    z."""
+    """The half spectrum of the segment [m, n) on the M-grid, or its
+    power: exact for a segment of length at most 1 (``halves`` None), else
+    one radix2_step from the values of its ``halves`` in ``below``, with
+    the twiddle table z."""
+    m, n = mn
     if halves is None:
-        a = coeff(seg.m) if seg.length else 0
+        a = coeff(m) if n > m else 0
         return np.full(M // 2 + 1, a * a if power else a,
                        dtype=float if power else complex)
     A, B = halves
-    return radix2_step(below[A], below[B], z, seg.m, power)
+    return radix2_step(below[A], below[B], z, m, power)
 
 
 def _power(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -524,17 +526,15 @@ class PrefixSpectra:
         memo = self._split.setdefault(N, {})
         entry = memo.get(n)
         if entry is None:
-            if n <= 1:
-                # P_0 = 0 and P_1 = 1 everywhere, and so are their powers.
-                entry = [np.full(N // 2 + 1, n, dtype=complex),
-                         np.full(N // 2 + 1, float(n))]
-            else:
-                z = self._twiddles.get(N)
-                if z is None:
-                    z = self._twiddles[N] = twiddles(N)
-                RA = self._split_entry((n + 1) // 2, N // 2)[0]
-                RB = self._split_entry(n // 2, N // 2)[0]
-                entry = [radix2_step(RA, RB, z), None]
+            halves = even_odd_pairs(0, n) if n > 1 else None
+            below = {h: self._split_entry(h[1], N // 2)[0]
+                     for h in halves or ()}
+            z = self._twiddles.get(N)
+            if halves and z is None:
+                z = self._twiddles[N] = twiddles(N)
+            R = _segment_values((0, n), halves, N, below, z, False)
+            # P_0 = 0 and P_1 = 1 everywhere, each its own power.
+            entry = [R, None if halves else R.real]
             for j in [j for j in memo if j < n - 1]:
                 del memo[j]
             memo[n] = entry

@@ -47,8 +47,14 @@ def even_odd_split(seg: Segment) -> tuple[Segment, Segment]:
     floor(n/2)) with P(z) = A(z^2) + z B(-z^2) for P over [m, n): by the
     doubling rule the even index 2s of [m, n) carries a_s, s in A, and the
     odd index 2s + 1 carries (-1)^s a_s, s in B."""
-    return (Segment((seg.m + 1) // 2, (seg.n + 1) // 2),
-            Segment(seg.m // 2, seg.n // 2))
+    A, B = even_odd_pairs(seg.m, seg.n)
+    return Segment(*A), Segment(*B)
+
+
+def even_odd_pairs(m: int, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The ranges of even_odd_split(Segment(m, n)) as (start, end) pairs,
+    which hash faster than Segments."""
+    return ((m + 1) // 2, (n + 1) // 2), (m // 2, n // 2)
 
 
 def coeff(n: int) -> int:

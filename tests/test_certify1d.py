@@ -338,8 +338,8 @@ def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch,
     monkeypatch.setattr(norms, 'half_spectrum', lambda seg, N: pytest.fail(
         f'FFT of {seg} on grid {N}'))
     built, real = [], norms.segment_spectra
-    monkeypatch.setattr(norms, 'segment_spectra', lambda segs, N, **kw:
-                        built.extend(segs) or real(segs, N, **kw))
+    monkeypatch.setattr(norms, 'segment_spectra', lambda segs, N:
+                        built.extend(segs) or real(segs, N))
     visits, held = split_visits
     for kind, sup_ns in (('midrange', (3, 11)), ('upper', ())):
         calls.clear()

@@ -107,8 +107,8 @@ def spectrum_grids(monkeypatch):
     fft, recursion = norms.half_spectrum, norms.segment_spectra
     monkeypatch.setattr(norms, 'half_spectrum',
                         lambda seg, N: grids.append(N) or fft(seg, N))
-    monkeypatch.setattr(norms, 'segment_spectra', lambda segs, N, **kw: (
-        grids.append(N) or recursion(segs, N, **kw)))
+    monkeypatch.setattr(norms, 'segment_spectra', lambda segs, N: (
+        grids.append(N) or recursion(segs, N)))
     return grids
 
 
@@ -121,8 +121,8 @@ def recursion_steps(monkeypatch):
 
     def spy(segs, N):
         levels = real(segs, N)
-        steps.extend((seg.length, M) for M, level in levels
-                     for seg, halves in level.items() if halves)
+        steps.extend((n - m, M) for M, level in levels
+                     for (m, n), halves in level.items() if halves)
         return levels
 
     monkeypatch.setattr(norms, '_levels', spy)
@@ -463,7 +463,7 @@ def test_grid_contract_is_checked_before_any_fft(monkeypatch):
     min(4, N // N_l) is 1 at N_l = 512, so the loop would never end."""
     monkeypatch.setattr(norms, 'half_spectrum',
                         lambda seg, N: pytest.fail(f'FFT on grid {N}'))
-    monkeypatch.setattr(norms, 'segment_spectra', lambda segs, N, **kw:
+    monkeypatch.setattr(norms, 'segment_spectra', lambda segs, N:
                         pytest.fail(f'spectra of {segs} on grid {N}'))
     table = [(lambda N, d: sup_norm_sq(Segment(0, 10), N, d), 10),
              (lambda N, d: L_norm_sq(Segment(0, 10), N, d), 10),
