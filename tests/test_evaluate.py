@@ -362,8 +362,9 @@ def test_radix2_step_at_m0_is_the_prefix_step_byte_for_byte():
     """At m = 0 the segment step is the prefix step byte for byte, on
     grids M = 4 .. 2^18 (up to 8 chunks), with the table of M or of M/2;
     its power alone is np.abs(R) ** 2 byte for byte, at m = 0 and at
-    m = 4, the same step.  The table of M/2^j is that of M at the stride
-    2^j, byte for byte, up to M = 2^21."""
+    m = 4, the same step, and at every m mod 4 against the step's own R.
+    The table of M/2^j is that of M at the stride 2^j, byte for byte, up
+    to M = 2^21."""
     rng = np.random.default_rng(89)
     for log2q in range(17):
         q = 1 << log2q
@@ -375,6 +376,10 @@ def test_radix2_step_at_m0_is_the_prefix_step_byte_for_byte():
             for m in (0, 4):
                 assert (radix2_step(RA, RB, z, m, power=True).tobytes()
                         == (np.abs(want) ** 2).tobytes()), (q, m)
+            for m in (1, 2, 3):
+                R = np.abs(radix2_step(RA, RB, z, m)) ** 2
+                assert (radix2_step(RA, RB, z, m, power=True).tobytes()
+                        == R.tobytes()), (q, m)
     top = twiddles(1 << 21)
     for j in range(20):
         assert top[::1 << j].tobytes() == twiddles(1 << (21 - j)).tobytes()
