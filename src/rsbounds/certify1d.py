@@ -280,8 +280,9 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
     Only the other pairs make a sup-norm decision, a non-refutation check
     (ok unless lo exceeds the bound): the bound is attained with equality
     at the sharpness points, so no finite enclosure can certify it
-    strictly there.  These read whole-prefix FFTs and no store.  Both
-    results are reported for every pair.
+    strictly there.  These read no store: norms.segment_spectra builds
+    their spectra by the same recursion.  Both results are reported for
+    every pair.
     """
     if kind == 'midrange':
         pairs = [(k, n, 1 << (k + 3)) for k in range(13)

@@ -29,8 +29,8 @@ of length at most 1, whose values are exact, it gives every value within
 eps_fp by induction, with no FFT: the bound is then derived, not validated
 (norms.segment_spectra, norms.PrefixSpectra).  Its top step can return
 |R|^2 alone, bit for bit np.abs(R) ** 2, for objectives that read only
-the power, so the top grid's complex values are never held.  Only g's
-rfft entries and ``eval --grid`` still read half_spectrum.
+the power, so the top grid's complex values are never held.  Only
+``eval --grid`` still reads half_spectrum.
 """
 
 from __future__ import annotations

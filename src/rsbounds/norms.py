@@ -46,11 +46,10 @@ constant.  segment_spectra builds any segments this way, level by level,
 holding at most two levels at a time, and its top step computes |R|^2
 alone, all that the sup and L objectives read.  Every sup and L objective
 reads it, except the prefixes that a PrefixSpectra store serves.
-PrefixSpectra stores two kinds of prefix spectra by (prefix, grid): split
-entries, built by the same recursion, which sup_norm_sq and L_norm_sq read
-when given a store, and rfft entries, one FFT each, which g_int reads with
-their power.  The sweeps of certify1d read split entries of rising
-prefixes, so consecutive n share their halves on every grid.
+PrefixSpectra stores prefix spectra by (prefix, grid), built by the same
+recursion: sup_norm_sq and L_norm_sq read them when given a store, and
+g_int, whose halves are prefixes, always.  The sweeps of certify1d read
+rising prefixes, so consecutive n share their halves on every grid.
 
 The g objective.  Write a = A_r(w), b = B_r(-w) for the halves of the
 prefix r and c = A_s(w), d = B_s(-w) for those of the prefix s.  Then
@@ -67,10 +66,11 @@ that attains it.  The member's degree in w is
 max(spread(|A_r|, |B_s|), spread(|A_s|, |B_r|)): |x + e^{-i phi} conj(y)|^2
 has degree p + q - 2 for halves x, y of lengths p, q > 0 (the frequencies
 of x run over 0 .. p - 1, those of conj(y) over 1 - q .. 0), and
-max(p, q) - 1 if either is empty, as B_1 is.  A value of a half errs by at
-most e_x = eps_fp(|x|, N/2), so H's values carry the slack of the four
-|x|^2 plus 2 (|A_r| e_d + |B_s| e_a + e_a e_d + |A_s| e_b + |B_r| e_c +
-e_b e_c), the first-order error of the cross term.
+max(p, q) - 1 if either is empty, as B_1 is.  The halves' values come
+from the recursion, so each errs by at most e_x = eps_fp(|x|, N/2), and
+H's values carry the slack of the four |x|^2 plus 2 (|A_r| e_d +
+|B_s| e_a + e_a e_d + |A_s| e_b + |B_r| e_c + e_b e_c), the first-order
+error of the cross term.
 
 Coarse to fine.  sup_norm_sq, L_norm_sq and g_int need M, the maximum
 over the N-grid, not the other N - 1 values.  One routine (_grid_sup)
@@ -97,6 +97,8 @@ from fractions import Fraction
 import numpy as np
 
 from .dyadic import DyadicPoint
+# half_spectrum is kept here only for _prefix_half_spectrum and for
+# certbench/spans.py, which traces it through this module by name.
 from .evaluate import (KEPT_TWIDDLES, abs_sq_slack, eps_fp, eval_roots,
                        half_spectrum, radix2_step, twiddles)
 from .sequence import (DEFAULT_MAX_RANGE, CapacityError, Segment, check_range,
@@ -202,12 +204,13 @@ def _sqrt_sum_le(q: float | Fraction, beta: float | Fraction,
 def _spectral_values(segs: list[Segment], N: int, cross,
                      lookup) -> np.ndarray:
     """F at x_j, j = 0 .. N/2, from the power |R|^2 of one half spectrum
-    R per segment: read with R from ``lookup(n, N)``, a PrefixSpectra
-    lookup, if given and every segment is a prefix, else built alone by
-    segment_spectra.  Only g has a ``cross`` term, which reads R, and g's
-    segments are prefixes that a store serves.  A segment at an even
-    position is read at x, with the value v = R[j] = conj P(x_j), one at
-    an odd position at -x, with the value w = R[N/2 - j] = P(-x_j)."""
+    R per segment: read with R from ``lookup(n, N)``, PrefixSpectra.split,
+    if given and every segment is a prefix, else built alone by
+    segment_spectra.  Only g has a ``cross`` term, which reads R, and g
+    always passes a lookup for its segments, which are prefixes.  A
+    segment at an even position is read at x, with the value
+    v = R[j] = conj P(x_j), one at an odd position at -x, with the value
+    w = R[N/2 - j] = P(-x_j)."""
     if lookup is None or any(seg.m for seg in segs):
         v, powers = None, segment_spectra(segs, N)
     else:
@@ -302,9 +305,9 @@ def _segment_values(mn: tuple[int, int], halves, M: int, below: dict, z,
     return radix2_step(below[A], below[B], z, m, power)
 
 
-def _power(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(R, |R|^2) of a spectrum R."""
-    return R, np.abs(R) ** 2
+def _power(R: np.ndarray) -> np.ndarray:
+    """|R|^2 of a spectrum R."""
+    return np.abs(R) ** 2
 
 
 def _direct_values(segs: list[Segment], js: np.ndarray, N: int,
@@ -465,8 +468,8 @@ def f2_dyadic(x: DyadicPoint, y: DyadicPoint, N: int,
     return L_norm_sq(seg, N, _scaled(decide, 0.5 ** k)).scale(0.5 ** k)
 
 
-# A module function, not a method of PrefixSpectra: certbench traces the
-# prefix lookups through this name (norms.prefix_lookup).
+# Called by nothing in rsbounds: certbench/spans.py traces this name
+# (norms.prefix_lookup) and raises if it is gone.
 def _prefix_half_spectrum(n: int, N: int, spectra: dict) -> np.ndarray:
     """Half spectrum R of the length-n prefix on the N-grid, memoized in
     the dict ``spectra`` under (n, N)."""
@@ -483,9 +486,8 @@ class PrefixSpectra:
     Entries are read-only, and a caller gets the same values with a fresh
     store as with a shared one.
 
-    rfft(n, N) is half_spectrum of the prefix on N and its power.
-    split(n, N) is the same prefix's on N and its power, built by
-    evaluate.radix2_step from the split entries of its half prefixes
+    split(n, N) is the prefix's half spectrum on N and its power, built by
+    evaluate.radix2_step from the entries of its half prefixes
     ceil(n/2) and floor(n/2) on N/2, and so on down to prefixes of length
     at most 1, whose values are exact: 1 for n = 1, 0 for n = 0.  No FFT
     is taken, and consecutive n share their halves on every grid.  By
@@ -495,30 +497,20 @@ class PrefixSpectra:
     computed.  The store keeps the twiddle table of each grid it splits
     on.
 
-    The split entries bound themselves: adding the prefix j on a grid
+    The entries bound themselves: adding the prefix j on a grid
     drops the entries below j - 1 on that grid.  A sweep of rising
     prefixes never reads those again, and any other order only
     recomputes what it misses.
     """
 
     def __init__(self):
-        self._rfft: dict = {}               # (n, grid) -> R
-        self._power: dict = {}              # (n, grid) -> (R, |R|^2)
         self._split: dict = {}              # grid -> {n: [R, |R|^2 or None]}
         self._twiddles: dict = {}           # grid -> evaluate.twiddles
-
-    def rfft(self, n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-        R = _prefix_half_spectrum(n, N, self._rfft)
-        key = (n, N)
-        val = self._power.get(key)
-        if val is None:
-            val = self._power[key] = _power(R)
-        return val
 
     def split(self, n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
         entry = self._split_entry(n, N)
         if entry[1] is None:
-            entry[1] = _power(entry[0])[1]
+            entry[1] = _power(entry[0])
         return entry[0], entry[1]
 
     def _split_entry(self, n: int, N: int) -> list:
@@ -543,8 +535,7 @@ class PrefixSpectra:
     @property
     def nbytes(self) -> int:
         """Bytes of the arrays the store holds, each counted once."""
-        arrays = [*self._rfft.values(), *self._twiddles.values(),
-                  *(a for R, p in self._power.values() for a in (R, p)),
+        arrays = [*self._twiddles.values(),
                   *(a for memo in self._split.values()
                     for entry in memo.values() for a in entry
                     if a is not None)]
@@ -561,7 +552,7 @@ def g_int(r: int, s: int, N: int, decide=None,
     twice H(w) of the halves of the prefixes r and s (module docstring),
     maximized over the half grid, settling ``decide`` if given (see
     _grid_sup).  The halves' spectra, which are prefix spectra, are
-    read as rfft entries of ``store``, or of a fresh store if none is
+    read as split entries of ``store``, or of a fresh store if none is
     given; a caller that encloses many corners passes one store to share
     them, and gets the same enclosures as without it.  An empty prefix
     adds exact zeros, so g(0, s) is the L objective.
@@ -580,7 +571,7 @@ def g_int(r: int, s: int, N: int, decide=None,
                          + c * eb + b * ec + eb * ec))
 
     return _grid_sup(list(halves), N, max(_spread(a, d), _spread(c, b)),
-                     slack, _g_half_cross, decide, store.rfft, half=True)
+                     slack, _g_half_cross, decide, store.split, half=True)
 
 
 def _spread(p: int, q: int) -> int:

@@ -7,13 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import assert_split_bound_holds
 from rsbounds.certify1d import (BINDING_CENTER, BINDING_EIGHT,
                                 BINDING_HALFSTEP, BINDING_LINEAR, BINDING_NINE,
                                 brute_onedim, certify_cover, check_smallk_L,
                                 envelope_at, load_centers, max_radius)
 from rsbounds.dyadic import DyadicPoint
-from rsbounds.evaluate import (abs_sq_slack, eps_fp, eps_radix2, half_spectrum,
-                               segment_sum_pm1)
+from rsbounds.evaluate import abs_sq_slack, half_spectrum, segment_sum_pm1
 from rsbounds.norms import f_dyadic
 from rsbounds.sequence import Segment
 
@@ -288,33 +288,7 @@ def test_check_smallk_strict_claim_is_exact(monkeypatch):
     assert r.sup_enc is not None and r.ok_sup and ok
 
 
-@pytest.fixture
-def split_visits(monkeypatch):
-    """Record every (prefix, grid) that the split recursion of
-    norms.PrefixSpectra visits, and the store's bytes after each split
-    entry a caller reads."""
-    import rsbounds.norms as norms
-
-    visits, held = [], []
-    entry, split = norms.PrefixSpectra._split_entry, norms.PrefixSpectra.split
-    monkeypatch.setattr(norms.PrefixSpectra, '_split_entry',
-                        lambda store, n, N: visits.append((n, N))
-                        or entry(store, n, N))
-    monkeypatch.setattr(norms.PrefixSpectra, 'split', lambda store, n, N: (
-        split(store, n, N), held.append(store.nbytes))[0])
-    return visits, held
-
-
-def assert_split_bound_holds(visits):
-    """The induction behind the split values' slack, at every (j, M) the
-    recursion visited: the prefixes 0 and 1 are exact, and a step whose
-    inputs err by at most eps_fp on M/2 errs by at most eps_radix2(j, M),
-    which must not exceed eps_fp(j, M)."""
-    for j, M in set(visits):
-        assert j <= 1 or eps_radix2(j, M) <= eps_fp(j, M), (j, M)
-
-
-def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch,
+def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch, no_fft,
                                                      split_visits):
     """Each pair makes exactly one L_norm_sq call, at the grid cap and
     with a decision: the grid policy lives in norms.  Only the two pairs
@@ -335,8 +309,6 @@ def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch,
             calls.append((name, seg, N, decide is not None))
             return real(seg, N, decide, **memo)
         monkeypatch.setattr(c1, name, spy)
-    monkeypatch.setattr(norms, 'half_spectrum', lambda seg, N: pytest.fail(
-        f'FFT of {seg} on grid {N}'))
     built, real = [], norms.segment_spectra
     monkeypatch.setattr(norms, 'segment_spectra', lambda segs, N:
                         built.extend(segs) or real(segs, N))
@@ -356,15 +328,11 @@ def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch,
     assert_split_bound_holds(visits)
 
 
-def test_brute_onedim_takes_no_fft(monkeypatch, split_visits):
+def test_brute_onedim_takes_no_fft(no_fft, split_visits):
     """The sweep reads each n's sup objective as a split entry, built by
     the radix-2 recursion from the exact prefixes 0 and 1: the
     benchmark's sweep settles as with FFTs and takes none, every step of
     the recursion is within eps_fp, and its store stays under 2.5 MiB."""
-    import rsbounds.norms as norms
-
-    monkeypatch.setattr(norms, 'half_spectrum', lambda seg, N: pytest.fail(
-        f'FFT of {seg} on grid {N}'))
     report = brute_onedim(2048, 1 << 15)
     assert report.ok and report.unsettled == [43, 171, 683]
     visits, held = split_visits

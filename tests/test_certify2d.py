@@ -1,16 +1,22 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import rsbounds
+from conftest import assert_split_bound_holds
 from rsbounds.certify2d import (CertTree, DyadicSquare, SquareRecord,
                                 STATUS_BAD, _certified, _g_target_min,
                                 certify_f2, certify_g_full, certify_square_g,
                                 check_exclusion_region,
                                 square_interior_meets_B)
 from rsbounds.dyadic import DyadicPoint, lowest_terms
-from rsbounds.norms import PrefixSpectra, f2_dyadic, g_dyadic, g_int
+from rsbounds.norms import (L_norm_sq, PrefixSpectra, f2_dyadic, g_dyadic,
+                            g_int)
 from rsbounds.sequence import Segment, coeff_range
 
 
@@ -145,9 +151,36 @@ def test_g_int_shared_spectra_match_fresh():
                 == g_int(r, s, N, store=PrefixSpectra()) == g_int(r, s, N)
     # g_int(9, 9, 2^12) takes level 0 on oversampled_grid(18) = 2^11, from
     # the spectra of the halves 5 and 4 of the prefix 9 on its w-grid 2^10,
-    # which it reads as plain rfft entries, and no split entry.
-    assert not store._split
-    assert (5, 1 << 10) in store._rfft and (4, 1 << 10) in store._rfft
+    # which it reads as split entries, the store's one kind of entry.
+    store = PrefixSpectra()
+    g_int(9, 9, 1 << 12, store=store)
+    assert {5, 4} <= set(store._split[1 << 10])
+    assert set(vars(store)) == {'_split', '_twiddles'}
+
+
+def test_g_takes_no_fft(no_fft):
+    """g's halves are split entries, built by the radix-2 recursion from
+    the exact prefixes 0 and 1: with half_spectrum failing, a square's
+    tree is the one test_single_square_regression_3_3 froze, and g_int
+    without a store encloses g(0, 7), the L objective of the prefix 7,
+    where L_norm_sq does."""
+    tree = certify_square_g(DyadicSquare(3, 3, 0), 1 << 14, max_scale=3)
+    counts = (len(tree.certified), len(tree.subdivided), len(tree.bad))
+    assert counts == (7, 20, 54)
+    g, L = g_int(0, 7, 1 << 12, store=None), L_norm_sq(Segment(0, 7), 1 << 12)
+    assert max(g.lo, L.lo) <= min(g.hi, L.hi)
+
+
+def test_certify_g_split_steps_are_within_eps_fp(no_fft, split_visits):
+    """certify-g over [0, 4]^2 at the benchmark grid 2^16 takes no FFT,
+    and every step of the recursion that builds its halves is within
+    eps_fp: eps_radix2 <= eps_fp at every (prefix, grid) it visits.  The
+    run's one store bounds itself to under 3 MiB (2.7 MiB read)."""
+    tree = certify_g_full(1 << 16)
+    assert check_exclusion_region(tree)[0]
+    visits, held = split_visits
+    assert max(held) <= 3 << 20
+    assert_split_bound_holds(visits)
 
 
 def test_certified_squares_survive_grid_doubling():
@@ -168,6 +201,39 @@ def test_g_to_scale_10_keeps_its_summary():
     assert (len(tree.bad), len(tree.certified), len(tree.subdivided),
             tree.corner_evals) == (331, 8679, 2998, 3757)
     assert check_exclusion_region(tree)[0]
+
+
+@pytest.mark.skipif(not os.path.exists('/proc/self/status'),
+                    reason='reads VmHWM from procfs')
+def test_g_to_scale_10_peak_rss_in_a_fresh_interpreter():
+    """certify-g to scale 10 at the default cap 2^20 raises a fresh
+    interpreter's peak RSS by at most 75 MB over its own after the
+    imports.  The rise read 56 MB, and 100 MB when g read one rfft per
+    half prefix and kept every one, on Linux x86_64 (glibc 2.36) with
+    CPython 3.11.7 and numpy 2.4.6; the allocator and numpy's version
+    move it.  The peak is VmHWM, that of the interpreter's own memory
+    map, so the test needs procfs."""
+    src = os.path.dirname(os.path.dirname(rsbounds.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get('PYTHONPATH')])))
+    code = r'''
+import re
+from rsbounds.certify2d import certify_g_full
+
+def peak():
+    status = open('/proc/self/status').read()
+    return int(re.search(r'VmHWM:\s*(\d+) kB', status)[1])
+
+certify_g_full(1 << 10, max_scale=2)
+before = peak()
+tree = certify_g_full(1 << 20, max_scale=10)
+print(len(tree.bad), (peak() - before) / 1024)
+'''
+    out = subprocess.run([sys.executable, '-c', code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    bad, rise_mb = int(out[0]), float(out[1])
+    assert bad == 331
+    assert rise_mb <= 75.0, rise_mb
 
 
 def test_g_at_the_benchmark_grid_keeps_its_corner_count():

@@ -641,7 +641,7 @@ def test_sqrt_continuity_constant():
         assert diff_hi <= 4.0 * gap + 1e-6
 
 
-def test_half_prefix_spectra_square_nothing(monkeypatch):
+def test_half_prefix_spectra_square_nothing(monkeypatch, no_fft):
     """A split entry reads only R of its half prefixes, so the sweep
     squares only the spectra that a caller reads: no FFT is taken, every
     _power input is a radix2_step output, and each is squared at most
@@ -650,8 +650,6 @@ def test_half_prefix_spectra_square_nothing(monkeypatch):
     from rsbounds.certify1d import brute_onedim
 
     steps, powered = [], []
-    monkeypatch.setattr(norms, 'half_spectrum', lambda seg, N: pytest.fail(
-        f'FFT of {seg} on grid {N}'))
     monkeypatch.setattr(norms, 'radix2_step', lambda *a,
                         real=norms.radix2_step: steps.append(real(*a))
                         or steps[-1])
