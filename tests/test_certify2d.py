@@ -15,8 +15,7 @@ from rsbounds.certify2d import (CertTree, DyadicSquare, SquareRecord,
                                 check_exclusion_region,
                                 square_interior_meets_B)
 from rsbounds.dyadic import DyadicPoint, lowest_terms
-from rsbounds.norms import (L_norm_sq, PrefixSpectra, f2_dyadic, g_dyadic,
-                            g_int)
+from rsbounds.norms import PrefixSpectra, f2_dyadic, g_dyadic, g_int
 from rsbounds.sequence import Segment, coeff_range
 
 
@@ -61,8 +60,9 @@ def test_near_origin_corner_forces_subdivision():
     assert g_dyadic(DyadicPoint(0, 0), DyadicPoint(1, 0), 1 << 12).contains(2.0)
 
 
-def test_single_square_regression_3_3():
-    # frozen from the first validated run at this resolution
+def test_single_square_regression_3_3(no_fft):
+    # frozen from the first validated run at this resolution, and taken
+    # with no FFT: g's halves are built by the radix-2 recursion
     tree = certify_square_g(DyadicSquare(3, 3, 0), 1 << 14, max_scale=3)
     counts = (len(tree.certified), len(tree.subdivided), len(tree.bad))
     assert counts == (7, 20, 54)
@@ -143,7 +143,7 @@ def test_f2_records_reenclose_at_their_grid():
         assert f2_dyadic(x, y, rec.N).hi == rec.corner_hi, rec
 
 
-def test_g_int_shared_spectra_match_fresh():
+def test_g_int_shared_spectra_match_fresh(no_fft):
     store = PrefixSpectra()
     for r, s in [(5, 9), (9, 5), (9, 9), (12, 5), (0, 7)]:
         for N in (1 << 10, 1 << 12):
@@ -156,19 +156,6 @@ def test_g_int_shared_spectra_match_fresh():
     g_int(9, 9, 1 << 12, store=store)
     assert {5, 4} <= set(store._split[1 << 10])
     assert set(vars(store)) == {'_split', '_twiddles'}
-
-
-def test_g_takes_no_fft(no_fft):
-    """g's halves are split entries, built by the radix-2 recursion from
-    the exact prefixes 0 and 1: with half_spectrum failing, a square's
-    tree is the one test_single_square_regression_3_3 froze, and g_int
-    without a store encloses g(0, 7), the L objective of the prefix 7,
-    where L_norm_sq does."""
-    tree = certify_square_g(DyadicSquare(3, 3, 0), 1 << 14, max_scale=3)
-    counts = (len(tree.certified), len(tree.subdivided), len(tree.bad))
-    assert counts == (7, 20, 54)
-    g, L = g_int(0, 7, 1 << 12, store=None), L_norm_sq(Segment(0, 7), 1 << 12)
-    assert max(g.lo, L.lo) <= min(g.hi, L.hi)
 
 
 def test_certify_g_split_steps_are_within_eps_fp(no_fft, split_visits):
