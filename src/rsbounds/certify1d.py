@@ -347,9 +347,16 @@ def brute_onedim(n_max: int, N: int) -> BruteForceReport:
     the values of the prefix n on a grid come from those of its half
     prefixes ceil(n/2) and floor(n/2) on half that grid by
     evaluate.radix2_step, and theirs likewise, down to the exact prefixes
-    0 and 1.  No FFT is taken, every value is within the same slack by
-    induction (evaluate.eps_radix2), consecutive n share their halves, and
-    the store drops the entries that no later n reads.
+    0 and 1.  No FFT is taken, and every value is within the same slack
+    by induction (evaluate.eps_radix2).  The n are visited depth first in
+    the tree of halves, each h followed by its children 2h - 1 and 2h,
+    whose common half ceil(n/2) it is: a child reads h's entries on half
+    its grids while the store still holds them, so each (prefix, grid)
+    pair is built about once (2,097 steps for 2,078 pairs at n_max = 2048
+    on 2^15, against 3,952 in rising order).  On each grid the prefixes
+    still come in rising order, but for the few halves that a decision
+    refining past its first grid rebuilds, so the store's drop rule
+    bounds it as in a rising sweep.  The report lists n in rising order.
 
     The worst ratio is (sqrt(M + s) + 1)^2 / (6n - 2), with M + s = lo + 2 s
     on the grid that decided n.  It reaches 1 at the sharpness points,
@@ -358,20 +365,28 @@ def brute_onedim(n_max: int, N: int) -> BruteForceReport:
     if N < max(4, 4 * n_max) or N & (N - 1):
         raise ValueError(f"grid size {N} is not a power of two >= "
                          f"4 * n_max = {4 * n_max}")
+
+    def holds(n: int):
+        t_n = Fraction((6 * n - 2) * 1000001, 1000000)
+        return lambda v: _sqrt_sum_le(v, 1, t_n)
+
+    store, decided, stack = PrefixSpectra(), {}, [1] if n_max else []
+    while stack:
+        n = stack.pop()
+        stack += [c for c in (2 * n, 2 * n - 1) if n < c <= n_max]
+        decided[n] = sup_norm_sq(Segment(0, n), N, decision(holds(n)),
+                                 store=store)
     worst, worst_n = 0.0, 0
     failures, unsettled = [], []
-    store = PrefixSpectra()
-    for n in range(1, n_max + 1):
-        t_n = Fraction((6 * n - 2) * 1000001, 1000000)
-        holds = lambda v: _sqrt_sum_le(v, 1, t_n)
-        enc = sup_norm_sq(Segment(0, n), N, decision(holds), store=store)
+    for n, enc in sorted(decided.items()):
         upper = enc.lo + 2.0 * abs_sq_slack(n, enc.N)
         ratio = (math.sqrt(upper) + 1.0) ** 2 / (6 * n - 2)
         if ratio > worst:
             worst, worst_n = ratio, n
         if enc.verdict is None:
             unsettled.append(n)
-        if enc.verdict is False or (enc.verdict is None and not holds(upper)):
+        if enc.verdict is False or (enc.verdict is None
+                                    and not holds(n)(upper)):
             failures.append(n)
     return BruteForceReport(n_max=n_max, N=N, worst_ratio=worst,
                             worst_n=worst_n, failures=failures,

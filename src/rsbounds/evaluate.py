@@ -29,7 +29,9 @@ of length at most 1, whose values are exact, it gives every value within
 eps_fp by induction, with no FFT: the bound is then derived, not validated
 (norms.segment_spectra, norms.PrefixSpectra).  Its top step can return
 |R|^2 alone, bit for bit np.abs(R) ** 2, for objectives that read only
-the power, so the top grid's complex values are never held.  Only
+the power, so the top grid's complex values are never held, and it can
+take a window of its butterflies alone, from windows of its inputs, so
+that the top levels of a recursion need not be held whole.  Only
 ``eval --grid`` still reads half_spectrum.
 """
 
@@ -218,7 +220,7 @@ _CHUNK = 1 << 14    # butterflies per pass of radix2_step
 
 
 def radix2_step(RA: np.ndarray, RB: np.ndarray, z: np.ndarray,
-                m: int = 0, power: bool = False) -> np.ndarray:
+                m: int = 0, power: bool = False, window=None):
     """The half spectrum on the M-grid of a segment [m, n) from the half
     spectra RA and RB (half_spectrum) of its halves A = [ceil(m/2),
     ceil(n/2)) and B = [floor(m/2), floor(n/2)) on the M/2-grid,
@@ -248,47 +250,74 @@ def radix2_step(RA: np.ndarray, RB: np.ndarray, z: np.ndarray,
     np.abs(R) ** 2.  The butterflies run over chunks of k, so no
     temporary spans the grid.  m = 0 is the step of a prefix from its
     half prefixes.  The error bound is eps_radix2.
+
+    With ``window`` = (k0, M) the step takes only the butterflies
+    k = k0 .. k0 + w - 1 of the M-grid, w = len(RA) <= M/4 + 1 - k0:
+    RA then holds RA[k] and RB holds RB[q - k] for those k, in the order
+    of k, and the result is the pair (low, high) of R[k] and R[M/2 - k],
+    in the same order, as the whole step leaves them (at k = q both are
+    conj(X - Y)).  With the table of M/2, k0 is even.  A window's values
+    are those of the whole step, bit for bit: the same butterflies with
+    the same twiddles, and the products of numpy's complex loops do not
+    depend on the strides of their inputs.
     """
-    q = len(RA) - 1
+    if window is None:
+        k0, M = 0, 4 * (len(RA) - 1)
+        RB = RB[::-1]                          # RB[i] is RB[q - i]
+    else:
+        k0, M = window
+    q, w = M // 4, len(RA)
     half = q > 1 and len(z) == q // 2 + 1     # the table of M/2
-    if (q < 1 or q & (q - 1) or len(RB) != q + 1
-            or not (half or len(z) == q + 1)):
+    if (q < 1 or q & (q - 1) or 4 * q != M or len(RB) != w
+            or not 0 <= k0 < k0 + w <= q + 1
+            or half and k0 & 1 or not (half or len(z) == q + 1)):
         raise ValueError(f"half spectra and twiddles of lengths {len(RA)}, "
                          f"{len(RB)}, {len(z)} are not M/4 + 1, M/4 + 1 and "
-                         "M/4 + 1 or M/8 + 1 for a power of two M >= 4")
-    R = np.empty(2 * q + 1, dtype=float if power else complex)
-    for k0 in range(0, q + 1, _CHUNK):
-        k1 = min(k0 + _CHUNK, q + 1)
-        if half:                               # k0 is even
-            zk = np.empty(k1 - k0, dtype=complex)
-            zk[::2] = z[k0 // 2:(k1 + 1) // 2]
-            zk[1::2] = _twiddles_at(np.arange(k0 + 1, k1, 2), 4 * q)
+                         "M/4 + 1 or M/8 + 1 for a power of two M >= 4"
+                         + ("" if window is None else
+                            f", or a window at {k0} on M = {M}"))
+    dtype = float if power else complex
+    if window is None:
+        R = np.empty(2 * q + 1, dtype=dtype)
+        low, high = R[:q + 1], R[::-1][:q + 1]   # R[k], R[M/2 - k]
+    else:
+        low, high = np.empty(w, dtype=dtype), np.empty(w, dtype=dtype)
+    for i0 in range(0, w, _CHUNK):
+        i1 = min(i0 + _CHUNK, w)
+        ka, kb = k0 + i0, k0 + i1
+        if half:                               # ka is even
+            zk = np.empty(kb - ka, dtype=complex)
+            zk[::2] = z[ka // 2:(kb + 1) // 2]
+            zk[1::2] = _twiddles_at(np.arange(ka + 1, kb, 2), M)
         else:
-            zk = z[k0:k1]
-        rb = RB[q - k0::-1][:k1 - k0]          # rb[i] is RB[q - k0 - i]
+            zk = z[ka:kb]
+        rb = RB[i0:i1]
         if m & 1:
             x = np.conjugate(rb)
-            y = np.conjugate(zk) * RA[k0:k1]
+            y = np.conjugate(zk) * RA[i0:i1]
             signed = x
         else:
-            x = RA[k0:k1]
+            x = RA[i0:i1]
             y = zk * rb
             np.conjugate(y, out=y)
             signed = y
         if m & 2:                              # sigma = -1
             np.negative(signed, out=signed)
-        low = R[k0:k1]                         # R[k]
-        high = R[2 * q - k0:2 * q - k1:-1]     # R[M/2 - k]
+        lo, hi = low[i0:i1], high[i0:i1]
         if power:
             # np.abs on contiguous values, as np.abs(R) takes them: its
             # strided loop can round the last bit differently.
-            np.square(np.abs(x + y), out=low)
-            np.square(np.abs(x - y), out=high)
+            np.square(np.abs(x + y), out=lo)
+            np.square(np.abs(x - y), out=hi)
         else:
-            np.add(x, y, out=low)
-            np.subtract(x, y, out=high)
-            np.conjugate(high, out=high)
-    return R
+            np.add(x, y, out=lo)
+            np.subtract(x, y, out=hi)
+            np.conjugate(hi, out=hi)
+    if window is None:
+        return R
+    if k0 + w == q + 1:                        # R[q], written last as high
+        low[-1] = high[-1]
+    return low, high
 
 
 def _twiddles_at(k: np.ndarray, M: int) -> np.ndarray:

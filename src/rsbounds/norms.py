@@ -42,10 +42,13 @@ values of A and B by one butterfly with the twiddle z_j
 segments of length at most 1, whose values a_m and 0 are exact.  By
 induction each value errs by at most eps_radix2(L, N) <= eps_fp(L, N), so
 every slack below holds for it unchanged, with no FFT and no validated
-constant.  segment_spectra builds any segments this way, level by level,
-holding at most two levels at a time, and its top step computes |R|^2
-alone, all that the sup and L objectives read.  Every sup and L objective
-reads it, except the prefixes that a PrefixSpectra store serves.
+constant.  segment_spectra builds any segments this way: level by level
+up to the grid N/8 (or 2^16), holding at most two levels at a time, and
+above it a chunk of top butterflies at a time, each level reading windows
+of the one below.  Its top step computes |R|^2 alone, all that the sup
+and L objectives read, and it returns their objective F, or F's maximum
+alone.  Every sup and L objective reads it, except the prefixes that a
+PrefixSpectra store serves.
 PrefixSpectra stores prefix spectra by (prefix, grid), built by the same
 recursion: sup_norm_sq and L_norm_sq read them when given a store, and
 g_int, whose halves are prefixes, always.  The sweeps of certify1d read
@@ -99,8 +102,8 @@ import numpy as np
 from .dyadic import DyadicPoint
 # half_spectrum is kept here only for _prefix_half_spectrum and for
 # certbench/spans.py, which traces it through this module by name.
-from .evaluate import (KEPT_TWIDDLES, abs_sq_slack, eps_fp, eval_roots,
-                       half_spectrum, radix2_step, twiddles)
+from .evaluate import (_CHUNK, KEPT_TWIDDLES, abs_sq_slack, eps_fp,
+                       eval_roots, half_spectrum, radix2_step, twiddles)
 from .sequence import (DEFAULT_MAX_RANGE, CapacityError, Segment, check_range,
                        coeff, even_odd_pairs, even_odd_split)
 
@@ -201,23 +204,21 @@ def _sqrt_sum_le(q: float | Fraction, beta: float | Fraction,
     return _sqrt_sum_cmp(q, beta, t) >= 0
 
 
-def _spectral_values(segs: list[Segment], N: int, cross,
-                     lookup) -> np.ndarray:
-    """F at x_j, j = 0 .. N/2, from the power |R|^2 of one half spectrum
-    R per segment: read with R from ``lookup(n, N)``, PrefixSpectra.split,
-    if given and every segment is a prefix, else built alone by
-    segment_spectra.  Only g has a ``cross`` term, which reads R, and g
-    always passes a lookup for its segments, which are prefixes.  A
-    segment at an even position is read at x, with the value
-    v = R[j] = conj P(x_j), one at an odd position at -x, with the value
-    w = R[N/2 - j] = P(-x_j)."""
+def _spectral_values(segs: list[Segment], N: int, cross, lookup,
+                     peak: bool = False):
+    """F at x_j, j = 0 .. N/2, or with ``peak`` possibly its maximum
+    alone: read from the power |R|^2 of one half spectrum R per segment,
+    with R from ``lookup(n, N)``, PrefixSpectra.split, if given and every
+    segment is a prefix, else built by segment_spectra.  Only g has a
+    ``cross`` term, which reads R, and g always passes a lookup for its
+    segments, which are prefixes.  A segment at an even position is read
+    at x, with the value v = R[j] = conj P(x_j), one at an odd position at
+    -x, with the value w = R[N/2 - j] = P(-x_j)."""
     if lookup is None or any(seg.m for seg in segs):
-        v, powers = None, segment_spectra(segs, N)
-    else:
-        v = [lookup(seg.n, N) for seg in segs]
-        powers = [a for _, a in v]
+        return segment_spectra(segs, N, peak)
+    v = [lookup(seg.n, N) for seg in segs]
     F = None
-    for i, a in enumerate(powers):
+    for i, (_, a) in enumerate(v):
         # |w|^2 as reversed |v|^2: np.abs of a reversed view may round apart.
         t = a[::-1] if i % 2 else a
         F = t if F is None else F + t
@@ -227,27 +228,49 @@ def _spectral_values(segs: list[Segment], N: int, cross,
     return F
 
 
-def segment_spectra(segs: list[Segment], N: int) -> list[np.ndarray]:
-    """|R|^2 for each segment, R its half spectrum on the N-grid (the
-    values conj P~(z_j), j = 0 .. N/2, that half_spectrum gives), built by
-    the radix-2 recursion with no FFT.  The top step computes the power
-    alone, so R itself is never held.
+def segment_spectra(segs: list[Segment], N: int, peak: bool = False):
+    """F at x_j, j = 0 .. N/2, the sum over the segments of |R|^2 at x_j
+    for those at even positions and at -x_j for those at odd positions,
+    R the segment's half spectrum on the N-grid (the values conj P~(z_j)
+    that half_spectrum gives), built by the radix-2 recursion with no FFT;
+    with ``peak``, F's maximum alone, as a float.  A segment's power is
+    |R[j]|^2 at x_j and |R[N/2 - j]|^2 at -x_j, so butterfly k of the top
+    step gives every segment's power at k and at N/2 - k, and with them F
+    at both: one segment, or the halves [A, B] of an L objective.
 
     The recursion runs up the levels of _levels: the segments of length at
     most 1 have the exact values a_m, or 0 if empty, and every longer one
     is built from its halves one level down by evaluate.radix2_step.  A
-    level is freed once the one above it is built.  A level holds few
-    segments (the ends of those on level j lie within one of m / 2^j and
-    n / 2^j), so a segment costs O(N) butterflies.  By induction from the
-    exact base each value is within eps_radix2(L, N) <= eps_fp(L, N)
-    (evaluate), so every slack holds for it, and abs_sq_slack(L, N) for
-    its power.  One twiddle table serves every level, at the stride of its
-    grid: the N-grid's, which twiddles keeps, up to KEPT_TWIDDLES, and
-    above it the N/2-grid's, which gives the even twiddles of the top
-    step; that step takes the odd ones a chunk at a time, so no table of
-    a large N-grid is held.  Grids above DEFAULT_MAX_RANGE and
-    indices past 2^64 - 1 are refused with CapacityError, as half_spectrum
-    and coeff_range refuse them.
+    level holds few segments (the ends of those on level j lie within one
+    of m / 2^j and n / 2^j), so a segment costs O(N) butterflies.  By
+    induction from the exact base each value is within eps_radix2(L, N)
+    <= eps_fp(L, N) (evaluate), so every slack holds for it, and
+    abs_sq_slack(L, N) for its power.
+
+    Below the top, only the levels of grid at most N/8, or at most
+    4 _CHUNK (one chunk of butterflies), are held whole, each freed once
+    the one above it is built.  The top step, and the levels N/2 and N/4
+    where their grids exceed 4 _CHUNK, run one chunk of the top's
+    butterflies at a time, each level taking the windows (radix2_step)
+    that the level above reads, down to the held level.  Butterfly k of a
+    level reads R_A[k] and R_B[q - k] of the level below, q = M/4 of its
+    grid M: for k <= q/2 those are the low and the high values of the
+    butterflies k below, and otherwise the high and the low values of the
+    butterflies q - k, in reverse.  Each chunk of _CHUNK top butterflies,
+    and each window below it, lies on one side of every q/2, which is a
+    multiple of the chunk on the streamed grids.  The top step computes
+    only the powers, and F is written, or with ``peak`` folded into its
+    maximum, a chunk at a time: at N = 2^21 the recursion then holds the
+    level 2^18 and its windows, not two levels of 2^20.  The values are
+    those of the whole steps, bit for bit.
+
+    One twiddle table serves every level, at the stride of its grid: the
+    N-grid's, which twiddles keeps, up to KEPT_TWIDDLES, and above it the
+    N/2-grid's, which gives the even twiddles of the top step; that step
+    takes the odd ones a chunk at a time, so no table of a large N-grid is
+    held.  Grids above DEFAULT_MAX_RANGE and indices past 2^64 - 1 are
+    refused with CapacityError, as half_spectrum and coeff_range refuse
+    them.
     """
     if N > DEFAULT_MAX_RANGE:
         raise CapacityError(f"grid size {N} exceeds limit {DEFAULT_MAX_RANGE}")
@@ -256,13 +279,49 @@ def segment_spectra(segs: list[Segment], N: int) -> list[np.ndarray]:
     levels = _levels(segs, N)
     T = N if N <= KEPT_TWIDDLES else N // 2    # the grid of the table
     table = twiddles(max(T, 4))                # N = 2 takes no step
+    z = [table[::max((T << depth) // N, 1)] for depth in range(len(levels))]
+    # Levels from `held` down are built whole; the top and any level of
+    # N/2 and N/4 with more than one chunk of butterflies stream.
+    held = min(1 + sum(N >> depth > 4 * _CHUNK for depth in (1, 2)),
+               len(levels))
     values: dict = {}
-    for depth in range(len(levels) - 1, -1, -1):
+    for depth in range(len(levels) - 1, held - 1, -1):
         M, level = levels[depth]
-        z = table[::max((T << depth) // N, 1)]
-        values = {mn: _segment_values(mn, halves, M, values, z, not depth)
+        values = {mn: _segment_values(mn, halves, M, values, z[depth])
                   for mn, halves in level.items()}
-    return [values[seg.m, seg.n] for seg in segs]
+    q = N // 4
+    F = None if peak else np.empty(N // 2 + 1)
+    top = -math.inf
+    for k0 in range(0, q + 1, _CHUNK):
+        # The butterflies of each streamed level, and whether they mirror
+        # those of the level above.
+        spans = [(k0, min(k0 + _CHUNK, q + 1), False)]
+        for M, _ in levels[1:held]:
+            a, b, _ = spans[-1]
+            h = M // 4
+            spans.append((a, b, False) if b <= h + 1
+                         else (2 * h - b + 1, 2 * h - a + 1, True))
+        rows = values
+        for depth in range(held - 1, -1, -1):
+            M, level = levels[depth]
+            a, b, _ = spans[depth]
+            mirrored = depth + 1 < held and spans[depth + 1][2]
+            rows = {mn: _window(mn, halves, M, rows, z[depth], a, b,
+                                mirrored, not depth)
+                    for mn, halves in level.items()}
+        low = high = None
+        for i, seg in enumerate(segs):
+            u, v = rows[seg.m, seg.n]
+            if i % 2:
+                u, v = v, u
+            low = u if low is None else low + u
+            high = v if high is None else high + v
+        if peak:
+            top = max(top, np.max(low), np.max(high))
+        else:
+            F[k0:k0 + len(low)] = low
+            F[::-1][k0:k0 + len(high)] = high
+    return float(top) if peak else F
 
 
 def _levels(segs: list[Segment], N: int) -> list[tuple[int, dict]]:
@@ -290,19 +349,47 @@ def _levels(segs: list[Segment], N: int) -> list[tuple[int, dict]]:
         N, level = N // 2, dict.fromkeys(below)
 
 
-def _segment_values(mn: tuple[int, int], halves, M: int, below: dict, z,
-                    power: bool) -> np.ndarray:
-    """The half spectrum of the segment [m, n) on the M-grid, or its
-    power: exact for a segment of length at most 1 (``halves`` None), else
-    one radix2_step from the values of its ``halves`` in ``below``, with
-    the twiddle table z."""
+def _exact(mn: tuple[int, int], size: int, power: bool) -> np.ndarray:
+    """``size`` copies of the value of a segment [m, n) of length at most
+    1, a_m or 0 if empty, or of its power: exact on every grid."""
     m, n = mn
+    a = coeff(m) if n > m else 0
+    return np.full(size, a * a if power else a,
+                   dtype=float if power else complex)
+
+
+def _segment_values(mn: tuple[int, int], halves, M: int, below: dict,
+                    z) -> np.ndarray:
+    """The half spectrum of the segment [m, n) on the M-grid: exact for a
+    segment of length at most 1 (``halves`` None), else one radix2_step
+    from the values of its ``halves`` in ``below``, with the twiddle
+    table z."""
     if halves is None:
-        a = coeff(m) if n > m else 0
-        return np.full(M // 2 + 1, a * a if power else a,
-                       dtype=float if power else complex)
+        return _exact(mn, M // 2 + 1, False)
     A, B = halves
-    return radix2_step(below[A], below[B], z, m, power)
+    return radix2_step(below[A], below[B], z, mn[0])
+
+
+def _window(mn: tuple[int, int], halves, M: int, below: dict, z, a: int,
+            b: int, mirrored: bool, power: bool) -> tuple:
+    """(low, high) of the butterflies k = a .. b - 1 of the segment [m, n)
+    on the M-grid, R[k] and R[M/2 - k] (radix2_step's window), or their
+    powers.  ``below`` holds the values of its halves: whole half spectra,
+    or the (low, high) windows of the butterflies a .. b - 1 below, or,
+    ``mirrored``, of the butterflies q - b + 1 .. q - a, q = M/4."""
+    if halves is None:
+        v = _exact(mn, b - a, power)
+        return v, v
+    q = M // 4
+
+    def at(X):                 # (R_X[k], R_X[q - k]) for k = a .. b - 1
+        x = below[X]
+        if isinstance(x, np.ndarray):
+            return x[a:b], x[q - a::-1][:b - a]
+        return (x[1][::-1], x[0][::-1]) if mirrored else x
+
+    A, B = halves
+    return radix2_step(at(A)[0], at(B)[1], z, mn[0], power, (a, M))
 
 
 def _power(R: np.ndarray) -> np.ndarray:
@@ -362,7 +449,10 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, slack, cross=None,
     eps_direct(L) <= eps_fp(L, N_l) (N_l >= 4 L), so s holds for them.
     The next level is taken whole, when lo < U/2, when it would cost more
     direct work than the N_0 spectrum (points times n above the N_0 grid),
-    or when its grid is no larger than N_0.
+    or when its grid is no larger than N_0.  A whole level read only
+    through its maximum, the cap and every level whose next level is no
+    larger than N_0, asks segment_spectra for the maximum alone, which
+    folds it chunk by chunk and builds no array of the grid.
 
     Without ``decide`` the result is the N-grid enclosure.  With it, the
     monotone decision ``decide(enc)`` (True: holds, False: refuted, None:
@@ -391,7 +481,15 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, slack, cross=None,
     N0 = oversampled_grid(n, N) >> sh
     N_l = oversampled_grid(n, N, 8) >> sh if decide and not cross else N0
     N >>= sh
-    F = _spectral_values(segs, N_l, cross, lookup)
+
+    def values(N_l):
+        # The maximum alone where no pruning reads F: at the cap, and where
+        # the next level is taken whole.
+        return _spectral_values(segs, N_l, cross, lookup,
+                                not degree or N_l == N
+                                or min(4 * N_l, N) <= N0)
+
+    F = values(N_l)
     N_l = N_l if degree > 0 else N         # degree 0: constant
     js = None                              # level 0: j = 0 .. N_l/2
     while True:
@@ -415,7 +513,7 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, slack, cross=None,
             if len(js) * n <= N0:
                 F = _direct_values(segs, js, N_l, cross)
                 continue
-        js, F = None, _spectral_values(segs, N_l, cross, lookup)
+        js, F = None, values(N_l)
 
 
 def sup_norm_sq(seg: Segment, N: int, decide=None,
@@ -524,7 +622,7 @@ class PrefixSpectra:
             z = self._twiddles.get(N)
             if halves and z is None:
                 z = self._twiddles[N] = twiddles(N)
-            R = _segment_values((0, n), halves, N, below, z, False)
+            R = _segment_values((0, n), halves, N, below, z)
             # P_0 = 0 and P_1 = 1 everywhere, each its own power.
             entry = [R, None if halves else R.real]
             for j in [j for j in memo if j < n - 1]:

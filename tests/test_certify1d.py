@@ -310,8 +310,8 @@ def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch, no_fft,
             return real(seg, N, decide, **memo)
         monkeypatch.setattr(c1, name, spy)
     built, real = [], norms.segment_spectra
-    monkeypatch.setattr(norms, 'segment_spectra', lambda segs, N:
-                        built.extend(segs) or real(segs, N))
+    monkeypatch.setattr(norms, 'segment_spectra', lambda segs, N, *peak:
+                        built.extend(segs) or real(segs, N, *peak))
     visits, held = split_visits
     for kind, sup_ns in (('midrange', (3, 11)), ('upper', ())):
         calls.clear()
@@ -328,15 +328,23 @@ def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch, no_fft,
     assert_split_bound_holds(visits)
 
 
-def test_brute_onedim_takes_no_fft(no_fft, split_visits):
+def test_brute_onedim_takes_no_fft(monkeypatch, no_fft, split_visits):
     """The sweep reads each n's sup objective as a split entry, built by
     the radix-2 recursion from the exact prefixes 0 and 1: the
     benchmark's sweep settles as with FFTs and takes none, every step of
-    the recursion is within eps_fp, and its store stays under 2.5 MiB."""
+    the recursion is within eps_fp, and its store stays under 2.5 MiB.
+    Visited depth first, it builds each (prefix, grid) pair about once:
+    2,097 steps for 2,078 pairs (3,952 in rising order)."""
+    import rsbounds.norms as norms
+
+    steps = []
+    monkeypatch.setattr(norms, 'radix2_step', lambda *a,
+                        real=norms.radix2_step: steps.append(a) or real(*a))
     report = brute_onedim(2048, 1 << 15)
     assert report.ok and report.unsettled == [43, 171, 683]
     visits, held = split_visits
     assert len(held) >= 2048 and max(held) <= 5 << 19
+    assert len(steps) <= 1.02 * len({(n, N) for n, N in visits if n > 1})
     assert_split_bound_holds(visits)
 
 

@@ -8,8 +8,10 @@ from rsbounds.evaluate import (UNIT_ROUNDOFF, DomainError, abs_sq_slack,
                                eps_direct, eps_fp, eps_radix2, eval_point,
                                eval_point_root, eval_PQ, eval_roots,
                                half_spectrum, radix2_step, twiddles)
+from rsbounds import norms
 from rsbounds.norms import PrefixSpectra, segment_spectra
-from rsbounds.sequence import CapacityError, Segment, coeff_range
+from rsbounds.sequence import (CapacityError, Segment, coeff_range,
+                               even_odd_split)
 
 
 def grid_point(j, N):
@@ -385,6 +387,41 @@ def test_radix2_step_at_m0_is_the_prefix_step_byte_for_byte():
         assert top[::1 << j].tobytes() == twiddles(1 << (21 - j)).tobytes()
 
 
+def test_radix2_step_windows_are_the_whole_step_byte_for_byte():
+    """A window of butterflies k0 .. k1 - 1 gives R[k] and R[M/2 - k] of
+    the whole step byte for byte, complex and power-only, at every m mod
+    4, with the table of M or (k0 even) of M/2, for windows inside a
+    chunk, across chunks and at the ends; at k = q, where X + Y and
+    conj(X - Y) differ for these random inputs, both are R[q].  A window
+    past q + 1, or at an odd k0 with the table of M/2, is refused."""
+    rng = np.random.default_rng(31)
+    for q in (1, 2, 8, 1 << 15):
+        M = 4 * q
+        RA, RB = (rng.normal(size=(q + 1, 2)) @ [1, 1j] for _ in range(2))
+        windows = {(0, q + 1), (0, 1), (q, q + 1), (q // 2, q + 1)}
+        for _ in range(4):
+            k0 = int(rng.integers(0, q + 1))
+            windows.add((k0, int(rng.integers(k0 + 1, q + 2))))
+        tables = [twiddles(M)] + ([twiddles(M // 2)] if q > 1 else [])
+        for z in tables:
+            for m in range(4):
+                for power in (False, True):
+                    R = radix2_step(RA, RB, z, m, power)
+                    for k0, k1 in windows:
+                        if len(z) < q + 1 and k0 % 2:
+                            continue
+                        low, high = radix2_step(
+                            RA[k0:k1], RB[::-1][k0:k1], z, m, power,
+                            (k0, M))
+                        assert low.tobytes() == R[k0:k1].tobytes()
+                        assert high.tobytes() == R[::-1][k0:k1].tobytes()
+    z = twiddles(32)
+    for k0, k1, table in ((0, 10, z), (8, 10, z), (1, 3, twiddles(16))):
+        with pytest.raises(ValueError):
+            radix2_step(RA[:k1 - k0], RB[:k1 - k0], table, 0, False,
+                        (k0, 32))
+
+
 def test_segment_spectra_match_half_spectrum():
     """Seeded property of the segment recursion (norms.segment_spectra,
     radix2_step on every level): on 300 segments, m even and odd with both
@@ -399,9 +436,53 @@ def test_segment_spectra_match_half_spectrum():
         N = 1 << int(rng.integers((4 * L - 1).bit_length(),
                                   (16 * L - 1).bit_length() + 1))
         seg = Segment(m, m + L)
-        (P,) = segment_spectra([seg], N)
+        P = segment_spectra([seg], N)
         err = np.max(np.abs(P - np.abs(half_spectrum(seg, N)) ** 2))
         assert err <= abs_sq_slack(L, N), (m, L, N, err)
+
+
+def _held_objective(segs, N):
+    """F of segment_spectra by the recursion with every level held whole:
+    each level one whole radix2_step per segment, with its own grid's
+    twiddle table, the top step power-only, and F the sum of the powers,
+    reversed at odd positions."""
+    values = {}
+    for M, level in reversed(norms._levels(segs, N)):
+        top = M == N
+        values = {mn: norms._exact(mn, M // 2 + 1, top) if halves is None
+                  else radix2_step(values[halves[0]], values[halves[1]],
+                                   twiddles(M), mn[0], top)
+                  for mn, halves in level.items()}
+    powers = [values[seg.m, seg.n] for seg in segs]
+    return sum(a[::-1] if i % 2 else a for i, a in enumerate(powers))
+
+
+def test_streamed_top_levels_equal_the_held_recursion_byte_for_byte():
+    """segment_spectra streams the top step and the levels N/2 and N/4
+    above 2^16 a chunk of butterflies at a time; its F, and its folded
+    maximum, are those of the recursion that holds every level whole,
+    bit for bit.  Seeded: grids 2^17 to 2^21 (3 to 33 chunks of the top),
+    one segment and the halves [A, B] of an L objective, with m mod 4
+    through all four cases for each; and segments of length 1 to 3, whose
+    exact values fill the streamed levels."""
+    rng = np.random.default_rng(29)
+    cases = []
+    for i, log_N in enumerate(range(17, 22)):
+        N = 1 << log_N
+        for kind in range(2):
+            L = int(rng.integers(N // 16, N // 4 + 1))
+            m = int(rng.integers(0, 1 << 40)) & ~3 | (i + 2 * kind) % 4
+            segs = ([Segment(m, m + L)] if kind == 0
+                    else list(even_odd_split(Segment(m, m + 2 * L))))
+            cases.append((segs, N))
+    cases += [([Segment(m, m + L)], 1 << 18) for m in (5, 6) for L in (1, 3)]
+    cases.append((list(even_odd_split(Segment(7, 10))), 1 << 18))
+    for segs, N in cases:
+        F = segment_spectra(segs, N)
+        want = _held_objective(segs, N)
+        assert F.tobytes() == want.tobytes(), (segs, N)
+        peak = segment_spectra(segs, N, peak=True)
+        assert type(peak) is float and peak == np.max(want), (segs, N)
 
 
 def test_segment_spectra_input_contract():
@@ -417,7 +498,7 @@ def test_segment_spectra_input_contract():
     with pytest.raises(ValueError, match='not a power of two'):
         segment_spectra([Segment(0, 4)], 24)
     seg = Segment((1 << 64) - 5, 1 << 64)
-    (P,) = segment_spectra([seg], 64)
+    P = segment_spectra([seg], 64)
     assert (np.max(np.abs(P - np.abs(half_spectrum(seg, 64)) ** 2))
             <= abs_sq_slack(5, 64))
 

@@ -107,8 +107,8 @@ def spectrum_grids(monkeypatch):
     fft, recursion = norms.half_spectrum, norms.segment_spectra
     monkeypatch.setattr(norms, 'half_spectrum',
                         lambda seg, N: grids.append(N) or fft(seg, N))
-    monkeypatch.setattr(norms, 'segment_spectra', lambda segs, N: (
-        grids.append(N) or recursion(segs, N)))
+    monkeypatch.setattr(norms, 'segment_spectra', lambda segs, N, *peak: (
+        grids.append(N) or recursion(segs, N, *peak)))
     return grids
 
 
@@ -463,7 +463,7 @@ def test_grid_contract_is_checked_before_any_fft(monkeypatch):
     min(4, N // N_l) is 1 at N_l = 512, so the loop would never end."""
     monkeypatch.setattr(norms, 'half_spectrum',
                         lambda seg, N: pytest.fail(f'FFT on grid {N}'))
-    monkeypatch.setattr(norms, 'segment_spectra', lambda segs, N:
+    monkeypatch.setattr(norms, 'segment_spectra', lambda segs, N, *_:
                         pytest.fail(f'spectra of {segs} on grid {N}'))
     table = [(lambda N, d: sup_norm_sq(Segment(0, 10), N, d), 10),
              (lambda N, d: L_norm_sq(Segment(0, 10), N, d), 10),
