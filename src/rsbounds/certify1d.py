@@ -30,7 +30,8 @@ sqrt((6n-2)(1 + 10^-6)) for each n by one decision on the norms engine,
 so the grid grows only for the n that need it.  The prefix n is read from
 its half prefixes on half the grid, and theirs from their own halves, by
 the radix-2 recursion down to the exact prefixes 0 and 1
-(norms.PrefixSpectra): no FFT, and an error bound derived end to end.
+(norms.segment_spectra, memoized in one norms.PrefixSpectra): no FFT,
+and an error bound derived end to end.
 An n the grid cap leaves undecided is reported as unsettled and checked
 on the cap grid alone.
 Only sharpness points n = (2 4^k + 1)/3 stay unsettled: the bound is
@@ -269,20 +270,20 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
     Each pair makes one decision on the L-norm on the norms engine, with
     grid cap _REFINE_CAP: it refines until the enclosure settles the test
     or the cap is reached.  The L objective of the prefix n is read from
-    its half prefixes ceil(n/2) and floor(n/2), each a split entry of one
-    norms.PrefixSpectra: built by the radix-2 recursion
-    (evaluate.radix2_step) from the exact prefixes 0 and 1, with no FFT,
-    within the same slack.  Consecutive n share entries, and the store
-    drops those that no later pair reads.  The strict L comparison
-    settles when hi clears or lo refutes the bound.  Where it certifies,
-    so does the sup-norm bound: sup |P(z)|^2 <= sup (|P(z)|^2 +
-    |P(-z)|^2) <= hi.
+    its half prefixes ceil(n/2) and floor(n/2), each an entry of one
+    norms.PrefixSpectra, the memo of norms.segment_spectra: built by the
+    radix-2 recursion (evaluate.radix2_step) from the exact prefixes 0
+    and 1, with no FFT, within the same slack.  Consecutive n share
+    entries, and the store drops those that no later pair reads.  The
+    strict L comparison settles when hi clears or lo refutes the bound.
+    Where it certifies, so does the sup-norm bound: sup |P(z)|^2 <=
+    sup (|P(z)|^2 + |P(-z)|^2) <= hi.
     Only the other pairs make a sup-norm decision, a non-refutation check
     (ok unless lo exceeds the bound): the bound is attained with equality
     at the sharpness points, so no finite enclosure can certify it
     strictly there.  These read no store: norms.segment_spectra builds
-    their spectra by the same recursion.  Both results are reported for
-    every pair.
+    their spectra by the same recursion, its top streamed.  Both results
+    are reported for every pair.
     """
     if kind == 'midrange':
         pairs = [(k, n, 1 << (k + 3)) for k in range(13)
@@ -343,20 +344,21 @@ def brute_onedim(n_max: int, N: int) -> BruteForceReport:
     hi passing needs the off-grid correction below the 10^-6 tolerance,
     which takes N above about 2200 n.
 
-    The objective is read from split entries of one norms.PrefixSpectra:
-    the values of the prefix n on a grid come from those of its half
-    prefixes ceil(n/2) and floor(n/2) on half that grid by
-    evaluate.radix2_step, and theirs likewise, down to the exact prefixes
-    0 and 1.  No FFT is taken, and every value is within the same slack
-    by induction (evaluate.eps_radix2).  The n are visited depth first in
-    the tree of halves, each h followed by its children 2h - 1 and 2h,
-    whose common half ceil(n/2) it is: a child reads h's entries on half
-    its grids while the store still holds them, so each (prefix, grid)
-    pair is built about once (2,097 steps for 2,078 pairs at n_max = 2048
-    on 2^15, against 3,952 in rising order).  On each grid the prefixes
-    still come in rising order, but for the few halves that a decision
-    refining past its first grid rebuilds, so the store's drop rule
-    bounds it as in a rising sweep.  The report lists n in rising order.
+    The objective is read from entries of one norms.PrefixSpectra, the
+    memo of norms.segment_spectra: the values of the prefix n on a grid
+    come from those of its half prefixes ceil(n/2) and floor(n/2) on half
+    that grid by evaluate.radix2_step, and theirs likewise, down to the
+    exact prefixes 0 and 1.  No FFT is taken, and every value is within
+    the same slack by induction (evaluate.eps_radix2).  The n are
+    visited depth first in the tree of halves, each h followed by its
+    children 2h - 1 and 2h, whose common half ceil(n/2) it is: a child
+    reads h's entries on half its grids while the store still holds
+    them, so each (prefix, grid) pair is built about once (2,097 steps
+    for 2,078 pairs at n_max = 2048 on 2^15, against 3,952 in rising
+    order).  On each grid the prefixes still come in rising order, but
+    for the few halves that a decision refining past its first grid
+    rebuilds, so the store's drop rule bounds it as in a rising sweep.
+    The report lists n in rising order.
 
     The worst ratio is (sqrt(M + s) + 1)^2 / (6n - 2), with M + s = lo + 2 s
     on the grid that decided n.  It reaches 1 at the sharpness points,

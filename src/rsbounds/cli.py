@@ -164,7 +164,7 @@ def _cmd_extremal(cfg: RunConfig, args) -> int:
 def _cmd_montgomery(cfg: RunConfig, args) -> int:
     from .experiments import montgomery_counterexample
 
-    grid_N = cfg.N if 4 ** args.k * 4 <= cfg.N else None
+    grid_N = cfg.N if 2 * args.k + 2 <= cfg.grid_log2 else None
     rep = montgomery_counterexample(args.k, grid_N)
     result = {'k': rep.k, 'point_ratio': rep.point_ratio,
               'limit': rep.limit, 'exceeds_nine': rep.exceeds_nine,

@@ -27,11 +27,13 @@ a conjugate set by m mod 4; inputs within eps_fp on N/2 give values within
 eps_radix2(L, N) <= eps_fp(L, N).  Applied recursively from the segments
 of length at most 1, whose values are exact, it gives every value within
 eps_fp by induction, with no FFT: the bound is then derived, not validated
-(norms.segment_spectra, norms.PrefixSpectra).  Its top step can return
-|R|^2 alone, bit for bit np.abs(R) ** 2, for objectives that read only
-the power, so the top grid's complex values are never held, and it can
-take a window of its butterflies alone, from windows of its inputs, so
-that the top levels of a recursion need not be held whole.  Only
+(norms.segment_spectra, the one builder of grid spectra, with
+norms.PrefixSpectra its memo).  Its top step can return |R|^2 alone, bit
+for bit np.abs(R) ** 2, for objectives that read only the power, so the
+top grid's complex values are never held, and it can take a window of its
+butterflies alone, from windows of its inputs, so that the top levels of
+a recursion need not be held whole: segment_spectra streams its top so
+without a store, and holds every level whole with one.  Only
 ``eval --grid`` still reads half_spectrum.
 """
 

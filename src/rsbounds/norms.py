@@ -42,17 +42,19 @@ values of A and B by one butterfly with the twiddle z_j
 segments of length at most 1, whose values a_m and 0 are exact.  By
 induction each value errs by at most eps_radix2(L, N) <= eps_fp(L, N), so
 every slack below holds for it unchanged, with no FFT and no validated
-constant.  segment_spectra builds any segments this way: level by level
-up to the grid N/8 (or 2^16), holding at most two levels at a time, and
-above it a chunk of top butterflies at a time, each level reading windows
-of the one below.  Its top step computes |R|^2 alone, all that the sup
-and L objectives read, and it returns their objective F, or F's maximum
-alone.  Every sup and L objective reads it, except the prefixes that a
-PrefixSpectra store serves.
-PrefixSpectra stores prefix spectra by (prefix, grid), built by the same
-recursion: sup_norm_sq and L_norm_sq read them when given a store, and
-g_int, whose halves are prefixes, always.  The sweeps of certify1d read
-rising prefixes, so consecutive n share their halves on every grid.
+constant.  segment_spectra is the one builder of every grid spectrum:
+one walk down the levels, then up, building each level from the one
+below, and it returns the objective F, or F's maximum alone.  Its top has
+two modes.  Without a store it holds whole levels up to the grid N/8 (or
+2^16), at most two at a time, and above it builds a chunk of top
+butterflies at a time, each level reading windows of the one below; the
+top step computes |R|^2 alone, all that the sup and L objectives read.
+With a PrefixSpectra store, its memo, every level is held whole and kept
+by (grid, segment), top included, and the walk descends only where the
+store lacks a level's segment: sup_norm_sq and L_norm_sq read one when
+given it, and g_int, whose halves are prefixes, always.  The sweeps of
+certify1d read rising prefixes, so consecutive n share their halves on
+every grid.
 
 The g objective.  Write a = A_r(w), b = B_r(-w) for the halves of the
 prefix r and c = A_s(w), d = B_s(-w) for those of the prefix s.  Then
@@ -204,109 +206,144 @@ def _sqrt_sum_le(q: float | Fraction, beta: float | Fraction,
     return _sqrt_sum_cmp(q, beta, t) >= 0
 
 
-def _spectral_values(segs: list[Segment], N: int, cross, lookup,
-                     peak: bool = False):
-    """F at x_j, j = 0 .. N/2, or with ``peak`` possibly its maximum
-    alone: read from the power |R|^2 of one half spectrum R per segment,
-    with R from ``lookup(n, N)``, PrefixSpectra.split, if given and every
-    segment is a prefix, else built by segment_spectra.  Only g has a
-    ``cross`` term, which reads R, and g always passes a lookup for its
-    segments, which are prefixes.  A segment at an even position is read
-    at x, with the value v = R[j] = conj P(x_j), one at an odd position at
-    -x, with the value w = R[N/2 - j] = P(-x_j)."""
-    if lookup is None or any(seg.m for seg in segs):
-        return segment_spectra(segs, N, peak)
-    v = [lookup(seg.n, N) for seg in segs]
-    F = None
-    for i, (_, a) in enumerate(v):
-        # |w|^2 as reversed |v|^2: np.abs of a reversed view may round apart.
-        t = a[::-1] if i % 2 else a
-        F = t if F is None else F + t
-    if cross:
-        # Not in place: F may be a memoized power.
-        F = F + cross([R[::-1] if i % 2 else R for i, (R, _) in enumerate(v)])
-    return F
-
-
-def segment_spectra(segs: list[Segment], N: int, peak: bool = False):
-    """F at x_j, j = 0 .. N/2, the sum over the segments of |R|^2 at x_j
+def segment_spectra(segs: list[Segment], N: int, peak: bool = False,
+                    cross=None, store: PrefixSpectra | None = None):
+    """F at x_j, j = 0 .. N/2: the sum over the segments of |R|^2 at x_j
     for those at even positions and at -x_j for those at odd positions,
-    R the segment's half spectrum on the N-grid (the values conj P~(z_j)
-    that half_spectrum gives), built by the radix-2 recursion with no FFT;
-    with ``peak``, F's maximum alone, as a float.  A segment's power is
-    |R[j]|^2 at x_j and |R[N/2 - j]|^2 at -x_j, so butterfly k of the top
-    step gives every segment's power at k and at N/2 - k, and with them F
-    at both: one segment, or the halves [A, B] of an L objective.
+    plus cross(v) of their values v, R[j] = conj P~(x_j) or R[N/2 - j] =
+    P~(-x_j) by the same positions, R the segment's half spectrum on the
+    N-grid (the values half_spectrum gives), built by the radix-2
+    recursion with no FFT; with ``peak``, F's maximum alone, as a float.
+    ``cross`` is read only with a ``store``: g, the one objective with a
+    cross term, always passes one.
 
-    The recursion runs up the levels of _levels: the segments of length at
-    most 1 have the exact values a_m, or 0 if empty, and every longer one
-    is built from its halves one level down by evaluate.radix2_step.  A
-    level holds few segments (the ends of those on level j lie within one
-    of m / 2^j and n / 2^j), so a segment costs O(N) butterflies.  By
-    induction from the exact base each value is within eps_radix2(L, N)
-    <= eps_fp(L, N) (evaluate), so every slack holds for it, and
-    abs_sq_slack(L, N) for its power.
+    One walk runs down the levels: the segments on the grid M, keyed by
+    their pairs (m, n), are the halves (even_odd_pairs) of those on 2M
+    that ``store`` lacks, or of all of them without one, from ``segs`` on
+    N down to a level with none of length 2 or more.  Each level is then
+    built from the one below by _segment_values: the exact values a_m, or
+    0, of a segment of length at most 1, and one evaluate.radix2_step from
+    its halves for a longer one.  A level holds few segments (the ends of
+    those on level j lie within one of m / 2^j and n / 2^j), so a segment
+    costs O(N) butterflies.  By induction from the exact base each value
+    is within eps_radix2(L, N) <= eps_fp(L, N) (evaluate), so every slack
+    holds for it, and abs_sq_slack(L, N) for its power.
 
-    Below the top, only the levels of grid at most N/8, or at most
-    4 _CHUNK (one chunk of butterflies), are held whole, each freed once
-    the one above it is built.  The top step, and the levels N/2 and N/4
-    where their grids exceed 4 _CHUNK, run one chunk of the top's
-    butterflies at a time, each level taking the windows (radix2_step)
-    that the level above reads, down to the held level.  Butterfly k of a
-    level reads R_A[k] and R_B[q - k] of the level below, q = M/4 of its
-    grid M: for k <= q/2 those are the low and the high values of the
-    butterflies k below, and otherwise the high and the low values of the
-    butterflies q - k, in reverse.  Each chunk of _CHUNK top butterflies,
-    and each window below it, lies on one side of every q/2, which is a
-    multiple of the chunk on the streamed grids.  The top step computes
-    only the powers, and F is written, or with ``peak`` folded into its
-    maximum, a chunk at a time: at N = 2^21 the recursion then holds the
-    level 2^18 and its windows, not two levels of 2^20.  The values are
-    those of the whole steps, bit for bit.
+    The top has two modes.  With a store every level is held whole, top
+    included, and its new entries join the store by the drop rule
+    (PrefixSpectra); a top entry's power is squared when a call first
+    reads it, and kept.  g's corners share their tops, which streamed
+    would be rebuilt window by window for every corner.  Without a store
+    only the levels of grid at most N/8, or at most 4 _CHUNK (one chunk of
+    butterflies), are held whole, each freed once the one above it is
+    built.  The top step, and the levels N/2 and N/4 where their grids
+    exceed 4 _CHUNK, run one chunk of the top's butterflies at a time,
+    each level taking the windows (radix2_step) that the level above
+    reads.  Butterfly k of a level reads R_A[k] and R_B[q - k] of the
+    level below, q = M/4 of its grid M: for k <= q/2 those are the low and
+    the high values of the butterflies k below, and otherwise the high
+    and the low values of the butterflies q - k, in reverse.  Each chunk
+    of _CHUNK top butterflies, and each window below it, lies on one side
+    of every q/2, which is a multiple of the chunk on the streamed grids.
+    The top step computes only the powers, and F is written, or with
+    ``peak`` folded into its maximum, a chunk at a time: at N = 2^21 the
+    recursion then holds the level 2^18 and its windows, not two levels of
+    2^20.  The values are those of the whole steps, bit for bit.
 
-    One twiddle table serves every level, at the stride of its grid: the
-    N-grid's, which twiddles keeps, up to KEPT_TWIDDLES, and above it the
-    N/2-grid's, which gives the even twiddles of the top step; that step
-    takes the odd ones a chunk at a time, so no table of a large N-grid is
-    held.  Grids above DEFAULT_MAX_RANGE and indices past 2^64 - 1 are
-    refused with CapacityError, as half_spectrum and coeff_range refuse
-    them.
+    Every level reads a table that is twiddles(M) bit for bit: on an
+    N-grid up to KEPT_TWIDDLES its own, which twiddles keeps, and on a
+    larger one the table of N/2 at its stride, from which the top step
+    takes its even twiddles and computes the odd ones a chunk at a time.
+    So no table of a large N-grid is held, and the store holds none.
+    Grids above DEFAULT_MAX_RANGE and indices past 2^64 - 1 are refused
+    with CapacityError, as half_spectrum and coeff_range refuse them.
     """
     if N > DEFAULT_MAX_RANGE:
         raise CapacityError(f"grid size {N} exceeds limit {DEFAULT_MAX_RANGE}")
-    for seg in segs:
-        check_range(seg)
-    levels = _levels(segs, N)
-    T = N if N <= KEPT_TWIDDLES else N // 2    # the grid of the table
-    table = twiddles(max(T, 4))                # N = 2 takes no step
-    z = [table[::max((T << depth) // N, 1)] for depth in range(len(levels))]
-    # Levels from `held` down are built whole; the top and any level of
-    # N/2 and N/4 with more than one chunk of butterflies stream.
-    held = min(1 + sum(N >> depth > 4 * _CHUNK for depth in (1, 2)),
-               len(levels))
+    if N < 2 or N & (N - 1):
+        raise ValueError(f"grid size {N} is not a power of two >= 2")
+    tops = [(seg.m, seg.n) for seg in segs]
+    # The walk down, a level a grid M: (M, {(m, n): its halves, or None}
+    # of the segments to build, {(m, n): entry} of those in the store).
+    entries = {} if store is None else store._entries
+    walk, keys, M = [], tops, N
+    while keys:
+        memo = entries.get(M, {})
+        known, level, below = {}, {}, []
+        for mn in keys:
+            entry = memo.get(mn)
+            if entry is not None:
+                known[mn] = entry
+            elif mn not in level:
+                halves = level[mn] = (even_odd_pairs(*mn)
+                                      if mn[1] - mn[0] > 1 else None)
+                below += halves or ()
+        walk.append((M, level, known))
+        if below and M < 4:
+            raise ValueError(f"grid size {N} is too small for a segment of "
+                             f"length {max(seg.length for seg in segs)}")
+        keys, M = below, M // 2
+    if walk[0][1]:          # what the store holds was checked when built
+        for seg in segs:
+            check_range(seg)
+    # Without a store, levels from `held` down are built whole; the top
+    # and any level of N/2 and N/4 with more than one chunk of
+    # butterflies stream.
+    held = 0 if store is not None else min(
+        1 + sum(N >> depth > 4 * _CHUNK for depth in (1, 2)), len(walk))
+    # The table of N/2 is built before any level is held.
+    big = twiddles(N // 2) if N > KEPT_TWIDDLES and walk[0][1] else None
+    # Every level's values are entries [R, |R|^2 or None], a store's own
+    # or new ones; each level is let go of once the one above it is built.
     values: dict = {}
-    for depth in range(len(levels) - 1, held - 1, -1):
-        M, level = levels[depth]
-        values = {mn: _segment_values(mn, halves, M, values, z[depth])
-                  for mn, halves in level.items()}
+    for _ in range(len(walk) - held):        # up from the bottom
+        M, level, known = walk.pop()
+        if level:
+            z, memo = _table(M, N, big), entries.setdefault(M, {})
+            for mn, halves in level.items():
+                R = _segment_values(mn, halves, M, values, z)
+                # The base values are their own power.
+                known[mn] = entry = [R, None if halves else R.real]
+                if store is not None:
+                    last = mn[1] - 1
+                    for key in [key for key in memo if key[1] < last]:
+                        del memo[key]
+                    memo[mn] = entry
+        values = known
+    if store is not None:
+        F = None
+        for i, mn in enumerate(tops):
+            entry = values[mn]
+            if entry[1] is None:
+                entry[1] = _power(entry[0])
+            # |w|^2 as reversed |v|^2: np.abs of a reversed view may
+            # round apart.
+            t = entry[1][::-1] if i % 2 else entry[1]
+            F = t if F is None else F + t
+        if cross:
+            # Not in place: F may be a stored power.
+            F = F + cross([values[mn][0][::-1] if i % 2 else values[mn][0]
+                           for i, mn in enumerate(tops)])
+        return float(F.max()) if peak else F
     q = N // 4
     F = None if peak else np.empty(N // 2 + 1)
-    top = -math.inf
+    best = -math.inf
+    zs = [_table(M, N, big) for M, _, _ in walk[:held]]
     for k0 in range(0, q + 1, _CHUNK):
         # The butterflies of each streamed level, and whether they mirror
         # those of the level above.
         spans = [(k0, min(k0 + _CHUNK, q + 1), False)]
-        for M, _ in levels[1:held]:
+        for M, _, _ in walk[1:held]:
             a, b, _ = spans[-1]
             h = M // 4
             spans.append((a, b, False) if b <= h + 1
                          else (2 * h - b + 1, 2 * h - a + 1, True))
         rows = values
         for depth in range(held - 1, -1, -1):
-            M, level = levels[depth]
+            M, level, _ = walk[depth]
             a, b, _ = spans[depth]
             mirrored = depth + 1 < held and spans[depth + 1][2]
-            rows = {mn: _window(mn, halves, M, rows, z[depth], a, b,
+            rows = {mn: _window(mn, halves, M, rows, zs[depth], a, b,
                                 mirrored, not depth)
                     for mn, halves in level.items()}
         low = high = None
@@ -317,36 +354,18 @@ def segment_spectra(segs: list[Segment], N: int, peak: bool = False):
             low = u if low is None else low + u
             high = v if high is None else high + v
         if peak:
-            top = max(top, np.max(low), np.max(high))
+            best = max(best, np.max(low), np.max(high))
         else:
             F[k0:k0 + len(low)] = low
             F[::-1][k0:k0 + len(high)] = high
-    return float(top) if peak else F
+    return float(best) if peak else F
 
 
-def _levels(segs: list[Segment], N: int) -> list[tuple[int, dict]]:
-    """[(M, {(m, n): its halves, or None})] of the radix-2 recursion, from
-    the distinct ``segs`` on the N-grid down, each segment [m, n) keyed by
-    the pair (m, n): the halves (even_odd_pairs) of each segment of length
-    at least 2 are the segments of the next level, on half the grid, and
-    the last level has none that long."""
-    if N < 2 or N & (N - 1):
-        raise ValueError(f"grid size {N} is not a power of two >= 2")
-    levels, level = [], dict.fromkeys((seg.m, seg.n) for seg in segs)
-    while True:
-        for m, n in level:
-            if n - m > 1:
-                level[m, n] = even_odd_pairs(m, n)
-        levels.append((N, level))
-        below = [half for halves in level.values() if halves
-                 for half in halves]
-        if not below:
-            return levels
-        if N < 4:
-            raise ValueError(f"grid size {levels[0][0]} is too small for a "
-                             f"segment of length "
-                             f"{max(seg.length for seg in segs)}")
-        N, level = N // 2, dict.fromkeys(below)
+def _table(M: int, N: int, big) -> np.ndarray:
+    """twiddles(M), bit for bit, for a level of segment_spectra on the
+    N-grid: M's own, which twiddles keeps, or ``big``, the table of N/2
+    above KEPT_TWIDDLES, at M's stride."""
+    return twiddles(max(M, 4)) if big is None else big[::N // (2 * M) or 1]
 
 
 def _exact(mn: tuple[int, int], size: int, power: bool) -> np.ndarray:
@@ -362,21 +381,22 @@ def _segment_values(mn: tuple[int, int], halves, M: int, below: dict,
                     z) -> np.ndarray:
     """The half spectrum of the segment [m, n) on the M-grid: exact for a
     segment of length at most 1 (``halves`` None), else one radix2_step
-    from the values of its ``halves`` in ``below``, with the twiddle
-    table z."""
+    from the values R of its ``halves``, entries [R, ...] in ``below``,
+    with the twiddle table z."""
     if halves is None:
         return _exact(mn, M // 2 + 1, False)
     A, B = halves
-    return radix2_step(below[A], below[B], z, mn[0])
+    return radix2_step(below[A][0], below[B][0], z, mn[0])
 
 
 def _window(mn: tuple[int, int], halves, M: int, below: dict, z, a: int,
             b: int, mirrored: bool, power: bool) -> tuple:
     """(low, high) of the butterflies k = a .. b - 1 of the segment [m, n)
     on the M-grid, R[k] and R[M/2 - k] (radix2_step's window), or their
-    powers.  ``below`` holds the values of its halves: whole half spectra,
-    or the (low, high) windows of the butterflies a .. b - 1 below, or,
-    ``mirrored``, of the butterflies q - b + 1 .. q - a, q = M/4."""
+    powers.  ``below`` holds the values of its halves: entries [R, ...] of
+    whole half spectra, or the (low, high) windows of the butterflies
+    a .. b - 1 below, or, ``mirrored``, of the butterflies q - b + 1 ..
+    q - a, q = M/4."""
     if halves is None:
         v = _exact(mn, b - a, power)
         return v, v
@@ -384,8 +404,8 @@ def _window(mn: tuple[int, int], halves, M: int, below: dict, z, a: int,
 
     def at(X):                 # (R_X[k], R_X[q - k]) for k = a .. b - 1
         x = below[X]
-        if isinstance(x, np.ndarray):
-            return x[a:b], x[q - a::-1][:b - a]
+        if isinstance(x, list):                   # a held level's entry
+            return x[0][a:b], x[0][q - a::-1][:b - a]
         return (x[1][::-1], x[0][::-1]) if mirrored else x
 
     A, B = halves
@@ -393,8 +413,9 @@ def _window(mn: tuple[int, int], halves, M: int, below: dict, z, a: int,
 
 
 def _power(R: np.ndarray) -> np.ndarray:
-    """|R|^2 of a spectrum R."""
-    return np.abs(R) ** 2
+    """|R|^2 of a spectrum R, np.abs(R) ** 2 squared in place."""
+    P = np.abs(R)
+    return np.square(P, out=P)
 
 
 def _direct_values(segs: list[Segment], js: np.ndarray, N: int,
@@ -407,14 +428,14 @@ def _direct_values(segs: list[Segment], js: np.ndarray, N: int,
 
 
 def _grid_sup(segs: list[Segment], N: int, degree: int, slack, cross=None,
-              decide=None, lookup=None, half: bool = False):
+              decide=None, store=None, half: bool = False):
     """Enclosure of the sup of F, of degree D = ``degree``, from its
     maximum over the N-grid, whose values err by at most slack(N).  F is
     the sum of |P(x)|^2 over the segments at even positions in ``segs``
     and of |P(-x)|^2 over those at odd positions, plus cross(v) of the
     list of the segments' untwisted values v, conj P(x_j) or P(-x_j) by
-    the same positions.  ``lookup``, if given, reads the spectra of
-    prefixes from a PrefixSpectra.
+    the same positions.  segment_spectra builds every whole level's
+    values, read from and kept in ``store`` if given.
 
     With ``half``, F is a function of w = z^2 and the objective is 2F
     (the L and g objectives, see the module docstring).  The level grids
@@ -463,8 +484,8 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, slack, cross=None,
     settle; the levels up to N_0 are then whole grids, as on their own
     caps.  A decision on g, whose prefix spectra a run's corners share,
     starts at N_0, on the axes as elsewhere.  The start depends on the
-    objective alone, so ``lookup`` never changes the grids, and its values
-    are within the same slack (PrefixSpectra).
+    objective alone, so ``store`` never changes the grids, and its values
+    are those of a call without it, bit for bit (segment_spectra).
     """
     n = sum(seg.length for seg in segs)
     L = max(A.length + B.length
@@ -485,16 +506,16 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, slack, cross=None,
     def values(N_l):
         # The maximum alone where no pruning reads F: at the cap, and where
         # the next level is taken whole.
-        return _spectral_values(segs, N_l, cross, lookup,
-                                not degree or N_l == N
-                                or min(4 * N_l, N) <= N0)
+        return segment_spectra(segs, N_l, not degree or N_l == N
+                               or min(4 * N_l, N) <= N0, cross, store)
 
     F = values(N_l)
     N_l = N_l if degree > 0 else N         # degree 0: constant
     js = None                              # level 0: j = 0 .. N_l/2
     while True:
         s = slack(N_l)
-        enc = _enclose_grid_sup(float(np.max(F)), degree, N_l, s)
+        top = F if type(F) is float else float(F.max())
+        enc = _enclose_grid_sup(top, degree, N_l, s)
         lo, U = enc.lo, enc.hi
         enc = enc.scale(1 << sh)           # the objective is 2F with half
         enc = Enclosure(enc.lo, enc.hi, N_l << sh, decide and decide(enc))
@@ -519,12 +540,11 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, slack, cross=None,
 def sup_norm_sq(seg: Segment, N: int, decide=None,
                 store: PrefixSpectra | None = None) -> Enclosure:
     """Enclosure of the squared sup-norm of the segment on the unit circle,
-    settling ``decide`` if given (see _grid_sup).  A prefix's spectra are
-    read as split entries of ``store``, if given; all others are built by
-    segment_spectra."""
+    settling ``decide`` if given (see _grid_sup).  Its spectra are read
+    from and kept in ``store``, if given (segment_spectra)."""
     return _grid_sup([seg], N, seg.length - 1,
                      lambda M: abs_sq_slack(seg.length, M), decide=decide,
-                     lookup=None if store is None else store.split)
+                     store=store)
 
 
 def L_norm_sq(seg: Segment, N: int, decide=None,
@@ -532,16 +552,15 @@ def L_norm_sq(seg: Segment, N: int, decide=None,
     """Enclosure of sup over the circle of |P(z)|^2 + |P(-z)|^2, settling
     ``decide`` if given (see _grid_sup): twice that of |A(w)|^2 + |B(-w)|^2
     for the halves A and B of the even/odd split (module docstring), on
-    the half grid.  The halves of a prefix are prefixes too, read as split
-    entries of ``store``, if given; all others are built by
-    segment_spectra.
+    the half grid.  The halves' spectra are read from and kept in
+    ``store``, if given (segment_spectra); the halves of a prefix are
+    prefixes too.
     """
     A, B = even_odd_split(seg)
     return _grid_sup(
         [A, B], N, max(A.length, B.length) - 1,
         lambda M: abs_sq_slack(A.length, M) + abs_sq_slack(B.length, M),
-        decide=decide, lookup=None if store is None else store.split,
-        half=True)
+        decide=decide, store=store, half=True)
 
 
 def _scaled(decide, factor: float):
@@ -579,64 +598,28 @@ def _prefix_half_spectrum(n: int, N: int, spectra: dict) -> np.ndarray:
 
 
 class PrefixSpectra:
-    """One store of the half spectra R of prefixes [0, n), keyed by
-    (n, grid), with the power |R|^2 of each entry that a caller reads.
-    Entries are read-only, and a caller gets the same values with a fresh
-    store as with a shared one.
+    """The memo of segment_spectra: the half spectra R of the segments of
+    its whole levels, each with its power |R|^2 once a call has read it
+    at the top, keyed by grid and then by the pair (m, n).  Its callers'
+    segments are prefixes [0, n), whose halves are prefixes too, so
+    consecutive n share their halves on every grid.  Entries are
+    read-only, and a caller gets the same values, bit for bit, with a
+    fresh store as with a shared one or none.
 
-    split(n, N) is the prefix's half spectrum on N and its power, built by
-    evaluate.radix2_step from the entries of its half prefixes
-    ceil(n/2) and floor(n/2) on N/2, and so on down to prefixes of length
-    at most 1, whose values are exact: 1 for n = 1, 0 for n = 0.  No FFT
-    is taken, and consecutive n share their halves on every grid.  By
-    induction from the exact base each value errs by at most
-    eps_radix2(n, N) <= eps_fp(n, N) (evaluate), so the slack of every
-    objective holds for it.  Only the power of an entry a caller reads is
-    computed.  The store keeps the twiddle table of each grid it splits
-    on.
-
-    The entries bound themselves: adding the prefix j on a grid
-    drops the entries below j - 1 on that grid.  A sweep of rising
-    prefixes never reads those again, and any other order only
-    recomputes what it misses.
+    The entries bound themselves: adding a segment that ends at j to a
+    grid drops the entries there that end below j - 1.  A sweep of rising
+    prefixes never reads those again, and any other order only recomputes
+    what it misses.
     """
 
     def __init__(self):
-        self._split: dict = {}              # grid -> {n: [R, |R|^2 or None]}
-        self._twiddles: dict = {}           # grid -> evaluate.twiddles
-
-    def split(self, n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-        entry = self._split_entry(n, N)
-        if entry[1] is None:
-            entry[1] = _power(entry[0])
-        return entry[0], entry[1]
-
-    def _split_entry(self, n: int, N: int) -> list:
-        """[R, |R|^2 or None] of the prefix n on N, memoized."""
-        memo = self._split.setdefault(N, {})
-        entry = memo.get(n)
-        if entry is None:
-            halves = even_odd_pairs(0, n) if n > 1 else None
-            below = {h: self._split_entry(h[1], N // 2)[0]
-                     for h in halves or ()}
-            z = self._twiddles.get(N)
-            if halves and z is None:
-                z = self._twiddles[N] = twiddles(N)
-            R = _segment_values((0, n), halves, N, below, z)
-            # P_0 = 0 and P_1 = 1 everywhere, each its own power.
-            entry = [R, None if halves else R.real]
-            for j in [j for j in memo if j < n - 1]:
-                del memo[j]
-            memo[n] = entry
-        return entry
+        self._entries: dict = {}        # grid -> {(m, n): [R, |R|^2 or None]}
 
     @property
     def nbytes(self) -> int:
         """Bytes of the arrays the store holds, each counted once."""
-        arrays = [*self._twiddles.values(),
-                  *(a for memo in self._split.values()
-                    for entry in memo.values() for a in entry
-                    if a is not None)]
+        arrays = [a for memo in self._entries.values()
+                  for entry in memo.values() for a in entry if a is not None]
         return sum({id(a): a.nbytes for a in arrays}.values())
 
 
@@ -650,9 +633,9 @@ def g_int(r: int, s: int, N: int, decide=None,
     twice H(w) of the halves of the prefixes r and s (module docstring),
     maximized over the half grid, settling ``decide`` if given (see
     _grid_sup).  The halves' spectra, which are prefix spectra, are
-    read as split entries of ``store``, or of a fresh store if none is
-    given; a caller that encloses many corners passes one store to share
-    them, and gets the same enclosures as without it.  An empty prefix
+    read from and kept in ``store``, or a fresh store if none is given; a
+    caller that encloses many corners passes one store to share them, and
+    gets the same enclosures as with a fresh one.  An empty prefix
     adds exact zeros, so g(0, s) is the L objective.
     """
     if r < 0 or s < 0:
@@ -669,7 +652,7 @@ def g_int(r: int, s: int, N: int, decide=None,
                          + c * eb + b * ec + eb * ec))
 
     return _grid_sup(list(halves), N, max(_spread(a, d), _spread(c, b)),
-                     slack, _g_half_cross, decide, store.split, half=True)
+                     slack, _g_half_cross, decide, store, half=True)
 
 
 def _spread(p: int, q: int) -> int:

@@ -2,6 +2,7 @@ import pytest
 
 import rsbounds.norms as norms
 from rsbounds.evaluate import eps_fp, eps_radix2
+from rsbounds.sequence import Segment
 
 
 @pytest.fixture
@@ -13,25 +14,42 @@ def no_fft(monkeypatch):
 
 
 @pytest.fixture
-def split_visits(monkeypatch):
-    """Record every (prefix, grid) that the split recursion of
-    norms.PrefixSpectra visits, and the store's bytes after each split
-    entry a caller reads."""
-    visits, held = [], []
-    entry, split = norms.PrefixSpectra._split_entry, norms.PrefixSpectra.split
-    monkeypatch.setattr(norms.PrefixSpectra, '_split_entry',
-                        lambda store, n, N: visits.append((n, N))
-                        or entry(store, n, N))
-    monkeypatch.setattr(norms.PrefixSpectra, 'split', lambda store, n, N: (
-        split(store, n, N), held.append(store.nbytes))[0])
-    return visits, held
+def whole_steps(monkeypatch):
+    """Record the segment (m, n) and grid M of every whole level's values
+    that the recursion of norms.segment_spectra builds (_segment_values),
+    and the bytes of the store after each call that reads one."""
+    steps, held = [], []
+    build, spectra = norms._segment_values, norms.segment_spectra
+    monkeypatch.setattr(norms, '_segment_values',
+                        lambda mn, halves, M, *rest: steps.append((mn, M))
+                        or build(mn, halves, M, *rest))
+
+    def spy(segs, N, peak=False, cross=None, store=None):
+        F = spectra(segs, N, peak, cross, store)
+        if store is not None:
+            held.append(store.nbytes)
+        return F
+
+    monkeypatch.setattr(norms, 'segment_spectra', spy)
+    return steps, held
 
 
-def assert_split_bound_holds(visits):
-    """The induction behind the split values' slack, at every (j, M) the
-    recursion visited: the prefixes 0 and 1 are exact, and a step whose
-    inputs err by at most eps_fp on M/2 errs by at most eps_radix2(j, M),
-    which must not exceed eps_fp(j, M)."""
-    assert visits
-    for j, M in set(visits):
-        assert j <= 1 or eps_radix2(j, M) <= eps_fp(j, M), (j, M)
+def assert_steps_within_eps_fp(steps):
+    """The induction behind the recursion's slack, at every ((m, n), M)
+    it built: segments of length at most 1 are exact, and a step whose
+    inputs err by at most eps_fp on M/2 errs by at most eps_radix2(L, M),
+    L = n - m, which must not exceed eps_fp(L, M)."""
+    assert steps
+    for (m, n), M in set(steps):
+        L = n - m
+        assert L <= 1 or eps_radix2(L, M) <= eps_fp(L, M), ((m, n), M)
+
+
+def stored_spectrum(n: int, M: int):
+    """The store entry (R, |R|^2) of the prefix n on the M-grid, built by
+    segment_spectra with a fresh store."""
+    store = norms.PrefixSpectra()
+    F = norms.segment_spectra([Segment(0, n)], M, store=store)
+    R, power = store._entries[M][0, n]
+    assert F is power
+    return R, power

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import assert_split_bound_holds
+from conftest import assert_steps_within_eps_fp
 from rsbounds.certify1d import (BINDING_CENTER, BINDING_EIGHT,
                                 BINDING_HALFSTEP, BINDING_LINEAR, BINDING_NINE,
                                 brute_onedim, certify_cover, check_smallk_L,
@@ -289,16 +289,16 @@ def test_check_smallk_strict_claim_is_exact(monkeypatch):
 
 
 def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch, no_fft,
-                                                     split_visits):
+                                                     whole_steps):
     """Each pair makes exactly one L_norm_sq call, at the grid cap and
     with a decision: the grid policy lives in norms.  Only the two pairs
     whose L decision fails, (1, 3) and (3, 11), make a sup_norm_sq
     decision; they read no store, so theirs are the only spectra that
-    segment_spectra builds, and no FFT is taken at all.  The L
-    objective of the prefix n is read from its half prefixes ceil(n/2)
-    and floor(n/2) on the half grid, split entries of one store, built by
-    the radix-2 recursion down to the exact prefixes 0 and 1, within
-    eps_fp at every step.  The store bounds itself to under 3 MiB."""
+    segment_spectra builds without one, and no FFT is taken at all.  The
+    L objective of the prefix n is read from its half prefixes ceil(n/2)
+    and floor(n/2) on the half grid, entries of one store, built by the
+    radix-2 recursion down to the exact prefixes 0 and 1, within eps_fp
+    at every step.  The store bounds itself to under 3 MiB."""
     import rsbounds.certify1d as c1
     import rsbounds.norms as norms
 
@@ -310,9 +310,14 @@ def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch, no_fft,
             return real(seg, N, decide, **memo)
         monkeypatch.setattr(c1, name, spy)
     built, real = [], norms.segment_spectra
-    monkeypatch.setattr(norms, 'segment_spectra', lambda segs, N, *peak:
-                        built.extend(segs) or real(segs, N, *peak))
-    visits, held = split_visits
+
+    def spectra(segs, N, peak=False, cross=None, store=None):
+        if store is None:
+            built.extend(segs)
+        return real(segs, N, peak, cross, store)
+
+    monkeypatch.setattr(norms, 'segment_spectra', spectra)
+    steps, held = whole_steps
     for kind, sup_ns in (('midrange', (3, 11)), ('upper', ())):
         calls.clear()
         built.clear()
@@ -325,11 +330,11 @@ def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch, no_fft,
                for n in sup_ns])
         assert set(built) == {Segment(0, n) for n in sup_ns}
         assert len(held) >= len(records) and max(held) <= 3 << 20
-    assert_split_bound_holds(visits)
+    assert_steps_within_eps_fp(steps)
 
 
-def test_brute_onedim_takes_no_fft(monkeypatch, no_fft, split_visits):
-    """The sweep reads each n's sup objective as a split entry, built by
+def test_brute_onedim_takes_no_fft(monkeypatch, no_fft, whole_steps):
+    """The sweep reads each n's sup objective from a store entry, built by
     the radix-2 recursion from the exact prefixes 0 and 1: the
     benchmark's sweep settles as with FFTs and takes none, every step of
     the recursion is within eps_fp, and its store stays under 2.5 MiB.
@@ -337,15 +342,16 @@ def test_brute_onedim_takes_no_fft(monkeypatch, no_fft, split_visits):
     2,097 steps for 2,078 pairs (3,952 in rising order)."""
     import rsbounds.norms as norms
 
-    steps = []
+    taken = []
     monkeypatch.setattr(norms, 'radix2_step', lambda *a,
-                        real=norms.radix2_step: steps.append(a) or real(*a))
+                        real=norms.radix2_step: taken.append(a) or real(*a))
     report = brute_onedim(2048, 1 << 15)
     assert report.ok and report.unsettled == [43, 171, 683]
-    visits, held = split_visits
+    steps, held = whole_steps
     assert len(held) >= 2048 and max(held) <= 5 << 19
-    assert len(steps) <= 1.02 * len({(n, N) for n, N in visits if n > 1})
-    assert_split_bound_holds(visits)
+    assert len(taken) <= 1.02 * len({(mn, M) for mn, M in steps
+                                     if mn[1] - mn[0] > 1})
+    assert_steps_within_eps_fp(steps)
 
 
 def test_check_smallk_L_bound_implies_sup_bound(smallk_records):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rsbounds
-from conftest import assert_split_bound_holds
+from conftest import assert_steps_within_eps_fp
 from rsbounds.certify2d import (CertTree, DyadicSquare, SquareRecord,
                                 STATUS_BAD, _certified, _g_target_min,
                                 certify_f2, certify_g_full, certify_square_g,
@@ -151,23 +151,24 @@ def test_g_int_shared_spectra_match_fresh(no_fft):
                 == g_int(r, s, N, store=PrefixSpectra()) == g_int(r, s, N)
     # g_int(9, 9, 2^12) takes level 0 on oversampled_grid(18) = 2^11, from
     # the spectra of the halves 5 and 4 of the prefix 9 on its w-grid 2^10,
-    # which it reads as split entries, the store's one kind of entry.
+    # which it reads as entries of the store, which holds no other kind
+    # and no twiddle table.
     store = PrefixSpectra()
     g_int(9, 9, 1 << 12, store=store)
-    assert {5, 4} <= set(store._split[1 << 10])
-    assert set(vars(store)) == {'_split', '_twiddles'}
+    assert {(0, 5), (0, 4)} <= set(store._entries[1 << 10])
+    assert set(vars(store)) == {'_entries'}
 
 
-def test_certify_g_split_steps_are_within_eps_fp(no_fft, split_visits):
+def test_certify_g_split_steps_are_within_eps_fp(no_fft, whole_steps):
     """certify-g over [0, 4]^2 at the benchmark grid 2^16 takes no FFT,
     and every step of the recursion that builds its halves is within
     eps_fp: eps_radix2 <= eps_fp at every (prefix, grid) it visits.  The
     run's one store bounds itself to under 3 MiB (2.7 MiB read)."""
     tree = certify_g_full(1 << 16)
     assert check_exclusion_region(tree)[0]
-    visits, held = split_visits
+    steps, held = whole_steps
     assert max(held) <= 3 << 20
-    assert_split_bound_holds(visits)
+    assert_steps_within_eps_fp(steps)
 
 
 def test_certified_squares_survive_grid_doubling():

@@ -213,6 +213,8 @@ def test_invalid_input_exit_code(capsys):
     cases = [['f', bad] for bad in bad_points] + [
         ['certify-f', '--interval', '1', '2'],     # no --target
         ['no-such-command'], ['montgomery', '--k', 'abc'],
+        # a k whose 4^k no memory holds: refused by the range check
+        ['montgomery', '--k', str(10 ** 12)],
         ['eval', '0', '5', '--z', 'nan,0'],
         ['eval', '0', '5', '--z', '1'], ['eval', '0', '5', '--z', '1,0,0'],
         ['certify-f', '--target', 'inf', '--interval', '1', '2'],

@@ -9,9 +9,10 @@ from rsbounds.evaluate import (UNIT_ROUNDOFF, DomainError, abs_sq_slack,
                                eval_point_root, eval_PQ, eval_roots,
                                half_spectrum, radix2_step, twiddles)
 from rsbounds import norms
-from rsbounds.norms import PrefixSpectra, segment_spectra
+from rsbounds.norms import segment_spectra
 from rsbounds.sequence import (CapacityError, Segment, coeff_range,
-                               even_odd_split)
+                               even_odd_pairs, even_odd_split)
+from conftest import stored_spectrum
 
 
 def grid_point(j, N):
@@ -446,13 +447,19 @@ def _held_objective(segs, N):
     each level one whole radix2_step per segment, with its own grid's
     twiddle table, the top step power-only, and F the sum of the powers,
     reversed at odd positions."""
+    levels = [dict.fromkeys((seg.m, seg.n) for seg in segs)]
+    while any(n - m > 1 for m, n in levels[-1]):
+        levels.append(dict.fromkeys(half for m, n in levels[-1] if n - m > 1
+                                    for half in even_odd_pairs(m, n)))
     values = {}
-    for M, level in reversed(norms._levels(segs, N)):
-        top = M == N
-        values = {mn: norms._exact(mn, M // 2 + 1, top) if halves is None
-                  else radix2_step(values[halves[0]], values[halves[1]],
-                                   twiddles(M), mn[0], top)
-                  for mn, halves in level.items()}
+    for depth in reversed(range(len(levels))):
+        M, top = N >> depth, not depth
+        z = twiddles(max(M, 4))
+        values = {(m, n): norms._exact((m, n), M // 2 + 1, top)
+                  if n - m <= 1 else
+                  radix2_step(*(values[h] for h in even_odd_pairs(m, n)),
+                              z, m, top)
+                  for m, n in levels[depth]}
     powers = [values[seg.m, seg.n] for seg in segs]
     return sum(a[::-1] if i % 2 else a for i, a in enumerate(powers))
 
@@ -505,7 +512,7 @@ def test_segment_spectra_input_contract():
 
 def test_radix2_error_model_against_mpmath():
     """eps_radix2 must dominate the true error of the values that the
-    radix-2 recursion of norms.PrefixSpectra.split builds from the exact
+    radix-2 recursion of norms.segment_spectra stores from the exact
     prefixes 0 and 1, by a wide margin, at the sweeps' production sizes
     (prefixes up to 6400, the top of the small-k midrange, grids up to
     2^16, each case's argmax included); verified against 50-digit
@@ -520,7 +527,7 @@ def test_radix2_error_model_against_mpmath():
     worst = 0.0
     with mp.workdps(50):
         for n, M, draws in cases:
-            spec, _ = PrefixSpectra().split(n, M)
+            spec, _ = stored_spectrum(n, M)
             coeffs = [int(c) for c in coeff_range(Segment(0, n))]
             js = [int(np.argmax(np.abs(spec)))]
             js += map(int, rng.integers(0, M // 2 + 1, draws))

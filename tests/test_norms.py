@@ -115,27 +115,26 @@ def spectrum_grids(monkeypatch):
 @pytest.fixture
 def recursion_steps(monkeypatch):
     """Record (L, M) of every radix2_step that segment_spectra takes: each
-    segment of length L >= 2 on a level of grid M of norms._levels."""
+    segment of length L >= 2 on a level of grid M, built whole
+    (_segment_values) or a window at a time (_window)."""
     steps = []
-    real = norms._levels
-
-    def spy(segs, N):
-        levels = real(segs, N)
-        steps.extend((n - m, M) for M, level in levels
-                     for (m, n), halves in level.items() if halves)
-        return levels
-
-    monkeypatch.setattr(norms, '_levels', spy)
+    for name in ('_segment_values', '_window'):
+        def spy(mn, halves, M, *rest, real=getattr(norms, name)):
+            if halves:
+                steps.append((mn[1] - mn[0], M))
+            return real(mn, halves, M, *rest)
+        monkeypatch.setattr(norms, name, spy)
     return steps
 
 
 @pytest.fixture
 def level_grids(monkeypatch):
-    """Record the grid of every level's values in norms, FFT or direct (for
-    the L and g objectives the w-grid, half the level's z-grid)."""
+    """Record the grid of every level's values in norms, from the
+    recursion or direct (for the L and g objectives the w-grid, half the
+    level's z-grid)."""
     grids = []
-    spectral, direct = norms._spectral_values, norms._direct_values
-    monkeypatch.setattr(norms, '_spectral_values', lambda segs, N, *rest: (
+    spectral, direct = norms.segment_spectra, norms._direct_values
+    monkeypatch.setattr(norms, 'segment_spectra', lambda segs, N, *rest: (
         grids.append(N) or spectral(segs, N, *rest)))
     monkeypatch.setattr(norms, '_direct_values', lambda segs, js, N, *rest: (
         grids.append(N) or direct(segs, js, N, *rest)))
@@ -642,7 +641,7 @@ def test_sqrt_continuity_constant():
 
 
 def test_half_prefix_spectra_square_nothing(monkeypatch, no_fft):
-    """A split entry reads only R of its half prefixes, so the sweep
+    """A store entry reads only R of its half prefixes, so the sweep
     squares only the spectra that a caller reads: no FFT is taken, every
     _power input is a radix2_step output, and each is squared at most
     once.  brute_onedim's report is the one it gave when the store
