@@ -282,8 +282,8 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
     (ok unless lo exceeds the bound): the bound is attained with equality
     at the sharpness points, so no finite enclosure can certify it
     strictly there.  These read no store: norms.segment_spectra builds
-    their spectra by the same recursion, its top streamed.  Both results
-    are reported for every pair.
+    their spectra by the same recursion, streamed above the grid 2^15.
+    Both results are reported for every pair.
     """
     if kind == 'midrange':
         pairs = [(k, n, 1 << (k + 3)) for k in range(13)

@@ -31,10 +31,11 @@ eps_fp by induction, with no FFT: the bound is then derived, not validated
 norms.PrefixSpectra its memo).  Its top step can return |R|^2 alone, bit
 for bit np.abs(R) ** 2, for objectives that read only the power, so the
 top grid's complex values are never held, and it can take a window of its
-butterflies alone, from windows of its inputs, so that the top levels of
-a recursion need not be held whole: segment_spectra streams its top so
-without a store, and holds every level whole with one.  Only
-``eval --grid`` still reads half_spectrum.
+butterflies alone, from windows of its inputs and with the twiddles of
+that window alone, so that no level of a recursion need be held whole:
+segment_spectra streams every level above 2^15 so without a store, and
+holds every level whole with one.  Only ``eval --grid`` still reads
+half_spectrum.
 """
 
 from __future__ import annotations
@@ -226,11 +227,8 @@ def radix2_step(RA: np.ndarray, RB: np.ndarray, z: np.ndarray,
     """The half spectrum on the M-grid of a segment [m, n) from the half
     spectra RA and RB (half_spectrum) of its halves A = [ceil(m/2),
     ceil(n/2)) and B = [floor(m/2), floor(n/2)) on the M/2-grid,
-    M = 4 (len(RA) - 1) a power of two >= 4.  z is the table twiddles(M)
-    of the z_k below, or, for M >= 8, the table twiddles(M/2), which holds
-    the z_k of even k (z_{2j} on M is z_j on M/2, bit for bit): the odd
-    ones are then taken a chunk at a time, so no table of M is held.  With
-    ``power`` only |R|^2 is returned.
+    M = 4 (len(RA) - 1) a power of two >= 4, with z the table twiddles(M)
+    of the z_k below.  With ``power`` only |R|^2 is returned.
 
     With P~(z) = z^-m P(z) and likewise A~, B~ (the untwisted values
     half_spectrum gives), the doubling rule P(z) = A(w) + z B(-w), w = z^2
@@ -255,13 +253,13 @@ def radix2_step(RA: np.ndarray, RB: np.ndarray, z: np.ndarray,
 
     With ``window`` = (k0, M) the step takes only the butterflies
     k = k0 .. k0 + w - 1 of the M-grid, w = len(RA) <= M/4 + 1 - k0:
-    RA then holds RA[k] and RB holds RB[q - k] for those k, in the order
-    of k, and the result is the pair (low, high) of R[k] and R[M/2 - k],
-    in the same order, as the whole step leaves them (at k = q both are
-    conj(X - Y)).  With the table of M/2, k0 is even.  A window's values
-    are those of the whole step, bit for bit: the same butterflies with
-    the same twiddles, and the products of numpy's complex loops do not
-    depend on the strides of their inputs.
+    RA then holds RA[k], RB holds RB[q - k] and z holds z_k for those k
+    (twiddles(M, k0, k0 + w)), in the order of k, and the result is the
+    pair (low, high) of R[k] and R[M/2 - k], in the same order, as the
+    whole step leaves them (at k = q both are conj(X - Y)).  A window's
+    values are those of the whole step, bit for bit: the same butterflies
+    with the same twiddles, and the products of numpy's complex loops do
+    not depend on the strides of their inputs.
     """
     if window is None:
         k0, M = 0, 4 * (len(RA) - 1)
@@ -269,15 +267,13 @@ def radix2_step(RA: np.ndarray, RB: np.ndarray, z: np.ndarray,
     else:
         k0, M = window
     q, w = M // 4, len(RA)
-    half = q > 1 and len(z) == q // 2 + 1     # the table of M/2
-    if (q < 1 or q & (q - 1) or 4 * q != M or len(RB) != w
-            or not 0 <= k0 < k0 + w <= q + 1
-            or half and k0 & 1 or not (half or len(z) == q + 1)):
+    if (q < 1 or q & (q - 1) or 4 * q != M or len(RB) != w or len(z) != w
+            or not 0 <= k0 < k0 + w <= q + 1):
         raise ValueError(f"half spectra and twiddles of lengths {len(RA)}, "
-                         f"{len(RB)}, {len(z)} are not M/4 + 1, M/4 + 1 and "
-                         "M/4 + 1 or M/8 + 1 for a power of two M >= 4"
+                         f"{len(RB)}, {len(z)} are not all M/4 + 1 for a "
+                         "power of two M >= 4"
                          + ("" if window is None else
-                            f", or a window at {k0} on M = {M}"))
+                            f", or one window at {k0} on M = {M}"))
     dtype = float if power else complex
     if window is None:
         R = np.empty(2 * q + 1, dtype=dtype)
@@ -286,14 +282,7 @@ def radix2_step(RA: np.ndarray, RB: np.ndarray, z: np.ndarray,
         low, high = np.empty(w, dtype=dtype), np.empty(w, dtype=dtype)
     for i0 in range(0, w, _CHUNK):
         i1 = min(i0 + _CHUNK, w)
-        ka, kb = k0 + i0, k0 + i1
-        if half:                               # ka is even
-            zk = np.empty(kb - ka, dtype=complex)
-            zk[::2] = z[ka // 2:(kb + 1) // 2]
-            zk[1::2] = _twiddles_at(np.arange(ka + 1, kb, 2), M)
-        else:
-            zk = z[ka:kb]
-        rb = RB[i0:i1]
+        zk, rb = z[i0:i1], RB[i0:i1]
         if m & 1:
             x = np.conjugate(rb)
             y = np.conjugate(zk) * RA[i0:i1]
@@ -337,22 +326,30 @@ KEPT_TWIDDLES = 1 << 16     # twiddles keeps the tables of grids up to this
 _kept_tables: dict = {}     # M -> twiddles(M), M a power of two
 
 
-def twiddles(M: int) -> np.ndarray:
-    """z_k = exp(2 pi i k / M) for k = 0 .. M/4, M >= 4, read-only
-    (_twiddles_at), with z_{M/4} exactly i.  The table of M/2^j is the
-    table of M at the stride 2^j, bit for bit: the index k 2^j times
-    2 pi / M rounds as k times 2 pi / (M / 2^j).  The tables of the
-    power-of-two grids up to KEPT_TWIDDLES are built once and kept,
-    512 KiB for all of them: the objectives on small grids ask for the
-    same ones call after call."""
+def twiddles(M: int, a: int = 0, b: int | None = None) -> np.ndarray:
+    """z_k = exp(2 pi i k / M) for k = a .. b - 1, by default the table
+    k = 0 .. M/4, M >= 4, read-only (_twiddles_at), with z_{M/4} exactly
+    i.  A value depends on k and M alone, so a window is the table's
+    slice, bit for bit, and the table of M/2^j is that of M at the stride
+    2^j: the index k 2^j times 2 pi / M rounds as k times
+    2 pi / (M / 2^j).  The tables of the power-of-two grids up to
+    KEPT_TWIDDLES are built once and kept, 512 KiB for all of them: the
+    objectives on small grids ask for the same ones call after call.  On
+    a larger grid only the window asked for is computed, so a caller that
+    takes its butterflies a window at a time holds no table of the grid."""
+    q = M // 4
     z = _kept_tables.get(M)
     if z is None:
-        z = _twiddles_at(np.arange(M // 4 + 1), M)
-        z[-1] = 1j
+        kept = M <= KEPT_TWIDDLES and not M & (M - 1)
+        lo, hi = (0, q + 1) if kept else (a, q + 1 if b is None else b)
+        z = _twiddles_at(np.arange(lo, hi), M)
+        if hi == q + 1:
+            z[-1] = 1j
         z.flags.writeable = False
-        if M <= KEPT_TWIDDLES and not M & (M - 1):
-            _kept_tables[M] = z
-    return z
+        if not kept:
+            return z
+        _kept_tables[M] = z
+    return z[a:b]
 
 
 def eps_radix2(length: int, M: int) -> float:

@@ -45,11 +45,13 @@ every slack below holds for it unchanged, with no FFT and no validated
 constant.  segment_spectra is the one builder of every grid spectrum:
 one walk down the levels, then up, building each level from the one
 below, and it returns the objective F, or F's maximum alone.  Its top has
-two modes.  Without a store it holds whole levels up to the grid N/8 (or
-2^16), at most two at a time, and above it builds a chunk of top
-butterflies at a time, each level reading windows of the one below; the
-top step computes |R|^2 alone, all that the sup and L objectives read.
-With a PrefixSpectra store, its memo, every level is held whole and kept
+two modes.  Without a store it holds whole levels only up to the grid
+2^15, at most two at a time, and streams the top and every level above
+it a window of butterflies at a time: each window is read by two windows
+of the level above, so a walk depth first from the deepest builds each
+butterfly once and holds one window of each level; the top step computes
+|R|^2 alone, all that the sup and L objectives read.  With a
+PrefixSpectra store, its memo, every level is held whole and kept
 by (grid, segment), top included, and the walk descends only where the
 store lacks a level's segment: sup_norm_sq and L_norm_sq read one when
 given it, and g_int, whose halves are prefixes, always.  The sweeps of
@@ -104,8 +106,8 @@ import numpy as np
 from .dyadic import DyadicPoint
 # half_spectrum is kept here only for _prefix_half_spectrum and for
 # certbench/spans.py, which traces it through this module by name.
-from .evaluate import (_CHUNK, KEPT_TWIDDLES, abs_sq_slack, eps_fp,
-                       eval_roots, half_spectrum, radix2_step, twiddles)
+from .evaluate import (abs_sq_slack, eps_fp, eval_roots, half_spectrum,
+                       radix2_step, twiddles)
 from .sequence import (DEFAULT_MAX_RANGE, CapacityError, Segment, check_range,
                        coeff, even_odd_pairs, even_odd_split)
 
@@ -206,6 +208,9 @@ def _sqrt_sum_le(q: float | Fraction, beta: float | Fraction,
     return _sqrt_sum_cmp(q, beta, t) >= 0
 
 
+_WINDOW = 1 << 13    # butterflies per streamed window of segment_spectra
+
+
 def segment_spectra(segs: list[Segment], N: int, peak: bool = False,
                     cross=None, store: PrefixSpectra | None = None):
     """F at x_j, j = 0 .. N/2: the sum over the segments of |R|^2 at x_j
@@ -234,29 +239,30 @@ def segment_spectra(segs: list[Segment], N: int, peak: bool = False,
     (PrefixSpectra); a top entry's power is squared when a call first
     reads it, and kept.  g's corners share their tops, which streamed
     would be rebuilt window by window for every corner.  Without a store
-    only the levels of grid at most N/8, or at most 4 _CHUNK (one chunk of
-    butterflies), are held whole, each freed once the one above it is
-    built.  The top step, and the levels N/2 and N/4 where their grids
-    exceed 4 _CHUNK, run one chunk of the top's butterflies at a time,
-    each level taking the windows (radix2_step) that the level above
-    reads.  Butterfly k of a level reads R_A[k] and R_B[q - k] of the
-    level below, q = M/4 of its grid M: for k <= q/2 those are the low and
-    the high values of the butterflies k below, and otherwise the high
-    and the low values of the butterflies q - k, in reverse.  Each chunk
-    of _CHUNK top butterflies, and each window below it, lies on one side
-    of every q/2, which is a multiple of the chunk on the streamed grids.
-    The top step computes only the powers, and F is written, or with
-    ``peak`` folded into its maximum, a chunk at a time: at N = 2^21 the
-    recursion then holds the level 2^18 and its windows, not two levels of
-    2^20.  The values are those of the whole steps, bit for bit.
+    only the levels of grid at most 4 _WINDOW are held whole, each freed
+    once the one above it is built, and the top and every level above
+    them stream, a window of butterflies at a time (radix2_step).
+    Butterfly k of a level reads R_A[k] and R_B[q - k] of the level
+    below, q = M/4 of its grid M: the low and the high values of the
+    butterfly k below for k <= q/2, else the high and the low values of
+    the butterfly q - k.  So the window of the butterflies a .. b - 1 of
+    a level is read by two windows of the level above, q its M/4: the
+    same butterflies, and their mirror, q - k for those k below q/2.  The
+    walk runs depth first from windows of _WINDOW butterflies of the
+    deepest streamed level, each window followed by the two that read
+    it: each streamed butterfly is built once, and one window of each
+    level is held, so at N = 2^21 the level 2^15 and a window of each of
+    the six above it.  The top step computes only the powers, and F is
+    written, or with ``peak`` folded into its maximum, a window at a
+    time.  The values are those of the whole steps, bit for bit.
 
-    Every level reads a table that is twiddles(M) bit for bit: on an
-    N-grid up to KEPT_TWIDDLES its own, which twiddles keeps, and on a
-    larger one the table of N/2 at its stride, from which the top step
-    takes its even twiddles and computes the odd ones a chunk at a time.
-    So no table of a large N-grid is held, and the store holds none.
-    Grids above DEFAULT_MAX_RANGE and indices past 2^64 - 1 are refused
-    with CapacityError, as half_spectrum and coeff_range refuse them.
+    Every level reads twiddles(M) bit for bit: a level held whole the
+    table of its grid (kept up to KEPT_TWIDDLES), a streamed window the
+    twiddles of its butterflies alone, computed once for the level's
+    segments.  So no table of a streamed grid is held, and the store
+    holds none.  Grids above DEFAULT_MAX_RANGE and indices past 2^64 - 1
+    are refused with CapacityError, as half_spectrum and coeff_range
+    refuse them.
     """
     if N > DEFAULT_MAX_RANGE:
         raise CapacityError(f"grid size {N} exceeds limit {DEFAULT_MAX_RANGE}")
@@ -286,20 +292,18 @@ def segment_spectra(segs: list[Segment], N: int, peak: bool = False,
     if walk[0][1]:          # what the store holds was checked when built
         for seg in segs:
             check_range(seg)
-    # Without a store, levels from `held` down are built whole; the top
-    # and any level of N/2 and N/4 with more than one chunk of
-    # butterflies stream.
-    held = 0 if store is not None else min(
-        1 + sum(N >> depth > 4 * _CHUNK for depth in (1, 2)), len(walk))
-    # The table of N/2 is built before any level is held.
-    big = twiddles(N // 2) if N > KEPT_TWIDDLES and walk[0][1] else None
+    # Without a store the top streams, and so does every level above
+    # 4 _WINDOW; the levels from `held` down are built whole.
+    held = 0 if store is not None else next(
+        (d for d in range(1, len(walk)) if N >> d <= 4 * _WINDOW),
+        len(walk))
     # Every level's values are entries [R, |R|^2 or None], a store's own
     # or new ones; each level is let go of once the one above it is built.
     values: dict = {}
     for _ in range(len(walk) - held):        # up from the bottom
         M, level, known = walk.pop()
         if level:
-            z, memo = _table(M, N, big), entries.setdefault(M, {})
+            z, memo = twiddles(max(M, 4)), entries.setdefault(M, {})
             for mn, halves in level.items():
                 R = _segment_values(mn, halves, M, values, z)
                 # The base values are their own power.
@@ -325,30 +329,35 @@ def segment_spectra(segs: list[Segment], N: int, peak: bool = False,
             F = F + cross([values[mn][0][::-1] if i % 2 else values[mn][0]
                            for i, mn in enumerate(tops)])
         return float(F.max()) if peak else F
-    q = N // 4
     F = None if peak else np.empty(N // 2 + 1)
     best = -math.inf
-    zs = [_table(M, N, big) for M, _, _ in walk[:held]]
-    for k0 in range(0, q + 1, _CHUNK):
-        # The butterflies of each streamed level, and whether they mirror
-        # those of the level above.
-        spans = [(k0, min(k0 + _CHUNK, q + 1), False)]
-        for M, _, _ in walk[1:held]:
-            a, b, _ = spans[-1]
-            h = M // 4
-            spans.append((a, b, False) if b <= h + 1
-                         else (2 * h - b + 1, 2 * h - a + 1, True))
-        rows = values
-        for depth in range(held - 1, -1, -1):
-            M, level, _ = walk[depth]
-            a, b, _ = spans[depth]
-            mirrored = depth + 1 < held and spans[depth + 1][2]
-            rows = {mn: _window(mn, halves, M, rows, zs[depth], a, b,
-                                mirrored, not depth)
-                    for mn, halves in level.items()}
+    # The streamed levels, depth first from windows of _WINDOW
+    # butterflies of the deepest: a window [a, b) of a level is read by
+    # the window [a, b) of the level above and by its mirror (_window),
+    # so each is built once, and rows holds one window of each level.
+    q = N >> (held + 1)
+    cuts = [*range(0, max(q, 1), _WINDOW), q + 1]
+    todo = [(held - 1, a, b, False) for a, b in zip(cuts, cuts[1:])]
+    rows = [None] * held + [values]
+    while todo:
+        depth, a, b, mirrored = todo.pop()
+        M, level, _ = walk[depth]
+        z = twiddles(max(M, 4), a, b)
+        rows[depth] = None                 # the last window here is done
+        rows[depth] = {mn: _window(mn, halves, M, rows[depth + 1], z, a, b,
+                                   mirrored, not depth)
+                       for mn, halves in level.items()}
+        if depth:
+            # The mirror: the butterflies M/2 - k, k = a .. b - 1, above
+            # M/4, the middle butterfly of the level above.
+            c, w = M // 2 + 1 - a, min(b, M // 4) - a
+            todo.append((depth - 1, a, b, False))
+            if w > 0:
+                todo.append((depth - 1, c - w, c, True))
+            continue
         low = high = None
         for i, seg in enumerate(segs):
-            u, v = rows[seg.m, seg.n]
+            u, v = rows[0][seg.m, seg.n]
             if i % 2:
                 u, v = v, u
             low = u if low is None else low + u
@@ -356,16 +365,9 @@ def segment_spectra(segs: list[Segment], N: int, peak: bool = False,
         if peak:
             best = max(best, np.max(low), np.max(high))
         else:
-            F[k0:k0 + len(low)] = low
-            F[::-1][k0:k0 + len(high)] = high
+            F[a:b] = low
+            F[::-1][a:b] = high
     return float(best) if peak else F
-
-
-def _table(M: int, N: int, big) -> np.ndarray:
-    """twiddles(M), bit for bit, for a level of segment_spectra on the
-    N-grid: M's own, which twiddles keeps, or ``big``, the table of N/2
-    above KEPT_TWIDDLES, at M's stride."""
-    return twiddles(max(M, 4)) if big is None else big[::N // (2 * M) or 1]
 
 
 def _exact(mn: tuple[int, int], size: int, power: bool) -> np.ndarray:
@@ -393,20 +395,20 @@ def _window(mn: tuple[int, int], halves, M: int, below: dict, z, a: int,
             b: int, mirrored: bool, power: bool) -> tuple:
     """(low, high) of the butterflies k = a .. b - 1 of the segment [m, n)
     on the M-grid, R[k] and R[M/2 - k] (radix2_step's window), or their
-    powers.  ``below`` holds the values of its halves: entries [R, ...] of
-    whole half spectra, or the (low, high) windows of the butterflies
-    a .. b - 1 below, or, ``mirrored``, of the butterflies q - b + 1 ..
-    q - a, q = M/4."""
+    powers, with z their twiddles.  ``below`` holds the values of its
+    halves: entries [R, ...] of whole half spectra, or (low, high) windows
+    of the butterflies a .. b - 1 below, or, ``mirrored``, windows whose
+    first b - a butterflies are q - b + 1 .. q - a, q = M/4, in reverse."""
     if halves is None:
         v = _exact(mn, b - a, power)
         return v, v
-    q = M // 4
+    q, w = M // 4, b - a
 
     def at(X):                 # (R_X[k], R_X[q - k]) for k = a .. b - 1
         x = below[X]
         if isinstance(x, list):                   # a held level's entry
-            return x[0][a:b], x[0][q - a::-1][:b - a]
-        return (x[1][::-1], x[0][::-1]) if mirrored else x
+            return x[0][a:b], x[0][q - a::-1][:w]
+        return (x[1][w - 1::-1], x[0][w - 1::-1]) if mirrored else x
 
     A, B = halves
     return radix2_step(at(A)[0], at(B)[1], z, mn[0], power, (a, M))
@@ -473,7 +475,7 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, slack, cross=None,
     or when its grid is no larger than N_0.  A whole level read only
     through its maximum, the cap and every level whose next level is no
     larger than N_0, asks segment_spectra for the maximum alone, which
-    folds it chunk by chunk and builds no array of the grid.
+    folds it window by window and builds no array of the grid.
 
     Without ``decide`` the result is the N-grid enclosure.  With it, the
     monotone decision ``decide(enc)`` (True: holds, False: refuted, None:

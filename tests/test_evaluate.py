@@ -335,7 +335,8 @@ def test_radix2_step_error_bound_fits_eps_fp():
 def test_radix2_step_preconditions():
     R, z = half_spectrum(Segment(0, 8), 32), twiddles(32)
     for RA, RB, zz in ((R[:9], R[:8], z), (R[:1], R[:1], z[:1]),
-                       (R[:4], R[:4], z[:4]), (R[:9], R[:9], twiddles(64))):
+                       (R[:4], R[:4], z[:4]), (R[:9], R[:9], twiddles(64)),
+                       (R[:9], R[:9], twiddles(16))):
         with pytest.raises(ValueError):
             radix2_step(RA, RB, zz)
     assert z[0] == 1 and z[-1] == 1j and not z.flags.writeable
@@ -363,38 +364,44 @@ def _prefix_step(RA, RB, z):
 
 def test_radix2_step_at_m0_is_the_prefix_step_byte_for_byte():
     """At m = 0 the segment step is the prefix step byte for byte, on
-    grids M = 4 .. 2^18 (up to 8 chunks), with the table of M or of M/2;
-    its power alone is np.abs(R) ** 2 byte for byte, at m = 0 and at
-    m = 4, the same step, and at every m mod 4 against the step's own R.
-    The table of M/2^j is that of M at the stride 2^j, byte for byte, up
-    to M = 2^21."""
+    grids M = 4 .. 2^18 (up to 8 chunks); its power alone is
+    np.abs(R) ** 2 byte for byte, at m = 0 and at m = 4, the same step,
+    and at every m mod 4 against the step's own R.  The table of M/2^j is
+    that of M at the stride 2^j, byte for byte, up to M = 2^21, and a
+    window of twiddles, kept grid or not, is the table's slice, z_{M/4}
+    exactly i."""
     rng = np.random.default_rng(89)
     for log2q in range(17):
         q = 1 << log2q
         RA, RB = (rng.normal(size=(q + 1, 2)) @ [1, 1j] for _ in range(2))
-        want = _prefix_step(RA, RB, twiddles(4 * q))
-        tables = [twiddles(4 * q)] + ([twiddles(2 * q)] if q > 1 else [])
-        for z in tables:
-            assert radix2_step(RA, RB, z).tobytes() == want.tobytes(), q
-            for m in (0, 4):
-                assert (radix2_step(RA, RB, z, m, power=True).tobytes()
-                        == (np.abs(want) ** 2).tobytes()), (q, m)
-            for m in (1, 2, 3):
-                R = np.abs(radix2_step(RA, RB, z, m)) ** 2
-                assert (radix2_step(RA, RB, z, m, power=True).tobytes()
-                        == R.tobytes()), (q, m)
+        z = twiddles(4 * q)
+        want = _prefix_step(RA, RB, z)
+        assert radix2_step(RA, RB, z).tobytes() == want.tobytes(), q
+        for m in (0, 4):
+            assert (radix2_step(RA, RB, z, m, power=True).tobytes()
+                    == (np.abs(want) ** 2).tobytes()), (q, m)
+        for m in (1, 2, 3):
+            R = np.abs(radix2_step(RA, RB, z, m)) ** 2
+            assert (radix2_step(RA, RB, z, m, power=True).tobytes()
+                    == R.tobytes()), (q, m)
     top = twiddles(1 << 21)
     for j in range(20):
         assert top[::1 << j].tobytes() == twiddles(1 << (21 - j)).tobytes()
+    for M in (1 << 12, 1 << 21):
+        q = M // 4
+        for a, b in ((0, q + 1), (q, q + 1), (5, 9000), (q - 7000, q + 1)):
+            assert (twiddles(M, a, b).tobytes()
+                    == twiddles(M)[a:b].tobytes()), (M, a, b)
+        assert twiddles(M, q, q + 1)[0] == 1j
 
 
 def test_radix2_step_windows_are_the_whole_step_byte_for_byte():
-    """A window of butterflies k0 .. k1 - 1 gives R[k] and R[M/2 - k] of
-    the whole step byte for byte, complex and power-only, at every m mod
-    4, with the table of M or (k0 even) of M/2, for windows inside a
-    chunk, across chunks and at the ends; at k = q, where X + Y and
-    conj(X - Y) differ for these random inputs, both are R[q].  A window
-    past q + 1, or at an odd k0 with the table of M/2, is refused."""
+    """A window of butterflies k0 .. k1 - 1, with the twiddles of those
+    k, gives R[k] and R[M/2 - k] of the whole step byte for byte,
+    complex and power-only, at every m mod 4, for windows inside a chunk,
+    across chunks and at the ends; at k = q, where X + Y and conj(X - Y)
+    differ for these random inputs, both are R[q].  A window past q + 1,
+    or with twiddles of another length, is refused."""
     rng = np.random.default_rng(31)
     for q in (1, 2, 8, 1 << 15):
         M = 4 * q
@@ -403,24 +410,21 @@ def test_radix2_step_windows_are_the_whole_step_byte_for_byte():
         for _ in range(4):
             k0 = int(rng.integers(0, q + 1))
             windows.add((k0, int(rng.integers(k0 + 1, q + 2))))
-        tables = [twiddles(M)] + ([twiddles(M // 2)] if q > 1 else [])
-        for z in tables:
-            for m in range(4):
-                for power in (False, True):
-                    R = radix2_step(RA, RB, z, m, power)
-                    for k0, k1 in windows:
-                        if len(z) < q + 1 and k0 % 2:
-                            continue
-                        low, high = radix2_step(
-                            RA[k0:k1], RB[::-1][k0:k1], z, m, power,
-                            (k0, M))
-                        assert low.tobytes() == R[k0:k1].tobytes()
-                        assert high.tobytes() == R[::-1][k0:k1].tobytes()
+        z = twiddles(M)
+        for m in range(4):
+            for power in (False, True):
+                R = radix2_step(RA, RB, z, m, power)
+                for k0, k1 in windows:
+                    low, high = radix2_step(
+                        RA[k0:k1], RB[::-1][k0:k1], z[k0:k1], m, power,
+                        (k0, M))
+                    assert low.tobytes() == R[k0:k1].tobytes()
+                    assert high.tobytes() == R[::-1][k0:k1].tobytes()
     z = twiddles(32)
-    for k0, k1, table in ((0, 10, z), (8, 10, z), (1, 3, twiddles(16))):
+    for k0, k1, zw in ((0, 10, np.ones(10)), (8, 10, np.ones(2)),
+                       (1, 3, z[1:4])):
         with pytest.raises(ValueError):
-            radix2_step(RA[:k1 - k0], RB[:k1 - k0], table, 0, False,
-                        (k0, 32))
+            radix2_step(RA[:k1 - k0], RB[:k1 - k0], zw, 0, False, (k0, 32))
 
 
 def test_segment_spectra_match_half_spectrum():
@@ -465,10 +469,10 @@ def _held_objective(segs, N):
 
 
 def test_streamed_top_levels_equal_the_held_recursion_byte_for_byte():
-    """segment_spectra streams the top step and the levels N/2 and N/4
-    above 2^16 a chunk of butterflies at a time; its F, and its folded
+    """segment_spectra streams the top and every level above 4 _WINDOW
+    = 2^15 a window of butterflies at a time; its F, and its folded
     maximum, are those of the recursion that holds every level whole,
-    bit for bit.  Seeded: grids 2^17 to 2^21 (3 to 33 chunks of the top),
+    bit for bit.  Seeded: grids 2^17 to 2^21 (4 to 64 windows of the top),
     one segment and the halves [A, B] of an L objective, with m mod 4
     through all four cases for each; and segments of length 1 to 3, whose
     exact values fill the streamed levels."""
@@ -490,6 +494,43 @@ def test_streamed_top_levels_equal_the_held_recursion_byte_for_byte():
         assert F.tobytes() == want.tobytes(), (segs, N)
         peak = segment_spectra(segs, N, peak=True)
         assert type(peak) is float and peak == np.max(want), (segs, N)
+
+
+def test_streamed_butterflies_are_built_once(monkeypatch):
+    """Each streamed butterfly is built once: in every segment_spectra
+    call of Montgomery's k = 9 decision on the 2^22 cap and of
+    dense(5, 8, 12), the windows of each segment on each streamed level
+    of grid M have widths that add up to M/4 + 1, and every level above
+    4 _WINDOW streams.  Streaming a level's windows per top chunk, as the
+    top alone once streamed, built the level N/2 twice and N/4 four
+    times."""
+    from collections import Counter
+    from rsbounds.experiments import (dense_limit_empirical,
+                                      montgomery_counterexample)
+
+    calls, widths = [], Counter()
+    spectra, window = norms.segment_spectra, norms._window
+
+    def count_call(*args, **kwargs):
+        calls.append(args[1])
+        return spectra(*args, **kwargs)
+
+    def count_window(mn, halves, M, below, z, a, b, *rest):
+        widths[len(calls), M, mn] += b - a
+        return window(mn, halves, M, below, z, a, b, *rest)
+
+    monkeypatch.setattr(norms, 'segment_spectra', count_call)
+    monkeypatch.setattr(norms, '_window', count_window)
+    rep = montgomery_counterexample(9, N=1 << 22)
+    assert rep.N == 1 << 21 and rep.grid_sup_ratio_lo > 9.0
+    dense_limit_empirical(5, 8, 12)
+    assert widths
+    assert all(w == M // 4 + 1 for (_, M, _), w in widths.items())
+    for i, N in enumerate(calls, 1):
+        grids = {M for j, M, _ in widths if j == i}
+        assert grids == {N >> d for d in range(N.bit_length())
+                         if N >> d > 4 * norms._WINDOW or not d}, (i, N)
+    assert max(calls) == 1 << 21
 
 
 def test_segment_spectra_input_contract():

@@ -112,35 +112,40 @@ def test_montgomery_grid_ratio():
 def test_montgomery_grid_check_peak_memory():
     """The decision at the 2^22 cap settles on the 2^21 grid, whose
     spectrum the radix-2 recursion builds whole only up to the level
-    2^18, and above it a chunk of top butterflies at a time, folding the
-    power into its maximum: at most 16 MiB traced.  It traced 11.0 MiB,
-    29.3 MiB with the levels 2^19 and 2^20 held whole and the top power
-    built, and 64 MiB for the full 2^22 enclosure by one FFT with its own
-    padded buffer."""
+    2^15, and above it a window of butterflies of each level at a time,
+    folding the top's power into its maximum: at most 6 MiB traced.  It
+    traced 4.3 MiB; 11.0 MiB with the levels up to 2^18 held whole, the
+    levels 2^19 and 2^20 rebuilt per top chunk and the twiddle table of
+    2^20 held; 29.3 MiB with every level held whole; and 64 MiB for the
+    full 2^22 enclosure by one FFT with its own padded buffer.  k = 10 on
+    the 2^24 cap settles on 2^23 within 8 MiB, so the peak grows with
+    the number of levels, not with the grid: it traced 4.8 MiB, and
+    41.0 MiB with the levels up to N/8 held whole."""
     montgomery_counterexample(9)            # imports and caches first
-    tracemalloc.start()
-    try:
-        rep = montgomery_counterexample(9, N=1 << 22)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.grid_sup_ratio_lo > 9.0
-    assert peak <= 16 << 20, peak
+    for k, cap, bound in ((9, 1 << 22, 6 << 20), (10, 1 << 24, 8 << 20)):
+        tracemalloc.start()
+        try:
+            rep = montgomery_counterexample(k, N=cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.N == 1 << (2 * k + 3) and rep.grid_sup_ratio_lo > 9.0
+        assert peak <= bound, (k, peak)
 
 
 @pytest.mark.skipif(not os.path.exists('/proc/self/status'),
                     reason='reads VmHWM from procfs')
 def test_montgomery_grid_check_peak_rss_in_a_fresh_interpreter():
     """The same decision raises a fresh interpreter's peak RSS by at most
-    20 MB over its own after the imports: the 2^21 grid is built by the
-    radix-2 recursion, streamed above the level 2^18, not by a pocketfft
+    8 MB over its own after the imports: the 2^21 grid is built by the
+    radix-2 recursion, streamed above the level 2^15, not by a pocketfft
     transform, whose own buffers tracemalloc does not see.  The rise read
-    12.5 MB, 30 MB with the top levels held whole, and 53 MB with one
-    rfft on 2^21, on Linux x86_64 (glibc 2.36) with CPython 3.11.7 and
-    numpy 2.4.6; the allocator and numpy's version move it.  The peak is
-    VmHWM, that of the interpreter's own memory map, so the test needs
-    procfs: a spawned process's ru_maxrss starts at its parent's peak on
-    Linux."""
+    4.9 MB, 12.5 MB with the levels up to 2^18 held whole, 30 MB with
+    every level held whole, and 53 MB with one rfft on 2^21, on Linux
+    x86_64 (glibc 2.36) with CPython 3.11.7 and numpy 2.4.6; the
+    allocator and numpy's version move it.  The peak is VmHWM, that of
+    the interpreter's own memory map, so the test needs procfs: a
+    spawned process's ru_maxrss starts at its parent's peak on Linux."""
     src = os.path.dirname(os.path.dirname(rsbounds.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get('PYTHONPATH')])))
@@ -161,7 +166,7 @@ print(rep.N, rep.grid_sup_ratio_lo, (peak() - before) / 1024)
                          capture_output=True, text=True).stdout.split()
     N, lo, rise_mb = int(out[0]), float(out[1]), float(out[2])
     assert N == 1 << 21 and lo > 9.0
-    assert rise_mb <= 20.0, rise_mb
+    assert rise_mb <= 8.0, rise_mb
 
 
 def test_L_ratio_lower_examples():

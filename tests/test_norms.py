@@ -1,4 +1,5 @@
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -645,15 +646,20 @@ def test_half_prefix_spectra_square_nothing(monkeypatch, no_fft):
     squares only the spectra that a caller reads: no FFT is taken, every
     _power input is a radix2_step output, and each is squared at most
     once.  brute_onedim's report is the one it gave when the store
-    squared every FFT."""
+    squared every FFT.  brute_onedim reads each top once, so the power
+    memo is checked on certify-g at 2^16, whose corners re-read their
+    tops from one store: each (grid, segment) entry is squared at most
+    as often as it is built.  A store that squared a top on every read
+    fails it."""
+    from rsbounds.certify2d import certify_g_full
     from rsbounds.certify1d import brute_onedim
 
     steps, powered = [], []
-    monkeypatch.setattr(norms, 'radix2_step', lambda *a,
-                        real=norms.radix2_step: steps.append(real(*a))
-                        or steps[-1])
-    monkeypatch.setattr(norms, '_power', lambda R, real=norms._power:
-                        powered.append(R) or real(R))
+    step, power = norms.radix2_step, norms._power
+    monkeypatch.setattr(norms, 'radix2_step', lambda *a:
+                        steps.append(step(*a)) or steps[-1])
+    monkeypatch.setattr(norms, '_power', lambda R:
+                        powered.append(R) or power(R))
     report = brute_onedim(256, 1 << 12)
     assert powered and len(steps) > len(powered)
     made = {id(S) for S in steps}
@@ -662,3 +668,24 @@ def test_half_prefix_spectra_square_nothing(monkeypatch, no_fft):
     assert (report.worst_n, report.failures, report.unsettled) \
         == (171, [], [11, 43, 171])
     assert report.worst_ratio == pytest.approx(1.000000000000628, rel=1e-12)
+
+    built, squared, keys = Counter(), Counter(), {}
+    build = norms._segment_values
+
+    def built_values(mn, halves, M, *rest):
+        R = build(mn, halves, M, *rest)
+        built[M, mn] += 1
+        keys[id(R)] = weakref.ref(R), (M, mn)
+        return R
+
+    def square(R):
+        ref, key = keys[id(R)]
+        assert ref() is R
+        squared[key] += 1
+        return power(R)
+
+    monkeypatch.setattr(norms, 'radix2_step', step)
+    monkeypatch.setattr(norms, '_segment_values', built_values)
+    monkeypatch.setattr(norms, '_power', square)
+    assert certify_g_full(1 << 16).corner_evals == 1753
+    assert squared and all(n <= built[key] for key, n in squared.items())
