@@ -30,12 +30,10 @@ eps_fp by induction, with no FFT: the bound is then derived, not validated
 (norms.segment_spectra, the one builder of grid spectra, with
 norms.PrefixSpectra its memo).  Its top step can return |R|^2 alone, bit
 for bit np.abs(R) ** 2, for objectives that read only the power, so the
-top grid's complex values are never held, and it can take a window of its
-butterflies alone, from windows of its inputs and with the twiddles of
-that window alone, so that no level of a recursion need be held whole:
-segment_spectra streams every level above 2^15 so without a store, and
-holds every level whole with one.  Only ``eval --grid`` still reads
-half_spectrum.
+top grid's complex values are never held, and it can take any of its
+butterflies alone: a window, so that no level of a recursion need be
+held whole, or those that the points of a refined arc read
+(norms.segment_points).  Only ``eval --grid`` still reads half_spectrum.
 """
 
 from __future__ import annotations
@@ -66,26 +64,6 @@ def eps_fp(length: int, N: int) -> float:
     if length <= 0:
         return 0.0
     return C_FFT * length * math.log2(N) * UNIT_ROUNDOFF
-
-
-def eps_direct(length: int) -> float:
-    """Per-value absolute error bound of eval_roots for a segment of the
-    given length, on any power-of-two grid.
-
-    Each phase exp(2 pi i k / N) is taken at |k| <= N/2 with k exact, so its
-    argument errs by at most pi (2u + u^2) (the rounding of 2 pi / N and of
-    the product), and cos and sin by at most one ulp each: the computed
-    phase is within 8u of the true one.  The coefficients are +-1, so the
-    products are exact.  Pairwise summation passes each of the L terms of
-    modulus <= 1 + 8u through h = ceil(log2 L) additions and errs by at
-    most gamma_h L (1 + 8u) (Higham's bound on each component, combined by
-    Minkowski's inequality), which is below sqrt(2) h L u.  The bound is at
-    most eps_fp(L, N) for every N >= 4 L.
-    """
-    if length <= 0:
-        return 0.0
-    h = (length - 1).bit_length()
-    return length * (math.sqrt(2.0) * h + 8.0) * UNIT_ROUNDOFF
 
 
 def abs_sq_slack(length: int, N: int) -> float:
@@ -132,7 +110,7 @@ def segment_sum_pm1(seg: Segment) -> tuple[int, int]:
 
 def _root(k: int, N: int) -> complex:
     """exp(2 pi i k / N), with k reduced in exact integer arithmetic to
-    |k| <= N/2 as in eval_roots: within 8u for a power-of-two N, and exact
+    |k| <= N/2: within 8u for a power-of-two N (_twiddles_at), and exact
     on the axes, so that z = +-1 and +-i give exact sums."""
     k %= N
     if 4 * k % N == 0:
@@ -141,31 +119,6 @@ def _root(k: int, N: int) -> complex:
         k -= N
     theta = k * (2.0 * math.pi / N)
     return complex(math.cos(theta), math.sin(theta))
-
-
-def eval_roots(seg: Segment, js: np.ndarray, N: int) -> np.ndarray:
-    """sum_t a_{m+t} z_j^t at z_j = exp(2 pi i j / N) for every j in js.
-
-    This is P_seg(z_j) without the twist z_j^m, so only moduli are
-    meaningful, as for half_spectrum.  Phase indices j t mod N are reduced
-    in exact integer arithmetic, the products with the +-1 coefficients are
-    exact, and each row is summed by pairwise halving (zero-padded to a
-    power of two), so each value errs by at most eps_direct(L) whatever the
-    offset.  Work and memory are len(js) * L.
-    """
-    if N < 4 or N & (N - 1):
-        raise ValueError(f"grid size {N} is not a power of two >= 4")
-    js = np.asarray(js, dtype=np.int64) % N
-    k = np.multiply.outer(js, np.arange(seg.length, dtype=np.int64)) % N
-    k[2 * k > N] -= N
-    theta = k * (2.0 * math.pi / N)
-    a = coeff_range(seg).astype(np.float64)
-    terms = np.zeros((len(js), 1 << (seg.length - 1).bit_length()), complex)
-    terms[:, :seg.length] = np.cos(theta) * a + 1j * (np.sin(theta) * a)
-    while terms.shape[1] > 1:
-        half = terms.shape[1] // 2
-        terms = terms[:, :half] + terms[:, half:]
-    return terms[:, 0]
 
 
 def _eval(seg: Segment, power: Callable[[int], complex]) -> complex:
@@ -223,7 +176,7 @@ _CHUNK = 1 << 14    # butterflies per pass of radix2_step
 
 
 def radix2_step(RA: np.ndarray, RB: np.ndarray, z: np.ndarray,
-                m: int = 0, power: bool = False, window=None):
+                m: int = 0, power: bool = False, at=None):
     """The half spectrum on the M-grid of a segment [m, n) from the half
     spectra RA and RB (half_spectrum) of its halves A = [ceil(m/2),
     ceil(n/2)) and B = [floor(m/2), floor(n/2)) on the M/2-grid,
@@ -251,35 +204,37 @@ def radix2_step(RA: np.ndarray, RB: np.ndarray, z: np.ndarray,
     temporary spans the grid.  m = 0 is the step of a prefix from its
     half prefixes.  The error bound is eps_radix2.
 
-    With ``window`` = (k0, M) the step takes only the butterflies
-    k = k0 .. k0 + w - 1 of the M-grid, w = len(RA) <= M/4 + 1 - k0:
-    RA then holds RA[k], RB holds RB[q - k] and z holds z_k for those k
-    (twiddles(M, k0, k0 + w)), in the order of k, and the result is the
-    pair (low, high) of R[k] and R[M/2 - k], in the same order, as the
-    whole step leaves them (at k = q both are conj(X - Y)).  A window's
-    values are those of the whole step, bit for bit: the same butterflies
-    with the same twiddles, and the products of numpy's complex loops do
-    not depend on the strides of their inputs.
+    With ``at`` = (k, M) the step takes only the butterflies k of the
+    M-grid, w = len(RA) indices in 0 .. M/4 (a window's range, or gathered
+    points in any order): RA holds RA[k], RB holds RB[q - k] and z holds
+    z_k for those k (twiddles(M, k)), and the result is the rows (low,
+    high) of R[k] and R[M/2 - k], in the order of k.  At k = q, R[q] is
+    high's, as the whole step writes it last, and low's too where q is
+    the last index, as for a window that ends there.  These values are
+    those of the whole step, bit for bit: the same butterflies with the
+    same twiddles, and the products of numpy's complex loops do not
+    depend on the strides of their inputs.
     """
-    if window is None:
-        k0, M = 0, 4 * (len(RA) - 1)
+    if at is None:
+        k, M = range(len(RA)), 4 * (len(RA) - 1)
         RB = RB[::-1]                          # RB[i] is RB[q - i]
     else:
-        k0, M = window
+        k, M = at
     q, w = M // 4, len(RA)
     if (q < 1 or q & (q - 1) or 4 * q != M or len(RB) != w or len(z) != w
-            or not 0 <= k0 < k0 + w <= q + 1):
+            or len(k) != w or not (w and 0 <= k[0] and k[-1] <= q)):
         raise ValueError(f"half spectra and twiddles of lengths {len(RA)}, "
                          f"{len(RB)}, {len(z)} are not all M/4 + 1 for a "
                          "power of two M >= 4"
-                         + ("" if window is None else
-                            f", or one window at {k0} on M = {M}"))
+                         + ("" if at is None else
+                            f", or the butterflies {k} on M = {M}"))
     dtype = float if power else complex
-    if window is None:
+    if at is None:
         R = np.empty(2 * q + 1, dtype=dtype)
         low, high = R[:q + 1], R[::-1][:q + 1]   # R[k], R[M/2 - k]
     else:
-        low, high = np.empty(w, dtype=dtype), np.empty(w, dtype=dtype)
+        out = np.empty((2, w), dtype=dtype)
+        low, high = out
     for i0 in range(0, w, _CHUNK):
         i1 = min(i0 + _CHUNK, w)
         zk, rb = z[i0:i1], RB[i0:i1]
@@ -304,19 +259,24 @@ def radix2_step(RA: np.ndarray, RB: np.ndarray, z: np.ndarray,
             np.add(x, y, out=lo)
             np.subtract(x, y, out=hi)
             np.conjugate(hi, out=hi)
-    if window is None:
+    if at is None:
         return R
-    if k0 + w == q + 1:                        # R[q], written last as high
+    if k[-1] == q:                             # R[q], written last as high
         low[-1] = high[-1]
-    return low, high
+    return out
 
 
 def _twiddles_at(k: np.ndarray, M: int) -> np.ndarray:
-    """z_k = exp(2 pi i k / M) at the integer indices k, each taken at the
-    exact index: within 8u, as the phases of eval_roots.  A value depends
-    on k and M alone, not on the other indices asked with it."""
+    """z_k = exp(2 pi i k / M) at an integer array k of any shape,
+    0 <= k <= M/2, each at its exact index, so a value depends on k and M
+    alone.  For a power of two M each is within 8u of the true root: the
+    argument k (2 pi / M) errs by at most pi (2u + u^2), the rounding of
+    2 pi (the division by M is exact) and of the product, and cos and sin
+    add at most one ulp each (the math library's, taken as faithful), so
+    |z~ - z| <= 2 pi u + sqrt(2) u + O(u^2) < 8u.  eps_radix2 rests on
+    this bound, and _root takes its phases alike."""
     theta = k * (2.0 * math.pi / M)
-    z = np.empty(len(theta), dtype=complex)
+    z = np.empty(theta.shape, dtype=complex)
     z.real = np.cos(theta)
     z.imag = np.sin(theta)
     return z
@@ -326,30 +286,34 @@ KEPT_TWIDDLES = 1 << 16     # twiddles keeps the tables of grids up to this
 _kept_tables: dict = {}     # M -> twiddles(M), M a power of two
 
 
-def twiddles(M: int, a: int = 0, b: int | None = None) -> np.ndarray:
-    """z_k = exp(2 pi i k / M) for k = a .. b - 1, by default the table
-    k = 0 .. M/4, M >= 4, read-only (_twiddles_at), with z_{M/4} exactly
-    i.  A value depends on k and M alone, so a window is the table's
-    slice, bit for bit, and the table of M/2^j is that of M at the stride
-    2^j: the index k 2^j times 2 pi / M rounds as k times
-    2 pi / (M / 2^j).  The tables of the power-of-two grids up to
-    KEPT_TWIDDLES are built once and kept, 512 KiB for all of them: the
-    objectives on small grids ask for the same ones call after call.  On
-    a larger grid only the window asked for is computed, so a caller that
-    takes its butterflies a window at a time holds no table of the grid."""
+def twiddles(M: int, k=slice(None)) -> np.ndarray:
+    """z_k = exp(2 pi i k / M) at the butterflies k of the M-grid, M >= 4:
+    a slice of 0 .. M/4, by default the whole table (read-only), or an
+    index array (_twiddles_at), with z_{M/4} exactly i.  A value depends
+    on k and M alone, so a window or a gathered point is the table's, bit
+    for bit, and the table of M/2^j is that of M at the stride 2^j: the
+    index k 2^j times 2 pi / M rounds as k times 2 pi / (M / 2^j).  The
+    tables of the power-of-two grids up to KEPT_TWIDDLES are built at the
+    first slice asked and kept, 512 KiB for all of them: the objectives on
+    small grids ask for the same ones call after call.  Otherwise only the
+    twiddles asked for are computed, so a caller that takes its
+    butterflies a window at a time holds no table of the grid, and
+    gathered points build none."""
     q = M // 4
     z = _kept_tables.get(M)
     if z is None:
-        kept = M <= KEPT_TWIDDLES and not M & (M - 1)
-        lo, hi = (0, q + 1) if kept else (a, q + 1 if b is None else b)
-        z = _twiddles_at(np.arange(lo, hi), M)
-        if hi == q + 1:
-            z[-1] = 1j
+        kept = (M <= KEPT_TWIDDLES and not M & (M - 1)
+                and isinstance(k, slice))
+        ks = slice(None) if kept else k
+        if isinstance(ks, slice):
+            ks = np.arange(*ks.indices(q + 1))
+        z = _twiddles_at(ks, M)
+        z[ks == q] = 1j
         z.flags.writeable = False
         if not kept:
             return z
         _kept_tables[M] = z
-    return z[a:b]
+    return z[k]
 
 
 def eps_radix2(length: int, M: int) -> float:
@@ -364,7 +328,7 @@ def eps_radix2(length: int, M: int) -> float:
     floor(n/2) - (m - 1)/2 = ceil(L/2) and A floor(L/2).  The sign sigma
     and the conjugates are exact.  Write e_A = eps_fp(a, M/2) and
     e_B = eps_fp(b, M/2); the true moduli are at most a and b.  The
-    twiddle errs by at most 8u (eps_direct), so the twiddled value is
+    twiddle errs by at most 8u (_twiddles_at), so the twiddled value is
     within e_B + 8u (b + e_B) before the product, and the complex product
     adds at most sqrt(2) gamma_2 (1 + 8u)(b + e_B), gamma_2 = 2u / (1 - 2u)
     (Higham, *Accuracy and Stability of Numerical Algorithms*, Lemma 3.5).

@@ -44,19 +44,14 @@ induction each value errs by at most eps_radix2(L, N) <= eps_fp(L, N), so
 every slack below holds for it unchanged, with no FFT and no validated
 constant.  segment_spectra is the one builder of every grid spectrum:
 one walk down the levels, then up, building each level from the one
-below, and it returns the objective F, or F's maximum alone.  Its top has
-two modes.  Without a store it holds whole levels only up to the grid
-2^15, at most two at a time, and streams the top and every level above
-it a window of butterflies at a time: each window is read by two windows
-of the level above, so a walk depth first from the deepest builds each
-butterfly once and holds one window of each level; the top step computes
-|R|^2 alone, all that the sup and L objectives read.  With a
-PrefixSpectra store, its memo, every level is held whole and kept
-by (grid, segment), top included, and the walk descends only where the
-store lacks a level's segment: sup_norm_sq and L_norm_sq read one when
-given it, and g_int, whose halves are prefixes, always.  The sweeps of
-certify1d read rising prefixes, so consecutive n share their halves on
-every grid.
+below, and it returns the objective F, or F's maximum alone.  It
+streams the levels above 2^15 a window of butterflies at a time, or
+holds every level whole in a PrefixSpectra store, its memo, which
+sup_norm_sq and L_norm_sq read when given one and g_int always: the
+sweeps of certify1d read rising prefixes, so consecutive n share their
+halves on every grid.  segment_points takes the same walk and the same
+butterflies, each only where a point of F needs it, so its values are
+segment_spectra's bit for bit.
 
 The g objective.  Write a = A_r(w), b = B_r(-w) for the halves of the
 prefix r and c = A_s(w), d = B_s(-w) for those of the prefix s.  Then
@@ -82,16 +77,16 @@ error of the cross term.
 Coarse to fine.  sup_norm_sq, L_norm_sq and g_int need M, the maximum
 over the N-grid, not the other N - 1 values.  One routine (_grid_sup)
 takes F on a whole coarse grid and refines only the arcs that can hold
-the N-grid maximum, by direct evaluation at exact phases.  Szego's
-inequality, F'^2 <= D^2 F (U - F) for any U >= sup F, bounds how far F can
-fall near the maximum; for g it holds through the family member that
-attains g, as above.  The result is the enclosure the full N-grid gives.
-A caller that needs only a decision on the sup (is F <= T?) passes it, and
-the routine stops at the first grid level whose enclosure settles it.
+the N-grid maximum, at their points alone (segment_points).  Szego's
+inequality, F'^2 <= D^2 F (U - F) for any U >= sup F, bounds how far F
+can fall near the maximum; for g it holds through the family member that
+attains g, as above.  The points' values are the N-grid's, bit for bit,
+so the result is the enclosure the full N-grid gives.  A caller that
+needs only a decision on the sup (is F <= T?) passes it, and the routine
+stops at the first grid level whose enclosure settles it.
 
 Floating-point slack from evaluate.eps_fp widens every enclosure on both
-sides; direct values err by at most evaluate.eps_direct <= eps_fp.  No
-directed rounding is attempted.
+sides.  No directed rounding is attempted.
 """
 
 from __future__ import annotations
@@ -106,8 +101,8 @@ import numpy as np
 from .dyadic import DyadicPoint
 # half_spectrum is kept here only for _prefix_half_spectrum and for
 # certbench/spans.py, which traces it through this module by name.
-from .evaluate import (abs_sq_slack, eps_fp, eval_roots, half_spectrum,
-                       radix2_step, twiddles)
+from .evaluate import (abs_sq_slack, eps_fp, half_spectrum, radix2_step,
+                       twiddles)
 from .sequence import (DEFAULT_MAX_RANGE, CapacityError, Segment, check_range,
                        coeff, even_odd_pairs, even_odd_split)
 
@@ -222,10 +217,7 @@ def segment_spectra(segs: list[Segment], N: int, peak: bool = False,
     ``cross`` is read only with a ``store``: g, the one objective with a
     cross term, always passes one.
 
-    One walk runs down the levels: the segments on the grid M, keyed by
-    their pairs (m, n), are the halves (even_odd_pairs) of those on 2M
-    that ``store`` lacks, or of all of them without one, from ``segs`` on
-    N down to a level with none of length 2 or more.  Each level is then
+    One walk runs down the levels (_walk_down).  Each level is then
     built from the one below by _segment_values: the exact values a_m, or
     0, of a segment of length at most 1, and one evaluate.radix2_step from
     its halves for a longer one.  A level holds few segments (the ends of
@@ -264,34 +256,9 @@ def segment_spectra(segs: list[Segment], N: int, peak: bool = False,
     are refused with CapacityError, as half_spectrum and coeff_range
     refuse them.
     """
-    if N > DEFAULT_MAX_RANGE:
-        raise CapacityError(f"grid size {N} exceeds limit {DEFAULT_MAX_RANGE}")
-    if N < 2 or N & (N - 1):
-        raise ValueError(f"grid size {N} is not a power of two >= 2")
     tops = [(seg.m, seg.n) for seg in segs]
-    # The walk down, a level a grid M: (M, {(m, n): its halves, or None}
-    # of the segments to build, {(m, n): entry} of those in the store).
     entries = {} if store is None else store._entries
-    walk, keys, M = [], tops, N
-    while keys:
-        memo = entries.get(M, {})
-        known, level, below = {}, {}, []
-        for mn in keys:
-            entry = memo.get(mn)
-            if entry is not None:
-                known[mn] = entry
-            elif mn not in level:
-                halves = level[mn] = (even_odd_pairs(*mn)
-                                      if mn[1] - mn[0] > 1 else None)
-                below += halves or ()
-        walk.append((M, level, known))
-        if below and M < 4:
-            raise ValueError(f"grid size {N} is too small for a segment of "
-                             f"length {max(seg.length for seg in segs)}")
-        keys, M = below, M // 2
-    if walk[0][1]:          # what the store holds was checked when built
-        for seg in segs:
-            check_range(seg)
+    walk = _walk_down(segs, N, entries)
     # Without a store the top streams, and so does every level above
     # 4 _WINDOW; the levels from `held` down are built whole.
     held = 0 if store is not None else next(
@@ -342,7 +309,7 @@ def segment_spectra(segs: list[Segment], N: int, peak: bool = False,
     while todo:
         depth, a, b, mirrored = todo.pop()
         M, level, _ = walk[depth]
-        z = twiddles(max(M, 4), a, b)
+        z = twiddles(max(M, 4), slice(a, b))
         rows[depth] = None                 # the last window here is done
         rows[depth] = {mn: _window(mn, halves, M, rows[depth + 1], z, a, b,
                                    mirrored, not depth)
@@ -368,6 +335,80 @@ def segment_spectra(segs: list[Segment], N: int, peak: bool = False,
             F[a:b] = low
             F[::-1][a:b] = high
     return float(best) if peak else F
+
+
+def _walk_down(segs: list[Segment], N: int, entries: dict) -> list:
+    """The walk down of segment_spectra and segment_points: the segments
+    on the grid M, keyed by their pairs (m, n), are the halves
+    (even_odd_pairs) of those on 2M that the store's ``entries`` lack,
+    from ``segs`` on N down to a level with none of length 2 or more.  A
+    level is (M, {(m, n): its halves, or None} of the segments to build,
+    {(m, n): entry} of those in the store)."""
+    if N > DEFAULT_MAX_RANGE:
+        raise CapacityError(f"grid size {N} exceeds limit {DEFAULT_MAX_RANGE}")
+    if N < 2 or N & (N - 1):
+        raise ValueError(f"grid size {N} is not a power of two >= 2")
+    walk, keys, M = [], [(seg.m, seg.n) for seg in segs], N
+    while keys:
+        memo = entries.get(M, {})
+        known, level, below = {}, {}, []
+        for mn in keys:
+            entry = memo.get(mn)
+            if entry is not None:
+                known[mn] = entry
+            elif mn not in level:
+                halves = level[mn] = (even_odd_pairs(*mn)
+                                      if mn[1] - mn[0] > 1 else None)
+                below += halves or ()
+        walk.append((M, level, known))
+        if below and M < 4:
+            raise ValueError(f"grid size {N} is too small for a segment of "
+                             f"length {max(seg.length for seg in segs)}")
+        keys, M = below, M // 2
+    if walk[0][1]:          # what the store holds was checked when built
+        for seg in segs:
+            check_range(seg)
+    return walk
+
+
+def segment_points(segs: list[Segment], js: np.ndarray, N: int, cross=None,
+                   store: PrefixSpectra | None = None) -> np.ndarray:
+    """F of segment_spectra at x_j for each j of js, indices in 0 .. N/2,
+    bit for bit: the same walk and butterflies, each taken only where a
+    point reads it.  The top reads R[j] or R[N/2 - j], and butterfly k of
+    a level reads its halves at k and M/4 - k on their grid M/2, both at
+    one butterfly (segment_spectra): so on the level of grid M the point j
+    lies at the butterfly min(r, M/2 - r), r = j mod M/2, and it costs
+    O(log L) butterflies in all."""
+    walk = _walk_down(segs, N, {} if store is None else store._entries)
+    h = np.array([[max(M // 2, 1)] for M, _, _ in walk])
+    r = js % h
+    ks = np.minimum(r, h - r)           # each level's butterflies
+    # Their twiddles, z_k on N >> d that of N at k 2^d (twiddles), at once.
+    zs = twiddles(max(N, 4), ks << np.arange(len(walk))[:, None])
+    i = np.concatenate((js[None], ks[:-1]))
+    t, w, i2 = np.arange(len(js)), len(js), 2 * i
+    # The indices that the level above reads, A at i and B at h - i: in
+    # a whole R (a store's), and in the rows (low, high) of ks, high at
+    # the middle, where R[M/4] is high's (radix2_step).
+    hi, pa, pb = h - i, t + w * (i2 >= h), t + w * (i2 <= h)
+    exact = (0 * t,) * 2        # one exact value, read everywhere
+    values: dict = {}       # (m, n): (values, the indices read in them)
+    for d in reversed(range(len(walk))):
+        M, level, known = walk[d]
+        below, packed = values, (pa[d], pb[d])
+        values = {mn: (e[0], (i[d], hi[d])) for mn, e in known.items()}
+        for mn, halves in level.items():
+            if halves is None:
+                values[mn] = _exact(mn, 1, False), exact
+                continue
+            (RA, ia), (RB, ib) = below[halves[0]], below[halves[1]]
+            values[mn] = radix2_step(RA[ia[0]], RB[ib[1]], zs[d], mn[0],
+                                     False, (ks[d], M)).ravel(), packed
+    v = [values[seg.m, seg.n] for seg in segs]
+    v = [x[idx[k % 2]] for k, (x, idx) in enumerate(v)]
+    F = sum(np.square(np.abs(x)) for x in v)
+    return F + cross(v) if cross else F
 
 
 def _exact(mn: tuple[int, int], size: int, power: bool) -> np.ndarray:
@@ -411,22 +452,14 @@ def _window(mn: tuple[int, int], halves, M: int, below: dict, z, a: int,
         return (x[1][w - 1::-1], x[0][w - 1::-1]) if mirrored else x
 
     A, B = halves
-    return radix2_step(at(A)[0], at(B)[1], z, mn[0], power, (a, M))
+    return radix2_step(at(A)[0], at(B)[1], z, mn[0], power,
+                       (range(a, b), M))
 
 
 def _power(R: np.ndarray) -> np.ndarray:
     """|R|^2 of a spectrum R, np.abs(R) ** 2 squared in place."""
     P = np.abs(R)
     return np.square(P, out=P)
-
-
-def _direct_values(segs: list[Segment], js: np.ndarray, N: int,
-                   cross) -> np.ndarray:
-    """F at x_j for each j in js, by direct evaluation."""
-    v = [eval_roots(seg, js + N // 2, N) if i % 2
-         else np.conj(eval_roots(seg, js, N)) for i, seg in enumerate(segs)]
-    F = sum(np.abs(x) ** 2 for x in v)
-    return F + cross(v) if cross else F
 
 
 def _grid_sup(segs: list[Segment], N: int, degree: int, slack, cross=None,
@@ -458,9 +491,9 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, slack, cross=None,
         F_j + s >= lo - D h sqrt(lo (U - lo)) - (D h)^2 U / 2,
 
     where [lo, U] = [max_l - s, (max_l + s) / (1 - delta_l)] is the level's
-    enclosure, s = slack(N_l) and h = pi / N_l, and evaluates directly the
-    N_{l+1}-points c j + i, |i| <= c/2, around each kept j
-    (c = N_{l+1} / N_l).  Szego's inequality for F - U/2 gives
+    enclosure, s = slack(N_l) and h = pi / N_l, and takes F only at the
+    N_{l+1}-points c j + i, |i| <= c/2, around each kept j (segment_points,
+    c = N_{l+1} / N_l).  Szego's inequality for F - U/2 gives
     F'^2 <= D^2 F (U - F), and x - D h sqrt(x (U - x)) increases with x for
     x >= U/2; so a Taylor step from the argmax of any finer grid, or from
     the maximizer, to its nearest level-l point shows that point is kept
@@ -468,14 +501,15 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, slack, cross=None,
     attains F there: a non-negative trigonometric polynomial of degree
     <= D, below F <= U everywhere.  By induction each level holds its
     grid's argmax, and the point nearest the maximizer, which makes
-    [lo, U] an enclosure on every level.  Direct values err by at most
-    eps_direct(L) <= eps_fp(L, N_l) (N_l >= 4 L), so s holds for them.
-    The next level is taken whole, when lo < U/2, when it would cost more
-    direct work than the N_0 spectrum (points times n above the N_0 grid),
-    or when its grid is no larger than N_0.  A whole level read only
-    through its maximum, the cap and every level whose next level is no
-    larger than N_0, asks segment_spectra for the maximum alone, which
-    folds it window by window and builds no array of the grid.
+    [lo, U] an enclosure on every level.  The points' values are the
+    N_{l+1}-grid's, bit for bit, so s holds for them.  The next level is
+    taken whole, when lo < U/2, when its points would cost more than the
+    N_0 spectrum (points times 4 bit_length(n), a point's butterflies,
+    above the N_0 grid), or when its grid is no larger than N_0.  A whole
+    level read only through its maximum, the cap and every level whose
+    next level is no larger than N_0, asks segment_spectra for the maximum
+    alone, which folds it window by window and builds no array of the
+    grid.
 
     Without ``decide`` the result is the N-grid enclosure.  With it, the
     monotone decision ``decide(enc)`` (True: holds, False: refuted, None:
@@ -533,8 +567,8 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, slack, cross=None,
             # A set, not np.unique: numpy's sort code adds 1.6 MB to peak RSS.
             js = set(np.minimum(js, N_l - js).ravel().tolist())
             js = np.array(sorted(js))
-            if len(js) * n <= N0:
-                F = _direct_values(segs, js, N_l, cross)
+            if len(js) * 4 * n.bit_length() <= N0:
+                F = segment_points(segs, js, N_l, cross, store)
                 continue
         js, F = None, values(N_l)
 

@@ -1,8 +1,11 @@
+import math
+
+import numpy as np
 import pytest
 
 import rsbounds.norms as norms
-from rsbounds.evaluate import eps_fp, eps_radix2
-from rsbounds.sequence import Segment
+from rsbounds.evaluate import UNIT_ROUNDOFF, eps_fp, eps_radix2
+from rsbounds.sequence import Segment, coeff_range
 
 
 @pytest.fixture
@@ -43,6 +46,49 @@ def assert_steps_within_eps_fp(steps):
     for (m, n), M in set(steps):
         L = n - m
         assert L <= 1 or eps_radix2(L, M) <= eps_fp(L, M), ((m, n), M)
+
+
+def eval_roots(seg: Segment, js, N: int) -> np.ndarray:
+    """The tests' pairwise-sum oracle: sum_t a_{m+t} z_j^t at
+    z_j = exp(2 pi i j / N) for every j in js.
+
+    This is P_seg(z_j) without the twist z_j^m, so only moduli are
+    meaningful, as for half_spectrum.  Phase indices j t mod N are reduced
+    in exact integer arithmetic, the products with the +-1 coefficients are
+    exact, and each row is summed by pairwise halving (zero-padded to a
+    power of two), so each value errs by at most eps_direct(L) whatever the
+    offset.  Work and memory are len(js) * L.
+    """
+    if N < 4 or N & (N - 1):
+        raise ValueError(f"grid size {N} is not a power of two >= 4")
+    js = np.asarray(js, dtype=np.int64) % N
+    k = np.multiply.outer(js, np.arange(seg.length, dtype=np.int64)) % N
+    k[2 * k > N] -= N
+    theta = k * (2.0 * math.pi / N)
+    a = coeff_range(seg).astype(np.float64)
+    terms = np.zeros((len(js), 1 << (seg.length - 1).bit_length()), complex)
+    terms[:, :seg.length] = np.cos(theta) * a + 1j * (np.sin(theta) * a)
+    while terms.shape[1] > 1:
+        half = terms.shape[1] // 2
+        terms = terms[:, :half] + terms[:, half:]
+    return terms[:, 0]
+
+
+def eps_direct(length: int) -> float:
+    """Per-value absolute error bound of eval_roots for a segment of the
+    given length, on any power-of-two grid.
+
+    Each phase is taken at |k| <= N/2 with k exact, so it is within 8u of
+    the true one (evaluate._twiddles_at).  The coefficients are +-1, so the
+    products are exact.  Pairwise summation passes each of the L terms of
+    modulus <= 1 + 8u through h = ceil(log2 L) additions and errs by at
+    most gamma_h L (1 + 8u) (Higham's bound on each component, combined by
+    Minkowski's inequality), which is below sqrt(2) h L u.
+    """
+    if length <= 0:
+        return 0.0
+    h = (length - 1).bit_length()
+    return length * (math.sqrt(2.0) * h + 8.0) * UNIT_ROUNDOFF
 
 
 def stored_spectrum(n: int, M: int):

@@ -16,12 +16,12 @@ from rsbounds.certify1d import (brute_onedim, certify_cover, load_centers,
 from rsbounds.certify2d import (certify_f2, certify_g_full,
                                 check_exclusion_region)
 from rsbounds.dyadic import DyadicPoint
-from rsbounds.evaluate import (abs_sq_slack, eval_PQ, eval_roots,
-                               segment_sum_pm1)
+from rsbounds.evaluate import abs_sq_slack, eval_PQ, segment_sum_pm1
 from rsbounds.experiments import (critical_pair, dense_limit_empirical,
                                   montgomery_counterexample)
 from rsbounds.norms import L_norm_sq, f_dyadic, g_int
 from rsbounds.sequence import Segment, coeff_range
+from conftest import eval_roots
 
 FIXTURES = Path(__file__).parent / 'fixtures'
 

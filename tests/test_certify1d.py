@@ -339,7 +339,8 @@ def test_brute_onedim_takes_no_fft(monkeypatch, no_fft, whole_steps):
     benchmark's sweep settles as with FFTs and takes none, every step of
     the recursion is within eps_fp, and its store stays under 2.5 MiB.
     Visited depth first, it builds each (prefix, grid) pair about once:
-    2,097 steps for 2,078 pairs (3,952 in rising order)."""
+    2,097 whole steps for 2,078 pairs (3,952 in rising order), besides
+    the steps that gather the refined points (radix2_step's ``at``)."""
     import rsbounds.norms as norms
 
     taken = []
@@ -349,7 +350,8 @@ def test_brute_onedim_takes_no_fft(monkeypatch, no_fft, whole_steps):
     assert report.ok and report.unsettled == [43, 171, 683]
     steps, held = whole_steps
     assert len(held) >= 2048 and max(held) <= 5 << 19
-    assert len(taken) <= 1.02 * len({(mn, M) for mn, M in steps
+    whole = [a for a in taken if len(a) < 6]
+    assert len(whole) <= 1.02 * len({(mn, M) for mn, M in steps
                                      if mn[1] - mn[0] > 1})
     assert_steps_within_eps_fp(steps)
 

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from rsbounds.evaluate import (UNIT_ROUNDOFF, DomainError, abs_sq_slack,
-                               eps_direct, eps_fp, eps_radix2, eval_point,
-                               eval_point_root, eval_PQ, eval_roots,
-                               half_spectrum, radix2_step, twiddles)
+                               eps_fp, eps_radix2, eval_point,
+                               eval_point_root, eval_PQ, half_spectrum,
+                               radix2_step, twiddles)
 from rsbounds import norms
 from rsbounds.norms import segment_spectra
 from rsbounds.sequence import (CapacityError, Segment, coeff_range,
                                even_odd_pairs, even_odd_split)
-from conftest import stored_spectrum
+from conftest import eps_direct, eval_roots, stored_spectrum
 
 
 def grid_point(j, N):
@@ -283,16 +283,11 @@ def test_fft_error_model_against_mpmath():
 
 
 def test_direct_error_model_against_mpmath():
-    """eps_direct must dominate the true error of eval_roots, the arc
-    evaluator behind the coarse-to-fine sup enclosures, and of the block
-    route of eval_point_root, at the production sizes (L up to 4096,
-    offsets up to 2^40, N = 2^16 .. 2^24, each case's argmax included);
-    verified against 50-digit reference sums.  It never exceeds eps_fp on
-    the grids enclosures allow (N >= 4 L), so direct values fit the slack."""
-    for L in [*range(1, 4097), *(2 ** h + d for h in range(12, 27)
-                                 for d in (-1, 0, 1))]:
-        N = 1 << (4 * L - 1).bit_length()
-        assert eps_direct(L) <= eps_fp(L, N), L
+    """eps_direct must dominate the true error of eval_roots, the tests'
+    pairwise-sum oracle, and of the block route of eval_point_root, at the
+    production sizes (L up to 4096, offsets up to 2^40, N = 2^16 .. 2^24,
+    each case's argmax included); verified against 50-digit reference
+    sums."""
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(53)
     worst = 0.0
@@ -369,7 +364,7 @@ def test_radix2_step_at_m0_is_the_prefix_step_byte_for_byte():
     and at every m mod 4 against the step's own R.  The table of M/2^j is
     that of M at the stride 2^j, byte for byte, up to M = 2^21, and a
     window of twiddles, kept grid or not, is the table's slice, z_{M/4}
-    exactly i."""
+    exactly i, and gathered twiddles are the table's at their indices."""
     rng = np.random.default_rng(89)
     for log2q in range(17):
         q = 1 << log2q
@@ -390,18 +385,22 @@ def test_radix2_step_at_m0_is_the_prefix_step_byte_for_byte():
     for M in (1 << 12, 1 << 21):
         q = M // 4
         for a, b in ((0, q + 1), (q, q + 1), (5, 9000), (q - 7000, q + 1)):
-            assert (twiddles(M, a, b).tobytes()
+            assert (twiddles(M, slice(a, b)).tobytes()
                     == twiddles(M)[a:b].tobytes()), (M, a, b)
-        assert twiddles(M, q, q + 1)[0] == 1j
+        assert twiddles(M, slice(q, q + 1))[0] == 1j
+        ks = np.array([0, 3, q // 2, q - 1, q])
+        assert twiddles(M, ks).tobytes() == twiddles(M)[ks].tobytes(), M
 
 
 def test_radix2_step_windows_are_the_whole_step_byte_for_byte():
-    """A window of butterflies k0 .. k1 - 1, with the twiddles of those
-    k, gives R[k] and R[M/2 - k] of the whole step byte for byte,
-    complex and power-only, at every m mod 4, for windows inside a chunk,
-    across chunks and at the ends; at k = q, where X + Y and conj(X - Y)
-    differ for these random inputs, both are R[q].  A window past q + 1,
-    or with twiddles of another length, is refused."""
+    """A window of butterflies k0 .. k1 - 1, or butterflies gathered at
+    an index array (k = 0, q/2 and q among them, increasing or not), with
+    the twiddles of those k, gives R[k] and R[M/2 - k] of the whole step
+    byte for byte, complex and power-only, at every m mod 4, for windows
+    inside a chunk, across chunks and at the ends; at k = q, where X + Y
+    and conj(X - Y) differ for these random inputs, high is R[q], and low
+    too where q is the last index.  A window past q + 1, or with twiddles
+    of another length, is refused."""
     rng = np.random.default_rng(31)
     for q in (1, 2, 8, 1 << 15):
         M = 4 * q
@@ -410,6 +409,8 @@ def test_radix2_step_windows_are_the_whole_step_byte_for_byte():
         for _ in range(4):
             k0 = int(rng.integers(0, q + 1))
             windows.add((k0, int(rng.integers(k0 + 1, q + 2))))
+        gathered = [np.array(sorted({0, q // 2, q, *map(int, rng.integers(
+            0, q + 1, size))})) for size in (0, 3, 40)]
         z = twiddles(M)
         for m in range(4):
             for power in (False, True):
@@ -417,14 +418,23 @@ def test_radix2_step_windows_are_the_whole_step_byte_for_byte():
                 for k0, k1 in windows:
                     low, high = radix2_step(
                         RA[k0:k1], RB[::-1][k0:k1], z[k0:k1], m, power,
-                        (k0, M))
+                        (range(k0, k1), M))
                     assert low.tobytes() == R[k0:k1].tobytes()
                     assert high.tobytes() == R[::-1][k0:k1].tobytes()
+                for ks in gathered + [g[::-1] for g in gathered]:
+                    low, high = radix2_step(
+                        RA[ks], RB[q - ks], twiddles(M, ks), m, power,
+                        (ks, M))
+                    inner = (ks < q) | (ks[-1] == q)    # low's R[q] if last
+                    assert (low[inner].tobytes()
+                            == R[ks[inner]].tobytes()), (q, m, ks)
+                    assert high.tobytes() == R[M // 2 - ks].tobytes()
     z = twiddles(32)
     for k0, k1, zw in ((0, 10, np.ones(10)), (8, 10, np.ones(2)),
                        (1, 3, z[1:4])):
         with pytest.raises(ValueError):
-            radix2_step(RA[:k1 - k0], RB[:k1 - k0], zw, 0, False, (k0, 32))
+            radix2_step(RA[:k1 - k0], RB[:k1 - k0], zw, 0, False,
+                        (range(k0, k1), 32))
 
 
 def test_segment_spectra_match_half_spectrum():

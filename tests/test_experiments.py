@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rsbounds
-from rsbounds.evaluate import eval_PQ, eval_roots
+from rsbounds.evaluate import eval_PQ
 from rsbounds.experiments import (ExtremalPair, L_ratio_lower, critical_pair,
                                   dense_limit_empirical, extremal_values,
                                   montgomery_counterexample,
@@ -17,6 +17,7 @@ from rsbounds.experiments import (ExtremalPair, L_ratio_lower, critical_pair,
                                   tail_point, tail_point_root)
 from rsbounds.norms import sup_norm_sq
 from rsbounds.sequence import CapacityError, Segment, coeff_range
+from conftest import eval_roots
 
 
 def test_critical_pair_invariants():

@@ -84,18 +84,31 @@ def full_grid_g(r: int, s: int, N: int, split=True):
     return Enclosure(max(M - slack, 0.0), (M + slack) / (1.0 - delta)), slack
 
 
+def whole_cap_enclosure(segs, N, degree, slack, cross=None, half=False):
+    """The enclosure from the maximum over the whole cap grid that
+    norms.segment_spectra folds (peak=True), on the grid of F (the w-grid
+    with ``half``, the objective then twice F's); g's cross term is read
+    with a fresh store."""
+    sh = 1 if half else 0
+    store = norms.PrefixSpectra() if cross else None
+    top = norms.segment_spectra(segs, N >> sh, True, cross, store)
+    enc = norms._enclose_grid_sup(top, degree, N >> sh, slack(N >> sh))
+    return enc.scale(1 << sh)
+
+
 @pytest.fixture
-def direct_calls(monkeypatch):
-    """Record (js, N) of every direct evaluation in norms, N the grid it
-    evaluates on (for the L and g objectives the w-grid)."""
+def point_calls(monkeypatch):
+    """Record (js, N) of every refined level's points in norms, gathered
+    by segment_points, N the grid they lie on (for the L and g objectives
+    the w-grid)."""
     calls = []
-    real = norms._direct_values
+    real = norms.segment_points
 
-    def spy(segs, js, N, cross):
+    def spy(segs, js, N, *rest):
         calls.append((np.array(js), N))
-        return real(segs, js, N, cross)
+        return real(segs, js, N, *rest)
 
-    monkeypatch.setattr(norms, '_direct_values', spy)
+    monkeypatch.setattr(norms, 'segment_points', spy)
     return calls
 
 
@@ -130,15 +143,15 @@ def recursion_steps(monkeypatch):
 
 @pytest.fixture
 def level_grids(monkeypatch):
-    """Record the grid of every level's values in norms, from the
-    recursion or direct (for the L and g objectives the w-grid, half the
+    """Record the grid of every level's values in norms, whole or at
+    gathered points (for the L and g objectives the w-grid, half the
     level's z-grid)."""
     grids = []
-    spectral, direct = norms.segment_spectra, norms._direct_values
+    spectral, points = norms.segment_spectra, norms.segment_points
     monkeypatch.setattr(norms, 'segment_spectra', lambda segs, N, *rest: (
         grids.append(N) or spectral(segs, N, *rest)))
-    monkeypatch.setattr(norms, '_direct_values', lambda segs, js, N, *rest: (
-        grids.append(N) or direct(segs, js, N, *rest)))
+    monkeypatch.setattr(norms, 'segment_points', lambda segs, js, N, *rest: (
+        grids.append(N) or points(segs, js, N, *rest)))
     return grids
 
 
@@ -223,12 +236,14 @@ def test_segment_recursion_bound_fits_eps_fp_at_every_step(recursion_steps):
         assert eps_radix2(L, M) <= eps_fp(L, M), (L, M)
 
 
-def test_coarse_to_fine_matches_full_grid(direct_calls):
+def test_coarse_to_fine_matches_full_grid(point_calls):
     """Seeded property: on 300 segments (offsets up to 2^40, L log-uniform
     up to N / 128, N from 2^10 to 2^24; one in twenty above 2^20 to keep
     the oracle's FFTs cheap) both enclosures agree with the full-grid
-    oracle within the slack s.  Nine in ten of the objectives that are not
-    constant take the coarse-to-fine path, not the fallback."""
+    oracle within the slack s, and each equals the enclosure of the whole
+    cap grid's maximum bit for bit: the refined points are that grid's
+    values.  Nine in ten of the objectives that are not constant take the
+    coarse-to-fine path, not the fallback."""
     rng = np.random.default_rng(59)
     refined = refinable = 0
     for i in range(300):
@@ -237,22 +252,33 @@ def test_coarse_to_fine_matches_full_grid(direct_calls):
         L = int(2.0 ** rng.uniform(0.0, math.log2(N // 128)))
         m = int(rng.integers(0, 1 << 40))
         seg, paired = Segment(m, m + L), bool(i % 2)
-        before = len(direct_calls)
+        before = len(point_calls)
         enc = (L_norm_sq if paired else sup_norm_sq)(seg, N)
-        refined += len(direct_calls) > before
+        refined += len(point_calls) > before
         refinable += L > (2 if paired else 1)
         want, s = full_grid_enclosure(seg, N, paired)
         assert abs(enc.lo - want.lo) <= s, (m, L, N, paired)
         assert abs(enc.hi - want.hi) <= s, (m, L, N, paired)
+        if paired:
+            A, B = even_odd_split(seg)
+            cap = whole_cap_enclosure(
+                [A, B], N, max(A.length, B.length) - 1,
+                lambda M: (abs_sq_slack(A.length, M)
+                           + abs_sq_slack(B.length, M)), half=True)
+        else:
+            cap = whole_cap_enclosure([seg], N, L - 1,
+                                      lambda M: abs_sq_slack(L, M))
+        assert (enc.lo, enc.hi) == (cap.lo, cap.hi), (m, L, N, paired)
     assert refined >= 0.9 * refinable
 
 
-def test_g_coarse_to_fine_matches_full_grid(direct_calls):
+def test_g_coarse_to_fine_matches_full_grid(point_calls):
     """Seeded property for the g objective: (r, s) up to 1000, half of the
     cases with r or s above 120, on grids 2 to 64 times above
     oversampled_grid(r + s), agree with the full-grid oracle within the
-    slack.  The objective is flat near its maxima, so some cases exceed
-    the direct-work cap and take a grid whole by FFT; most refine."""
+    slack, and equal the enclosure of the whole cap grid's maximum bit for
+    bit.  The objective is flat near its maxima, so a case can exceed the
+    point-work cap and take a grid whole; most refine."""
     rng = np.random.default_rng(61)
     refined = 0
     for i in range(40):
@@ -260,20 +286,33 @@ def test_g_coarse_to_fine_matches_full_grid(direct_calls):
         r, s = (int(t) for t in rng.integers(1, top + 1, 2))
         N = norms.oversampled_grid(r + s, 1 << 30) << int(rng.integers(1, 7))
         N = min(N, 1 << 22)
-        before = len(direct_calls)
+        before = len(point_calls)
         enc = g_int(r, s, N)
-        refined += len(direct_calls) > before
+        refined += len(point_calls) > before
         want, slack = full_grid_g(r, s, N)
         assert abs(enc.lo - want.lo) <= slack, (r, s, N)
         assert abs(enc.hi - want.hi) <= slack, (r, s, N)
+        halves = even_odd_split(Segment(0, r)) + even_odd_split(Segment(0, s))
+        a, b, c, d = (h.length for h in halves)
+
+        def g_slack(M):
+            ea, eb, ec, ed = (eps_fp(x, M) for x in (a, b, c, d))
+            return (sum(abs_sq_slack(x, M) for x in (a, b, c, d))
+                    + 2.0 * (a * ed + d * ea + ea * ed
+                             + c * eb + b * ec + eb * ec))
+
+        D = max(norms._spread(a, d), norms._spread(c, b))
+        cap = whole_cap_enclosure(list(halves), N, D, g_slack,
+                                  norms._g_half_cross, half=True)
+        assert (enc.lo, enc.hi) == (cap.lo, cap.hi), (r, s, N)
     assert refined >= 25
 
 
-def test_constant_objective_stops_at_level_0(direct_calls, spectrum_grids):
+def test_constant_objective_stops_at_level_0(point_calls, spectrum_grids):
     """L <= 2 paired (|P(z)|^2 + |P(-z)|^2 = 2L, of degree 0 in w = z^2)
     and L = 1 unpaired are constant, so their N-grid maximum is their
     level-0 maximum: no spectrum above the level-0 grid (its half, the
-    w-grid, for the paired objective) and no direct evaluation, and the
+    w-grid, for the paired objective) and no refined points, and the
     enclosure is the full grid's within s.  Lengths 0 to 2, odd offsets,
     and the grid N = 4, whose w-grid has 2 points, need no special case."""
     cases = [(Segment(0, 1), True), (Segment(0, 2), True),
@@ -292,28 +331,40 @@ def test_constant_objective_stops_at_level_0(direct_calls, spectrum_grids):
             assert abs(enc.lo - want.lo) <= s and abs(enc.hi - want.hi) <= s
             assert enc.contains(2.0 * seg.length if paired else 1.0)
             assert enc.N == N
-    assert not direct_calls
+    assert not point_calls
 
 
-def test_sup_norm_refines_folded_arcs(direct_calls):
+def test_sup_norm_refines_folded_arcs(point_calls):
     """sup_norm_sq with N far above 64 L on the sharp prefix n = 43, whose
     maximum |P(1)|^2 = (sqrt(6n - 2) - 1)^2 = 225 sits at the fold point
-    j = 0: the result is the full-grid enclosure, and every direct
-    evaluation is of distinct indices folded into [0, p/2], p the grid it
-    evaluates on (for the L and g objectives the w-grid)."""
+    j = 0: the result is the full-grid enclosure, and every refined level
+    gathers distinct indices folded into [0, p/2], p the grid they lie on
+    (for the L and g objectives the w-grid)."""
     N = 1 << 22
     seg = Segment(0, 43)
     enc = sup_norm_sq(seg, N)
     want, s = full_grid_enclosure(seg, N, False)
     assert abs(enc.lo - want.lo) <= s and abs(enc.hi - want.hi) <= s
     assert enc.contains(225.0) and enc.width < 1e-6
-    assert direct_calls and direct_calls[-1][1] == N
+    assert point_calls and point_calls[-1][1] == N
     L_norm_sq(Segment(0, 91), N)
     L_norm_sq(Segment(3, 60), N)
     g_int(43, 21, N)
-    for js, grid in direct_calls:
+    for js, grid in point_calls:
         assert js.min() >= 0 and 2 * js.max() <= grid
         assert len(np.unique(js)) == len(js)
+
+
+def test_long_segment_gathers_its_points_on_the_cap(point_calls,
+                                                    spectrum_grids, no_fft):
+    """A point costs O(log L) butterflies, so a long segment refines
+    instead of building the cap whole: L_norm_sq(Segment(7, 32775), 2^22)
+    builds no whole w-grid above its level-0 grid 2^20 and gathers its
+    points on the w-grid 2^21, with the lo and hi of the whole cap."""
+    enc = L_norm_sq(Segment(7, 32775), 1 << 22)
+    assert max(spectrum_grids) == 1 << 20
+    assert point_calls and point_calls[-1][1] == 1 << 21
+    assert (enc.lo, enc.hi) == (70782.49567676263, 70803.81901074387)
 
 
 def test_split_L_against_full_z_grid():
