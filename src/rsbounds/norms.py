@@ -381,7 +381,7 @@ def segment_points(segs: list[Segment], js: np.ndarray, N: int, cross=None,
     lies at the butterfly min(r, M/2 - r), r = j mod M/2, and it costs
     O(log L) butterflies in all."""
     walk = _walk_down(segs, N, {} if store is None else store._entries)
-    h = np.array([[max(M // 2, 1)] for M, _, _ in walk])
+    h = np.array([[M // 2] for M, _, _ in walk])   # M >= 2 (_walk_down)
     r = js % h
     ks = np.minimum(r, h - r)           # each level's butterflies
     # Their twiddles, z_k on N >> d that of N at k 2^d (twiddles), at once.
