@@ -122,29 +122,6 @@ class CoverageReport:
         }
 
 
-def envelope_at(d: Fraction) -> Fraction:
-    """Scaled piecewise envelope B(d) for 0 < d <= 1, minimal across the two
-    octave representations at dyadic boundary points."""
-    if d <= 0 or d > 1:
-        raise ValueError("envelope is defined on (0, 1]")
-    t = 0
-    while d < Fraction(1, 1 << t):
-        t += 1
-    # Now 2^-t <= d <= 2^{1-t}; v = 2^t d in [1, 2].
-    v = d * (1 << t)
-    if v <= Fraction(4, 3):
-        val = 6 * d
-    elif v <= Fraction(25, 16):
-        val = Fraction(8, 1 << t)
-    else:
-        val = Fraction(9, 1 << t)
-    if v == 1:
-        # The same point is the top of the octave below, whose 9-piece
-        # gives the smaller (still valid) bound.
-        val = min(val, Fraction(9, 2 << t))
-    return val
-
-
 def max_radius(center: DyadicPoint, target: float, N: int) -> CertRecord1D:
     """Largest certified radius around a dyadic center for f <= target."""
     enc = f_dyadic(center, N)

@@ -13,18 +13,17 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .config import RunConfig
 from .dyadic import DyadicPoint
-from .norms import Enclosure, f2_dyadic, f_dyadic, g_dyadic
+from .norms import Enclosure, f2_dyadic, f_dyadic, g_dyadic, segment_spectra
 from .sequence import Segment, coeff_range
-from .evaluate import eval_point, half_spectrum
+from .evaluate import eval_point
 from .jsonfmt import dumps
 
 SCHEMA_VERSION = 1
@@ -75,12 +74,19 @@ def _cmd_coeffs(cfg: RunConfig, args) -> int:
 def _cmd_eval(cfg: RunConfig, args) -> int:
     seg = Segment(args.m, args.n)
     if args.grid:
-        # Moduli at z_j for j = 0 .. N/2; z_{N-j} has the same modulus.
-        moduli = np.abs(half_spectrum(seg, cfg.N))
-        j = int(np.argmax(moduli))
+        # |P|^2 at z_j for j = 0 .. N/2; z_{N-j} has the same modulus.  A
+        # segment longer than N/2 is built on 2N, whose even points are
+        # the N-grid.
+        N = cfg.N
+        if seg.length > N:
+            raise ValueError(f"segment length {seg.length} exceeds grid "
+                             f"size {N}")
+        M = N if 2 * seg.length <= N else 2 * N
+        F = segment_spectra([seg], M)[::M // N]
+        j = int(F.argmax())
         result = {
             'grid_log2': cfg.grid_log2,
-            'max_abs': float(moduli[j]),
+            'max_abs': math.sqrt(F[j]),
             'argmax_index': j,
         }
         return _emit(cfg, 'eval', result, True)

@@ -1,7 +1,6 @@
-"""Evaluation of Rudin-Shapiro partial sums: single points, moduli on the
-grid of N-th roots of unity through a real FFT (half_spectrum) or one
-radix-2 step from the segment's halves (radix2_step), and the paired
-P_t/Q_t recursion.
+"""Evaluation of Rudin-Shapiro partial sums: single points, values on the
+grid of N-th roots of unity by one radix-2 step from the segment's halves
+(radix2_step), and the paired P_t/Q_t recursion.
 
 One core evaluates a segment at a single point by the P/Q recursion over
 the blocks of block_decompose, in whatever numbers the powers z^e come in:
@@ -12,28 +11,24 @@ nearest root of unity of order 2^53 and goes through eval_point_root.
 eval_PQ is the recursion's pass alone, on the same root of order 2^53,
 with every z^{2^t} taken at its exactly reduced phase.
 
-Floating-point error model: a length-L segment evaluated through an FFT of
+Floating-point error model: a length-L segment evaluated on the grid of
 size N carries an absolute per-value error of at most
 
-    eps_fp(L, N) = C_FFT * L * log2(N) * u,        u = 2^-53.
+    eps_fp(L, N) = 8 L log2(N) u,        u = 2^-53,
 
-C_FFT = 8 is validated against 50-digit reference evaluation of
-half_spectrum, up to the production sizes N = 2^24 and L = 4096 (see
-tests); the observed FFT error is far smaller.  All enclosures widen by
-slack derived from this bound.  radix2_step builds the half spectrum of a
+derived, not validated.  radix2_step builds the half spectrum of a
 segment [m, n) on N from those of its halves [ceil(m/2), ceil(n/2)) and
 [floor(m/2), floor(n/2)) on N/2, one butterfly per value, with a sign and
 a conjugate set by m mod 4; inputs within eps_fp on N/2 give values within
 eps_radix2(L, N) <= eps_fp(L, N).  Applied recursively from the segments
 of length at most 1, whose values are exact, it gives every value within
-eps_fp by induction, with no FFT: the bound is then derived, not validated
-(norms.segment_spectra, the one builder of grid spectra, with
-norms.PrefixSpectra its memo).  Its top step can return |R|^2 alone, bit
-for bit np.abs(R) ** 2, for objectives that read only the power, so the
-top grid's complex values are never held, and it can take any of its
-butterflies alone: a window, so that no level of a recursion need be
+eps_fp by induction, with no FFT (norms.segment_spectra, the one builder
+of grid values, with norms.PrefixSpectra its memo).  It can take any of
+its butterflies alone: a window, so that no level of a recursion need be
 held whole, or those that the points of a refined arc read
-(norms.segment_points).  Only ``eval --grid`` still reads half_spectrum.
+(norms.segment_points).  All enclosures widen by slack derived from this
+bound.  half_spectrum, a real FFT, is the tests' independent reference;
+no command reads it.
 """
 
 from __future__ import annotations
@@ -48,7 +43,6 @@ from .sequence import (DEFAULT_MAX_RANGE, CapacityError, Segment,
                        block_decompose, coeff_range)
 
 UNIT_ROUNDOFF = 2.0 ** -53
-C_FFT = 8.0
 _PHASE_ORDER = 1 << 53      # a float z is read as a root of this order
 _AXES = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
 
@@ -60,10 +54,13 @@ class DomainError(ValueError):
 
 
 def eps_fp(length: int, N: int) -> float:
-    """Per-value absolute error bound for grid evaluation."""
+    """Per-value absolute error bound 8 L log2(N) u of a segment's values
+    on the N-grid built by the radix-2 recursion: exact for L <= 1, and
+    each step within eps_radix2(L, N) <= eps_fp(L, N) of the true values
+    when its inputs are within eps_fp on N/2 (eps_radix2)."""
     if length <= 0:
         return 0.0
-    return C_FFT * length * math.log2(N) * UNIT_ROUNDOFF
+    return 8.0 * length * math.log2(N) * UNIT_ROUNDOFF
 
 
 def abs_sq_slack(length: int, N: int) -> float:
@@ -154,7 +151,9 @@ def _pq(ws) -> Iterator[tuple]:
 
 
 def half_spectrum(seg: Segment, N: int) -> np.ndarray:
-    """conj(P_seg(z_j)) * conj(twist) for j = 0 .. N/2, via a real FFT.
+    """conj(P_seg(z_j)) * conj(twist) for j = 0 .. N/2, via a real FFT:
+    the tests' independent reference for the radix-2 recursion, whose
+    error it does not share.  No command reads it.
 
     Only moduli are meaningful to callers (the twist z_j^m is dropped):
     |out[j]| = |P_seg(z_j)|, and by the real-coefficient conjugate symmetry
@@ -176,12 +175,12 @@ _CHUNK = 1 << 14    # butterflies per pass of radix2_step
 
 
 def radix2_step(RA: np.ndarray, RB: np.ndarray, z: np.ndarray,
-                m: int = 0, power: bool = False, at=None):
+                m: int = 0, at=None):
     """The half spectrum on the M-grid of a segment [m, n) from the half
     spectra RA and RB (half_spectrum) of its halves A = [ceil(m/2),
     ceil(n/2)) and B = [floor(m/2), floor(n/2)) on the M/2-grid,
     M = 4 (len(RA) - 1) a power of two >= 4, with z the table twiddles(M)
-    of the z_k below.  With ``power`` only |R|^2 is returned.
+    of the z_k below.
 
     With P~(z) = z^-m P(z) and likewise A~, B~ (the untwisted values
     half_spectrum gives), the doubling rule P(z) = A(w) + z B(-w), w = z^2
@@ -198,11 +197,10 @@ def radix2_step(RA: np.ndarray, RB: np.ndarray, z: np.ndarray,
     X = RA[k] and Y = sigma conj(z_k RB[q - k]) for m even, and
     X = sigma conj(RB[q - k]) and Y = conj(z_k) RA[k] for m odd: the
     values conj P~(z_k) and P~(-z_k) that half_spectrum of the segment
-    gives.  R[q] is written twice, last as conj(X - Y); the power takes
-    |X + Y|^2 and |X - Y|^2 in the same order, so it is bit for bit
-    np.abs(R) ** 2.  The butterflies run over chunks of k, so no
-    temporary spans the grid.  m = 0 is the step of a prefix from its
-    half prefixes.  The error bound is eps_radix2.
+    gives.  R[q] is written twice, last as conj(X - Y).  The butterflies
+    run over chunks of k, so no temporary spans the grid.  m = 0 is the
+    step of a prefix from its half prefixes.  The error bound is
+    eps_radix2.
 
     With ``at`` = (k, M) the step takes only the butterflies k of the
     M-grid, w = len(RA) indices in 0 .. M/4 (a window's range, or gathered
@@ -228,12 +226,11 @@ def radix2_step(RA: np.ndarray, RB: np.ndarray, z: np.ndarray,
                          "power of two M >= 4"
                          + ("" if at is None else
                             f", or the butterflies {k} on M = {M}"))
-    dtype = float if power else complex
     if at is None:
-        R = np.empty(2 * q + 1, dtype=dtype)
+        R = np.empty(2 * q + 1, dtype=complex)
         low, high = R[:q + 1], R[::-1][:q + 1]   # R[k], R[M/2 - k]
     else:
-        out = np.empty((2, w), dtype=dtype)
+        out = np.empty((2, w), dtype=complex)
         low, high = out
     for i0 in range(0, w, _CHUNK):
         i1 = min(i0 + _CHUNK, w)
@@ -250,15 +247,9 @@ def radix2_step(RA: np.ndarray, RB: np.ndarray, z: np.ndarray,
         if m & 2:                              # sigma = -1
             np.negative(signed, out=signed)
         lo, hi = low[i0:i1], high[i0:i1]
-        if power:
-            # np.abs on contiguous values, as np.abs(R) takes them: its
-            # strided loop can round the last bit differently.
-            np.square(np.abs(x + y), out=lo)
-            np.square(np.abs(x - y), out=hi)
-        else:
-            np.add(x, y, out=lo)
-            np.subtract(x, y, out=hi)
-            np.conjugate(hi, out=hi)
+        np.add(x, y, out=lo)
+        np.subtract(x, y, out=hi)
+        np.conjugate(hi, out=hi)
     if at is None:
         return R
     if k[-1] == q:                             # R[q], written last as high
@@ -340,9 +331,8 @@ def eps_radix2(length: int, M: int) -> float:
 
     and e_A + e_B = 8 u L (log2 M - 1) = eps_fp(L, M) - 8 u L, while
     (8 + 2 sqrt(2)) u b + u L <= 6.5 u L; the remaining 1.5 u L holds the
-    second-order terms, so eps_radix2(L, M) <= eps_fp(L, M) (see tests).
-    The power-only step squares these same values, and abs_sq_slack
-    bounds |R|^2 from their error.
+    second-order terms, so eps_radix2(L, M) <= eps_fp(L, M) (see tests),
+    and abs_sq_slack bounds |R|^2 from their error.
 
     So the bound carries through the recursion that builds a segment's
     half spectrum this way, down to segments of length at most 1, whose

@@ -244,9 +244,11 @@ def segment_spectra(segs: list[Segment], N: int, peak: bool = False,
     deepest streamed level, each window followed by the two that read
     it: each streamed butterfly is built once, and one window of each
     level is held, so at N = 2^21 the level 2^15 and a window of each of
-    the six above it.  The top step computes only the powers, and F is
+    the six above it.  The top's rows are squared (_power), and F is
     written, or with ``peak`` folded into its maximum, a window at a
-    time.  The values are those of the whole steps, bit for bit.
+    time.  The values are those of the whole steps, bit for bit, and so
+    are their powers: np.abs takes a window's rows contiguous, as it takes
+    a whole R.
 
     Every level reads twiddles(M) bit for bit: a level held whole the
     table of its grid (kept up to KEPT_TWIDDLES), a streamed window the
@@ -273,8 +275,7 @@ def segment_spectra(segs: list[Segment], N: int, peak: bool = False,
             z, memo = twiddles(max(M, 4)), entries.setdefault(M, {})
             for mn, halves in level.items():
                 R = _segment_values(mn, halves, M, values, z)
-                # The base values are their own power.
-                known[mn] = entry = [R, None if halves else R.real]
+                known[mn] = entry = [R, None]
                 if store is not None:
                     last = mn[1] - 1
                     for key in [key for key in memo if key[1] < last]:
@@ -312,7 +313,7 @@ def segment_spectra(segs: list[Segment], N: int, peak: bool = False,
         z = twiddles(max(M, 4), slice(a, b))
         rows[depth] = None                 # the last window here is done
         rows[depth] = {mn: _window(mn, halves, M, rows[depth + 1], z, a, b,
-                                   mirrored, not depth)
+                                   mirrored)
                        for mn, halves in level.items()}
         if depth:
             # The mirror: the butterflies M/2 - k, k = a .. b - 1, above
@@ -324,7 +325,7 @@ def segment_spectra(segs: list[Segment], N: int, peak: bool = False,
             continue
         low = high = None
         for i, seg in enumerate(segs):
-            u, v = rows[0][seg.m, seg.n]
+            u, v = _power(rows[0][seg.m, seg.n])
             if i % 2:
                 u, v = v, u
             low = u if low is None else low + u
@@ -400,24 +401,22 @@ def segment_points(segs: list[Segment], js: np.ndarray, N: int, cross=None,
         values = {mn: (e[0], (i[d], hi[d])) for mn, e in known.items()}
         for mn, halves in level.items():
             if halves is None:
-                values[mn] = _exact(mn, 1, False), exact
+                values[mn] = _exact(mn, 1), exact
                 continue
             (RA, ia), (RB, ib) = below[halves[0]], below[halves[1]]
             values[mn] = radix2_step(RA[ia[0]], RB[ib[1]], zs[d], mn[0],
-                                     False, (ks[d], M)).ravel(), packed
+                                     (ks[d], M)).ravel(), packed
     v = [values[seg.m, seg.n] for seg in segs]
     v = [x[idx[k % 2]] for k, (x, idx) in enumerate(v)]
     F = sum(np.square(np.abs(x)) for x in v)
     return F + cross(v) if cross else F
 
 
-def _exact(mn: tuple[int, int], size: int, power: bool) -> np.ndarray:
+def _exact(mn: tuple[int, int], size: int) -> np.ndarray:
     """``size`` copies of the value of a segment [m, n) of length at most
-    1, a_m or 0 if empty, or of its power: exact on every grid."""
+    1, a_m or 0 if empty: exact on every grid."""
     m, n = mn
-    a = coeff(m) if n > m else 0
-    return np.full(size, a * a if power else a,
-                   dtype=float if power else complex)
+    return np.full(size, coeff(m) if n > m else 0, dtype=complex)
 
 
 def _segment_values(mn: tuple[int, int], halves, M: int, below: dict,
@@ -427,21 +426,21 @@ def _segment_values(mn: tuple[int, int], halves, M: int, below: dict,
     from the values R of its ``halves``, entries [R, ...] in ``below``,
     with the twiddle table z."""
     if halves is None:
-        return _exact(mn, M // 2 + 1, False)
+        return _exact(mn, M // 2 + 1)
     A, B = halves
     return radix2_step(below[A][0], below[B][0], z, mn[0])
 
 
 def _window(mn: tuple[int, int], halves, M: int, below: dict, z, a: int,
-            b: int, mirrored: bool, power: bool) -> tuple:
+            b: int, mirrored: bool) -> tuple:
     """(low, high) of the butterflies k = a .. b - 1 of the segment [m, n)
-    on the M-grid, R[k] and R[M/2 - k] (radix2_step's window), or their
-    powers, with z their twiddles.  ``below`` holds the values of its
-    halves: entries [R, ...] of whole half spectra, or (low, high) windows
-    of the butterflies a .. b - 1 below, or, ``mirrored``, windows whose
-    first b - a butterflies are q - b + 1 .. q - a, q = M/4, in reverse."""
+    on the M-grid, R[k] and R[M/2 - k] (radix2_step's window), with z
+    their twiddles.  ``below`` holds the values of its halves: entries
+    [R, ...] of whole half spectra, or (low, high) windows of the
+    butterflies a .. b - 1 below, or, ``mirrored``, windows whose first
+    b - a butterflies are q - b + 1 .. q - a, q = M/4, in reverse."""
     if halves is None:
-        v = _exact(mn, b - a, power)
+        v = _exact(mn, b - a)
         return v, v
     q, w = M // 4, b - a
 
@@ -452,12 +451,12 @@ def _window(mn: tuple[int, int], halves, M: int, below: dict, z, a: int,
         return (x[1][w - 1::-1], x[0][w - 1::-1]) if mirrored else x
 
     A, B = halves
-    return radix2_step(at(A)[0], at(B)[1], z, mn[0], power,
-                       (range(a, b), M))
+    return radix2_step(at(A)[0], at(B)[1], z, mn[0], (range(a, b), M))
 
 
-def _power(R: np.ndarray) -> np.ndarray:
-    """|R|^2 of a spectrum R, np.abs(R) ** 2 squared in place."""
+def _power(R) -> np.ndarray:
+    """|R|^2 of a spectrum R, or of a window's rows (low, high),
+    np.abs(R) ** 2 squared in place."""
     P = np.abs(R)
     return np.square(P, out=P)
 

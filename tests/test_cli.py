@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import rsbounds
 from rsbounds.cli import main
-from rsbounds.evaluate import eval_point_root
+from rsbounds.evaluate import eps_fp, eval_point_root, half_spectrum
 from rsbounds.sequence import Segment
 
 
@@ -66,6 +67,44 @@ def test_eval_point_and_grid(capsys):
     assert code == 0 and 0 <= j <= 128
     assert res['max_abs'] == pytest.approx(
         abs(eval_point_root(Segment(5, 77), j, 256)))
+
+
+def test_eval_grid_takes_no_fft(capsys, monkeypatch):
+    """eval --grid reads the radix-2 recursion, not an FFT: with
+    numpy.fft.rfft patched to raise, on 40 seeded segments (offsets up to
+    2^44, lengths up to N, those in (N/2, N] built on 2N), max_abs is
+    half_spectrum's maximum modulus within eps_fp(L, N), and the modulus
+    there at argmax_index within 2 eps_fp of it.  A segment longer than
+    N, an index past 2^64 - 1 and a grid beyond 2^26 still exit 2."""
+    rng = np.random.default_rng(61)
+    cases = [(4, 0, 16), (8, 5, 72), (8, 3, 256)]
+    for i in range(37):
+        log_N = int(rng.integers(4, 15))
+        N = 1 << log_N
+        lo = N // 2 + 1 if i % 3 == 0 else 0
+        cases.append((log_N, int(rng.integers(0, 1 << 44)),
+                      int(rng.integers(lo, N + 1))))
+    refs = [np.abs(half_spectrum(Segment(m, m + L), 1 << g))
+            for g, m, L in cases]
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError('FFT taken')
+
+    monkeypatch.setattr(np.fft, 'rfft', no_fft)
+    for (log_N, m, L), ref in zip(cases, refs):
+        code, out = run_cli(capsys, '--grid-log2', str(log_N), 'eval',
+                            str(m), str(m + L), '--grid')
+        res = json.loads(out)['result']
+        j, tol = res['argmax_index'], eps_fp(L, 1 << log_N)
+        assert code == 0 and 0 <= j <= 1 << (log_N - 1), (log_N, m, L)
+        assert abs(res['max_abs'] - ref.max()) <= tol, (log_N, m, L)
+        assert ref[j] >= ref.max() - 2 * tol, (log_N, m, L)
+    for argv in (['--grid-log2', '8', 'eval', '0', '257', '--grid'],
+                 ['eval', str(1 << 64), str((1 << 64) + 4), '--grid'],
+                 ['--grid-log2', '27', 'eval', '0', '4', '--grid']):
+        code = main(argv)
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2 and 'error' in err, argv
 
 
 def test_eval_point_large_offset_is_strict_json(capsys):

@@ -359,9 +359,7 @@ def _prefix_step(RA, RB, z):
 
 def test_radix2_step_at_m0_is_the_prefix_step_byte_for_byte():
     """At m = 0 the segment step is the prefix step byte for byte, on
-    grids M = 4 .. 2^18 (up to 8 chunks); its power alone is
-    np.abs(R) ** 2 byte for byte, at m = 0 and at m = 4, the same step,
-    and at every m mod 4 against the step's own R.  The table of M/2^j is
+    grids M = 4 .. 2^18 (up to 8 chunks).  The table of M/2^j is
     that of M at the stride 2^j, byte for byte, up to M = 2^21, and a
     window of twiddles, kept grid or not, is the table's slice, z_{M/4}
     exactly i, and gathered twiddles are the table's at their indices."""
@@ -372,13 +370,6 @@ def test_radix2_step_at_m0_is_the_prefix_step_byte_for_byte():
         z = twiddles(4 * q)
         want = _prefix_step(RA, RB, z)
         assert radix2_step(RA, RB, z).tobytes() == want.tobytes(), q
-        for m in (0, 4):
-            assert (radix2_step(RA, RB, z, m, power=True).tobytes()
-                    == (np.abs(want) ** 2).tobytes()), (q, m)
-        for m in (1, 2, 3):
-            R = np.abs(radix2_step(RA, RB, z, m)) ** 2
-            assert (radix2_step(RA, RB, z, m, power=True).tobytes()
-                    == R.tobytes()), (q, m)
     top = twiddles(1 << 21)
     for j in range(20):
         assert top[::1 << j].tobytes() == twiddles(1 << (21 - j)).tobytes()
@@ -396,7 +387,7 @@ def test_radix2_step_windows_are_the_whole_step_byte_for_byte():
     """A window of butterflies k0 .. k1 - 1, or butterflies gathered at
     an index array (k = 0, q/2 and q among them, increasing or not), with
     the twiddles of those k, gives R[k] and R[M/2 - k] of the whole step
-    byte for byte, complex and power-only, at every m mod 4, for windows
+    byte for byte, at every m mod 4, for windows
     inside a chunk, across chunks and at the ends; at k = q, where X + Y
     and conj(X - Y) differ for these random inputs, high is R[q], and low
     too where q is the last index.  A window past q + 1, or with twiddles
@@ -413,27 +404,25 @@ def test_radix2_step_windows_are_the_whole_step_byte_for_byte():
             0, q + 1, size))})) for size in (0, 3, 40)]
         z = twiddles(M)
         for m in range(4):
-            for power in (False, True):
-                R = radix2_step(RA, RB, z, m, power)
-                for k0, k1 in windows:
-                    low, high = radix2_step(
-                        RA[k0:k1], RB[::-1][k0:k1], z[k0:k1], m, power,
-                        (range(k0, k1), M))
-                    assert low.tobytes() == R[k0:k1].tobytes()
-                    assert high.tobytes() == R[::-1][k0:k1].tobytes()
-                for ks in gathered + [g[::-1] for g in gathered]:
-                    low, high = radix2_step(
-                        RA[ks], RB[q - ks], twiddles(M, ks), m, power,
-                        (ks, M))
-                    inner = (ks < q) | (ks[-1] == q)    # low's R[q] if last
-                    assert (low[inner].tobytes()
-                            == R[ks[inner]].tobytes()), (q, m, ks)
-                    assert high.tobytes() == R[M // 2 - ks].tobytes()
+            R = radix2_step(RA, RB, z, m)
+            for k0, k1 in windows:
+                low, high = radix2_step(
+                    RA[k0:k1], RB[::-1][k0:k1], z[k0:k1], m,
+                    (range(k0, k1), M))
+                assert low.tobytes() == R[k0:k1].tobytes()
+                assert high.tobytes() == R[::-1][k0:k1].tobytes()
+            for ks in gathered + [g[::-1] for g in gathered]:
+                low, high = radix2_step(
+                    RA[ks], RB[q - ks], twiddles(M, ks), m, (ks, M))
+                inner = (ks < q) | (ks[-1] == q)    # low's R[q] if last
+                assert (low[inner].tobytes()
+                        == R[ks[inner]].tobytes()), (q, m, ks)
+                assert high.tobytes() == R[M // 2 - ks].tobytes()
     z = twiddles(32)
     for k0, k1, zw in ((0, 10, np.ones(10)), (8, 10, np.ones(2)),
                        (1, 3, z[1:4])):
         with pytest.raises(ValueError):
-            radix2_step(RA[:k1 - k0], RB[:k1 - k0], zw, 0, False,
+            radix2_step(RA[:k1 - k0], RB[:k1 - k0], zw, 0,
                         (range(k0, k1), 32))
 
 
@@ -459,22 +448,22 @@ def test_segment_spectra_match_half_spectrum():
 def _held_objective(segs, N):
     """F of segment_spectra by the recursion with every level held whole:
     each level one whole radix2_step per segment, with its own grid's
-    twiddle table, the top step power-only, and F the sum of the powers,
-    reversed at odd positions."""
+    twiddle table, and F the sum of the tops' np.abs(R) ** 2, reversed at
+    odd positions."""
     levels = [dict.fromkeys((seg.m, seg.n) for seg in segs)]
     while any(n - m > 1 for m, n in levels[-1]):
         levels.append(dict.fromkeys(half for m, n in levels[-1] if n - m > 1
                                     for half in even_odd_pairs(m, n)))
     values = {}
     for depth in reversed(range(len(levels))):
-        M, top = N >> depth, not depth
+        M = N >> depth
         z = twiddles(max(M, 4))
-        values = {(m, n): norms._exact((m, n), M // 2 + 1, top)
+        values = {(m, n): norms._exact((m, n), M // 2 + 1)
                   if n - m <= 1 else
                   radix2_step(*(values[h] for h in even_odd_pairs(m, n)),
-                              z, m, top)
+                              z, m)
                   for m, n in levels[depth]}
-    powers = [values[seg.m, seg.n] for seg in segs]
+    powers = [np.abs(values[seg.m, seg.n]) ** 2 for seg in segs]
     return sum(a[::-1] if i % 2 else a for i, a in enumerate(powers))
 
 

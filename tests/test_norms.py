@@ -692,12 +692,25 @@ def test_sqrt_continuity_constant():
         assert diff_hi <= 4.0 * gap + 1e-6
 
 
+def test_one_term_segments_read_from_a_store_as_without_one():
+    """A store squares the values of a segment of length at most 1 like
+    any other top: sup |a_3|^2 = 1 for a_3 = -1, where reading the base
+    values as their own power gave the objective -1 and an empty
+    enclosure.  The L objective of [6, 8) has the one-term half [3, 4)."""
+    for norm, seg in ((sup_norm_sq, Segment(3, 4)),
+                      (L_norm_sq, Segment(6, 8))):
+        want = norm(seg, 64)
+        got = norm(seg, 64, store=norms.PrefixSpectra())
+        assert (got.lo, got.hi, got.N) == (want.lo, want.hi, want.N), seg
+
+
 def test_half_prefix_spectra_square_nothing(monkeypatch, no_fft):
     """A store entry reads only R of its half prefixes, so the sweep
     squares only the spectra that a caller reads: no FFT is taken, every
-    _power input is a radix2_step output, and each is squared at most
-    once.  brute_onedim's report is the one it gave when the store
-    squared every FFT.  brute_onedim reads each top once, so the power
+    _power input is a radix2_step output or the exact values of a segment
+    of length at most 1 (_exact), and each is squared at most once.
+    brute_onedim's report is the one it gave when the store squared every
+    FFT.  brute_onedim reads each top once, so the power
     memo is checked on certify-g at 2^16, whose corners re-read their
     tops from one store: each (grid, segment) entry is squared at most
     as often as it is built.  A store that squared a top on every read
@@ -706,9 +719,11 @@ def test_half_prefix_spectra_square_nothing(monkeypatch, no_fft):
     from rsbounds.certify1d import brute_onedim
 
     steps, powered = [], []
-    step, power = norms.radix2_step, norms._power
+    step, power, exact = norms.radix2_step, norms._power, norms._exact
     monkeypatch.setattr(norms, 'radix2_step', lambda *a:
                         steps.append(step(*a)) or steps[-1])
+    monkeypatch.setattr(norms, '_exact', lambda *a:
+                        steps.append(exact(*a)) or steps[-1])
     monkeypatch.setattr(norms, '_power', lambda R:
                         powered.append(R) or power(R))
     report = brute_onedim(256, 1 << 12)
