@@ -30,7 +30,7 @@ sqrt((6n-2)(1 + 10^-6)) for each n by one decision on the norms engine,
 so the grid grows only for the n that need it.  The prefix n is read from
 its half prefixes on half the grid, and theirs from their own halves, by
 the radix-2 recursion down to the exact prefixes 0 and 1
-(norms.segment_spectra, memoized in one norms.PrefixSpectra): no FFT,
+(norms.segment_spectra, memoized in one store, a dict): no FFT,
 and an error bound derived end to end.
 An n the grid cap leaves undecided is reported as unsettled and checked
 on the cap grid alone.
@@ -48,8 +48,8 @@ from importlib import resources
 
 from .dyadic import DyadicPoint
 from .evaluate import abs_sq_slack, segment_sum_pm1
-from .norms import (Enclosure, L_norm_sq, PrefixSpectra, _sqrt_sum_cmp,
-                    _sqrt_sum_le, decision, f_dyadic, sup_norm_sq)
+from .norms import (Enclosure, L_norm_sq, _sqrt_sum_cmp, _sqrt_sum_le,
+                    decision, f_dyadic, sup_norm_sq)
 from .sequence import Segment
 
 BINDING_LINEAR = 'case-6x'
@@ -248,9 +248,9 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
     grid cap _REFINE_CAP: it refines until the enclosure settles the test
     or the cap is reached.  The L objective of the prefix n is read from
     its half prefixes ceil(n/2) and floor(n/2), each an entry of one
-    norms.PrefixSpectra, the memo of norms.segment_spectra: built by the
-    radix-2 recursion (evaluate.radix2_step) from the exact prefixes 0
-    and 1, with no FFT, within the same slack.  Consecutive n share
+    store, the dict memo of norms.segment_spectra: built by the radix-2
+    recursion (evaluate.radix2_step) from the exact prefixes 0 and 1,
+    with no FFT, within the same slack.  Consecutive n share
     entries, and the store drops those that no later pair reads.  The
     strict L comparison settles when hi clears or lo refutes the bound.
     Where it certifies, so does the sup-norm bound: sup |P(z)|^2 <=
@@ -272,7 +272,7 @@ def check_smallk_L(kind: str) -> tuple[list[SmallRangeRecord], bool]:
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    records, store = [], PrefixSpectra()
+    records, store = [], {}
     for k, n, t in pairs:
         seg = Segment(0, n)
         L = L_norm_sq(seg, _REFINE_CAP,
@@ -321,11 +321,11 @@ def brute_onedim(n_max: int, N: int) -> BruteForceReport:
     hi passing needs the off-grid correction below the 10^-6 tolerance,
     which takes N above about 2200 n.
 
-    The objective is read from entries of one norms.PrefixSpectra, the
-    memo of norms.segment_spectra: the values of the prefix n on a grid
-    come from those of its half prefixes ceil(n/2) and floor(n/2) on half
-    that grid by evaluate.radix2_step, and theirs likewise, down to the
-    exact prefixes 0 and 1.  No FFT is taken, and every value is within
+    The objective is read from entries of one store, the dict memo of
+    norms.segment_spectra: the values of the prefix n on a grid come
+    from those of its half prefixes ceil(n/2) and floor(n/2) on half that
+    grid by evaluate.radix2_step, and theirs likewise, down to the exact
+    prefixes 0 and 1.  No FFT is taken, and every value is within
     the same slack by induction (evaluate.eps_radix2).  The n are
     visited depth first in the tree of halves, each h followed by its
     children 2h - 1 and 2h, whose common half ceil(n/2) it is: a child
@@ -349,7 +349,7 @@ def brute_onedim(n_max: int, N: int) -> BruteForceReport:
         t_n = Fraction((6 * n - 2) * 1000001, 1000000)
         return lambda v: _sqrt_sum_le(v, 1, t_n)
 
-    store, decided, stack = PrefixSpectra(), {}, [1] if n_max else []
+    store, decided, stack = {}, {}, [1] if n_max else []
     while stack:
         n = stack.pop()
         stack += [c for c in (2 * n, 2 * n - 1) if n < c <= n_max]

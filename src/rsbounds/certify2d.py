@@ -35,8 +35,7 @@ from fractions import Fraction
 
 from .dyadic import DyadicPoint, lowest_terms
 from .jsonfmt import dumps
-from .norms import (PrefixSpectra, _sqrt_sum_le, decision, f2_dyadic,
-                    g_dyadic)
+from .norms import _sqrt_sum_le, decision, f2_dyadic, g_dyadic
 
 STATUS_CERTIFIED = 'certified'
 STATUS_BAD = 'bad'
@@ -240,7 +239,7 @@ def _g_target_min(child: DyadicSquare) -> Fraction:
 
 def _run_g(roots: list[DyadicSquare], N: int, max_scale: int) -> CertTree:
     # One store of prefix spectra for every corner of the run.
-    return _run(roots, functools.partial(g_dyadic, store=PrefixSpectra()),
+    return _run(roots, functools.partial(g_dyadic, store={}),
                 _g_target_min, N, max_scale, kind='g-bound')
 
 

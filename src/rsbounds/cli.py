@@ -22,7 +22,7 @@ from . import __version__
 from .config import RunConfig
 from .dyadic import DyadicPoint
 from .norms import Enclosure, f2_dyadic, f_dyadic, g_dyadic, segment_spectra
-from .sequence import Segment, coeff_range
+from .sequence import DEFAULT_MAX_RANGE, Segment, coeff_range
 from .evaluate import eval_point
 from .jsonfmt import dumps
 
@@ -82,6 +82,10 @@ def _cmd_eval(cfg: RunConfig, args) -> int:
             raise ValueError(f"segment length {seg.length} exceeds grid "
                              f"size {N}")
         M = N if 2 * seg.length <= N else 2 * N
+        if M > DEFAULT_MAX_RANGE:
+            raise ValueError(f"grid size {N}: a segment longer than N/2 "
+                             f"needs the grid 2N = {M}, past the limit "
+                             f"{DEFAULT_MAX_RANGE}")
         F = segment_spectra([seg], M)[::M // N]
         j = int(F.argmax())
         result = {

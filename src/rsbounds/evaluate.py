@@ -23,11 +23,11 @@ a conjugate set by m mod 4; inputs within eps_fp on N/2 give values within
 eps_radix2(L, N) <= eps_fp(L, N).  Applied recursively from the segments
 of length at most 1, whose values are exact, it gives every value within
 eps_fp by induction, with no FFT (norms.segment_spectra, the one builder
-of grid values, with norms.PrefixSpectra its memo).  It can take any of
-its butterflies alone: a window, so that no level of a recursion need be
-held whole, or those that the points of a refined arc read
-(norms.segment_points).  All enclosures widen by slack derived from this
-bound.  half_spectrum, a real FFT, is the tests' independent reference;
+of grid values).  The step is elementwise, so its callers take any of
+its butterflies: a whole level, a window, so that no level of a
+recursion need be held whole, or those that the points of a refined arc
+read (norms.segment_points).  All enclosures widen by slack derived from
+this bound.  half_spectrum, a real FFT, is the tests' independent reference;
 no command reads it.
 """
 
@@ -174,13 +174,12 @@ def half_spectrum(seg: Segment, N: int) -> np.ndarray:
 _CHUNK = 1 << 14    # butterflies per pass of radix2_step
 
 
-def radix2_step(RA: np.ndarray, RB: np.ndarray, z: np.ndarray,
-                m: int = 0, at=None):
-    """The half spectrum on the M-grid of a segment [m, n) from the half
-    spectra RA and RB (half_spectrum) of its halves A = [ceil(m/2),
-    ceil(n/2)) and B = [floor(m/2), floor(n/2)) on the M/2-grid,
-    M = 4 (len(RA) - 1) a power of two >= 4, with z the table twiddles(M)
-    of the z_k below.
+def radix2_step(RA: np.ndarray, RB: np.ndarray, z: np.ndarray, m: int,
+                low: np.ndarray, high: np.ndarray) -> None:
+    """Butterflies of the half spectrum on the M-grid of a segment [m, n)
+    from the half spectra (half_spectrum) of its halves A = [ceil(m/2),
+    ceil(n/2)) and B = [floor(m/2), floor(n/2)) on the M/2-grid, written
+    into the caller's arrays ``low`` and ``high``.
 
     With P~(z) = z^-m P(z) and likewise A~, B~ (the untwisted values
     half_spectrum gives), the doubling rule P(z) = A(w) + z B(-w), w = z^2
@@ -189,49 +188,30 @@ def radix2_step(RA: np.ndarray, RB: np.ndarray, z: np.ndarray,
         m even:  P~(z) = A~(w) + sigma z B~(-w),
         m odd:   P~(z) = z A~(w) + sigma B~(-w).
 
-    With z_k = exp(2 pi i k / M), k = 0 .. q = M/4, and RB[q - k] =
-    B~(-w_k) (the conjugate symmetry of the M/2-grid),
+    With z_k = exp(2 pi i k / M) and q = M/4, butterfly k (0 <= k <= q)
+    reads RA[k], RB[q - k] = B~(-w_k) (the conjugate symmetry of the
+    M/2-grid) and z_k (twiddles), and writes
 
         R[k] = X + Y,    R[M/2 - k] = conj(X - Y),
 
     X = RA[k] and Y = sigma conj(z_k RB[q - k]) for m even, and
     X = sigma conj(RB[q - k]) and Y = conj(z_k) RA[k] for m odd: the
     values conj P~(z_k) and P~(-z_k) that half_spectrum of the segment
-    gives.  R[q] is written twice, last as conj(X - Y).  The butterflies
-    run over chunks of k, so no temporary spans the grid.  m = 0 is the
-    step of a prefix from its half prefixes.  The error bound is
-    eps_radix2.
-
-    With ``at`` = (k, M) the step takes only the butterflies k of the
-    M-grid, w = len(RA) indices in 0 .. M/4 (a window's range, or gathered
-    points in any order): RA holds RA[k], RB holds RB[q - k] and z holds
-    z_k for those k (twiddles(M, k)), and the result is the rows (low,
-    high) of R[k] and R[M/2 - k], in the order of k.  At k = q, R[q] is
-    high's, as the whole step writes it last, and low's too where q is
-    the last index, as for a window that ends there.  These values are
-    those of the whole step, bit for bit: the same butterflies with the
-    same twiddles, and the products of numpy's complex loops do not
-    depend on the strides of their inputs.
+    gives.  The step is elementwise: element i of ``RA``, ``RB`` and ``z``
+    holds RA[k], RB[q - k] and z_k of one butterfly k, in any order, and
+    its R[k] and R[M/2 - k] go to element i of ``low`` and ``high``, which
+    may be views of one whole R.  At k = q both are R[q]; the butterflies
+    run over chunks, each writing low before high, so a whole R gets
+    high's value.  No temporary spans the grid, and the products of
+    numpy's complex loops do not depend on the strides of their inputs, so
+    a butterfly's values do not depend on the others taken with it.  The
+    error bound is eps_radix2.
     """
-    if at is None:
-        k, M = range(len(RA)), 4 * (len(RA) - 1)
-        RB = RB[::-1]                          # RB[i] is RB[q - i]
-    else:
-        k, M = at
-    q, w = M // 4, len(RA)
-    if (q < 1 or q & (q - 1) or 4 * q != M or len(RB) != w or len(z) != w
-            or len(k) != w or not (w and 0 <= k[0] and k[-1] <= q)):
-        raise ValueError(f"half spectra and twiddles of lengths {len(RA)}, "
-                         f"{len(RB)}, {len(z)} are not all M/4 + 1 for a "
-                         "power of two M >= 4"
-                         + ("" if at is None else
-                            f", or the butterflies {k} on M = {M}"))
-    if at is None:
-        R = np.empty(2 * q + 1, dtype=complex)
-        low, high = R[:q + 1], R[::-1][:q + 1]   # R[k], R[M/2 - k]
-    else:
-        out = np.empty((2, w), dtype=complex)
-        low, high = out
+    w = len(RA)
+    if not len(RB) == len(z) == len(low) == len(high) == w:
+        raise ValueError(f"half spectra, twiddles and outputs of lengths "
+                         f"{len(RA)}, {len(RB)}, {len(z)}, {len(low)}, "
+                         f"{len(high)} differ")
     for i0 in range(0, w, _CHUNK):
         i1 = min(i0 + _CHUNK, w)
         zk, rb = z[i0:i1], RB[i0:i1]
@@ -250,11 +230,6 @@ def radix2_step(RA: np.ndarray, RB: np.ndarray, z: np.ndarray,
         np.add(x, y, out=lo)
         np.subtract(x, y, out=hi)
         np.conjugate(hi, out=hi)
-    if at is None:
-        return R
-    if k[-1] == q:                             # R[q], written last as high
-        low[-1] = high[-1]
-    return out
 
 
 def _twiddles_at(k: np.ndarray, M: int) -> np.ndarray:

@@ -46,12 +46,13 @@ constant.  segment_spectra is the one builder of every grid spectrum:
 one walk down the levels, then up, building each level from the one
 below, and it returns the objective F, or F's maximum alone.  It
 streams the levels above 2^15 a window of butterflies at a time, or
-holds every level whole in a PrefixSpectra store, its memo, which
-sup_norm_sq and L_norm_sq read when given one and g_int always: the
-sweeps of certify1d read rising prefixes, so consecutive n share their
-halves on every grid.  segment_points takes the same walk and the same
-butterflies, each only where a point of F needs it, so its values are
-segment_spectra's bit for bit.
+holds every level whole in a store, a dict that is its memo, which
+sup_norm_sq, L_norm_sq and g_int read when given one: the sweeps of
+certify1d and the corners of certify-g read prefixes, whose halves
+consecutive n share on every grid.  Either way F, cross term included,
+is formed by one function (_objective), and segment_points takes the
+same walk and the same butterflies, each only where a point of F needs
+it, so its values are segment_spectra's bit for bit.
 
 The g objective.  Write a = A_r(w), b = B_r(-w) for the halves of the
 prefix r and c = A_s(w), d = B_s(-w) for those of the prefix s.  Then
@@ -207,15 +208,13 @@ _WINDOW = 1 << 13    # butterflies per streamed window of segment_spectra
 
 
 def segment_spectra(segs: list[Segment], N: int, peak: bool = False,
-                    cross=None, store: PrefixSpectra | None = None):
+                    cross=None, store: dict | None = None):
     """F at x_j, j = 0 .. N/2: the sum over the segments of |R|^2 at x_j
     for those at even positions and at -x_j for those at odd positions,
     plus cross(v) of their values v, R[j] = conj P~(x_j) or R[N/2 - j] =
     P~(-x_j) by the same positions, R the segment's half spectrum on the
     N-grid (the values half_spectrum gives), built by the radix-2
     recursion with no FFT; with ``peak``, F's maximum alone, as a float.
-    ``cross`` is read only with a ``store``: g, the one objective with a
-    cross term, always passes one.
 
     One walk runs down the levels (_walk_down).  Each level is then
     built from the one below by _segment_values: the exact values a_m, or
@@ -226,19 +225,27 @@ def segment_spectra(segs: list[Segment], N: int, peak: bool = False,
     is within eps_radix2(L, N) <= eps_fp(L, N) (evaluate), so every slack
     holds for it, and abs_sq_slack(L, N) for its power.
 
-    The top has two modes.  With a store every level is held whole, top
-    included, and its new entries join the store by the drop rule
-    (PrefixSpectra); a top entry's power is squared when a call first
-    reads it, and kept.  g's corners share their tops, which streamed
-    would be rebuilt window by window for every corner.  Without a store
-    only the levels of grid at most 4 _WINDOW are held whole, each freed
-    once the one above it is built, and the top and every level above
-    them stream, a window of butterflies at a time (radix2_step).
-    Butterfly k of a level reads R_A[k] and R_B[q - k] of the level
-    below, q = M/4 of its grid M: the low and the high values of the
-    butterfly k below for k <= q/2, else the high and the low values of
-    the butterfly q - k.  So the window of the butterflies a .. b - 1 of
-    a level is read by two windows of the level above, q its M/4: the
+    The ``store`` is a dict, the memo of every level: {grid: {(m, n):
+    [R, |R|^2 or None]}}, the power squared when a call first reads the
+    entry at its top, and kept.  With one, every level is held whole, top
+    included: g's corners share their tops, which streamed would be
+    rebuilt window by window for every corner.  Its callers read prefixes
+    [0, n), whose halves are prefixes too, so consecutive n share their
+    halves on every grid.  The entries bound themselves: a segment that
+    ends at j, added to a grid, drops the entries there that end below
+    j - 1.  A sweep of rising prefixes never reads those again, and any
+    other order only recomputes what it misses.  Entries are read-only,
+    and a caller gets the same values, bit for bit, with a fresh store as
+    with a shared one or none.
+
+    Without a store only the levels of grid at most 4 _WINDOW are held
+    whole, each freed once the one above it is built, and the top and
+    every level above them stream, a window of butterflies at a time
+    (_window).  Butterfly k of a level reads R_A[k] and R_B[q - k] of the
+    level below, q = M/4 of its grid M: the low and the high values of
+    the butterfly k below for k <= q/2, else the high and the low values
+    of the butterfly q - k.  So the window of the butterflies a .. b - 1
+    of a level is read by two windows of the level above, q its M/4: the
     same butterflies, and their mirror, q - k for those k below q/2.  The
     walk runs depth first from windows of _WINDOW butterflies of the
     deepest streamed level, each window followed by the two that read
@@ -246,9 +253,9 @@ def segment_spectra(segs: list[Segment], N: int, peak: bool = False,
     level is held, so at N = 2^21 the level 2^15 and a window of each of
     the six above it.  The top's rows are squared (_power), and F is
     written, or with ``peak`` folded into its maximum, a window at a
-    time.  The values are those of the whole steps, bit for bit, and so
-    are their powers: np.abs takes a window's rows contiguous, as it takes
-    a whole R.
+    time.  Either top forms F by _objective.  The values are those of the
+    whole steps, bit for bit, and so are their powers and F: np.abs takes
+    a window's rows contiguous, as it takes a whole R.
 
     Every level reads twiddles(M) bit for bit: a level held whole the
     table of its grid (kept up to KEPT_TWIDDLES), a streamed window the
@@ -259,8 +266,7 @@ def segment_spectra(segs: list[Segment], N: int, peak: bool = False,
     refuse them.
     """
     tops = [(seg.m, seg.n) for seg in segs]
-    entries = {} if store is None else store._entries
-    walk = _walk_down(segs, N, entries)
+    walk = _walk_down(segs, N, {} if store is None else store)
     # Without a store the top streams, and so does every level above
     # 4 _WINDOW; the levels from `held` down are built whole.
     held = 0 if store is not None else next(
@@ -272,30 +278,25 @@ def segment_spectra(segs: list[Segment], N: int, peak: bool = False,
     for _ in range(len(walk) - held):        # up from the bottom
         M, level, known = walk.pop()
         if level:
-            z, memo = twiddles(max(M, 4)), entries.setdefault(M, {})
+            z = twiddles(max(M, 4))
+            # Without a store, the drop rule runs on this call's own memo.
+            memo = {} if store is None else store.setdefault(M, {})
             for mn, halves in level.items():
                 R = _segment_values(mn, halves, M, values, z)
-                known[mn] = entry = [R, None]
-                if store is not None:
-                    last = mn[1] - 1
-                    for key in [key for key in memo if key[1] < last]:
-                        del memo[key]
-                    memo[mn] = entry
+                known[mn] = memo[mn] = [R, None]
+                last = mn[1] - 1
+                for key in [key for key in memo if key[1] < last]:
+                    del memo[key]
         values = known
     if store is not None:
-        F = None
-        for i, mn in enumerate(tops):
-            entry = values[mn]
+        entries = [values[mn] for mn in tops]
+        for entry in entries:
             if entry[1] is None:
                 entry[1] = _power(entry[0])
-            # |w|^2 as reversed |v|^2: np.abs of a reversed view may
-            # round apart.
-            t = entry[1][::-1] if i % 2 else entry[1]
-            F = t if F is None else F + t
-        if cross:
-            # Not in place: F may be a stored power.
-            F = F + cross([values[mn][0][::-1] if i % 2 else values[mn][0]
-                           for i, mn in enumerate(tops)])
+        # |w|^2 as reversed |v|^2: np.abs of a reversed view may round
+        # apart.
+        F = _objective([[x[::-1] if i % 2 else x for x in entry]
+                        for i, entry in enumerate(entries)], cross)
         return float(F.max()) if peak else F
     F = None if peak else np.empty(N // 2 + 1)
     best = -math.inf
@@ -323,19 +324,24 @@ def segment_spectra(segs: list[Segment], N: int, peak: bool = False,
             if w > 0:
                 todo.append((depth - 1, c - w, c, True))
             continue
-        low = high = None
-        for i, seg in enumerate(segs):
-            u, v = _power(rows[0][seg.m, seg.n])
-            if i % 2:
-                u, v = v, u
-            low = u if low is None else low + u
-            high = v if high is None else high + v
+        # Odd positions swap the rows, low for high: -x_k is x_{N/2 - k}.
+        top = _objective([[x[::-1] if i % 2 else x
+                           for x in (rows[0][mn], _power(rows[0][mn]))]
+                          for i, mn in enumerate(tops)], cross)
         if peak:
-            best = max(best, np.max(low), np.max(high))
+            best = max(best, np.max(top))
         else:
-            F[a:b] = low
-            F[::-1][a:b] = high
+            F[a:b], F[::-1][a:b] = top
     return float(best) if peak else F
+
+
+def _objective(tops: list, cross) -> np.ndarray:
+    """F from the segments' (values v, powers |v|^2), in order, each read
+    at its position's points: the powers summed, plus cross of the v."""
+    F = tops[0][1]
+    for _, power in tops[1:]:
+        F = F + power                      # not in place: a stored power
+    return F + cross([v for v, _ in tops]) if cross else F
 
 
 def _walk_down(segs: list[Segment], N: int, entries: dict) -> list:
@@ -373,15 +379,16 @@ def _walk_down(segs: list[Segment], N: int, entries: dict) -> list:
 
 
 def segment_points(segs: list[Segment], js: np.ndarray, N: int, cross=None,
-                   store: PrefixSpectra | None = None) -> np.ndarray:
+                   store: dict | None = None) -> np.ndarray:
     """F of segment_spectra at x_j for each j of js, indices in 0 .. N/2,
     bit for bit: the same walk and butterflies, each taken only where a
-    point reads it.  The top reads R[j] or R[N/2 - j], and butterfly k of
-    a level reads its halves at k and M/4 - k on their grid M/2, both at
-    one butterfly (segment_spectra): so on the level of grid M the point j
-    lies at the butterfly min(r, M/2 - r), r = j mod M/2, and it costs
-    O(log L) butterflies in all."""
-    walk = _walk_down(segs, N, {} if store is None else store._entries)
+    point reads it, and F formed alike (_objective).  The top reads R[j]
+    or R[N/2 - j], and butterfly k of a level reads its halves at k and
+    M/4 - k on their grid M/2, both at one butterfly (segment_spectra):
+    so on the level of grid M the point j lies at the butterfly
+    min(r, M/2 - r), r = j mod M/2, and it costs O(log L) butterflies in
+    all."""
+    walk = _walk_down(segs, N, {} if store is None else store)
     h = np.array([[M // 2] for M, _, _ in walk])   # M >= 2 (_walk_down)
     r = js % h
     ks = np.minimum(r, h - r)           # each level's butterflies
@@ -391,7 +398,7 @@ def segment_points(segs: list[Segment], js: np.ndarray, N: int, cross=None,
     t, w, i2 = np.arange(len(js)), len(js), 2 * i
     # The indices that the level above reads, A at i and B at h - i: in
     # a whole R (a store's), and in the rows (low, high) of ks, high at
-    # the middle, where R[M/4] is high's (radix2_step).
+    # the middle, where a whole R holds high's value (radix2_step).
     hi, pa, pb = h - i, t + w * (i2 >= h), t + w * (i2 <= h)
     exact = (0 * t,) * 2        # one exact value, read everywhere
     values: dict = {}       # (m, n): (values, the indices read in them)
@@ -404,44 +411,48 @@ def segment_points(segs: list[Segment], js: np.ndarray, N: int, cross=None,
                 values[mn] = _exact(mn, 1), exact
                 continue
             (RA, ia), (RB, ib) = below[halves[0]], below[halves[1]]
-            values[mn] = radix2_step(RA[ia[0]], RB[ib[1]], zs[d], mn[0],
-                                     (ks[d], M)).ravel(), packed
+            out = np.empty((2, w), dtype=complex)
+            radix2_step(RA[ia[0]], RB[ib[1]], zs[d], mn[0], *out)
+            values[mn] = out.ravel(), packed
     v = [values[seg.m, seg.n] for seg in segs]
     v = [x[idx[k % 2]] for k, (x, idx) in enumerate(v)]
-    F = sum(np.square(np.abs(x)) for x in v)
-    return F + cross(v) if cross else F
+    return _objective([(x, np.square(np.abs(x))) for x in v], cross)
 
 
-def _exact(mn: tuple[int, int], size: int) -> np.ndarray:
-    """``size`` copies of the value of a segment [m, n) of length at most
-    1, a_m or 0 if empty: exact on every grid."""
+def _exact(mn: tuple[int, int], shape) -> np.ndarray:
+    """An array of the given shape filled with the value of a segment
+    [m, n) of length at most 1, a_m or 0 if empty: exact on every grid."""
     m, n = mn
-    return np.full(size, coeff(m) if n > m else 0, dtype=complex)
+    return np.full(shape, coeff(m) if n > m else 0, dtype=complex)
 
 
 def _segment_values(mn: tuple[int, int], halves, M: int, below: dict,
                     z) -> np.ndarray:
-    """The half spectrum of the segment [m, n) on the M-grid: exact for a
-    segment of length at most 1 (``halves`` None), else one radix2_step
-    from the values R of its ``halves``, entries [R, ...] in ``below``,
-    with the twiddle table z."""
+    """The half spectrum R of the segment [m, n) on the M-grid: exact for
+    a segment of length at most 1 (``halves`` None), else one radix2_step
+    from the values of its ``halves``, entries [R, ...] in ``below``, with
+    the twiddle table z, into the views R[:q + 1] and R[::-1][:q + 1],
+    q = M/4, so that R[q] is written last, as high."""
     if halves is None:
         return _exact(mn, M // 2 + 1)
-    A, B = halves
-    return radix2_step(below[A][0], below[B][0], z, mn[0])
+    q, (A, B) = M // 4, halves
+    R = np.empty(2 * q + 1, dtype=complex)
+    radix2_step(below[A][0], below[B][0][::-1], z, mn[0], R[:q + 1],
+                R[::-1][:q + 1])
+    return R
 
 
 def _window(mn: tuple[int, int], halves, M: int, below: dict, z, a: int,
-            b: int, mirrored: bool) -> tuple:
-    """(low, high) of the butterflies k = a .. b - 1 of the segment [m, n)
-    on the M-grid, R[k] and R[M/2 - k] (radix2_step's window), with z
-    their twiddles.  ``below`` holds the values of its halves: entries
-    [R, ...] of whole half spectra, or (low, high) windows of the
-    butterflies a .. b - 1 below, or, ``mirrored``, windows whose first
-    b - a butterflies are q - b + 1 .. q - a, q = M/4, in reverse."""
+            b: int, mirrored: bool) -> np.ndarray:
+    """The rows (low, high) of the butterflies k = a .. b - 1 of the
+    segment [m, n) on the M-grid, R[k] and R[M/2 - k], with z their
+    twiddles; R[q], q = M/4, in both where the window ends there.
+    ``below`` holds the values of its halves: entries [R, ...] of whole
+    half spectra, or (low, high) windows of the butterflies a .. b - 1
+    below, or, ``mirrored``, windows whose first b - a butterflies are
+    q - b + 1 .. q - a, in reverse."""
     if halves is None:
-        v = _exact(mn, b - a)
-        return v, v
+        return _exact(mn, (2, b - a))
     q, w = M // 4, b - a
 
     def at(X):                 # (R_X[k], R_X[q - k]) for k = a .. b - 1
@@ -451,7 +462,11 @@ def _window(mn: tuple[int, int], halves, M: int, below: dict, z, a: int,
         return (x[1][w - 1::-1], x[0][w - 1::-1]) if mirrored else x
 
     A, B = halves
-    return radix2_step(at(A)[0], at(B)[1], z, mn[0], (range(a, b), M))
+    out = np.empty((2, w), dtype=complex)
+    radix2_step(at(A)[0], at(B)[1], z, mn[0], *out)
+    if b == q + 1:                             # R[q], written last as high
+        out[0, -1] = out[1, -1]
+    return out
 
 
 def _power(R) -> np.ndarray:
@@ -573,7 +588,7 @@ def _grid_sup(segs: list[Segment], N: int, degree: int, slack, cross=None,
 
 
 def sup_norm_sq(seg: Segment, N: int, decide=None,
-                store: PrefixSpectra | None = None) -> Enclosure:
+                store: dict | None = None) -> Enclosure:
     """Enclosure of the squared sup-norm of the segment on the unit circle,
     settling ``decide`` if given (see _grid_sup).  Its spectra are read
     from and kept in ``store``, if given (segment_spectra)."""
@@ -583,7 +598,7 @@ def sup_norm_sq(seg: Segment, N: int, decide=None,
 
 
 def L_norm_sq(seg: Segment, N: int, decide=None,
-              store: PrefixSpectra | None = None) -> Enclosure:
+              store: dict | None = None) -> Enclosure:
     """Enclosure of sup over the circle of |P(z)|^2 + |P(-z)|^2, settling
     ``decide`` if given (see _grid_sup): twice that of |A(w)|^2 + |B(-w)|^2
     for the halves A and B of the even/odd split (module docstring), on
@@ -632,34 +647,8 @@ def _prefix_half_spectrum(n: int, N: int, spectra: dict) -> np.ndarray:
     return R
 
 
-class PrefixSpectra:
-    """The memo of segment_spectra: the half spectra R of the segments of
-    its whole levels, each with its power |R|^2 once a call has read it
-    at the top, keyed by grid and then by the pair (m, n).  Its callers'
-    segments are prefixes [0, n), whose halves are prefixes too, so
-    consecutive n share their halves on every grid.  Entries are
-    read-only, and a caller gets the same values, bit for bit, with a
-    fresh store as with a shared one or none.
-
-    The entries bound themselves: adding a segment that ends at j to a
-    grid drops the entries there that end below j - 1.  A sweep of rising
-    prefixes never reads those again, and any other order only recomputes
-    what it misses.
-    """
-
-    def __init__(self):
-        self._entries: dict = {}        # grid -> {(m, n): [R, |R|^2 or None]}
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the arrays the store holds, each counted once."""
-        arrays = [a for memo in self._entries.values()
-                  for entry in memo.values() for a in entry if a is not None]
-        return sum({id(a): a.nbytes for a in arrays}.values())
-
-
 def g_int(r: int, s: int, N: int, decide=None,
-          store: PrefixSpectra | None = None) -> Enclosure:
+          store: dict | None = None) -> Enclosure:
     """Enclosure of g(r, s) through the alpha-free objective
 
         |P_{<r}(z)|^2 + |P_{<r}(-z)|^2 + |P_{<s}(z)|^2 + |P_{<s}(-z)|^2
@@ -668,15 +657,13 @@ def g_int(r: int, s: int, N: int, decide=None,
     twice H(w) of the halves of the prefixes r and s (module docstring),
     maximized over the half grid, settling ``decide`` if given (see
     _grid_sup).  The halves' spectra, which are prefix spectra, are
-    read from and kept in ``store``, or a fresh store if none is given; a
-    caller that encloses many corners passes one store to share them, and
-    gets the same enclosures as with a fresh one.  An empty prefix
-    adds exact zeros, so g(0, s) is the L objective.
+    read from and kept in ``store``, if given (segment_spectra); a
+    caller that encloses many corners passes one store to share them,
+    and gets the same enclosures as with a fresh one or none.  An empty
+    prefix adds exact zeros, so g(0, s) is the L objective.
     """
     if r < 0 or s < 0:
         raise ValueError("g_int needs non-negative integer arguments")
-    if store is None:
-        store = PrefixSpectra()
     halves = even_odd_split(Segment(0, r)) + even_odd_split(Segment(0, s))
     a, b, c, d = (h.length for h in halves)
 
@@ -701,7 +688,7 @@ def _g_half_cross(v: list) -> np.ndarray:
 
 
 def g_dyadic(x: DyadicPoint, y: DyadicPoint, N: int, decide=None,
-             store: PrefixSpectra | None = None) -> Enclosure:
+             store: dict | None = None) -> Enclosure:
     """Enclosure of g(x, y) = 2^{-k} g(2^k x, 2^k y) at the common minimal
     scale k, settling ``decide`` on g(x, y) if given; ``store`` is passed
     on to g_int."""

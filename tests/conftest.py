@@ -30,11 +30,19 @@ def whole_steps(monkeypatch):
     def spy(segs, N, peak=False, cross=None, store=None):
         F = spectra(segs, N, peak, cross, store)
         if store is not None:
-            held.append(store.nbytes)
+            held.append(store_bytes(store))
         return F
 
     monkeypatch.setattr(norms, 'segment_spectra', spy)
     return steps, held
+
+
+def store_bytes(store: dict) -> int:
+    """Bytes of the arrays a segment_spectra store holds, each counted
+    once."""
+    arrays = [a for memo in store.values() for entry in memo.values()
+              for a in entry if a is not None]
+    return sum({id(a): a.nbytes for a in arrays}.values())
 
 
 def assert_steps_within_eps_fp(steps):
@@ -94,8 +102,8 @@ def eps_direct(length: int) -> float:
 def stored_spectrum(n: int, M: int):
     """The store entry (R, |R|^2) of the prefix n on the M-grid, built by
     segment_spectra with a fresh store."""
-    store = norms.PrefixSpectra()
+    store = {}
     F = norms.segment_spectra([Segment(0, n)], M, store=store)
-    R, power = store._entries[M][0, n]
+    R, power = store[M][0, n]
     assert F is power
     return R, power

@@ -358,26 +358,20 @@ def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch, no_fft,
     assert_steps_within_eps_fp(steps)
 
 
-def test_brute_onedim_takes_no_fft(monkeypatch, no_fft, whole_steps):
+def test_brute_onedim_takes_no_fft(no_fft, whole_steps):
     """The sweep reads each n's sup objective from a store entry, built by
     the radix-2 recursion from the exact prefixes 0 and 1: the
     benchmark's sweep settles as with FFTs and takes none, every step of
     the recursion is within eps_fp, and its store stays under 2.5 MiB.
     Visited depth first, it builds each (prefix, grid) pair about once:
     2,097 whole steps for 2,078 pairs (3,952 in rising order), besides
-    the steps that gather the refined points (radix2_step's ``at``)."""
-    import rsbounds.norms as norms
-
-    taken = []
-    monkeypatch.setattr(norms, 'radix2_step', lambda *a,
-                        real=norms.radix2_step: taken.append(a) or real(*a))
+    the steps that gather the refined points (segment_points)."""
     report = brute_onedim(2048, 1 << 15)
     assert report.ok and report.unsettled == [43, 171, 683]
     steps, held = whole_steps
     assert len(held) >= 2048 and max(held) <= 5 << 19
-    whole = [a for a in taken if len(a) < 5]     # no ``at``
-    assert len(whole) <= 1.02 * len({(mn, M) for mn, M in steps
-                                     if mn[1] - mn[0] > 1})
+    whole = [(mn, M) for mn, M in steps if mn[1] - mn[0] > 1]
+    assert len(whole) <= 1.02 * len(set(whole))
     assert_steps_within_eps_fp(steps)
 
 

@@ -15,7 +15,7 @@ from rsbounds.certify2d import (CertTree, DyadicSquare, SquareRecord,
                                 check_exclusion_region,
                                 square_interior_meets_B)
 from rsbounds.dyadic import DyadicPoint, lowest_terms
-from rsbounds.norms import PrefixSpectra, f2_dyadic, g_dyadic, g_int
+from rsbounds.norms import f2_dyadic, g_dyadic, g_int
 from rsbounds.sequence import Segment, coeff_range
 
 
@@ -144,19 +144,20 @@ def test_f2_records_reenclose_at_their_grid():
 
 
 def test_g_int_shared_spectra_match_fresh(no_fft):
-    store = PrefixSpectra()
+    store = {}
     for r, s in [(5, 9), (9, 5), (9, 9), (12, 5), (0, 7)]:
         for N in (1 << 10, 1 << 12):
             assert g_int(r, s, N, store=store) \
-                == g_int(r, s, N, store=PrefixSpectra()) == g_int(r, s, N)
+                == g_int(r, s, N, store={}) == g_int(r, s, N)
     # g_int(9, 9, 2^12) takes level 0 on oversampled_grid(18) = 2^11, from
     # the spectra of the halves 5 and 4 of the prefix 9 on its w-grid 2^10,
     # which it reads as entries of the store, which holds no other kind
     # and no twiddle table.
-    store = PrefixSpectra()
+    store = {}
     g_int(9, 9, 1 << 12, store=store)
-    assert {(0, 5), (0, 4)} <= set(store._entries[1 << 10])
-    assert set(vars(store)) == {'_entries'}
+    assert {(0, 5), (0, 4)} <= set(store[1 << 10])
+    assert all(len(entry) == 2 and entry[0].shape == (M // 2 + 1,)
+               for M, memo in store.items() for entry in memo.values())
 
 
 def test_certify_g_split_steps_are_within_eps_fp(no_fft, whole_steps):

@@ -75,7 +75,9 @@ def test_eval_grid_takes_no_fft(capsys, monkeypatch):
     2^44, lengths up to N, those in (N/2, N] built on 2N), max_abs is
     half_spectrum's maximum modulus within eps_fp(L, N), and the modulus
     there at argmax_index within 2 eps_fp of it.  A segment longer than
-    N, an index past 2^64 - 1 and a grid beyond 2^26 still exit 2."""
+    N, an index past 2^64 - 1 and a grid beyond 2^26 still exit 2, and so
+    does a segment longer than N/2 on the grid 2^26, whose 2N lies past
+    the limit: its error names the grid asked for."""
     rng = np.random.default_rng(61)
     cases = [(4, 0, 16), (8, 5, 72), (8, 3, 256)]
     for i in range(37):
@@ -101,10 +103,13 @@ def test_eval_grid_takes_no_fft(capsys, monkeypatch):
         assert ref[j] >= ref.max() - 2 * tol, (log_N, m, L)
     for argv in (['--grid-log2', '8', 'eval', '0', '257', '--grid'],
                  ['eval', str(1 << 64), str((1 << 64) + 4), '--grid'],
-                 ['--grid-log2', '27', 'eval', '0', '4', '--grid']):
+                 ['--grid-log2', '27', 'eval', '0', '4', '--grid'],
+                 ['--grid-log2', '26', 'eval', '0', '40000000', '--grid']):
         code = main(argv)
         err = json.loads(capsys.readouterr().err)
         assert code == 2 and 'error' in err, argv
+    assert err['error'].startswith('grid size 67108864: a segment longer '
+                                   'than N/2 needs the grid 2N'), err
 
 
 def test_eval_point_large_offset_is_strict_json(capsys):

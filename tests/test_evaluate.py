@@ -327,19 +327,34 @@ def test_radix2_step_error_bound_fits_eps_fp():
             M *= 2
 
 
+def _whole_step(RA, RB, z, m=0):
+    """R of the whole radix-2 step on M = 4 (len(RA) - 1), written as
+    norms._segment_values writes it: low into R[:q + 1] and high into
+    R[::-1][:q + 1], so that R[q] is high's."""
+    q = len(RA) - 1
+    R = np.empty(2 * q + 1, dtype=complex)
+    radix2_step(RA, RB[::-1], z, m, R[:q + 1], R[::-1][:q + 1])
+    return R
+
+
 def test_radix2_step_preconditions():
+    """Inputs, twiddles or outputs of mismatched lengths are refused."""
     R, z = half_spectrum(Segment(0, 8), 32), twiddles(32)
-    for RA, RB, zz in ((R[:9], R[:8], z), (R[:1], R[:1], z[:1]),
-                       (R[:4], R[:4], z[:4]), (R[:9], R[:9], twiddles(64)),
-                       (R[:9], R[:9], twiddles(16))):
+    low, high = np.empty((2, 9), dtype=complex)
+    for RA, RB, zz, lo, hi in ((R[:9], R[:8], z, low, high),
+                               (R[:8], R[:9], z, low, high),
+                               (R[:9], R[:9], twiddles(64), low, high),
+                               (R[:9], R[:9], twiddles(16), low, high),
+                               (R[:9], R[:9], z, low[:8], high),
+                               (R[:9], R[:9], z, low, high[1:])):
         with pytest.raises(ValueError):
-            radix2_step(RA, RB, zz)
+            radix2_step(RA, RB, zz, 0, lo, hi)
     assert z[0] == 1 and z[-1] == 1j and not z.flags.writeable
     # M = 4: the prefixes 1 and 2, whose values sit on the axes alone.
     for n in (1, 2):
         halves = (half_spectrum(Segment(0, h), 2) for h in ((n + 1) // 2,
                                                             n // 2))
-        assert np.array_equal(radix2_step(*halves, twiddles(4)),
+        assert np.array_equal(_whole_step(*halves, twiddles(4)),
                               half_spectrum(Segment(0, n), 4))
 
 
@@ -369,7 +384,7 @@ def test_radix2_step_at_m0_is_the_prefix_step_byte_for_byte():
         RA, RB = (rng.normal(size=(q + 1, 2)) @ [1, 1j] for _ in range(2))
         z = twiddles(4 * q)
         want = _prefix_step(RA, RB, z)
-        assert radix2_step(RA, RB, z).tobytes() == want.tobytes(), q
+        assert _whole_step(RA, RB, z).tobytes() == want.tobytes(), q
     top = twiddles(1 << 21)
     for j in range(20):
         assert top[::1 << j].tobytes() == twiddles(1 << (21 - j)).tobytes()
@@ -386,12 +401,11 @@ def test_radix2_step_at_m0_is_the_prefix_step_byte_for_byte():
 def test_radix2_step_windows_are_the_whole_step_byte_for_byte():
     """A window of butterflies k0 .. k1 - 1, or butterflies gathered at
     an index array (k = 0, q/2 and q among them, increasing or not), with
-    the twiddles of those k, gives R[k] and R[M/2 - k] of the whole step
-    byte for byte, at every m mod 4, for windows
-    inside a chunk, across chunks and at the ends; at k = q, where X + Y
-    and conj(X - Y) differ for these random inputs, high is R[q], and low
-    too where q is the last index.  A window past q + 1, or with twiddles
-    of another length, is refused."""
+    the twiddles of those k, written into the rows (low, high) of one
+    array, gives R[k] and R[M/2 - k] of the whole step byte for byte, at
+    every m mod 4, for windows inside a chunk, across chunks and at the
+    ends; at k = q, where X + Y and conj(X - Y) differ for these random
+    inputs, R[q] is high's.  Twiddles of another length are refused."""
     rng = np.random.default_rng(31)
     for q in (1, 2, 8, 1 << 15):
         M = 4 * q
@@ -404,26 +418,24 @@ def test_radix2_step_windows_are_the_whole_step_byte_for_byte():
             0, q + 1, size))})) for size in (0, 3, 40)]
         z = twiddles(M)
         for m in range(4):
-            R = radix2_step(RA, RB, z, m)
+            R = _whole_step(RA, RB, z, m)
             for k0, k1 in windows:
-                low, high = radix2_step(
-                    RA[k0:k1], RB[::-1][k0:k1], z[k0:k1], m,
-                    (range(k0, k1), M))
-                assert low.tobytes() == R[k0:k1].tobytes()
+                low, high = rows = np.empty((2, k1 - k0), dtype=complex)
+                radix2_step(RA[k0:k1], RB[::-1][k0:k1], z[k0:k1], m, *rows)
+                k = min(k1, q)                  # R[q] is high's
+                assert low[:k - k0].tobytes() == R[k0:k].tobytes()
                 assert high.tobytes() == R[::-1][k0:k1].tobytes()
             for ks in gathered + [g[::-1] for g in gathered]:
-                low, high = radix2_step(
-                    RA[ks], RB[q - ks], twiddles(M, ks), m, (ks, M))
-                inner = (ks < q) | (ks[-1] == q)    # low's R[q] if last
+                low, high = rows = np.empty((2, len(ks)), dtype=complex)
+                radix2_step(RA[ks], RB[q - ks], twiddles(M, ks), m, *rows)
+                inner = ks < q
                 assert (low[inner].tobytes()
                         == R[ks[inner]].tobytes()), (q, m, ks)
                 assert high.tobytes() == R[M // 2 - ks].tobytes()
     z = twiddles(32)
-    for k0, k1, zw in ((0, 10, np.ones(10)), (8, 10, np.ones(2)),
-                       (1, 3, z[1:4])):
+    for w, zw in ((10, np.ones(9)), (2, np.ones(3)), (2, z[1:4])):
         with pytest.raises(ValueError):
-            radix2_step(RA[:k1 - k0], RB[:k1 - k0], zw, 0,
-                        (range(k0, k1), 32))
+            radix2_step(RA[:w], RB[:w], zw, 0, *np.empty((2, w), complex))
 
 
 def test_segment_spectra_match_half_spectrum():
@@ -447,7 +459,7 @@ def test_segment_spectra_match_half_spectrum():
 
 def _held_objective(segs, N):
     """F of segment_spectra by the recursion with every level held whole:
-    each level one whole radix2_step per segment, with its own grid's
+    each level one whole radix-2 step per segment, with its own grid's
     twiddle table, and F the sum of the tops' np.abs(R) ** 2, reversed at
     odd positions."""
     levels = [dict.fromkeys((seg.m, seg.n) for seg in segs)]
@@ -460,7 +472,7 @@ def _held_objective(segs, N):
         z = twiddles(max(M, 4))
         values = {(m, n): norms._exact((m, n), M // 2 + 1)
                   if n - m <= 1 else
-                  radix2_step(*(values[h] for h in even_odd_pairs(m, n)),
+                  _whole_step(*(values[h] for h in even_odd_pairs(m, n)),
                               z, m)
                   for m, n in levels[depth]}
     powers = [np.abs(values[seg.m, seg.n]) ** 2 for seg in segs]

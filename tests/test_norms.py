@@ -87,11 +87,9 @@ def full_grid_g(r: int, s: int, N: int, split=True):
 def whole_cap_enclosure(segs, N, degree, slack, cross=None, half=False):
     """The enclosure from the maximum over the whole cap grid that
     norms.segment_spectra folds (peak=True), on the grid of F (the w-grid
-    with ``half``, the objective then twice F's); g's cross term is read
-    with a fresh store."""
+    with ``half``, the objective then twice F's), with no store."""
     sh = 1 if half else 0
-    store = norms.PrefixSpectra() if cross else None
-    top = norms.segment_spectra(segs, N >> sh, True, cross, store)
+    top = norms.segment_spectra(segs, N >> sh, True, cross)
     enc = norms._enclose_grid_sup(top, degree, N >> sh, slack(N >> sh))
     return enc.scale(1 << sh)
 
@@ -175,7 +173,7 @@ def test_decision_settles_on_the_first_level_that_decides(level_grids):
             r, s = (int(t) for t in rng.integers(1, 200, 2))
             if i % 4 == 1:             # a corner on an axis
                 r, s = (0, s) if i % 8 == 5 else (r, 0)
-            store = norms.PrefixSpectra() if i % 2 else None
+            store = {} if i % 2 else None
             oracle = lambda M: full_grid_g(r, s, M)
             run = lambda d: g_int(r, s, N, d, store)
         else:
@@ -206,7 +204,7 @@ def test_decision_settles_on_the_first_level_that_decides(level_grids):
                 assert level_grids[0] == norms.oversampled_grid(r + s, N) // 2
                 # The memo is a cache: the other setting decides alike.
                 other = g_int(r, s, N, below,
-                              norms.PrefixSpectra() if store is None else None)
+                              {} if store is None else None)
                 assert ((other.lo, other.hi, other.N, other.verdict)
                         == (got.lo, got.hi, got.N, got.verdict)), (i, eps)
             verdicts[got.verdict] += 1
@@ -700,15 +698,51 @@ def test_one_term_segments_read_from_a_store_as_without_one():
     for norm, seg in ((sup_norm_sq, Segment(3, 4)),
                       (L_norm_sq, Segment(6, 8))):
         want = norm(seg, 64)
-        got = norm(seg, 64, store=norms.PrefixSpectra())
+        got = norm(seg, 64, store={})
         assert (got.lo, got.hi, got.N) == (want.lo, want.hi, want.N), seg
+
+
+def test_g_objective_is_the_same_with_a_store_and_without():
+    """g's cross term is read with a store and without one alike: on 48
+    seeded corners (r, s < 3000) on the w-grids 2^14 .. 2^18,
+    segment_spectra of the four halves with _g_half_cross gives the same F
+    and peak, bit for bit, with store={} (every level held whole) and
+    with None (the top, and every level above 2^15, streamed a window at
+    a time).  g_int with no store gives the lo, hi, N and verdict of a
+    fresh store, with and without a decision, one that certifies and one
+    that refutes, on the cap 2^20 and on seeded corners.  A store-less
+    call that dropped the cross term fails both."""
+    rng = np.random.default_rng(97)
+    for i in range(48):
+        N = 1 << (14 + i % 5)
+        r, s = (int(t) for t in rng.integers(0, 3000, 2))
+        halves = [*even_odd_split(Segment(0, r)),
+                  *even_odd_split(Segment(0, s))]
+        for peak in (False, True):
+            got = norms.segment_spectra(halves, N, peak, norms._g_half_cross)
+            want = norms.segment_spectra(halves, N, peak,
+                                         norms._g_half_cross, {})
+            if peak:
+                assert type(got) is float and got == want, (r, s, N)
+            else:
+                assert got.tobytes() == want.tobytes(), (r, s, N)
+    corners = [(683, 1365, 1 << 20), (0, 7, 1 << 12), (9, 0, 1 << 12)]
+    corners += [(*map(int, rng.integers(0, 3000, 2)), 1 << 16)
+                for _ in range(4)]
+    for r, s, N in corners:
+        for decide in (None, decision(lambda v: v <= 10 * (r + s)),
+                       decision(lambda v: v <= 2 * (r + s))):
+            got, want = g_int(r, s, N, decide), g_int(r, s, N, decide, {})
+            assert ((got.lo, got.hi, got.N, got.verdict)
+                    == (want.lo, want.hi, want.N, want.verdict)), (r, s, N)
 
 
 def test_half_prefix_spectra_square_nothing(monkeypatch, no_fft):
     """A store entry reads only R of its half prefixes, so the sweep
     squares only the spectra that a caller reads: no FFT is taken, every
-    _power input is a radix2_step output or the exact values of a segment
-    of length at most 1 (_exact), and each is squared at most once.
+    _power input is an R that _segment_values built, by one radix-2 step
+    or as the exact values of a segment of length at most 1, and each is
+    squared at most once.
     brute_onedim's report is the one it gave when the store squared every
     FFT.  brute_onedim reads each top once, so the power
     memo is checked on certify-g at 2^16, whose corners re-read their
@@ -719,11 +753,9 @@ def test_half_prefix_spectra_square_nothing(monkeypatch, no_fft):
     from rsbounds.certify1d import brute_onedim
 
     steps, powered = [], []
-    step, power, exact = norms.radix2_step, norms._power, norms._exact
-    monkeypatch.setattr(norms, 'radix2_step', lambda *a:
-                        steps.append(step(*a)) or steps[-1])
-    monkeypatch.setattr(norms, '_exact', lambda *a:
-                        steps.append(exact(*a)) or steps[-1])
+    build, power = norms._segment_values, norms._power
+    monkeypatch.setattr(norms, '_segment_values', lambda *a:
+                        steps.append(build(*a)) or steps[-1])
     monkeypatch.setattr(norms, '_power', lambda R:
                         powered.append(R) or power(R))
     report = brute_onedim(256, 1 << 12)
@@ -736,7 +768,6 @@ def test_half_prefix_spectra_square_nothing(monkeypatch, no_fft):
     assert report.worst_ratio == pytest.approx(1.000000000000628, rel=1e-12)
 
     built, squared, keys = Counter(), Counter(), {}
-    build = norms._segment_values
 
     def built_values(mn, halves, M, *rest):
         R = build(mn, halves, M, *rest)
@@ -750,7 +781,6 @@ def test_half_prefix_spectra_square_nothing(monkeypatch, no_fft):
         squared[key] += 1
         return power(R)
 
-    monkeypatch.setattr(norms, 'radix2_step', step)
     monkeypatch.setattr(norms, '_segment_values', built_values)
     monkeypatch.setattr(norms, '_power', square)
     assert certify_g_full(1 << 16).corner_evals == 1753

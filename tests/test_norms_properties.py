@@ -13,7 +13,7 @@ import pytest
 import rsbounds.norms as norms
 from rsbounds.certify1d import _sqrt_sum_cmp
 from rsbounds.evaluate import eps_fp, eps_radix2, half_spectrum
-from rsbounds.norms import PrefixSpectra, L_norm_sq, decision, sup_norm_sq
+from rsbounds.norms import L_norm_sq, decision, sup_norm_sq
 from rsbounds.sequence import Segment
 from conftest import stored_spectrum
 
@@ -67,7 +67,7 @@ def test_store_decides_as_whole_prefix_ffts(n, extra, kind):
         'strict': decision(lambda v: _sqrt_sum_cmp(v, 1, t) > 0),
         'scaled': decision(lambda v: v <= 4.5 * n),
     }[kind]
-    store, steps = PrefixSpectra(), set()
+    store, steps = {}, set()
     build = norms._segment_values
     with mock.patch.object(norms, '_segment_values',
                            lambda mn, halves, M, *rest: steps.add((mn, M))
