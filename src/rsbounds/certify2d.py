@@ -44,7 +44,7 @@ STATUS_SUBDIVIDED = 'subdivided'
 DEFAULT_MAX_SCALE = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DyadicSquare:
     """[r/2^k, (r+1)/2^k] x [s/2^k, (s+1)/2^k]."""
 
@@ -92,7 +92,7 @@ class DyadicSquare:
                 and self.y0 >= y0 and self.y1 <= y1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SquareRecord:
     square: DyadicSquare
     status: str
@@ -156,6 +156,10 @@ class CertTree:
         self.records.sort(key=lambda r: (r.square.k, r.square.r, r.square.s))
 
     def to_dict(self) -> dict:
+        """The tree's document.  Its ``records`` is a one-shot ``map`` of
+        SquareRecord.to_dict over the canonical records: each record's dict
+        is made as it is written (jsonfmt writes a map as a list), and the
+        map is empty after one pass."""
         self.canonical()
         return {
             'kind': self.kind,
@@ -168,7 +172,7 @@ class CertTree:
                 'bad': len(self.bad),
                 'corner_evals': self.corner_evals,
             },
-            'records': [r.to_dict() for r in self.records],
+            'records': map(SquareRecord.to_dict, self.records),
         }
 
     def to_json(self) -> str:

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 import time
 
@@ -24,7 +25,7 @@ from .dyadic import DyadicPoint
 from .norms import Enclosure, f2_dyadic, f_dyadic, g_dyadic, segment_spectra
 from .sequence import DEFAULT_MAX_RANGE, Segment, coeff_range
 from .evaluate import eval_point
-from .jsonfmt import dumps
+from .jsonfmt import dump
 
 SCHEMA_VERSION = 1
 
@@ -46,12 +47,39 @@ def _payload(cfg: RunConfig, command: str, result: dict) -> dict:
 
 def _emit(cfg: RunConfig, command: str, result: dict, ok: bool,
           out_name: str | None = None) -> int:
+    """Print the command's document; with ``out_name`` the same text is
+    first the out-dir file ``out_name``, and stdout is copied from it."""
     doc = _payload(cfg, command, result)
-    text = dumps(doc)
-    print(text)
-    if out_name:
-        _write_file(cfg, out_name, text + '\n')
+    with _written(cfg, doc, out_name) as fh:
+        shutil.copyfileobj(fh, sys.stdout)
     return 0 if ok else 1
+
+
+def _written(cfg: RunConfig, doc: dict, name: str | None):
+    """The text of ``doc`` and a line end, encoded once and returned open
+    at its start: the out-dir file ``name``, or a buffer in memory without
+    a name.  The file is written as <name>.partial and renamed after its
+    last byte, so a document that fails to encode leaves no file."""
+    if name is None:
+        fh = io.StringIO()
+    else:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        path = os.path.join(cfg.out_dir, name)
+        partial = path + '.partial'
+        fh = open(partial, 'w+', newline='')
+    try:
+        dump(doc, fh.write)
+        fh.write('\n')
+        fh.flush()
+        if name is not None:
+            os.replace(partial, path)
+    except BaseException:
+        fh.close()
+        if name is not None:
+            os.remove(partial)
+        raise
+    fh.seek(0)
+    return fh
 
 
 def _write_file(cfg: RunConfig, name: str, text: str) -> None:

@@ -17,7 +17,7 @@ def lowest_terms(u: int, v: int, k: int) -> tuple[int, int, int]:
     return u >> t, v >> t, k - t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DyadicPoint:
     """Non-negative dyadic rational u / 2^k in canonical form (u odd or k = 0).
 

@@ -108,7 +108,7 @@ from .sequence import (DEFAULT_MAX_RANGE, CapacityError, Segment, check_range,
                        coeff, even_odd_pairs, even_odd_split)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Enclosure:
     """Interval [lo, hi] guaranteed to contain the true quantity.  From a
     grid maximum it records the grid N, and the verdict of the decision

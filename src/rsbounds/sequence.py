@@ -25,7 +25,7 @@ class CapacityError(ValueError):
     """Requested range exceeds the configured memory limit."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """Half-open index range [m, n) denoting the partial sum with terms
     a_m z^m ... a_{n-1} z^{n-1}.  m = 0 gives the plain prefix of length n."""
