@@ -46,20 +46,23 @@ def _payload(cfg: RunConfig, command: str, result: dict) -> dict:
 
 
 def _emit(cfg: RunConfig, command: str, result: dict, ok: bool,
-          out_name: str | None = None) -> int:
+          out_name: str | None = None, table=None) -> int:
     """Print the command's document; with ``out_name`` the same text is
-    first the out-dir file ``out_name``, and stdout is copied from it."""
+    first the out-dir file ``out_name``, and stdout is copied from it.
+    ``table`` is a CSV file's name and text."""
     doc = _payload(cfg, command, result)
-    with _written(cfg, doc, out_name) as fh:
+    with _written(cfg, doc, out_name, table) as fh:
         shutil.copyfileobj(fh, sys.stdout)
     return 0 if ok else 1
 
 
-def _written(cfg: RunConfig, doc: dict, name: str | None):
+def _written(cfg: RunConfig, doc: dict, name: str | None, table=None):
     """The text of ``doc`` and a line end, encoded once and returned open
     at its start: the out-dir file ``name``, or a buffer in memory without
     a name.  The file is written as <name>.partial and renamed after its
-    last byte, so a document that fails to encode leaves no file."""
+    last byte.  The CSV ``table``, if any, is written in between, once the
+    document has encoded: a document that fails to encode leaves no file,
+    and a table that fails to write leaves no document."""
     if name is None:
         fh = io.StringIO()
     else:
@@ -71,6 +74,8 @@ def _written(cfg: RunConfig, doc: dict, name: str | None):
         dump(doc, fh.write)
         fh.write('\n')
         fh.flush()
+        if table is not None:
+            _write_csv(cfg, *table)
         if name is not None:
             os.replace(partial, path)
     except BaseException:
@@ -80,13 +85,6 @@ def _written(cfg: RunConfig, doc: dict, name: str | None):
         raise
     fh.seek(0)
     return fh
-
-
-def _write_file(cfg: RunConfig, name: str, text: str) -> None:
-    """Write text, line ends as given, to the file ``name`` under out_dir."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, name), 'w', newline='') as fh:
-        fh.write(text)
 
 
 def _enc_dict(enc: Enclosure) -> dict:
@@ -179,13 +177,13 @@ def _cmd_certify_f2(cfg: RunConfig, args) -> int:
 def _emit_tree(cfg: RunConfig, command: str, tree, ok: bool,
                fields: dict) -> int:
     """A certificate tree's document, to_dict() plus the command's
-    ``fields``, and its files <name>_squares.csv and <name>.json, <name>
-    being the command with '_' in place of '-'."""
+    ``fields``, and its files <name>.json and then <name>_squares.csv,
+    <name> being the command with '_' in place of '-'."""
     result = tree.to_dict()
     result.update(fields)
     name = command.replace('-', '_')
-    _write_csv(cfg, f'{name}_squares.csv', tree.to_csv())
-    return _emit(cfg, command, result, ok, out_name=f'{name}.json')
+    return _emit(cfg, command, result, ok, out_name=f'{name}.json',
+                 table=(f'{name}_squares.csv', tree.to_csv()))
 
 
 def _cmd_extremal(cfg: RunConfig, args) -> int:
@@ -208,9 +206,9 @@ def _cmd_montgomery(cfg: RunConfig, args) -> int:
               'limit': rep.limit, 'exceeds_nine': rep.exceeds_nine,
               'grid_sup_ratio_hi': rep.grid_sup_ratio,
               'grid_sup_ratio_lo': rep.grid_sup_ratio_lo, 'grid_N': rep.N}
-    _write_csv(cfg, f'montgomery_{args.k}.csv', _csv_rows(
-        [['k', 'ratio', 'target'], [rep.k, rep.point_ratio, rep.limit]]))
-    return _emit(cfg, 'montgomery', result, True)
+    return _emit(cfg, 'montgomery', result, True, table=(
+        f'montgomery_{args.k}.csv', _csv_rows(
+            [['k', 'ratio', 'target'], [rep.k, rep.point_ratio, rep.limit]])))
 
 
 def _cmd_dense(cfg: RunConfig, args) -> int:
@@ -226,16 +224,20 @@ def _cmd_dense(cfg: RunConfig, args) -> int:
                  for r in rows],
         'hard_ok': hard_ok,
     }
-    _write_csv(cfg, f'dense_{args.m}_{args.n}.csv', _csv_rows(
-        [['k', 'ratio_lo', 'ratio_hi', 'target_lo', 'target_hi']]
-        + [[r.k, r.ratio.lo, r.ratio.hi, target.lo, target.hi] for r in rows]))
-    return _emit(cfg, 'dense', result, hard_ok)
+    return _emit(cfg, 'dense', result, hard_ok, table=(
+        f'dense_{args.m}_{args.n}.csv', _csv_rows(
+            [['k', 'ratio_lo', 'ratio_hi', 'target_lo', 'target_hi']]
+            + [[r.k, r.ratio.lo, r.ratio.hi, target.lo, target.hi]
+               for r in rows])))
 
 
 def _write_csv(cfg: RunConfig, name: str, body: str) -> None:
-    """Write CSV text under out_dir after a '# config:' comment line."""
+    """Write CSV text, line ends as given, to the file ``name`` under
+    out_dir after a '# config:' comment line."""
     comment = '# config: ' + json.dumps(cfg.to_dict(), sort_keys=True)
-    _write_file(cfg, name, comment + '\n' + body)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    with open(os.path.join(cfg.out_dir, name), 'w', newline='') as fh:
+        fh.write(comment + '\n' + body)
 
 
 def _csv_rows(rows: list) -> str:
@@ -251,10 +253,9 @@ def _cmd_figures(cfg: RunConfig, args) -> int:
         x = DyadicPoint(u, 8)
         enc = f_dyadic(x, min(cfg.N, 1 << 20))
         rows.append([float(x), enc.lo, enc.hi])
-    _write_csv(cfg, 'figure_f_curve.csv',
-               _csv_rows([['x', 'f_lo', 'f_hi']] + rows))
     result = {'f_curve_points': len(rows), 'files': ['figure_f_curve.csv']}
-    return _emit(cfg, 'figures', result, True)
+    return _emit(cfg, 'figures', result, True, table=(
+        'figure_f_curve.csv', _csv_rows([['x', 'f_lo', 'f_hi']] + rows)))
 
 
 class _Parser(argparse.ArgumentParser):

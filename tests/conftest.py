@@ -10,10 +10,12 @@ from rsbounds.sequence import Segment, coeff_range
 
 @pytest.fixture
 def no_fft(monkeypatch):
-    """norms.half_spectrum, the only FFT that norms could take, fails the
-    test if called."""
+    """norms.half_spectrum, the only FFT that norms could take, and
+    numpy.fft.rfft itself fail the test if called."""
     monkeypatch.setattr(norms, 'half_spectrum', lambda seg, N: pytest.fail(
         f'FFT of {seg} on grid {N}'))
+    monkeypatch.setattr(np.fft, 'rfft', lambda *args, **kwargs: pytest.fail(
+        'numpy.fft.rfft called'))
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rsbounds.certify1d import (brute_onedim, certify_cover, load_centers,
                                 max_radius)
@@ -24,6 +25,9 @@ from rsbounds.sequence import Segment, coeff_range
 from conftest import eval_roots
 
 FIXTURES = Path(__file__).parent / 'fixtures'
+
+# No criterion takes an FFT: every grid value comes from the recursion.
+pytestmark = pytest.mark.usefixtures('no_fft')
 
 # (binary point, printed f value) from the two anchor tables
 TABLE_F = [

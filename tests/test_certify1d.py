@@ -347,7 +347,8 @@ def test_check_smallk_one_decision_per_norm_and_pair(monkeypatch, no_fft,
         calls.clear()
         built.clear()
         held.clear()
-        records, _ = check_smallk_L(kind)
+        records, ok = check_smallk_L(kind)
+        assert ok, kind
         assert Counter(calls) == Counter(
             [('L_norm_sq', Segment(0, r.n), c1._REFINE_CAP, True)
              for r in records]

@@ -70,7 +70,7 @@ def test_single_square_regression_3_3(no_fft):
     assert leaf == root == 1
 
 
-def test_f2_certifies_clean_at_moderate_grid():
+def test_f2_certifies_clean_at_moderate_grid(no_fft):
     tree, ok = certify_f2(1 << 16, max_scale=6)
     assert ok and not tree.bad
     leaf, root = tree.area_accounting()
@@ -184,10 +184,10 @@ def test_certified_squares_survive_grid_doubling():
         assert _certified(hi2, rec.square.k - 1, rec.target_min)
 
 
-def test_g_to_scale_10_keeps_its_summary():
+def test_g_to_scale_10_keeps_its_summary(no_fft):
     """certify-g over [0, 4]^2 to scale 10 at the default cap 2^20 keeps
     this summary and passes the exclusion check, so a change to the g
-    enclosure that moves a deep square fails here."""
+    enclosure that moves a deep square fails here.  It takes no FFT."""
     tree = certify_g_full(1 << 20, max_scale=10)
     assert (len(tree.bad), len(tree.certified), len(tree.subdivided),
             tree.corner_evals) == (331, 8679, 2998, 3757)

@@ -58,6 +58,8 @@ def test_eval_point_and_grid(capsys):
     code, out = run_cli(capsys, 'eval', '0', '3', '--z', '1,0')
     assert code == 0
     assert json.loads(out)['result']['value'] == [3.0, 0.0]
+    code, out = run_cli(capsys, 'eval', '3', '16777219', '--z', '0.6,0.8')
+    assert code == 0 and len(json.loads(out)['result']['value']) == 2
     code, out = run_cli(capsys, '--grid-log2', '8', 'eval', '0', '3', '--grid')
     assert code == 0
     assert json.loads(out)['result']['max_abs'] == pytest.approx(3.0)
@@ -72,14 +74,15 @@ def test_eval_point_and_grid(capsys):
 def test_eval_grid_takes_no_fft(capsys, monkeypatch):
     """eval --grid reads the radix-2 recursion, not an FFT: with
     numpy.fft.rfft patched to raise, on 40 seeded segments (offsets up to
-    2^44, lengths up to N, those in (N/2, N] built on 2N), max_abs is
-    half_spectrum's maximum modulus within eps_fp(L, N), and the modulus
-    there at argmax_index within 2 eps_fp of it.  A segment longer than
-    N, an index past 2^64 - 1 and a grid beyond 2^26 still exit 2, and so
-    does a segment longer than N/2 on the grid 2^26, whose 2N lies past
-    the limit: its error names the grid asked for."""
+    2^44, lengths up to N, those in (N/2, N] built on 2N) and (5, 77) on
+    2^20, max_abs is half_spectrum's maximum modulus within eps_fp(L, N),
+    and the modulus there at argmax_index within 2 eps_fp of it; on 2^20
+    argmax_index is 365230.  A segment longer than N, an index past
+    2^64 - 1 and a grid beyond 2^26 still exit 2, and so does a segment
+    longer than N/2 on the grid 2^26, whose 2N lies past the limit: its
+    error names the grid asked for."""
     rng = np.random.default_rng(61)
-    cases = [(4, 0, 16), (8, 5, 72), (8, 3, 256)]
+    cases = [(4, 0, 16), (8, 5, 72), (8, 3, 256), (20, 5, 72)]
     for i in range(37):
         log_N = int(rng.integers(4, 15))
         N = 1 << log_N
@@ -93,6 +96,7 @@ def test_eval_grid_takes_no_fft(capsys, monkeypatch):
         raise AssertionError('FFT taken')
 
     monkeypatch.setattr(np.fft, 'rfft', no_fft)
+    argmax = []
     for (log_N, m, L), ref in zip(cases, refs):
         code, out = run_cli(capsys, '--grid-log2', str(log_N), 'eval',
                             str(m), str(m + L), '--grid')
@@ -101,6 +105,8 @@ def test_eval_grid_takes_no_fft(capsys, monkeypatch):
         assert code == 0 and 0 <= j <= 1 << (log_N - 1), (log_N, m, L)
         assert abs(res['max_abs'] - ref.max()) <= tol, (log_N, m, L)
         assert ref[j] >= ref.max() - 2 * tol, (log_N, m, L)
+        argmax.append(j)
+    assert argmax[3] == 365230
     for argv in (['--grid-log2', '8', 'eval', '0', '257', '--grid'],
                  ['eval', str(1 << 64), str((1 << 64) + 4), '--grid'],
                  ['--grid-log2', '27', 'eval', '0', '4', '--grid'],
@@ -141,7 +147,8 @@ def test_non_finite_record_leaves_no_document(capsys, tmp_path,
                                               monkeypatch):
     """A NaN in a tree's last decided record is met after the document's
     first members are in its partial file: exit 2 and a JSON error,
-    nothing printed, and neither the JSON file nor its partial left."""
+    nothing printed, and no file left in the out-dir: not the JSON file,
+    its partial, nor the squares CSV, which waits for the document."""
     import dataclasses
 
     import rsbounds.certify2d as certify2d
@@ -162,8 +169,7 @@ def test_non_finite_record_leaves_no_document(capsys, tmp_path,
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ''
     assert 'not JSON compliant' in json.loads(captured.err)['error']
-    assert not list(tmp_path.glob('*.json'))
-    assert not list(tmp_path.glob('*.partial'))
+    assert not list(tmp_path.iterdir())
 
 
 def test_certify_g_emits_without_holding_its_document(tmp_path,
@@ -232,14 +238,17 @@ def test_certify_f_point_interval_needs_a_certified_record(capsys, tmp_path):
 
 
 def test_certify_f_radius_below_the_radius_bits(capsys, tmp_path):
-    """A target just above f(11/8) binds the 6x piece in an octave below
-    2^-48; the radius search covers the center instead of failing."""
+    """A target 1e-7 above f(11/8)'s hi + 2 width (about 6.2500001084)
+    binds the 6x piece in an octave below 2^-48; the radius search covers
+    the center instead of failing."""
     table = tmp_path / 't1.txt'
     table.write_text('1.011\n')
+    _, out = run_cli(capsys, '--grid-log2', '20', 'f', '1.011')
+    enc = json.loads(out)['result']['enclosure']
+    target = repr(enc['hi'] + 2 * enc['width'] + 1e-7)
     code, out = run_cli(capsys, '--grid-log2', '20', '--out-dir',
                         str(tmp_path), 'certify-f', '--table', str(table),
-                        '--target', '6.2500001084', '--interval', '11/8',
-                        '11/8')
+                        '--target', target, '--interval', '11/8', '11/8')
     rec, = json.loads(out)['result']['records']
     assert code == 0 and rec['binding'] == 'case-6x'
 
@@ -289,12 +298,23 @@ def test_extremal(capsys):
     assert (doc['value_at_one'], doc['value_at_minus_one']) == (94, -30)
 
 
-def test_montgomery(capsys, tmp_path):
+def test_montgomery(capsys, tmp_path, no_fft):
+    """k = 8 on 2^14 takes no grid, nor does k = 40 at the default 2^20.
+    Under the cap 2^22 the decision for k = 9 takes the grid 2^21 and
+    refutes sup |V_9|^2 <= 9 4^9 with lo above 9."""
     code, out = run_cli(capsys, '--grid-log2', '14', '--out-dir',
                         str(tmp_path), 'montgomery', '--k', '8')
     doc = json.loads(out)['result']
     assert code == 0 and doc['exceeds_nine'] is True
     assert (tmp_path / 'montgomery_8.csv').exists()
+    code, out = run_cli(capsys, '--out-dir', str(tmp_path), 'montgomery',
+                        '--k', '40')
+    assert code == 0 and json.loads(out)['result']['grid_N'] is None
+    code, out = run_cli(capsys, '--grid-log2', '22', '--out-dir',
+                        str(tmp_path), 'montgomery', '--k', '9')
+    doc = json.loads(out)['result']
+    assert code == 0 and doc['grid_N'] == 1 << 21
+    assert doc['grid_sup_ratio_lo'] > 9
 
 
 def test_dense(capsys, tmp_path):
@@ -339,6 +359,9 @@ def test_invalid_input_exit_code(capsys):
          '--kmax', '0'],
         # 2^-k times the enclosure would underflow to 0.0
         ['f', f'1/{1 << 1080}'],
+        # a grid below 4 max(r, s), on the axes as elsewhere
+        ['--grid-log2', '4', 'g', '0', '5'],
+        ['--grid-log2', '4', 'g', '5', '0'],
         *([cmd, f'1/{1 << 1100}', f'1/{1 << 1099}'] for cmd in ('f2', 'g'))]
     for argv in cases:
         code = main(argv)
@@ -364,15 +387,23 @@ def test_help_exits_zero(capsys):
 
 
 def test_python_m_rsbounds(tmp_path):
-    """The module entry point runs the CLI in a fresh interpreter."""
+    """The module entry point runs the CLI in a fresh interpreter, its
+    stdout a pipe: certify-g at 2^16 exits 0, its exclusion region
+    holding.  The JSON file is written as <name>.partial, renamed after
+    its last byte, and stdout is copied from it: the pipe carries the
+    file's bytes, and no partial file is left."""
     src = os.path.dirname(os.path.dirname(rsbounds.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get('PYTHONPATH')])))
-    proc = subprocess.run([sys.executable, '-m', 'rsbounds', 'extremal',
-                           '--k', '3'], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    out_dir = tmp_path / 'out'
+    proc = subprocess.run([sys.executable, '-m', 'rsbounds', '--grid-log2',
+                           '16', '--out-dir', str(out_dir), 'certify-g'],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)['result']['invariants_ok'] is True
+    assert proc.stdout == (out_dir / 'certify_g.json').read_bytes()
+    assert json.loads(proc.stdout)['result']['exclusion_ok'] is True
+    assert not list(out_dir.glob('*.partial'))
 
 
 def test_certify_f_decimal_endpoint(capsys, tmp_path):
@@ -397,13 +428,16 @@ def test_byte_determinism_modulo_timestamp(capsys):
     assert d1 == d2
 
 
-# One invocation of each subcommand that prints JSON (coeffs prints signs).
+# One invocation of each subcommand that prints JSON (coeffs prints signs),
+# and runs that stream levels of the segment recursion: g's top on the
+# w-grid 2^16, and dense (5, 8, 12)'s spectra on 2^17 and 2^18.
 _JSON_COMMANDS = [
     ['eval', '3', '19', '--z', '0.6,0.8'],
     ['--grid-log2', '12', 'eval', '5', '77', '--grid'],
     ['--grid-log2', '16', 'f', '1.011'],
     ['--grid-log2', '12', 'f2', '10.', '11.'],
     ['--grid-log2', '14', 'g', '1.', '10.'],
+    ['--grid-log2', '20', 'g', '683/512', '1365/512'],
     ['--grid-log2', '16', 'certify-f', '--table', 'builtin:1', '--target',
      '7.92', '--interval', '11/8', '25/16'],
     ['--grid-log2', '16', 'certify-g'],
@@ -411,14 +445,17 @@ _JSON_COMMANDS = [
     ['extremal', '--k', '3'],
     ['montgomery', '--k', '6'],
     ['dense', '--m', '0', '--n', '1', '--kmax', '4'],
+    ['dense', '--m', '5', '--n', '8', '--kmax', '12'],
     ['--grid-log2', '12', 'figures'],
 ]
 
 
 @pytest.mark.parametrize('argv', _JSON_COMMANDS, ids=lambda a: ' '.join(a))
-def test_stdout_is_the_indented_sorted_layout(capsys, tmp_path, argv):
+def test_stdout_is_the_indented_sorted_layout(capsys, tmp_path, no_fft,
+                                              argv):
     """Stdout is json.dumps(doc, indent=2, sort_keys=True) of its own
-    document, plus a newline; a JSON file it writes holds the same text."""
+    document, plus a newline; a JSON file it writes holds the same text.
+    No command takes an FFT."""
     code, out = run_cli(capsys, '--out-dir', str(tmp_path), *argv)
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + '\n'

@@ -1,9 +1,12 @@
 import cmath
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rsbounds
 from rsbounds.evaluate import (UNIT_ROUNDOFF, DomainError, abs_sq_slack,
                                eps_fp, eps_radix2, eval_point,
                                eval_point_root, eval_PQ, half_spectrum,
@@ -507,7 +510,7 @@ def test_streamed_top_levels_equal_the_held_recursion_byte_for_byte():
         assert type(peak) is float and peak == np.max(want), (segs, N)
 
 
-def test_streamed_butterflies_are_built_once(monkeypatch):
+def test_streamed_butterflies_are_built_once(monkeypatch, no_fft):
     """Each streamed butterfly is built once: in every segment_spectra
     call of Montgomery's k = 9 decision on the 2^22 cap and of
     dense(5, 8, 12), the windows of each segment on each streamed level
@@ -593,3 +596,20 @@ def test_radix2_error_model_against_mpmath():
                 assert err <= bound, (n, M, j, err, bound)
                 worst = max(worst, err / bound)
     assert worst < 0.25
+
+
+def test_one_module_holds_each_source_rule():
+    """Under src/rsbounds, np.fft (half_spectrum, the tests' reference and
+    a name the benchmark traces) and the phases np.cos and np.sin, whose
+    8u bound is derived there (_twiddles_at), appear only in evaluate.py;
+    indent= appears only in jsonfmt.py, whose dump is the one indented
+    JSON encoder, so every document is held to its strict contract."""
+    src = Path(rsbounds.__file__).parent
+    texts = {p.relative_to(src).as_posix(): p.read_text()
+             for p in src.rglob('*.py')}
+    for pattern, home in ((r'np\.fft', 'evaluate.py'),
+                          (r'np\.(cos|sin)\b', 'evaluate.py'),
+                          (r'indent=', 'jsonfmt.py')):
+        found = {name for name, text in texts.items()
+                 if re.search(pattern, text)}
+        assert found == {home}, (pattern, found)

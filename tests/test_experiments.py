@@ -93,7 +93,7 @@ def test_montgomery_convergence_rate():
     assert fitted < 60.0          # |ratio(k) - limit| <= C' 2^-k
 
 
-def test_montgomery_grid_ratio():
+def test_montgomery_grid_ratio(no_fft):
     """The grid check is the decision sup |V_k|^2 <= 9 4^k under the cap:
     at the sweep's caps 2^16 .. 2^22 it is refuted on its first grid,
     8 4^k = 2^(2k+3), with lo above 9 4^k and no lower than the lo of
@@ -110,7 +110,7 @@ def test_montgomery_grid_ratio():
         montgomery_counterexample(6, N=1 << 10)
 
 
-def test_montgomery_grid_check_peak_memory():
+def test_montgomery_grid_check_peak_memory(no_fft):
     """The decision at the 2^22 cap settles on the 2^21 grid, whose
     spectrum the radix-2 recursion builds whole only up to the level
     2^15, and above it a window of butterflies of each level at a time,

@@ -702,7 +702,7 @@ def test_one_term_segments_read_from_a_store_as_without_one():
         assert (got.lo, got.hi, got.N) == (want.lo, want.hi, want.N), seg
 
 
-def test_g_objective_is_the_same_with_a_store_and_without():
+def test_g_objective_is_the_same_with_a_store_and_without(no_fft):
     """g's cross term is read with a store and without one alike: on 48
     seeded corners (r, s < 3000) on the w-grids 2^14 .. 2^18,
     segment_spectra of the four halves with _g_half_cross gives the same F
